@@ -186,10 +186,10 @@ bool UtcqQueryProcessor::MayPassEdge(size_t traj_idx,
   // Mirrors WhenImpl's group construction: only reference-group tuples in
   // the edge's regions can seed candidates, so no tuple here means the
   // groups below would come up empty.
+  if (traj_idx >= cc().num_trajectories()) return false;  // untrusted id
+  const auto j = static_cast<uint32_t>(traj_idx);
   for (const network::RegionId re : index_.grid().RegionsOfEdge(edge)) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
-      if (rt.traj == traj_idx) return true;
-    }
+    if (!index_.RefTuplesOf(re, j).empty()) return true;
   }
   return false;
 }
@@ -225,9 +225,12 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
   // vectors: a trajectory rarely has more than a handful of groups.
   std::vector<StiuIndex::RefTuple> groups;
   std::vector<uint32_t> nref_candidates;
+  const auto j = static_cast<uint32_t>(traj_idx);
   for (const network::RegionId re : regions) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
-      if (rt.traj != traj_idx) continue;
+    const auto refs = index_.RefTuplesOf(re, j);
+    const auto nrefs = index_.NrefTuplesOf(re, j);
+    if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
+    for (const auto& rt : refs) {
       bool merged = false;
       for (auto& g : groups) {
         if (g.ref_idx == rt.ref_idx) {
@@ -239,8 +242,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
       }
       if (!merged) groups.push_back(rt);
     }
-    for (const auto& nt : index_.NrefTuplesIn(re)) {
-      if (nt.traj != traj_idx) continue;
+    for (const auto& nt : nrefs) {
       if (std::find(nref_candidates.begin(), nref_candidates.end(),
                     nt.nref_idx) == nref_candidates.end()) {
         nref_candidates.push_back(nt.nref_idx);
@@ -352,16 +354,21 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
   };
 
   // Candidate instances from the spatial tuples over retotal (a superset
-  // of RE — Lemma 4's region), as packed keys: traj | is_ref | idx.
-  // Sort + unique beats hashing on the small per-query candidate sets.
+  // of RE — Lemma 4's region), as packed keys: traj | is_ref | idx. Only
+  // the partition buckets that can hold an active trajectory are read;
+  // is_active still decides membership. Sort + unique beats hashing on the
+  // small per-query candidate sets.
   std::vector<uint64_t> members;
   for (const network::RegionId re : retotal) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
+    const auto refs = index_.RefTuplesLiveAt(re, tq);
+    const auto nrefs = index_.NrefTuplesLiveAt(re, tq);
+    if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
+    for (const auto& rt : refs) {
       if (!rt.ref_passes || !is_active(rt.traj)) continue;
       members.push_back((static_cast<uint64_t>(rt.traj) << 33) |
                         (1ull << 32) | rt.ref_idx);
     }
-    for (const auto& nt : index_.NrefTuplesIn(re)) {
+    for (const auto& nt : nrefs) {
       if (!is_active(nt.traj)) continue;
       members.push_back((static_cast<uint64_t>(nt.traj) << 33) | nt.nref_idx);
     }

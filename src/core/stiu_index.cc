@@ -41,6 +41,14 @@ std::vector<std::pair<network::RegionId, uint32_t>> FirstVisits(
   return visits;
 }
 
+/// Trajectory `j`'s run inside an id-sorted bucket.
+template <typename Tuple>
+std::span<const Tuple> RunOf(std::span<const Tuple> bucket, uint32_t j) {
+  const auto [first, last] =
+      std::ranges::equal_range(bucket, j, {}, &Tuple::traj);
+  return {first, last};
+}
+
 }  // namespace
 
 StiuIndex::StiuIndex(const network::RoadNetwork& net,
@@ -86,11 +94,10 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
           pos += common::ImprovedExpGolombLength(deltas[i]);
         }
       }
-      const size_t first_p =
-          static_cast<size_t>(tu.times.front() / params_.time_partition_s);
-      const size_t last_p = std::min(
-          partitions - 1,
-          static_cast<size_t>(tu.times.back() / params_.time_partition_s));
+      const size_t first_p = traj::DayPartition(
+          tu.times.front(), params_.time_partition_s, partitions);
+      const size_t last_p = traj::DayPartition(
+          tu.times.back(), params_.time_partition_s, partitions);
       for (size_t p = first_p; p <= last_p; ++p) {
         partition_trajs_[p].push_back(static_cast<uint32_t>(j));
       }
@@ -202,6 +209,7 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
       region_refs_[static_cast<network::RegionId>(key >> 20)].push_back(rt);
     }
   }
+  OrderByPartition();
 }
 
 StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
@@ -292,6 +300,90 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
     region_refs_.clear();
     region_nrefs_.clear();
   }
+  OrderByPartition();
+}
+
+void StiuIndex::OrderByPartition() {
+  const size_t partitions = partition_trajs_.size();
+  first_partition_.assign(temporal_.size(), static_cast<uint32_t>(partitions));
+  std::vector<uint32_t> last_partition(temporal_.size(), 0);
+  for (size_t p = 0; p < partitions; ++p) {
+    for (const uint32_t j : partition_trajs_[p]) {
+      if (j >= first_partition_.size()) continue;  // names no trajectory
+      first_partition_[j] =
+          std::min(first_partition_[j], static_cast<uint32_t>(p));
+      last_partition[j] = static_cast<uint32_t>(p);
+    }
+  }
+  max_span_ = 0;
+  for (size_t j = 0; j < first_partition_.size(); ++j) {
+    if (first_partition_[j] < partitions) {
+      max_span_ =
+          std::max(max_span_, last_partition[j] - first_partition_[j] + 1);
+    }
+  }
+
+  // Built lists come out in trajectory-id order, and sections from older
+  // writers were stored that way; stable sorting keeps every trajectory's
+  // tuples in their stored relative order.
+  const auto by_key = [this](const auto& a, const auto& b) {
+    return std::pair(BucketOf(a.traj), a.traj) <
+           std::pair(BucketOf(b.traj), b.traj);
+  };
+  const auto order = [&](auto& tuples) {
+    if (!std::is_sorted(tuples.begin(), tuples.end(), by_key)) {
+      std::stable_sort(tuples.begin(), tuples.end(), by_key);
+    }
+  };
+  for (auto& tuples : region_refs_) order(tuples);
+  for (auto& tuples : region_nrefs_) order(tuples);
+}
+
+size_t StiuIndex::BucketOf(uint32_t j) const {
+  return j < first_partition_.size() ? first_partition_[j]
+                                     : partition_trajs_.size();
+}
+
+std::pair<size_t, size_t> StiuIndex::LiveBuckets(traj::Timestamp t) const {
+  if (partition_trajs_.empty()) return {0, 0};
+  const size_t p = traj::DayPartition(t, params_.time_partition_s,
+                                      partition_trajs_.size());
+  return {p + 1 > max_span_ ? p + 1 - max_span_ : 0, p + 1};
+}
+
+template <typename Tuple>
+std::span<const Tuple> StiuIndex::BucketRange(const std::vector<Tuple>& tuples,
+                                              size_t lo, size_t hi) const {
+  const auto below = [this](size_t b) {
+    return [this, b](const Tuple& t) { return BucketOf(t.traj) < b; };
+  };
+  const auto first =
+      std::partition_point(tuples.begin(), tuples.end(), below(lo));
+  return {first, std::partition_point(first, tuples.end(), below(hi))};
+}
+
+std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesLiveAt(
+    network::RegionId re, traj::Timestamp t) const {
+  const auto [lo, hi] = LiveBuckets(t);
+  return BucketRange(region_refs_[re], lo, hi);
+}
+
+std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesLiveAt(
+    network::RegionId re, traj::Timestamp t) const {
+  const auto [lo, hi] = LiveBuckets(t);
+  return BucketRange(region_nrefs_[re], lo, hi);
+}
+
+std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesOf(
+    network::RegionId re, uint32_t j) const {
+  const size_t b = BucketOf(j);
+  return RunOf(BucketRange(region_refs_[re], b, b + 1), j);
+}
+
+std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesOf(
+    network::RegionId re, uint32_t j) const {
+  const size_t b = BucketOf(j);
+  return RunOf(BucketRange(region_nrefs_[re], b, b + 1), j);
 }
 
 void StiuIndex::Serialize(common::ByteWriter& out) const {
@@ -357,16 +449,16 @@ const StiuIndex::TemporalTuple& StiuIndex::TemporalTupleFor(
 const std::vector<uint32_t>& StiuIndex::TrajectoriesAt(
     traj::Timestamp t) const {
   static const std::vector<uint32_t> kEmpty;
-  if (t < 0) return kEmpty;
-  const size_t p = static_cast<size_t>(t / params_.time_partition_s);
-  if (p >= partition_trajs_.size()) return kEmpty;
-  return partition_trajs_[p];
+  if (partition_trajs_.empty()) return kEmpty;
+  return partition_trajs_[traj::DayPartition(t, params_.time_partition_s,
+                                             partition_trajs_.size())];
 }
 
 size_t StiuIndex::temporal_size_bytes() const {
   size_t bytes = 0;
   for (const auto& v : temporal_) bytes += v.size() * sizeof(TemporalTuple);
   for (const auto& v : partition_trajs_) bytes += v.size() * sizeof(uint32_t);
+  bytes += first_partition_.size() * sizeof(uint32_t);
   return bytes;
 }
 

@@ -2,6 +2,8 @@
 #define UTCQ_CORE_STIU_INDEX_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/serial.h"
@@ -27,6 +29,13 @@ struct StiuParams {
 /// rebuilds an identical index against a grid reconstructed from the stored
 /// cells_per_side — nothing in the loaded index depends on the original
 /// uncompressed corpus.
+///
+/// Layout (DESIGN.md §7): each region's ref and nref tuple lists are kept
+/// partition-major, ordered by (first time partition of the owning
+/// trajectory, trajectory id). Bucket b holds the trajectories whose first
+/// partition is b; bucket num_partitions() is a sentinel for trajectories
+/// in no partition. Both constructors derive the order, so an index loaded
+/// from a section in any tuple order answers identically.
 class StiuIndex {
  public:
   /// (t.start, t.no, t.pos) of Section 5.2's temporal part.
@@ -93,9 +102,17 @@ class StiuIndex {
   /// with t_start <= t), or the first tuple when t precedes them all.
   const TemporalTuple& TemporalTupleFor(size_t j, traj::Timestamp t) const;
 
-  /// Trajectories whose time span intersects the partition containing `t`.
+  /// Trajectories whose time span intersects the partition containing `t`
+  /// (clamped into the day, see traj::DayPartition).
   const std::vector<uint32_t>& TrajectoriesAt(traj::Timestamp t) const;
 
+  size_t num_partitions() const { return partition_trajs_.size(); }
+
+  /// Largest number of partitions, first to last, any trajectory is listed
+  /// in (0 when none is listed anywhere).
+  uint32_t max_span() const { return max_span_; }
+
+  /// Whole tuple lists of region `re`, in partition-major order.
   const std::vector<RefTuple>& RefTuplesIn(network::RegionId re) const {
     return region_refs_[re];
   }
@@ -103,17 +120,49 @@ class StiuIndex {
     return region_nrefs_[re];
   }
 
+  /// The slice of region `re`'s list holding every tuple of every
+  /// trajectory in TrajectoriesAt(t): buckets [p - max_span() + 1, p] for
+  /// t's partition p. It may also hold tuples of inactive trajectories.
+  std::span<const RefTuple> RefTuplesLiveAt(network::RegionId re,
+                                            traj::Timestamp t) const;
+  std::span<const NrefTuple> NrefTuplesLiveAt(network::RegionId re,
+                                              traj::Timestamp t) const;
+
+  /// Every tuple of trajectory `j` in region `re`, in list order.
+  std::span<const RefTuple> RefTuplesOf(network::RegionId re,
+                                        uint32_t j) const;
+  std::span<const NrefTuple> NrefTuplesOf(network::RegionId re,
+                                          uint32_t j) const;
+
   size_t SizeBytes() const;
   size_t temporal_size_bytes() const;
   size_t spatial_size_bytes() const;
 
  private:
+  /// Derives first_partition_ and max_span_ from partition_trajs_, and
+  /// reorders every region list partition-major.
+  void OrderByPartition();
+
+  /// Bucket of trajectory `j`'s tuples: its first partition, or the
+  /// sentinel num_partitions() (also for ids the index does not cover).
+  size_t BucketOf(uint32_t j) const;
+
+  /// Bucket range [lo, hi) scanned for tuples live at `t`.
+  std::pair<size_t, size_t> LiveBuckets(traj::Timestamp t) const;
+
+  /// Buckets [lo, hi) of a partition-major list, found by binary search.
+  template <typename Tuple>
+  std::span<const Tuple> BucketRange(const std::vector<Tuple>& tuples,
+                                     size_t lo, size_t hi) const;
+
   const network::GridIndex& grid_;
   StiuParams params_;
   std::vector<std::vector<TemporalTuple>> temporal_;   // [traj]
   std::vector<std::vector<uint32_t>> partition_trajs_; // [partition]
   std::vector<std::vector<RefTuple>> region_refs_;     // [region]
   std::vector<std::vector<NrefTuple>> region_nrefs_;   // [region]
+  std::vector<uint32_t> first_partition_;              // [traj]
+  uint32_t max_span_ = 0;
 };
 
 }  // namespace utcq::core

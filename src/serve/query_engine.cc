@@ -272,9 +272,9 @@ QueryResult QueryEngine::ExecuteOne(const QueryRequest& req,
         // Same principle as kWhere: the uncached path rejects a trajectory
         // with no StIU tuples near the edge from the index alone (Lemma 1
         // full skip) — keep that O(index) rejection ahead of the decode.
-        // Accepted edges re-walk this tuple prefix inside When's group
-        // construction; that duplicate index scan is orders cheaper than
-        // the decode the rejection avoids.
+        // Accepted edges repeat this per-trajectory tuple lookup inside
+        // When's group construction; that duplicate index probe is orders
+        // cheaper than the decode the rejection avoids.
         if (!target.qp->MayPassEdge(target.local, req.edge)) break;
         if (PartialActive()) {
           core::QueryStats qs;

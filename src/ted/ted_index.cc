@@ -17,9 +17,9 @@ TedIndex::TedIndex(const network::RoadNetwork& net,
   for (size_t j = 0; j < compressed.num_trajectories(); ++j) {
     const TedTrajMeta& meta = compressed.meta(j);
     const size_t first =
-        static_cast<size_t>(meta.t_first / time_partition_s_);
-    const size_t last = std::min(
-        partitions - 1, static_cast<size_t>(meta.t_last / time_partition_s_));
+        traj::DayPartition(meta.t_first, time_partition_s_, partitions);
+    const size_t last =
+        traj::DayPartition(meta.t_last, time_partition_s_, partitions);
     for (size_t p = first; p <= last; ++p) {
       temporal_[p].push_back(static_cast<uint32_t>(j));
     }
@@ -41,11 +41,7 @@ TedIndex::TedIndex(const network::RoadNetwork& net,
 }
 
 const std::vector<uint32_t>& TedIndex::TrajectoriesAt(traj::Timestamp t) const {
-  static const std::vector<uint32_t> kEmpty;
-  if (t < 0) return kEmpty;
-  const size_t p = static_cast<size_t>(t / time_partition_s_);
-  if (p >= temporal_.size()) return kEmpty;
-  return temporal_[p];
+  return temporal_[traj::DayPartition(t, time_partition_s_, temporal_.size())];
 }
 
 size_t TedIndex::SizeBytes() const {

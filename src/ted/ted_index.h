@@ -24,7 +24,8 @@ class TedIndex {
   TedIndex(const network::RoadNetwork& net, const network::GridIndex& grid,
            const TedCorpusView& compressed, int64_t time_partition_s);
 
-  /// Trajectories active in the partition containing `t`.
+  /// Trajectories active in the partition containing `t` (clamped into
+  /// the day, see traj::DayPartition).
   const std::vector<uint32_t>& TrajectoriesAt(traj::Timestamp t) const;
 
   /// Instances passing region `re`.

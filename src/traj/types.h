@@ -15,6 +15,18 @@ using Timestamp = int64_t;
 
 inline constexpr Timestamp kSecondsPerDay = 86400;
 
+/// Index of the `partition_s`-second day partition holding `t`, clamped
+/// into [0, num_partitions - 1] (`num_partitions` >= 1). Timestamps before
+/// midnight or past the day (ingest does not bound time) fold into the edge
+/// partitions, so partition membership stays a superset filter; callers
+/// re-check the exact [t_first, t_last] span.
+inline size_t DayPartition(Timestamp t, int64_t partition_s,
+                           size_t num_partitions) {
+  if (t < 0) return 0;
+  const auto p = static_cast<size_t>(t / partition_s);
+  return p < num_partitions ? p : num_partitions - 1;
+}
+
 /// A raw GPS fix (x, y, t) in the network's planar coordinate system.
 struct RawPoint {
   double x = 0.0;

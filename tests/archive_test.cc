@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
+#include "verify/oracle.h"
 
 namespace utcq::archive {
 namespace {
@@ -412,6 +414,277 @@ TEST(Archive, RejectsStiuTuplePointingOutsideMetas) {
   ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
   EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
   EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
+}
+
+/// Partition lists of `index`, read back through TrajectoriesAt.
+std::vector<std::vector<uint32_t>> PartitionLists(const core::StiuIndex& index) {
+  std::vector<std::vector<uint32_t>> lists(index.num_partitions());
+  for (size_t p = 0; p < lists.size(); ++p) {
+    lists[p] = index.TrajectoriesAt(static_cast<traj::Timestamp>(p) *
+                                    index.time_partition_s());
+  }
+  return lists;
+}
+
+/// Region-list order a re-emitted StIU section is written in.
+enum class ListOrder {
+  kAsIndexed,     // the index's own (partition-major) order
+  kIdAscending,   // the order writers used before lists went partition-major
+  kIdDescending,  // an order no writer emits
+};
+
+/// Re-emits `index` in the StIU section layout StiuIndex::Serialize writes,
+/// with `partitions` as the partition lists and every region list
+/// stable-sorted into `order` (each trajectory's tuples keep their relative
+/// order). Crafted sections and older writers' sections are built here.
+std::vector<uint8_t> WriteStiu(const core::StiuIndex& index,
+                               const std::vector<std::vector<uint32_t>>& partitions,
+                               ListOrder order) {
+  const auto ordered = [&](auto tuples) {
+    std::stable_sort(tuples.begin(), tuples.end(),
+                     [&](const auto& a, const auto& b) {
+                       switch (order) {
+                         case ListOrder::kIdAscending: return a.traj < b.traj;
+                         case ListOrder::kIdDescending: return a.traj > b.traj;
+                         case ListOrder::kAsIndexed: break;
+                       }
+                       return false;
+                     });
+    return tuples;
+  };
+  common::ByteWriter out;
+  out.PutVarint(index.params().cells_per_side);
+  out.PutSignedVarint(index.time_partition_s());
+  out.PutVarint(index.num_trajectories());
+  out.PutVarint(partitions.size());
+  out.PutVarint(index.grid().num_regions());
+  for (size_t j = 0; j < index.num_trajectories(); ++j) {
+    out.PutVarint(index.TemporalOf(j).size());
+    traj::Timestamp prev_start = 0;
+    for (const auto& t : index.TemporalOf(j)) {
+      out.PutVarint(static_cast<uint64_t>(t.t_start - prev_start));
+      prev_start = t.t_start;
+      out.PutVarint(t.t_no);
+      out.PutVarint(t.t_pos);
+    }
+  }
+  for (const auto& trajs : partitions) {
+    out.PutVarint(trajs.size());
+    for (const uint32_t j : trajs) out.PutVarint(j);
+  }
+  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
+    const auto tuples = ordered(index.RefTuplesIn(re));
+    out.PutVarint(tuples.size());
+    for (const auto& rt : tuples) {
+      out.PutVarint(rt.traj);
+      out.PutVarint(rt.ref_idx);
+      out.PutU32(rt.fv_id);
+      out.PutVarint(rt.fv_no);
+      out.PutVarint(rt.d_no);
+      out.PutVarint(rt.d_pos);
+      out.PutF32(rt.p_total);
+      out.PutF32(rt.p_max);
+      out.PutU8(rt.ref_passes ? 1 : 0);
+    }
+  }
+  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
+    const auto tuples = ordered(index.NrefTuplesIn(re));
+    out.PutVarint(tuples.size());
+    for (const auto& nt : tuples) {
+      out.PutVarint(nt.traj);
+      out.PutVarint(nt.nref_idx);
+      out.PutU32(nt.rv_id);
+      out.PutVarint(nt.rv_no);
+      out.PutVarint(nt.ma_pos);
+    }
+  }
+  return out.Release();
+}
+
+/// An archive of `fx` whose StIU section is replaced by `stiu`, reopened.
+struct Reopened {
+  ArchiveReader reader;
+  std::unique_ptr<network::GridIndex> grid;
+  std::unique_ptr<core::StiuIndex> index;
+  std::unique_ptr<core::UtcqQueryProcessor> queries;
+};
+
+std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
+                                         std::vector<uint8_t> stiu) {
+  ArchiveReader writer_side;
+  EXPECT_TRUE(writer_side.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ArchivePayload payload = writer_side.payload();
+  payload.stiu = std::move(stiu);
+  auto r = std::make_unique<Reopened>();
+  std::string error;
+  EXPECT_TRUE(r->reader.OpenBytes(EncodeArchive(payload), &error)) << error;
+  r->grid = std::make_unique<network::GridIndex>(
+      fx.net, r->reader.index_cells_per_side());
+  r->index = r->reader.LoadIndex(*r->grid, &error);
+  EXPECT_NE(r->index, nullptr) << error;
+  if (r->index == nullptr) return nullptr;
+  r->queries = std::make_unique<core::UtcqQueryProcessor>(
+      fx.net, r->reader.view(), *r->index);
+  return r;
+}
+
+/// Query rectangles around a few trajectories' starts plus the whole map.
+std::vector<network::Rect> RangeRects(const ArchiveFixture& fx) {
+  const auto bbox = fx.net.bounding_box();
+  std::vector<network::Rect> rects{
+      {bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y}};
+  for (size_t j = 0; j < fx.corpus.size(); j += 10) {
+    const auto& inst = fx.corpus[j].instances.front();
+    const auto& v = fx.net.vertex(fx.net.edge(inst.path.front()).from);
+    rects.push_back({v.x - 600, v.y - 600, v.x + 600, v.y + 600});
+  }
+  return rects;
+}
+
+/// `loaded` answers every Where / When / Range of the fixture's query mix
+/// hit for hit like the live processor, and its Range answers match a full
+/// scan of the decompressed corpus (up to alpha ties at summation noise).
+void ExpectSameAnswers(const ArchiveFixture& fx,
+                       const core::UtcqQueryProcessor& loaded) {
+  const core::UtcqQueryProcessor& live = fx.sys->queries();
+  const auto decoded = live.decoder().DecompressAll();
+  const verify::Oracle oracle(fx.net, decoded,
+                              fx.sys->compressed().params().eta_d);
+  const auto rects = RangeRects(fx);
+  size_t range_hits = 0;
+  for (size_t j = 0; j < fx.corpus.size(); ++j) {
+    const auto& tu = fx.corpus[j];
+    const auto t_mid = (tu.times.front() + tu.times.back()) / 2;
+    const auto a = live.Where(j, t_mid, 0.2);
+    const auto b = loaded.Where(j, t_mid, 0.2);
+    ASSERT_EQ(a.size(), b.size()) << "traj " << j;
+    for (size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].instance, b[k].instance);
+      EXPECT_EQ(a[k].position.edge, b[k].position.edge);
+      EXPECT_EQ(a[k].position.ndist, b[k].position.ndist);
+    }
+    const auto& inst = tu.instances.front();
+    const auto edge = inst.path[inst.locations.front().path_index];
+    const double rd = inst.locations.front().rd;
+    const auto wa = live.When(j, edge, rd, 0.1);
+    const auto wb = loaded.When(j, edge, rd, 0.1);
+    ASSERT_EQ(wa.size(), wb.size()) << "traj " << j;
+    for (size_t k = 0; k < wa.size(); ++k) {
+      EXPECT_EQ(wa[k].instance, wb[k].instance);
+      EXPECT_EQ(wa[k].t, wb[k].t);
+    }
+    EXPECT_EQ(live.MayPassEdge(j, edge), loaded.MayPassEdge(j, edge));
+    if (j % 5 != 0) continue;
+    for (const network::Rect& re : rects) {
+      for (const double alpha : {0.1, 0.5}) {
+        const auto got = loaded.Range(re, t_mid, alpha);
+        EXPECT_EQ(got, live.Range(re, t_mid, alpha));
+        const auto want = oracle.Range(re, t_mid, alpha);
+        std::vector<uint32_t> diff;
+        std::set_symmetric_difference(got.begin(), got.end(), want.begin(),
+                                      want.end(), std::back_inserter(diff));
+        for (const uint32_t k : diff) {
+          EXPECT_NEAR(oracle.OverlapMass(k, re, t_mid), alpha, 1e-9)
+              << "trajectory " << k << " tq " << t_mid;
+        }
+        range_hits += want.size();
+      }
+    }
+  }
+  EXPECT_GT(range_hits, 0u);
+}
+
+TEST(Archive, StiuSectionsInOtherTupleOrdersReloadIdentically) {
+  // Sections written before the region lists went partition-major store
+  // them in trajectory-id order; a crafted one may use any order. Same
+  // tuples, same byte count; the reader re-derives the layout, so the lists
+  // and every answer come out equal.
+  ArchiveFixture fx;
+  const core::StiuIndex& live = fx.sys->index();
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &live).Serialize()));
+  const auto partitions = PartitionLists(live);
+  ASSERT_EQ(WriteStiu(live, partitions, ListOrder::kAsIndexed),
+            reader.payload().stiu)
+      << "WriteStiu must mirror StiuIndex::Serialize";
+
+  for (const ListOrder order :
+       {ListOrder::kIdAscending, ListOrder::kIdDescending}) {
+    SCOPED_TRACE(order == ListOrder::kIdAscending ? "ascending" : "descending");
+    const auto stiu = WriteStiu(live, partitions, order);
+    EXPECT_EQ(stiu.size(), reader.payload().stiu.size());
+    EXPECT_NE(stiu, reader.payload().stiu) << "orders never differed";
+
+    const auto reopened = ReopenWithStiu(fx, stiu);
+    ASSERT_NE(reopened, nullptr);
+    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+      const auto& ra = live.RefTuplesIn(re);
+      const auto& rb = reopened->index->RefTuplesIn(re);
+      ASSERT_EQ(ra.size(), rb.size()) << "region " << re;
+      for (size_t k = 0; k < ra.size(); ++k) {
+        EXPECT_EQ(ra[k].traj, rb[k].traj);
+        EXPECT_EQ(ra[k].ref_idx, rb[k].ref_idx);
+      }
+      const auto& na = live.NrefTuplesIn(re);
+      const auto& nb = reopened->index->NrefTuplesIn(re);
+      ASSERT_EQ(na.size(), nb.size()) << "region " << re;
+      for (size_t k = 0; k < na.size(); ++k) {
+        EXPECT_EQ(na[k].traj, nb[k].traj);
+        EXPECT_EQ(na[k].nref_idx, nb[k].nref_idx);
+      }
+    }
+    ExpectSameAnswers(fx, *reopened->queries);
+  }
+}
+
+TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
+  // Partition lists are a superset filter: a section may list a trajectory
+  // in extra, non-contiguous partitions, name ids no trajectory has, or
+  // list everything everywhere (max_span = every partition, a full scan).
+  // None of these may change an answer.
+  ArchiveFixture fx;
+  const core::StiuIndex& live = fx.sys->index();
+  const auto honest = PartitionLists(live);
+  const size_t n = honest.size();
+  const auto num_trajs = static_cast<uint32_t>(live.num_trajectories());
+  const auto normalized = [](std::vector<std::vector<uint32_t>> lists) {
+    for (auto& l : lists) {
+      std::sort(l.begin(), l.end());
+      l.erase(std::unique(l.begin(), l.end()), l.end());
+    }
+    return lists;
+  };
+
+  auto scattered = honest;  // every trajectory also half a day away
+  for (size_t p = 0; p < n; ++p) {
+    for (const uint32_t j : honest[p]) scattered[(p + n / 2) % n].push_back(j);
+  }
+  auto phantom = honest;  // ids past the corpus in every partition
+  for (auto& l : phantom) {
+    l.push_back(num_trajs);
+    l.push_back(num_trajs + 7);
+  }
+  std::vector<std::vector<uint32_t>> everywhere(n);
+  for (auto& l : everywhere) {
+    for (uint32_t j = 0; j < num_trajs; ++j) l.push_back(j);
+  }
+
+  for (const auto& [name, lists] :
+       {std::pair{"scattered", normalized(scattered)},
+        std::pair{"phantom", normalized(phantom)},
+        std::pair{"everywhere", everywhere}}) {
+    SCOPED_TRACE(name);
+    const auto reopened =
+        ReopenWithStiu(fx, WriteStiu(live, lists, ListOrder::kAsIndexed));
+    ASSERT_NE(reopened, nullptr);
+    EXPECT_GE(reopened->index->max_span(), live.max_span());
+    if (std::string(name) == "everywhere") {
+      EXPECT_EQ(reopened->index->max_span(), n);
+    }
+    ExpectSameAnswers(fx, *reopened->queries);
+  }
 }
 
 TEST(Archive, OpenMissingFileFails) {

@@ -2,10 +2,11 @@
 // run through every real query path — the raw UtcqQueryProcessor, a sharded
 // archive set reopened from disk, the serving QueryEngine cold / warm /
 // batched, the live+sealed streaming tier and its reopened append-log set,
-// the TED baseline, and the network tier (a real TCP round trip through
-// src/net/'s server and client) — and every answer is checked hit-for-hit
-// against verify::Oracle, a brute-force scan of the decompressed corpus
-// with no index, no pruning and no cache. Failures print the workload
+// the TED baseline, the network tier (a real TCP round trip through
+// src/net/'s server and client), and a fine 60 s StIU time partition — and
+// every answer is checked hit-for-hit against verify::Oracle, a
+// brute-force scan of the decompressed corpus with no index, no pruning
+// and no cache. Failures print the workload
 // seed; rerun a single workload with:
 //   differential_test --seed=<seed> --gtest_filter='*Workloads*/0'
 
@@ -486,6 +487,18 @@ void RunWorkload(uint64_t seed) {
     EXPECT_GT(stats.partial_queries, 0u);
     EXPECT_EQ(stats.cache_resident_bytes, 0u)
         << "partial decode leaked state into the full-decode cache";
+  }
+
+  // --- path 9: a 60 s time partition, so most trajectories span several
+  // partitions and Range's max_span bucket window is exercised at its
+  // edges, through the processor and the serving engine ---
+  {
+    const core::UtcqSystem fine(w.net, grid, w.corpus, w.params,
+                                core::StiuParams{16, 60});
+    EXPECT_GT(fine.index().max_span(), 1u);
+    RunPath(w.net, oracle, w.queries, PathOf("processor-60s", fine.queries()));
+    serve::QueryEngine engine(fine.queries());
+    RunPath(w.net, oracle, w.queries, PathOf("engine-60s", engine));
   }
 
   for (const std::string& f : files) std::remove(f.c_str());

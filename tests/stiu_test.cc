@@ -1,28 +1,37 @@
 #include <algorithm>
+#include <chrono>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
 #include "traj/generator.h"
+#include "ted/ted_compress.h"
+#include "ted/ted_index.h"
+#include "ted/ted_query.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
+#include "verify/oracle.h"
 
 namespace utcq::core {
 namespace {
 
 struct StiuFixture {
-  StiuFixture() {
+  explicit StiuFixture(int64_t partition_s = 900, size_t count = 60) {
     const auto profile = traj::ChengduProfile();
     net = test::MakeSmallCity(profile, 14);
     traj::UncertainTrajectoryGenerator gen(net, profile, 606);
-    corpus = gen.GenerateCorpus(60);
+    corpus = gen.GenerateCorpus(count);
     grid = std::make_unique<network::GridIndex>(net, 16);
     params.default_interval_s = profile.default_interval_s;
     sys = std::make_unique<UtcqSystem>(net, *grid, corpus, params,
-                                       StiuParams{16, 900});
+                                       StiuParams{16, partition_s});
   }
   network::RoadNetwork net;
   traj::UncertainCorpus corpus;
@@ -153,6 +162,249 @@ TEST(StiuIndex, PaperExampleTuples) {
     EXPECT_NEAR(rt.p_max, 0.2, 0.01);    // max non-reference probability
   }
   EXPECT_TRUE(found);
+}
+
+/// First and last partition each trajectory is listed in, read back through
+/// TrajectoriesAt alone (first = num_partitions() when listed nowhere), so
+/// the checks below do not trust the index's own bucket assignment.
+std::vector<std::pair<size_t, size_t>> Membership(const StiuIndex& index) {
+  std::vector<std::pair<size_t, size_t>> span(
+      index.num_trajectories(), {index.num_partitions(), 0});
+  for (size_t p = 0; p < index.num_partitions(); ++p) {
+    const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
+    for (const uint32_t j : index.TrajectoriesAt(t)) {
+      span[j].first = std::min(span[j].first, p);
+      span[j].second = p;
+    }
+  }
+  return span;
+}
+
+/// `tuples` is ordered by (first partition, trajectory id), and for every
+/// partition p `live_at(p)` is exactly the tuples whose first partition
+/// lies in [p - max_span + 1, p].
+template <typename Tuple, typename LiveAt>
+void ExpectPartitionMajor(
+    const std::vector<Tuple>& tuples,
+    const std::vector<std::pair<size_t, size_t>>& membership,
+    size_t partitions, size_t max_span, const LiveAt& live_at) {
+  const auto key = [&](const Tuple& t) {
+    return std::pair(membership[t.traj].first, t.traj);
+  };
+  for (size_t k = 1; k < tuples.size(); ++k) {
+    EXPECT_LE(key(tuples[k - 1]), key(tuples[k])) << "position " << k;
+  }
+  const auto below = [&](size_t b) {
+    return static_cast<size_t>(std::count_if(
+        tuples.begin(), tuples.end(),
+        [&](const Tuple& t) { return membership[t.traj].first < b; }));
+  };
+  for (size_t p = 0; p < partitions; ++p) {
+    const std::span<const Tuple> slice = live_at(p);
+    const size_t lo = p + 1 > max_span ? p + 1 - max_span : 0;
+    EXPECT_EQ(static_cast<size_t>(slice.data() - tuples.data()), below(lo))
+        << "partition " << p;
+    EXPECT_EQ(slice.size(), below(p + 1) - below(lo)) << "partition " << p;
+  }
+}
+
+/// Every tuple of a trajectory in `active` lies inside `slice`, and
+/// `run_of(j)` is exactly j's tuples of the whole list, in list order.
+template <typename Tuple, typename RunOf>
+void ExpectSlicesCover(const std::vector<Tuple>& tuples,
+                       std::span<const Tuple> slice,
+                       const std::vector<uint32_t>& active,
+                       const RunOf& run_of) {
+  const auto is_active = [&](const Tuple& t) {
+    return std::binary_search(active.begin(), active.end(), t.traj);
+  };
+  EXPECT_EQ(std::count_if(slice.begin(), slice.end(), is_active),
+            std::count_if(tuples.begin(), tuples.end(), is_active));
+  for (const uint32_t j : active) {
+    std::vector<const Tuple*> want;
+    for (const Tuple& t : tuples) {
+      if (t.traj == j) want.push_back(&t);
+    }
+    std::vector<const Tuple*> got;
+    for (const Tuple& t : run_of(j)) got.push_back(&t);
+    EXPECT_EQ(got, want) << "trajectory " << j;
+  }
+}
+
+class StiuLayout : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(StiuLayout, RegionListsArePartitionMajorWithExactLiveWindows) {
+  const StiuFixture fx(GetParam());
+  const StiuIndex& index = fx.sys->index();
+  const auto membership = Membership(index);
+  const auto time_of = [&](size_t p) {
+    return static_cast<traj::Timestamp>(p) * index.time_partition_s();
+  };
+  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+    SCOPED_TRACE("region " + std::to_string(re));
+    ExpectPartitionMajor(
+        index.RefTuplesIn(re), membership, index.num_partitions(),
+        index.max_span(),
+        [&](size_t p) { return index.RefTuplesLiveAt(re, time_of(p)); });
+    ExpectPartitionMajor(
+        index.NrefTuplesIn(re), membership, index.num_partitions(),
+        index.max_span(),
+        [&](size_t p) { return index.NrefTuplesLiveAt(re, time_of(p)); });
+  }
+}
+
+TEST_P(StiuLayout, LiveSliceHoldsEveryTupleOfEveryActiveTrajectory) {
+  const StiuFixture fx(GetParam());
+  const StiuIndex& index = fx.sys->index();
+  for (size_t p = 0; p < index.num_partitions(); ++p) {
+    const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
+    const auto& active = index.TrajectoriesAt(t);
+    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+      SCOPED_TRACE("partition " + std::to_string(p) + " region " +
+                   std::to_string(re));
+      ExpectSlicesCover(index.RefTuplesIn(re), index.RefTuplesLiveAt(re, t),
+                        active,
+                        [&](uint32_t j) { return index.RefTuplesOf(re, j); });
+      ExpectSlicesCover(index.NrefTuplesIn(re), index.NrefTuplesLiveAt(re, t),
+                        active,
+                        [&](uint32_t j) { return index.NrefTuplesOf(re, j); });
+    }
+  }
+}
+
+TEST_P(StiuLayout, MaxSpanIsTheWidestMembership) {
+  const StiuFixture fx(GetParam());
+  const StiuIndex& index = fx.sys->index();
+  size_t widest = 0;
+  for (const auto& [first, last] : Membership(index)) {
+    if (first < index.num_partitions()) {
+      widest = std::max(widest, last - first + 1);
+    }
+  }
+  EXPECT_EQ(index.max_span(), widest);
+  // The 60 s layout must exercise a multi-bucket window.
+  if (GetParam() <= 60) EXPECT_GT(index.max_span(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, StiuLayout,
+                         ::testing::Values(int64_t{14400}, int64_t{900},
+                                           int64_t{60}));
+
+TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
+  // Each partition and each region list costs a crafted section one byte,
+  // so a small section can name ~1e5 partitions over a 512x512 grid.
+  // Deriving the partition-major layout must cost O(bytes), not
+  // O(regions x partitions) (5e10 steps here).
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  const network::GridIndex grid(net, 512);
+  constexpr uint64_t kPartitions = 100000;
+  common::ByteWriter out;
+  out.PutVarint(512);  // cells_per_side
+  out.PutSignedVarint(1);  // time_partition_s
+  out.PutVarint(0);  // trajectories
+  out.PutVarint(kPartitions);
+  out.PutVarint(grid.num_regions());
+  for (uint64_t p = 0; p < kPartitions; ++p) out.PutVarint(0);
+  for (size_t k = 0; k < 2 * grid.num_regions(); ++k) out.PutVarint(0);
+
+  const auto start = std::chrono::steady_clock::now();
+  common::ByteReader in(out.bytes());
+  const StiuIndex index(grid, in);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_EQ(index.num_partitions(), kPartitions);
+  EXPECT_EQ(index.max_span(), 0u);
+  EXPECT_TRUE(index.RefTuplesLiveAt(0, 50000).empty());
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(StiuIndex, RangeScansAFractionOfTheRegionLists) {
+  // Range reads only the live partition buckets: across a day of queries
+  // over the whole map, at least 10x fewer tuples than the full region
+  // lists the index used to walk — with identical answers to a scan of
+  // the decompressed corpus.
+  const StiuFixture fx(900, 200);
+  const StiuIndex& index = fx.sys->index();
+  const auto bbox = fx.net.bounding_box();
+  const network::Rect everywhere{bbox.min_x, bbox.min_y, bbox.max_x,
+                                 bbox.max_y};
+  size_t full = 0;
+  for (const network::RegionId re : fx.grid->RegionsInRect(everywhere)) {
+    full += index.RefTuplesIn(re).size() + index.NrefTuplesIn(re).size();
+  }
+  const auto decoded = fx.sys->decoder().DecompressAll();
+  const verify::Oracle oracle(fx.net, decoded, fx.params.eta_d);
+  QueryStats stats;
+  size_t queries = 0;
+  size_t hits = 0;
+  for (size_t j = 0; j < fx.corpus.size(); j += 4) {
+    const auto& times = fx.corpus[j].times;
+    const traj::Timestamp tq = (times.front() + times.back()) / 2;
+    const auto got = fx.sys->queries().Range(everywhere, tq, 0.05, &stats);
+    EXPECT_EQ(got, oracle.Range(everywhere, tq, 0.05)) << "tq " << tq;
+    hits += got.size();
+    ++queries;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(stats.tuples_scanned, 0u);
+  EXPECT_GE(full * queries, 10 * stats.tuples_scanned)
+      << "scanned " << stats.tuples_scanned << " of " << full * queries;
+}
+
+TEST(StiuIndex, OutOfDayTimestampsStayRangeCandidates) {
+  // Ingest does not bound time: a trajectory running past midnight, or
+  // recorded wholly after it, is clamped into the day's last partition
+  // and must still reach Range exactly as a full scan finds it, in the
+  // UTCQ engine and in the TED baseline.
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  traj::UncertainCorpus corpus = test::MakeSmallCorpus(net, profile, 909, 12);
+  const auto shift_to = [](traj::UncertainTrajectory& tu,
+                           traj::Timestamp start) {
+    const traj::Timestamp delta = start - tu.times.front();
+    for (auto& t : tu.times) t += delta;
+  };
+  const traj::Timestamp span0 =
+      corpus[0].times.back() - corpus[0].times.front();
+  ASSERT_GT(span0, 1);
+  shift_to(corpus[0], traj::kSecondsPerDay - span0 / 2);  // crosses midnight
+  shift_to(corpus[1], traj::kSecondsPerDay + 5000);       // wholly after it
+
+  const network::GridIndex grid(net, 16);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  const UtcqSystem sys(net, grid, corpus, params, StiuParams{16, 900});
+  const auto decoded = sys.decoder().DecompressAll();
+  ASSERT_EQ(decoded[1].times, corpus[1].times);
+  const verify::Oracle oracle(net, decoded, params.eta_d);
+
+  // The TED baseline partitions the day the same way.
+  ted::TedParams tparams;
+  tparams.eta_d = params.eta_d;
+  tparams.eta_p = params.eta_p;
+  const ted::TedCompressed tc = ted::TedCompressor(net, tparams).Compress(corpus);
+  const ted::TedIndex tindex(net, grid, tc, 900);
+  const ted::TedQueryProcessor ted_queries(net, tc, tindex);
+
+  const auto bbox = net.bounding_box();
+  const network::Rect everywhere{bbox.min_x, bbox.min_y, bbox.max_x,
+                                 bbox.max_y};
+  for (const uint32_t j : {0u, 1u}) {
+    const auto& times = corpus[j].times;
+    for (const traj::Timestamp tq :
+         {times.front(), (times.front() + times.back()) / 2, times.back()}) {
+      const auto want = oracle.Range(everywhere, tq, 0.05);
+      ASSERT_TRUE(std::binary_search(want.begin(), want.end(), j))
+          << "trajectory " << j << " tq " << tq;
+      EXPECT_EQ(sys.queries().Range(everywhere, tq, 0.05), want)
+          << "trajectory " << j << " tq " << tq;
+      const auto ted_got = ted_queries.Range(everywhere, tq, 0.05);
+      EXPECT_TRUE(std::binary_search(ted_got.begin(), ted_got.end(), j))
+          << "TED, trajectory " << j << " tq " << tq;
+    }
+  }
 }
 
 }  // namespace
