@@ -88,9 +88,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         (void)qp.Where(j, 43200, 0.25);
         (void)qp.When(j, 0, 0.5, 0.25);
       }
+      // Range over the whole map and over its lower-left quarter, at times
+      // that put the live bucket window at the day's first partition, on a
+      // partition boundary, at the last partition and past the day, so
+      // the bucket directory and the max_span window edges run on
+      // whatever partition lists the section crafted.
       const auto bbox = Net().bounding_box();
-      (void)qp.Range({bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y}, 43200,
-                     0.25);
+      const utcq::network::Rect whole{bbox.min_x, bbox.min_y, bbox.max_x,
+                                      bbox.max_y};
+      const utcq::network::Rect quarter{
+          bbox.min_x, bbox.min_y, (bbox.min_x + bbox.max_x) / 2,
+          (bbox.min_y + bbox.max_y) / 2};
+      const utcq::traj::Timestamp boundary =
+          static_cast<utcq::traj::Timestamp>(index->num_partitions() / 2) *
+          index->time_partition_s();
+      for (const utcq::traj::Timestamp tq :
+           {utcq::traj::Timestamp{-1}, utcq::traj::Timestamp{0}, boundary,
+            utcq::traj::Timestamp{86399}, utcq::traj::Timestamp{90000}}) {
+        (void)qp.Range(whole, tq, 0.25);
+        (void)qp.Range(quarter, tq, 0.25);
+      }
     }
   }
   return 0;

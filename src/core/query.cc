@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -347,34 +350,101 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
   traj::RangeResult result;
   const auto retotal = index_.grid().RegionsInRect(region);
 
-  // Active trajectories at tq (sorted by construction).
-  const auto& active = index_.TrajectoriesAt(tq);
+  // Active trajectories at tq as a bitmap with a per-word popcount prefix:
+  // is_active is one bit test, and rank() numbers the active trajectories
+  // densely in id order. Partition lists from crafted sections may repeat
+  // an id (harmless here) or name ids the index does not cover (dropped).
+  const size_t n = index_.num_trajectories();
+  std::vector<uint64_t> active((n + 63) / 64, 0);
+  for (const uint32_t j : index_.TrajectoriesAt(tq)) {
+    if (j < n) active[j >> 6] |= uint64_t{1} << (j & 63);
+  }
+  std::vector<uint32_t> rank_base(active.size());
+  uint32_t num_active = 0;
+  for (size_t w = 0; w < active.size(); ++w) {
+    rank_base[w] = num_active;
+    num_active += static_cast<uint32_t>(std::popcount(active[w]));
+  }
   const auto is_active = [&](uint32_t j) {
-    return std::binary_search(active.begin(), active.end(), j);
+    return j < n && ((active[j >> 6] >> (j & 63)) & 1) != 0;
+  };
+  const auto rank = [&](uint32_t j) {
+    const uint64_t below = active[j >> 6] & ((uint64_t{1} << (j & 63)) - 1);
+    return rank_base[j >> 6] + static_cast<uint32_t>(std::popcount(below));
   };
 
   // Candidate instances from the spatial tuples over retotal (a superset
-  // of RE — Lemma 4's region), as packed keys: traj | is_ref | idx. Only
-  // the partition buckets that can hold an active trajectory are read;
-  // is_active still decides membership. Sort + unique beats hashing on the
-  // small per-query candidate sets.
-  std::vector<uint64_t> members;
+  // of RE — Lemma 4's region). Only the partition buckets that can hold an
+  // active trajectory are read; is_active still decides membership. An
+  // active trajectory's first tuple allocates its seen flags — one per
+  // non-reference, then one per reference — and only then is its meta
+  // read, so the flags dedupe instances seen from several regions.
+  struct SeenFlags {
+    uint32_t nrefs = UINT32_MAX;  // first non-reference flag; MAX = unseen
+    uint32_t refs = 0;            // first reference flag
+    uint32_t end = 0;
+  };
+  std::vector<SeenFlags> slots(num_active);
+  std::vector<uint8_t> seen;
+  const auto flags_of = [&](uint32_t j) -> const SeenFlags& {
+    SeenFlags& s = slots[rank(j)];
+    if (s.nrefs == UINT32_MAX) {
+      const TrajMeta& meta = cc().meta(j);
+      s.nrefs = static_cast<uint32_t>(seen.size());
+      s.refs = s.nrefs + static_cast<uint32_t>(meta.nrefs.size());
+      s.end = s.refs + static_cast<uint32_t>(meta.refs.size());
+      seen.resize(s.end, 0);
+    }
+    return s;
+  };
+  // Every live slice is bounded, and its first tuples prefetched, before
+  // any is scanned: the slices are short (~8 tuples) and scattered, so
+  // their first-line cache misses overlap instead of serializing.
+  struct LiveSlices {
+    std::span<const StiuIndex::RefTuple> refs;
+    std::span<const StiuIndex::NrefTuple> nrefs;
+  };
+  std::vector<LiveSlices> slices;
+  slices.reserve(retotal.size());
   for (const network::RegionId re : retotal) {
-    const auto refs = index_.RefTuplesLiveAt(re, tq);
-    const auto nrefs = index_.NrefTuplesLiveAt(re, tq);
+    const LiveSlices& s = slices.emplace_back(LiveSlices{
+        index_.RefTuplesLiveAt(re, tq), index_.NrefTuplesLiveAt(re, tq)});
+    __builtin_prefetch(s.refs.data());
+    __builtin_prefetch(s.nrefs.data());
+  }
+  for (const auto& [refs, nrefs] : slices) {
     if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
     for (const auto& rt : refs) {
       if (!rt.ref_passes || !is_active(rt.traj)) continue;
-      members.push_back((static_cast<uint64_t>(rt.traj) << 33) |
-                        (1ull << 32) | rt.ref_idx);
+      seen[flags_of(rt.traj).refs + rt.ref_idx] = 1;
     }
     for (const auto& nt : nrefs) {
       if (!is_active(nt.traj)) continue;
-      members.push_back((static_cast<uint64_t>(nt.traj) << 33) | nt.nref_idx);
+      seen[flags_of(nt.traj).nrefs + nt.nref_idx] = 1;
     }
   }
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
+
+  // Members as packed keys (traj | is_ref | idx), trajectory by trajectory
+  // in id order, non-references then references, each by ascending index:
+  // ascending key order, so the p_sum and overlap_p summation order below
+  // (and any floating-point tie against alpha) is fixed.
+  std::vector<uint64_t> members;
+  uint32_t slot = 0;
+  for (size_t w = 0; w < active.size(); ++w) {
+    for (uint64_t bits = active[w]; bits != 0; bits &= bits - 1, ++slot) {
+      const SeenFlags& s = slots[slot];
+      if (s.nrefs == UINT32_MAX) continue;
+      const uint64_t j = w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+      for (uint32_t f = s.nrefs; f < s.refs; ++f) {
+        if (seen[f] != 0) members.push_back((j << 33) | (f - s.nrefs));
+      }
+      for (uint32_t f = s.refs; f < s.end; ++f) {
+        if (seen[f] != 0) {
+          members.push_back((j << 33) | (1ull << 32) | (f - s.refs));
+        }
+      }
+    }
+  }
 
   for (size_t lo = 0; lo < members.size();) {
     const uint32_t j = static_cast<uint32_t>(members[lo] >> 33);

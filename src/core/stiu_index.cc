@@ -1,6 +1,7 @@
 #include "core/stiu_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/exp_golomb.h"
@@ -337,11 +338,59 @@ void StiuIndex::OrderByPartition() {
   };
   for (auto& tuples : region_refs_) order(tuples);
   for (auto& tuples : region_nrefs_) order(tuples);
+  ref_dir_ = BuildDirectory(region_refs_);
+  nref_dir_ = BuildDirectory(region_nrefs_);
 }
 
 size_t StiuIndex::BucketOf(uint32_t j) const {
   return j < first_partition_.size() ? first_partition_[j]
                                      : partition_trajs_.size();
+}
+
+template <typename Tuple>
+StiuIndex::BucketDirectory StiuIndex::BuildDirectory(
+    const std::vector<std::vector<Tuple>>& lists) const {
+  // A run starts wherever the owner's bucket changes along the list.
+  const auto for_each_run = [this](const std::vector<Tuple>& tuples,
+                                   const auto& emit) {
+    size_t prev = SIZE_MAX;
+    for (size_t k = 0; k < tuples.size(); ++k) {
+      const size_t b = BucketOf(tuples[k].traj);
+      if (b != prev) emit(b, k);
+      prev = b;
+    }
+  };
+  BucketDirectory dir;
+  dir.offsets.assign(lists.size() + 1, 0);
+  uint32_t total = 0;
+  for (size_t re = 0; re < lists.size(); ++re) {
+    for_each_run(lists[re], [&total](size_t, size_t) { ++total; });
+    dir.offsets[re + 1] = total;
+  }
+  dir.runs.reserve(total);
+  for (const auto& tuples : lists) {
+    for_each_run(tuples, [&dir](size_t b, size_t k) {
+      dir.runs.push_back({static_cast<uint32_t>(b), static_cast<uint32_t>(k)});
+    });
+  }
+  return dir;
+}
+
+template <typename Tuple>
+std::span<const Tuple> StiuIndex::InBuckets(const std::vector<Tuple>& tuples,
+                                            const BucketDirectory& dir,
+                                            network::RegionId re, size_t lo,
+                                            size_t hi) {
+  if (hi <= lo) return {};
+  const std::span<const BucketRun> runs(dir.runs.data() + dir.offsets[re],
+                                        dir.runs.data() + dir.offsets[re + 1]);
+  // Index of the first tuple whose bucket is >= b.
+  const auto start = [&](size_t b) -> size_t {
+    const auto it = std::ranges::lower_bound(runs, b, {}, &BucketRun::bucket);
+    return it == runs.end() ? tuples.size() : it->first;
+  };
+  const size_t first = start(lo);
+  return {tuples.data() + first, start(hi) - first};
 }
 
 std::pair<size_t, size_t> StiuIndex::LiveBuckets(traj::Timestamp t) const {
@@ -351,39 +400,38 @@ std::pair<size_t, size_t> StiuIndex::LiveBuckets(traj::Timestamp t) const {
   return {p + 1 > max_span_ ? p + 1 - max_span_ : 0, p + 1};
 }
 
-template <typename Tuple>
-std::span<const Tuple> StiuIndex::BucketRange(const std::vector<Tuple>& tuples,
-                                              size_t lo, size_t hi) const {
-  const auto below = [this](size_t b) {
-    return [this, b](const Tuple& t) { return BucketOf(t.traj) < b; };
-  };
-  const auto first =
-      std::partition_point(tuples.begin(), tuples.end(), below(lo));
-  return {first, std::partition_point(first, tuples.end(), below(hi))};
+std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesInBuckets(
+    network::RegionId re, size_t lo, size_t hi) const {
+  return InBuckets(region_refs_[re], ref_dir_, re, lo, hi);
+}
+
+std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesInBuckets(
+    network::RegionId re, size_t lo, size_t hi) const {
+  return InBuckets(region_nrefs_[re], nref_dir_, re, lo, hi);
 }
 
 std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesLiveAt(
     network::RegionId re, traj::Timestamp t) const {
   const auto [lo, hi] = LiveBuckets(t);
-  return BucketRange(region_refs_[re], lo, hi);
+  return RefTuplesInBuckets(re, lo, hi);
 }
 
 std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesLiveAt(
     network::RegionId re, traj::Timestamp t) const {
   const auto [lo, hi] = LiveBuckets(t);
-  return BucketRange(region_nrefs_[re], lo, hi);
+  return NrefTuplesInBuckets(re, lo, hi);
 }
 
 std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesOf(
     network::RegionId re, uint32_t j) const {
   const size_t b = BucketOf(j);
-  return RunOf(BucketRange(region_refs_[re], b, b + 1), j);
+  return RunOf(RefTuplesInBuckets(re, b, b + 1), j);
 }
 
 std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesOf(
     network::RegionId re, uint32_t j) const {
   const size_t b = BucketOf(j);
-  return RunOf(BucketRange(region_nrefs_[re], b, b + 1), j);
+  return RunOf(NrefTuplesInBuckets(re, b, b + 1), j);
 }
 
 void StiuIndex::Serialize(common::ByteWriter& out) const {
@@ -469,8 +517,18 @@ size_t StiuIndex::spatial_size_bytes() const {
   return bytes;
 }
 
+size_t StiuIndex::directory_size_bytes() const {
+  size_t bytes = 0;
+  for (const BucketDirectory* dir : {&ref_dir_, &nref_dir_}) {
+    bytes += dir->runs.size() * sizeof(BucketRun) +
+             dir->offsets.size() * sizeof(uint32_t);
+  }
+  return bytes;
+}
+
 size_t StiuIndex::SizeBytes() const {
-  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes();
+  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes() +
+         directory_size_bytes();
 }
 
 }  // namespace utcq::core

@@ -35,7 +35,9 @@ struct StiuParams {
 /// trajectory, trajectory id). Bucket b holds the trajectories whose first
 /// partition is b; bucket num_partitions() is a sentinel for trajectories
 /// in no partition. Both constructors derive the order, so an index loaded
-/// from a section in any tuple order answers identically.
+/// from a section in any tuple order answers identically. A bucket
+/// directory per list kind records each list's non-empty buckets, so a
+/// bucket window's bounds never search the tuples themselves.
 class StiuIndex {
  public:
   /// (t.start, t.no, t.pos) of Section 5.2's temporal part.
@@ -48,16 +50,18 @@ class StiuIndex {
   /// Tuple of a reference w.r.t. a region (first form: the reference passes
   /// the region; second form, ref_passes = false: only members of its Rrs
   /// do — the paper's fv.id = infinity case).
+  /// Field order packs the tuple into 40 bytes (ref_passes fills the gap
+  /// before d_pos); the section format is field by field and unaffected.
   struct RefTuple {
     uint32_t traj = 0;
     uint32_t ref_idx = 0;
     network::VertexId fv_id = network::kInvalidVertex;
     uint32_t fv_no = 0;   // entry index of the region's first edge in E(ref)
     uint32_t d_no = 0;    // gamma(fv_no): locations at or before that entry
+    bool ref_passes = false;
     uint64_t d_pos = 0;   // bit position of the bracketing D code
     float p_total = 0.0f;
     float p_max = 0.0f;   // max non-reference probability in the region
-    bool ref_passes = false;
   };
 
   /// Tuple of a non-reference w.r.t. a region.
@@ -120,6 +124,13 @@ class StiuIndex {
     return region_nrefs_[re];
   }
 
+  /// The tuples of region `re` whose bucket lies in [lo, hi): one slice of
+  /// the partition-major list, bounded through the bucket directory.
+  std::span<const RefTuple> RefTuplesInBuckets(network::RegionId re,
+                                               size_t lo, size_t hi) const;
+  std::span<const NrefTuple> NrefTuplesInBuckets(network::RegionId re,
+                                                 size_t lo, size_t hi) const;
+
   /// The slice of region `re`'s list holding every tuple of every
   /// trajectory in TrajectoriesAt(t): buckets [p - max_span() + 1, p] for
   /// t's partition p. It may also hold tuples of inactive trajectories.
@@ -137,23 +148,49 @@ class StiuIndex {
   size_t SizeBytes() const;
   size_t temporal_size_bytes() const;
   size_t spatial_size_bytes() const;
+  /// Bytes of the two bucket directories (runs plus region offsets).
+  size_t directory_size_bytes() const;
 
  private:
-  /// Derives first_partition_ and max_span_ from partition_trajs_, and
-  /// reorders every region list partition-major.
+  /// One non-empty bucket of a partition-major list: its id and the index
+  /// of its first tuple.
+  struct BucketRun {
+    uint32_t bucket = 0;
+    uint32_t first = 0;
+  };
+
+  /// The non-empty buckets of every region list of one kind, flattened:
+  /// region re's runs are runs[offsets[re], offsets[re + 1]), ascending.
+  /// At most one run per tuple.
+  struct BucketDirectory {
+    std::vector<BucketRun> runs;
+    std::vector<uint32_t> offsets;  // [region + 1]
+  };
+
+  /// Derives first_partition_ and max_span_ from partition_trajs_,
+  /// reorders every region list partition-major and builds both bucket
+  /// directories.
   void OrderByPartition();
 
   /// Bucket of trajectory `j`'s tuples: its first partition, or the
   /// sentinel num_partitions() (also for ids the index does not cover).
   size_t BucketOf(uint32_t j) const;
 
+  /// The directory of `lists`, built in one counting and one filling pass.
+  template <typename Tuple>
+  BucketDirectory BuildDirectory(
+      const std::vector<std::vector<Tuple>>& lists) const;
+
+  /// Tuples of `tuples` (region `re`'s list, described by `dir`) in
+  /// buckets [lo, hi).
+  template <typename Tuple>
+  static std::span<const Tuple> InBuckets(const std::vector<Tuple>& tuples,
+                                          const BucketDirectory& dir,
+                                          network::RegionId re, size_t lo,
+                                          size_t hi);
+
   /// Bucket range [lo, hi) scanned for tuples live at `t`.
   std::pair<size_t, size_t> LiveBuckets(traj::Timestamp t) const;
-
-  /// Buckets [lo, hi) of a partition-major list, found by binary search.
-  template <typename Tuple>
-  std::span<const Tuple> BucketRange(const std::vector<Tuple>& tuples,
-                                     size_t lo, size_t hi) const;
 
   const network::GridIndex& grid_;
   StiuParams params_;
@@ -163,6 +200,8 @@ class StiuIndex {
   std::vector<std::vector<NrefTuple>> region_nrefs_;   // [region]
   std::vector<uint32_t> first_partition_;              // [traj]
   uint32_t max_span_ = 0;
+  BucketDirectory ref_dir_;
+  BucketDirectory nref_dir_;
 };
 
 }  // namespace utcq::core

@@ -100,6 +100,9 @@ void QueryEngine::InitInstruments() {
   latency_where_ = &reg.GetHistogram("serve.engine.latency_ns.where");
   latency_when_ = &reg.GetHistogram("serve.engine.latency_ns.when");
   latency_range_ = &reg.GetHistogram("serve.engine.latency_ns.range");
+  range_tuples_scanned_ =
+      &reg.GetHistogram("serve.engine.range_tuples_scanned");
+  range_candidates_ = &reg.GetHistogram("serve.engine.range_candidates");
   decode_bytes_ = &reg.GetHistogram("serve.engine.decode_bytes");
   batch_size_ = &reg.GetHistogram("serve.engine.batch_size");
 }
@@ -305,71 +308,68 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
                                              unsigned num_threads,
                                              const TierSnapshot* snap,
                                              PinAgg* agg) {
-  if (PartialActive()) {
-    // Cold bracket: no provider, so surviving members decode inline from
-    // the bitstreams (BracketTime seeks through the sync tables) and the
-    // cache is neither consulted nor populated.
-    core::QueryStats qs;
-    traj::RangeResult out;
-    if (snap != nullptr) {
-      if (snap->sealed != nullptr) {
-        out = snap->sealed->Range(region, tq, alpha, &qs, num_threads);
-      }
-      if (snap->live != nullptr) {
-        const uint32_t base = static_cast<uint32_t>(snap->sealed_count());
-        for (const uint32_t local :
-             snap->live->queries().Range(region, tq, alpha, &qs)) {
-          out.push_back(base + local);
-        }
-      }
-    } else if (sharded_ != nullptr) {
-      out = sharded_->Range(region, tq, alpha, &qs, num_threads);
-    } else {
-      out = single_->Range(region, tq, alpha, &qs);
-    }
-    RecordPartial(qs, agg);
-    return out;
-  }
+  // Cached Range hands the processors a provider that pins through the
+  // cache. A cold bracket passes empty providers instead, so surviving
+  // members decode inline from the bitstreams (BracketTime seeks through
+  // the sync tables) and the cache is neither consulted nor populated.
+  const bool cached = !PartialActive();
+  core::QueryStats qs;
+  traj::RangeResult out;
   if (snap != nullptr) {
     // Sealed fan-out first, then the live tail; live hits are offset to
     // global ids, and since every live id exceeds every sealed id the
     // concatenation is already globally sorted.
-    traj::RangeResult merged;
     if (snap->sealed != nullptr) {
-      merged = snap->sealed->Range(
-          region, tq, alpha, nullptr, num_threads,
-          [this, snap, agg](uint32_t s, uint32_t local) {
-            const uint32_t global =
-                snap->sealed->manifest().shards[s].members[local];
-            return Pin({&snap->sealed->shard_queries(s), s, local,
-                        CacheKey(kTierKeyShard, global)},
-                       agg);
-          });
+      shard::ShardDecodedProvider provider;
+      if (cached) {
+        provider = [this, snap, agg](uint32_t s, uint32_t local) {
+          const uint32_t global =
+              snap->sealed->manifest().shards[s].members[local];
+          return Pin({&snap->sealed->shard_queries(s), s, local,
+                      CacheKey(kTierKeyShard, global)},
+                     agg);
+        };
+      }
+      out = snap->sealed->Range(region, tq, alpha, &qs, num_threads,
+                                provider);
     }
     if (snap->live != nullptr) {
       const uint32_t base = static_cast<uint32_t>(snap->sealed_count());
-      const traj::RangeResult live_hits = snap->live->queries().Range(
-          region, tq, alpha, [this, snap, base, agg](uint32_t local) {
-            return Pin({&snap->live->queries(), kTierKeyShard, local,
-                        CacheKey(kTierKeyShard, base + local)},
-                       agg);
-          });
-      for (const uint32_t local : live_hits) merged.push_back(base + local);
-    }
-    return merged;
-  }
-  if (sharded_ != nullptr) {
-    return sharded_->Range(
-        region, tq, alpha, nullptr, num_threads,
-        [this, agg](uint32_t s, uint32_t local) {
-          return Pin({&sharded_->shard_queries(s), s, local,
-                      CacheKey(s, local)},
+      traj::DecodedProvider provider;
+      if (cached) {
+        provider = [this, snap, base, agg](uint32_t local) {
+          return Pin({&snap->live->queries(), kTierKeyShard, local,
+                      CacheKey(kTierKeyShard, base + local)},
                      agg);
-        });
+        };
+      }
+      for (const uint32_t local :
+           snap->live->queries().Range(region, tq, alpha, provider, &qs)) {
+        out.push_back(base + local);
+      }
+    }
+  } else if (sharded_ != nullptr) {
+    shard::ShardDecodedProvider provider;
+    if (cached) {
+      provider = [this, agg](uint32_t s, uint32_t local) {
+        return Pin({&sharded_->shard_queries(s), s, local, CacheKey(s, local)},
+                   agg);
+      };
+    }
+    out = sharded_->Range(region, tq, alpha, &qs, num_threads, provider);
+  } else {
+    traj::DecodedProvider provider;
+    if (cached) {
+      provider = [this, agg](uint32_t j) {
+        return Pin({single_, 0, j, CacheKey(0, j)}, agg);
+      };
+    }
+    out = single_->Range(region, tq, alpha, provider, &qs);
   }
-  return single_->Range(region, tq, alpha, [this, agg](uint32_t j) {
-    return Pin({single_, 0, j, CacheKey(0, j)}, agg);
-  });
+  if (!cached) RecordPartial(qs, agg);
+  range_tuples_scanned_->Record(qs.tuples_scanned);
+  range_candidates_->Record(qs.candidates);
+  return out;
 }
 
 std::vector<QueryResult> QueryEngine::ExecuteBatch(

@@ -261,6 +261,10 @@ class QueryEngine {
   obs::Histogram* latency_where_ = nullptr;
   obs::Histogram* latency_when_ = nullptr;
   obs::Histogram* latency_range_ = nullptr;
+  /// Per Range: StIU tuples candidate generation read, and candidate
+  /// trajectories (QueryStats::tuples_scanned / candidates).
+  obs::Histogram* range_tuples_scanned_ = nullptr;
+  obs::Histogram* range_candidates_ = nullptr;
   obs::Histogram* decode_bytes_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
 

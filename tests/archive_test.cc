@@ -13,6 +13,7 @@
 #include "network/generator.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
+#include "stiu_sections.h"
 #include "test_fixtures.h"
 #include "verify/oracle.h"
 
@@ -416,89 +417,16 @@ TEST(Archive, RejectsStiuTuplePointingOutsideMetas) {
   EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
 }
 
-/// Partition lists of `index`, read back through TrajectoriesAt.
-std::vector<std::vector<uint32_t>> PartitionLists(const core::StiuIndex& index) {
-  std::vector<std::vector<uint32_t>> lists(index.num_partitions());
-  for (size_t p = 0; p < lists.size(); ++p) {
-    lists[p] = index.TrajectoriesAt(static_cast<traj::Timestamp>(p) *
-                                    index.time_partition_s());
-  }
-  return lists;
-}
+using test::ListOrder;
 
-/// Region-list order a re-emitted StIU section is written in.
-enum class ListOrder {
-  kAsIndexed,     // the index's own (partition-major) order
-  kIdAscending,   // the order writers used before lists went partition-major
-  kIdDescending,  // an order no writer emits
-};
-
-/// Re-emits `index` in the StIU section layout StiuIndex::Serialize writes,
-/// with `partitions` as the partition lists and every region list
-/// stable-sorted into `order` (each trajectory's tuples keep their relative
-/// order). Crafted sections and older writers' sections are built here.
+/// Re-emits `index` as a StIU section with `partitions` as the partition
+/// lists and every region list in `order`.
 std::vector<uint8_t> WriteStiu(const core::StiuIndex& index,
                                const std::vector<std::vector<uint32_t>>& partitions,
                                ListOrder order) {
-  const auto ordered = [&](auto tuples) {
-    std::stable_sort(tuples.begin(), tuples.end(),
-                     [&](const auto& a, const auto& b) {
-                       switch (order) {
-                         case ListOrder::kIdAscending: return a.traj < b.traj;
-                         case ListOrder::kIdDescending: return a.traj > b.traj;
-                         case ListOrder::kAsIndexed: break;
-                       }
-                       return false;
-                     });
-    return tuples;
-  };
-  common::ByteWriter out;
-  out.PutVarint(index.params().cells_per_side);
-  out.PutSignedVarint(index.time_partition_s());
-  out.PutVarint(index.num_trajectories());
-  out.PutVarint(partitions.size());
-  out.PutVarint(index.grid().num_regions());
-  for (size_t j = 0; j < index.num_trajectories(); ++j) {
-    out.PutVarint(index.TemporalOf(j).size());
-    traj::Timestamp prev_start = 0;
-    for (const auto& t : index.TemporalOf(j)) {
-      out.PutVarint(static_cast<uint64_t>(t.t_start - prev_start));
-      prev_start = t.t_start;
-      out.PutVarint(t.t_no);
-      out.PutVarint(t.t_pos);
-    }
-  }
-  for (const auto& trajs : partitions) {
-    out.PutVarint(trajs.size());
-    for (const uint32_t j : trajs) out.PutVarint(j);
-  }
-  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
-    const auto tuples = ordered(index.RefTuplesIn(re));
-    out.PutVarint(tuples.size());
-    for (const auto& rt : tuples) {
-      out.PutVarint(rt.traj);
-      out.PutVarint(rt.ref_idx);
-      out.PutU32(rt.fv_id);
-      out.PutVarint(rt.fv_no);
-      out.PutVarint(rt.d_no);
-      out.PutVarint(rt.d_pos);
-      out.PutF32(rt.p_total);
-      out.PutF32(rt.p_max);
-      out.PutU8(rt.ref_passes ? 1 : 0);
-    }
-  }
-  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
-    const auto tuples = ordered(index.NrefTuplesIn(re));
-    out.PutVarint(tuples.size());
-    for (const auto& nt : tuples) {
-      out.PutVarint(nt.traj);
-      out.PutVarint(nt.nref_idx);
-      out.PutU32(nt.rv_id);
-      out.PutVarint(nt.rv_no);
-      out.PutVarint(nt.ma_pos);
-    }
-  }
-  return out.Release();
+  test::StiuSection section = test::StiuSection::Of(index);
+  section.partitions = partitions;
+  return section.Write(order);
 }
 
 /// An archive of `fx` whose StIU section is replaced by `stiu`, reopened.
@@ -605,7 +533,7 @@ TEST(Archive, StiuSectionsInOtherTupleOrdersReloadIdentically) {
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(
       ArchiveWriter(fx.sys->compressed(), &live).Serialize()));
-  const auto partitions = PartitionLists(live);
+  const auto partitions = test::StiuSection::Of(live).partitions;
   ASSERT_EQ(WriteStiu(live, partitions, ListOrder::kAsIndexed),
             reader.payload().stiu)
       << "WriteStiu must mirror StiuIndex::Serialize";
@@ -635,6 +563,7 @@ TEST(Archive, StiuSectionsInOtherTupleOrdersReloadIdentically) {
         EXPECT_EQ(na[k].nref_idx, nb[k].nref_idx);
       }
     }
+    test::ExpectDirectoryMatchesOracle(*reopened->index);
     ExpectSameAnswers(fx, *reopened->queries);
   }
 }
@@ -642,11 +571,12 @@ TEST(Archive, StiuSectionsInOtherTupleOrdersReloadIdentically) {
 TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
   // Partition lists are a superset filter: a section may list a trajectory
   // in extra, non-contiguous partitions, name ids no trajectory has, or
-  // list everything everywhere (max_span = every partition, a full scan).
-  // None of these may change an answer.
+  // list everything everywhere (max_span = every partition, a full scan),
+  // and list ids out of order and more than once. None of these may change
+  // an answer or a bucket-directory slice.
   ArchiveFixture fx;
   const core::StiuIndex& live = fx.sys->index();
-  const auto honest = PartitionLists(live);
+  const auto honest = test::StiuSection::Of(live).partitions;
   const size_t n = honest.size();
   const auto num_trajs = static_cast<uint32_t>(live.num_trajectories());
   const auto normalized = [](std::vector<std::vector<uint32_t>> lists) {
@@ -670,11 +600,19 @@ TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
   for (auto& l : everywhere) {
     for (uint32_t j = 0; j < num_trajs; ++j) l.push_back(j);
   }
+  auto repeated = scattered;  // descending, every id twice, phantoms inside
+  for (auto& l : repeated) {
+    l.push_back(num_trajs + 3);
+    const auto once = l;
+    l.insert(l.end(), once.begin(), once.end());
+    std::sort(l.rbegin(), l.rend());
+  }
 
   for (const auto& [name, lists] :
        {std::pair{"scattered", normalized(scattered)},
         std::pair{"phantom", normalized(phantom)},
-        std::pair{"everywhere", everywhere}}) {
+        std::pair{"everywhere", everywhere},
+        std::pair{"repeated", repeated}}) {
     SCOPED_TRACE(name);
     const auto reopened =
         ReopenWithStiu(fx, WriteStiu(live, lists, ListOrder::kAsIndexed));
@@ -683,6 +621,7 @@ TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
     if (std::string(name) == "everywhere") {
       EXPECT_EQ(reopened->index->max_span(), n);
     }
+    test::ExpectDirectoryMatchesOracle(*reopened->index);
     ExpectSameAnswers(fx, *reopened->queries);
   }
 }

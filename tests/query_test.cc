@@ -1,13 +1,20 @@
 #include <algorithm>
+#include <array>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/plain_query.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
+#include "stiu_sections.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
@@ -313,6 +320,233 @@ TEST(QueryStatsAccounting, LemmasActuallyFire) {
   EXPECT_GT(stats.candidates, 0u);
   EXPECT_GT(stats.pruned_lemma4 + stats.pruned_lemma2 + stats.accepted_lemma3,
             0u);
+}
+
+/// Brute-force Range: candidates from the whole region lists, a sorted and
+/// deduplicated copy of TrajectoriesAt(tq) and sort + unique over packed
+/// member keys, then the Lemma 2-4 walk exactly as the processor runs it
+/// (members in key order, chunks of 8, inline decodes), so every QueryStats
+/// field is comparable. tuples_scanned counts the tuples of the live bucket
+/// window, with buckets read back through TrajectoriesAt.
+traj::RangeResult ReferenceRange(const network::RoadNetwork& net,
+                                 const StiuIndex& index,
+                                 const UtcqDecoder& decoder,
+                                 const network::Rect& region,
+                                 traj::Timestamp tq, double alpha,
+                                 QueryStats* stats) {
+  const CorpusView& cc = decoder.view();
+  const size_t n = index.num_trajectories();
+  std::vector<uint32_t> active = index.TrajectoriesAt(tq);
+  std::sort(active.begin(), active.end());
+  active.erase(std::unique(active.begin(), active.end()), active.end());
+  std::erase_if(active, [n](uint32_t j) { return j >= n; });
+  const auto is_active = [&](uint32_t j) {
+    return std::binary_search(active.begin(), active.end(), j);
+  };
+  const auto first = test::FirstPartitions(index);
+  const size_t p = traj::DayPartition(tq, index.time_partition_s(),
+                                      index.num_partitions());
+  const auto live = [&](uint32_t j) {
+    const size_t b = j < n ? first[j] : index.num_partitions();
+    return b <= p && b + index.max_span() > p;
+  };
+
+  std::vector<uint64_t> members;
+  for (const network::RegionId re : index.grid().RegionsInRect(region)) {
+    for (const auto& rt : index.RefTuplesIn(re)) {
+      stats->tuples_scanned += live(rt.traj);
+      if (rt.ref_passes && is_active(rt.traj)) {
+        members.push_back((uint64_t{rt.traj} << 33) | (1ull << 32) |
+                          rt.ref_idx);
+      }
+    }
+    for (const auto& nt : index.NrefTuplesIn(re)) {
+      stats->tuples_scanned += live(nt.traj);
+      if (is_active(nt.traj)) {
+        members.push_back((uint64_t{nt.traj} << 33) | nt.nref_idx);
+      }
+    }
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+
+  traj::RangeResult result;
+  for (size_t lo = 0; lo < members.size();) {
+    const auto j = static_cast<uint32_t>(members[lo] >> 33);
+    const TrajMeta& meta = cc.meta(j);
+    const auto p_of = [&](uint64_t key) {
+      const auto idx = static_cast<uint32_t>(key & 0xFFFFFFFFu);
+      return (key >> 32) & 1 ? meta.refs[idx].p_quantized
+                             : meta.nrefs[idx].p_quantized;
+    };
+    size_t hi = lo;
+    double p_sum = 0.0;
+    for (; hi < members.size() && (members[hi] >> 33) == j; ++hi) {
+      p_sum += p_of(members[hi]);
+    }
+    const size_t begin = lo;
+    lo = hi;
+    ++stats->candidates;
+    if (tq < meta.t_first || tq > meta.t_last) continue;
+    if (p_sum < alpha) {
+      ++stats->pruned_lemma4;
+      continue;
+    }
+    const auto& tuple = index.TemporalTupleFor(j, tq);
+    UtcqDecoder::SeekStats seek;
+    const auto bracket = decoder.BracketTime(j, tq, tuple.t_no, tuple.t_start,
+                                             tuple.t_pos, &seek);
+    stats->stream_bits_read += seek.bits_read;
+    stats->sync_seeks += seek.sync_seeks;
+    if (!bracket.has_value()) continue;
+
+    std::map<uint32_t, DecodedInstance> refs;
+    const auto ref_of = [&](uint32_t r) -> const DecodedInstance& {
+      const auto [it, fresh] = refs.try_emplace(r);
+      if (fresh) {
+        ++stats->instances_decoded;
+        stats->stream_bits_read += decoder.DecodeReferenceInto(j, r, &it->second);
+      }
+      return it->second;
+    };
+    double overlap_p = 0.0;
+    bool accepted = false;
+    for (size_t cb = begin; cb < hi && !accepted; cb += 8) {
+      const size_t ce = std::min(cb + 8, hi);
+      std::vector<std::optional<traj::TrajectoryInstance>> insts;
+      insts.reserve(8);  // `partial` points into it
+      std::vector<SubpathRelation> rels;
+      std::vector<const traj::TrajectoryInstance*> partial;
+      for (size_t k = cb; k < ce; ++k) {
+        const auto idx = static_cast<uint32_t>(members[k] & 0xFFFFFFFFu);
+        if ((members[k] >> 32) & 1) {
+          insts.push_back(decoder.ToInstance(ref_of(idx)));
+        } else {
+          const DecodedInstance& ref = ref_of(meta.nrefs[idx].ref_pos);
+          DecodedInstance d;
+          ++stats->instances_decoded;
+          stats->stream_bits_read +=
+              decoder.DecodeNonReferenceInto(j, idx, ref, &d);
+          insts.push_back(decoder.ToInstance(d));
+        }
+        rels.push_back(insts.back().has_value()
+                           ? ClassifySubpath(net, *insts.back(),
+                                             bracket->index, region)
+                           : SubpathRelation::kDisjoint);
+        if (!insts.back().has_value()) continue;
+        if (rels.back() == SubpathRelation::kPartial) {
+          partial.push_back(&*insts.back());
+        } else {
+          ++stats->pruned_lemma2;
+        }
+      }
+      const auto positions = traj::PositionsInBracket(
+          net, partial, bracket->index, bracket->t0, bracket->t1, tq);
+      size_t v = 0;
+      for (size_t c = 0; c < insts.size(); ++c) {
+        if (!insts[c].has_value()) continue;
+        bool inside = rels[c] == SubpathRelation::kInside;
+        if (rels[c] == SubpathRelation::kPartial) {
+          const auto xy =
+              net.PointOnEdge(positions[v].edge, positions[v].ndist);
+          ++v;
+          inside = region.Contains(xy.x, xy.y);
+        }
+        if (inside) overlap_p += p_of(members[cb + c]);
+        if (overlap_p >= alpha) {
+          ++stats->accepted_lemma3;
+          accepted = true;
+          break;
+        }
+      }
+    }
+    if (accepted) result.push_back(j);
+  }
+  return result;
+}
+
+void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.pruned_lemma1, want.pruned_lemma1);
+  EXPECT_EQ(got.pruned_lemma2, want.pruned_lemma2);
+  EXPECT_EQ(got.pruned_lemma4, want.pruned_lemma4);
+  EXPECT_EQ(got.accepted_lemma3, want.accepted_lemma3);
+  EXPECT_EQ(got.instances_decoded, want.instances_decoded);
+  EXPECT_EQ(got.stream_bits_read, want.stream_bits_read);
+  EXPECT_EQ(got.sync_seeks, want.sync_seeks);
+  EXPECT_EQ(got.tuples_scanned, want.tuples_scanned);
+}
+
+TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
+  // Range's candidate generation (bucket directory, active bitmap,
+  // sort-free dedupe) against the brute-force reference, on built indexes
+  // and on sections whose partition lists repeat ids, list them out of
+  // order and name ids past the corpus.
+  const uint64_t base = test::BaseSeed(8080);
+  for (uint64_t seed = base; seed < base + 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto profile = seed % 2 == 0 ? traj::HangzhouProfile()
+                                       : traj::ChengduProfile();
+    const auto net = test::MakeSmallCity(profile, 14);
+    const auto corpus = test::MakeSmallCorpus(net, profile, seed, 80);
+    UtcqParams params;
+    params.default_interval_s = profile.default_interval_s;
+    params.eta_p = profile.eta_p;
+    const network::GridIndex grid(net, 16);
+    for (const int64_t partition_s : {int64_t{1800}, int64_t{60}}) {
+      SCOPED_TRACE("partition " + std::to_string(partition_s));
+      const UtcqSystem sys(net, grid, corpus, params,
+                           StiuParams{16, partition_s});
+      test::StiuSection crafted = test::StiuSection::Of(sys.index());
+      const auto n = static_cast<uint32_t>(corpus.size());
+      for (auto& l : crafted.partitions) {
+        const auto once = l;
+        l.insert(l.end(), once.begin(), once.end());
+        l.push_back(n);
+        l.push_back(n + 40);
+        std::sort(l.rbegin(), l.rend());
+      }
+      const auto bytes = crafted.Write();
+      common::ByteReader in(bytes);
+      const StiuIndex crafted_index(grid, in);
+      ASSERT_TRUE(in.ok());
+      const UtcqQueryProcessor crafted_queries(net, sys.compressed(),
+                                               crafted_index);
+
+      common::Rng rng(seed * 31 + static_cast<uint64_t>(partition_s));
+      const auto bbox = net.bounding_box();
+      size_t hits = 0;
+      for (int trial = 0; trial < 40; ++trial) {
+        const auto& tu =
+            corpus[static_cast<size_t>(rng.UniformInt(0, corpus.size() - 1))];
+        const traj::Timestamp tq =
+            trial < 5 ? std::array<traj::Timestamp, 5>{
+                            -1, 0, partition_s, 86399, 90000}[trial]
+                      : tu.times.front() +
+                            rng.UniformInt(0, tu.times.back() -
+                                                  tu.times.front());
+        const double half = trial % 4 == 0 ? 1e9 : rng.Uniform(150.0, 900.0);
+        const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
+        const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
+        const network::Rect re{cx - half, cy - half, cx + half, cy + half};
+        const double alpha = rng.Uniform(0.05, 0.9);
+        for (const auto& [index, queries] :
+             {std::pair{&sys.index(), &sys.queries()},
+              std::pair{&crafted_index, &crafted_queries}}) {
+          SCOPED_TRACE("trial " + std::to_string(trial) +
+                       (index == &crafted_index ? " crafted" : " built"));
+          QueryStats want_stats;
+          const auto want = ReferenceRange(net, *index, queries->decoder(), re,
+                                           tq, alpha, &want_stats);
+          QueryStats got_stats;
+          EXPECT_EQ(queries->Range(re, tq, alpha, &got_stats), want);
+          ExpectSameStats(got_stats, want_stats);
+          hits += want.size();
+        }
+      }
+      EXPECT_GT(hits, 0u);
+    }
+  }
 }
 
 }  // namespace

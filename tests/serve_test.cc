@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -530,6 +531,72 @@ TEST(QueryEngine, SharedRegistryExportsTheEngineCountersExactly) {
   // Every pin the workload took is accounted: hits + misses covers all
   // cache lookups, and the evictions counter matches.
   EXPECT_EQ(counter("serve.cache.evictions"), stats.cache_evictions);
+}
+
+TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
+  // serve.engine.range_tuples_scanned / range_candidates record one sample
+  // per Range, and their sums equal the QueryStats ShardedCorpus::Range
+  // reports for the same requests — cached, batched and partial alike.
+  ServeFixture& f = Fixture();
+  shard::ShardOptions sopts;
+  sopts.num_shards = 4;
+  const shard::ShardedBuild build =
+      shard::ShardedCompressor(f.net, *f.grid, f.params,
+                               core::StiuParams{16, 900}, sopts)
+          .Compress(f.corpus);
+  const std::string manifest = ::testing::TempDir() + "/range_stats_set.utcq";
+  std::string error;
+  ASSERT_TRUE(build.Save(manifest, &error)) << error;
+  shard::ShardedCorpus sharded;
+  ASSERT_TRUE(sharded.Open(f.net, manifest, &error)) << error;
+
+  std::vector<QueryRequest> ranges;
+  for (const QueryRequest& req : f.MakeWorkload(150, 4242)) {
+    if (req.kind == QueryKind::kRange) ranges.push_back(req);
+  }
+  ASSERT_GT(ranges.size(), 10u);
+  core::QueryStats want;
+  for (const QueryRequest& req : ranges) {
+    sharded.Range(req.region, req.t, req.alpha, &want);
+  }
+  EXPECT_GT(want.tuples_scanned, 0u);
+  EXPECT_GT(want.candidates, 0u);
+
+  for (const auto& [name, budget, batched] :
+       {std::tuple{"cached", size_t{64} << 20, false},
+        std::tuple{"batched", size_t{64} << 20, true},
+        std::tuple{"partial", size_t{0}, false}}) {
+    SCOPED_TRACE(name);
+    obs::MetricRegistry registry;
+    EngineOptions opts;
+    opts.registry = &registry;
+    opts.cache_budget_bytes = budget;
+    QueryEngine engine(sharded, opts);
+    if (batched) {
+      engine.ExecuteBatch(ranges);
+    } else {
+      for (const QueryRequest& req : ranges) engine.Execute(req);
+    }
+    const auto snap = registry.Snapshot();
+    const auto histogram = [&snap](const std::string& hist) {
+      for (const auto& [n, h] : snap.histograms) {
+        if (n == hist) return h;
+      }
+      ADD_FAILURE() << "histogram " << hist << " missing";
+      return obs::HistogramSnapshot{};
+    };
+    const auto scanned = histogram("serve.engine.range_tuples_scanned");
+    const auto candidates = histogram("serve.engine.range_candidates");
+    EXPECT_EQ(scanned.count, ranges.size());
+    EXPECT_EQ(scanned.sum, want.tuples_scanned);
+    EXPECT_EQ(candidates.count, ranges.size());
+    EXPECT_EQ(candidates.sum, want.candidates);
+  }
+
+  for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
+    std::remove(shard::ShardArchivePath(manifest, s).c_str());
+  }
+  std::remove(manifest.c_str());
 }
 
 }  // namespace

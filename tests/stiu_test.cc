@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
+#include "stiu_sections.h"
 #include "traj/generator.h"
 #include "ted/ted_compress.h"
 #include "ted/ted_index.h"
@@ -21,6 +24,10 @@
 
 namespace utcq::core {
 namespace {
+
+// ref_passes fills the padding before d_pos (the directory's memory is paid
+// for by this packing).
+static_assert(sizeof(StiuIndex::RefTuple) == 40);
 
 struct StiuFixture {
   explicit StiuFixture(int64_t partition_s = 900, size_t count = 60) {
@@ -286,6 +293,87 @@ TEST_P(StiuLayout, MaxSpanIsTheWidestMembership) {
   if (GetParam() <= 60) EXPECT_GT(index.max_span(), 1u);
 }
 
+TEST_P(StiuLayout, BucketDirectoryMatchesABinarySearchOracle) {
+  // The directory bounds every bucket window of every region list exactly
+  // where a binary search over the owners' buckets would, on the built
+  // index, its reload, an older writer's id-ordered section and crafted
+  // sections.
+  const StiuFixture fx(GetParam());
+  const StiuIndex& built = fx.sys->index();
+  const auto load = [&](const std::vector<uint8_t>& bytes) {
+    common::ByteReader in(bytes);
+    auto index = std::make_unique<StiuIndex>(*fx.grid, in);
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(in.remaining(), 0u);
+    return index;
+  };
+  const test::StiuSection honest = test::StiuSection::Of(built);
+  const auto n = static_cast<uint32_t>(built.num_trajectories());
+  const size_t partitions = built.num_partitions();
+
+  // Crafted: trajectory 0 in no partition (its tuples sit in the sentinel
+  // bucket), the rest listed twice and out of order with phantom ids, and
+  // tuples naming trajectories past the index in some regions.
+  test::StiuSection crafted = honest;
+  for (auto& l : crafted.partitions) {
+    std::erase(l, 0u);
+    const auto once = l;
+    l.insert(l.end(), once.begin(), once.end());
+    l.push_back(n + 5);
+    std::sort(l.rbegin(), l.rend());
+  }
+  for (size_t re = 0; re < crafted.refs.size(); re += 3) {
+    if (crafted.refs[re].empty()) continue;
+    StiuIndex::RefTuple phantom = crafted.refs[re].front();
+    phantom.traj = n + 1;
+    crafted.refs[re].push_back(phantom);
+  }
+  // Single bucket: every trajectory listed in partition 0 alone.
+  test::StiuSection one_bucket = honest;
+  for (auto& l : one_bucket.partitions) l.clear();
+  for (uint32_t j = 0; j < n; ++j) one_bucket.partitions[0].push_back(j);
+
+  const std::vector<uint8_t> serialized = [&] {
+    common::ByteWriter out;
+    built.Serialize(out);
+    return out.Release();
+  }();
+  ASSERT_EQ(honest.Write(), serialized);
+
+  size_t empty_lists = 0;
+  size_t single_bucket_lists = 0;
+  for (const auto& [name, bytes] :
+       {std::pair{"reloaded", serialized},
+        std::pair{"id-ordered", honest.Write(test::ListOrder::kIdAscending)},
+        std::pair{"crafted", crafted.Write(test::ListOrder::kIdDescending)},
+        std::pair{"one bucket", one_bucket.Write()}}) {
+    SCOPED_TRACE(name);
+    const auto index = load(bytes);
+    test::ExpectDirectoryMatchesOracle(*index);
+    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+      const auto& list = index->NrefTuplesIn(re);
+      empty_lists += list.empty();
+      single_bucket_lists +=
+          !list.empty() &&
+          index->NrefTuplesInBuckets(re, 0, 1).size() == list.size();
+    }
+    if (std::string(name) == "crafted") {
+      // The sentinel bucket holds trajectory 0 and the phantom owners.
+      size_t sentinel = 0;
+      for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+        sentinel +=
+            index->RefTuplesInBuckets(re, partitions, partitions + 1).size();
+        EXPECT_TRUE(index->RefTuplesLiveAt(re, 0).empty() ||
+                    index->RefTuplesLiveAt(re, 0).back().traj < n);
+      }
+      EXPECT_GT(sentinel, 0u);
+    }
+  }
+  test::ExpectDirectoryMatchesOracle(built);
+  EXPECT_GT(empty_lists, 0u);
+  EXPECT_GT(single_bucket_lists, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Partitions, StiuLayout,
                          ::testing::Values(int64_t{14400}, int64_t{900},
                                            int64_t{60}));
@@ -293,20 +381,42 @@ INSTANTIATE_TEST_SUITE_P(Partitions, StiuLayout,
 TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
   // Each partition and each region list costs a crafted section one byte,
   // so a small section can name ~1e5 partitions over a 512x512 grid.
-  // Deriving the partition-major layout must cost O(bytes), not
-  // O(regions x partitions) (5e10 steps here).
+  // Deriving the partition-major layout and the bucket directory must cost
+  // O(bytes), not O(regions x partitions) (5e10 steps here), even when
+  // every tuple sits in a bucket of its own.
   const auto profile = traj::ChengduProfile();
   const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
   const network::GridIndex grid(net, 512);
   constexpr uint64_t kPartitions = 100000;
+  constexpr uint32_t kTrajs = kPartitions / 5;  // j listed in partition 5j
+  const auto region_of = [&](uint32_t j) {
+    return static_cast<network::RegionId>((uint64_t{j} * 7919) %
+                                          grid.num_regions());
+  };
+  std::vector<std::vector<uint32_t>> nref_owners(grid.num_regions());
+  for (uint32_t j = 0; j < kTrajs; ++j) nref_owners[region_of(j)].push_back(j);
   common::ByteWriter out;
   out.PutVarint(512);  // cells_per_side
   out.PutSignedVarint(1);  // time_partition_s
-  out.PutVarint(0);  // trajectories
+  out.PutVarint(kTrajs);
   out.PutVarint(kPartitions);
   out.PutVarint(grid.num_regions());
-  for (uint64_t p = 0; p < kPartitions; ++p) out.PutVarint(0);
-  for (size_t k = 0; k < 2 * grid.num_regions(); ++k) out.PutVarint(0);
+  for (uint32_t j = 0; j < kTrajs; ++j) out.PutVarint(0);  // no temporal
+  for (uint64_t p = 0; p < kPartitions; ++p) {
+    out.PutVarint(p % 5 == 0 ? 1 : 0);
+    if (p % 5 == 0) out.PutVarint(p / 5);
+  }
+  for (size_t re = 0; re < grid.num_regions(); ++re) out.PutVarint(0);
+  for (const auto& owners : nref_owners) {
+    out.PutVarint(owners.size());
+    for (const uint32_t j : owners) {
+      out.PutVarint(j);  // traj
+      out.PutVarint(0);  // nref_idx
+      out.PutU32(0);     // rv_id
+      out.PutVarint(0);  // rv_no
+      out.PutVarint(0);  // ma_pos
+    }
+  }
 
   const auto start = std::chrono::steady_clock::now();
   common::ByteReader in(out.bytes());
@@ -315,8 +425,15 @@ TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(index.num_partitions(), kPartitions);
-  EXPECT_EQ(index.max_span(), 0u);
+  EXPECT_EQ(index.max_span(), 1u);
   EXPECT_TRUE(index.RefTuplesLiveAt(0, 50000).empty());
+  const auto live = index.NrefTuplesLiveAt(region_of(10000), 50000);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live.front().traj, 10000u);
+  EXPECT_TRUE(index.NrefTuplesLiveAt(region_of(10000), 50001).empty());
+  // One run per tuple at most, plus one offset per region and kind.
+  EXPECT_LE(index.directory_size_bytes(),
+            kTrajs * 8 + 2 * (grid.num_regions() + 1) * sizeof(uint32_t));
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
