@@ -156,7 +156,9 @@ void CheckCanonical(const Frame& frame) {
     default:
       return;  // kStats/kGoodbye/kGoodbyeOk carry no payload; others unknown
   }
-  if (decoded && w.bytes() != frame.payload) __builtin_trap();
+  if (decoded && !std::ranges::equal(w.bytes(), frame.payload)) {
+    __builtin_trap();
+  }
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
       utcq::net::Frame f;
       f.op = op;
       f.request_id = id;
-      f.payload = w.bytes();
+      f.payload.assign(w.bytes().begin(), w.bytes().end());
       return f;
     };
 

@@ -37,7 +37,8 @@ bool GetStream(ByteReader& in, ArchivePayload::Stream* stream) {
   return in.ok();
 }
 
-void PutParams(ByteWriter& out, const core::UtcqParams& params,
+template <typename Out>
+void PutParams(Out& out, const core::UtcqParams& params,
                int entry_bits, const traj::ComponentSizes& bits) {
   out.PutF64(params.eta_d);
   out.PutF64(params.eta_p);
@@ -73,7 +74,8 @@ bool GetParams(ByteReader& in, ArchivePayload* p) {
          p->entry_bits >= 0 && p->entry_bits <= 32;
 }
 
-void PutMetas(ByteWriter& out, const std::vector<core::TrajMeta>& metas) {
+template <typename Out>
+void PutMetas(Out& out, const std::vector<core::TrajMeta>& metas) {
   out.PutVarint(metas.size());
   for (const core::TrajMeta& m : metas) {
     out.PutVarint(m.t_pos);
@@ -152,7 +154,8 @@ bool GetMetas(ByteReader& in, std::vector<core::TrajMeta>* metas) {
   return in.ok();
 }
 
-void PutTSyncIndex(ByteWriter& out, uint32_t interval,
+template <typename Out>
+void PutTSyncIndex(Out& out, uint32_t interval,
                    const std::vector<core::TrajMeta>& metas) {
   out.PutVarint(interval);
   out.PutVarint(metas.size());
@@ -219,24 +222,19 @@ bool GetTSyncIndex(ByteReader& in, uint32_t* interval,
   return in.ok();
 }
 
-size_t VarintLen(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 /// Borrowed inputs of one archive image — the common ground of "save a live
-/// corpus" (spans borrow the BitWriters directly; the streams are copied
-/// only once, into the output buffer) and "re-encode a loaded payload".
+/// corpus" (spans borrow the BitWriters and the StIU tuples are serialized
+/// straight from the index into the image) and "re-encode a loaded payload"
+/// (the StIU section is its archived bytes).
 struct ArchiveRef {
   const core::UtcqParams* params;
   int entry_bits;
   const traj::ComponentSizes* compressed_bits;
   common::BitSpan t, ref, nref, structure;
   const std::vector<core::TrajMeta>* metas;
+  /// StIU section source: the live index when non-null, else `stiu_size`
+  /// archived bytes (no section when both are empty).
+  const core::StiuIndex* index;
   const uint8_t* stiu;
   size_t stiu_size;
   /// Version stamped into the header; the sync index (tag 9) is written
@@ -246,45 +244,68 @@ struct ArchiveRef {
   uint32_t t_sync_interval;
 };
 
-std::vector<uint8_t> EncodeArchiveRef(const ArchiveRef& p) {
-  ByteWriter params_body;
-  PutParams(params_body, *p.params, p.entry_bits, *p.compressed_bits);
-  ByteWriter metas_body;
-  PutMetas(metas_body, *p.metas);
-
-  ByteWriter out;
-  out.PutBytes(kMagic, sizeof(kMagic));
-  out.PutU32(p.format_version);
-  out.PutVarint(6 + (p.stiu_size > 0 ? 1 : 0) +
-                (p.t_sync_interval > 0 ? 1 : 0));
-  out.PutVarint(static_cast<uint64_t>(SectionTag::kParams));
-  out.PutBlob(params_body.bytes().data(), params_body.size());
+/// Calls visit(tag, put) for every section of the image in file order;
+/// put(out) writes the section body to a ByteWriter or ByteCounter.
+template <typename Visit>
+void ForEachSectionBody(const ArchiveRef& p, const Visit& visit) {
+  visit(SectionTag::kParams, [&](auto& out) {
+    PutParams(out, *p.params, p.entry_bits, *p.compressed_bits);
+  });
   const std::pair<SectionTag, const common::BitSpan*> streams[] = {
       {SectionTag::kTStream, &p.t},
       {SectionTag::kRefStream, &p.ref},
       {SectionTag::kNrefStream, &p.nref},
       {SectionTag::kStructure, &p.structure},
   };
-  for (const auto& [tag, span] : streams) {
-    out.PutVarint(static_cast<uint64_t>(tag));
-    out.PutVarint(VarintLen(span->size_bits) + span->size_bytes());
-    out.PutVarint(span->size_bits);
-    out.PutBytes(span->data, span->size_bytes());
+  for (const auto& stream : streams) {
+    const common::BitSpan* span = stream.second;
+    visit(stream.first, [span](auto& out) {
+      out.PutVarint(span->size_bits);
+      out.PutBytes(span->data, span->size_bytes());
+    });
   }
-  out.PutVarint(static_cast<uint64_t>(SectionTag::kMetas));
-  out.PutBlob(metas_body.bytes().data(), metas_body.size());
-  if (p.stiu_size > 0) {
-    out.PutVarint(static_cast<uint64_t>(SectionTag::kStiu));
-    out.PutBlob(p.stiu, p.stiu_size);
+  visit(SectionTag::kMetas, [&](auto& out) { PutMetas(out, *p.metas); });
+  if (p.index != nullptr) {
+    visit(SectionTag::kStiu, [&](auto& out) { p.index->Serialize(out); });
+  } else if (p.stiu_size > 0) {
+    visit(SectionTag::kStiu,
+          [&](auto& out) { out.PutBytes(p.stiu, p.stiu_size); });
   }
   if (p.t_sync_interval > 0) {
-    ByteWriter sync_body;
-    PutTSyncIndex(sync_body, p.t_sync_interval, *p.metas);
-    out.PutVarint(static_cast<uint64_t>(SectionTag::kTSyncIndex));
-    out.PutBlob(sync_body.bytes().data(), sync_body.size());
+    visit(SectionTag::kTSyncIndex, [&](auto& out) {
+      PutTSyncIndex(out, p.t_sync_interval, *p.metas);
+    });
   }
-  const uint32_t crc = common::Crc32(out.bytes().data(), out.size());
-  out.PutU32(crc);
+}
+
+std::vector<uint8_t> EncodeArchiveRef(const ArchiveRef& p) {
+  // A counting pass through the same Put* calls measures every section
+  // body first, so the image is allocated once at its exact size and each
+  // body is written straight into it.
+  std::vector<size_t> lengths;
+  size_t sections_size = 0;
+  ForEachSectionBody(p, [&](SectionTag tag, const auto& put) {
+    common::ByteCounter body;
+    put(body);
+    lengths.push_back(body.size());
+    sections_size += ByteWriter::VarintLength(static_cast<uint64_t>(tag)) +
+                     ByteWriter::VarintLength(body.size()) + body.size();
+  });
+
+  ByteWriter out;
+  out.Reserve(sizeof(kMagic) + sizeof(uint32_t) +
+              ByteWriter::VarintLength(lengths.size()) + sections_size +
+              sizeof(uint32_t));
+  out.PutBytes(kMagic, sizeof(kMagic));
+  out.PutU32(p.format_version);
+  out.PutVarint(lengths.size());
+  size_t section = 0;
+  ForEachSectionBody(p, [&](SectionTag tag, const auto& put) {
+    out.PutVarint(static_cast<uint64_t>(tag));
+    out.PutVarint(lengths[section++]);
+    put(out);
+  });
+  out.PutU32(common::Crc32(out.bytes().data(), out.size()));
   return out.Release();
 }
 
@@ -464,7 +485,7 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload) {
   return EncodeArchiveRef({&payload.params, payload.entry_bits,
                            &payload.compressed_bits, payload.t.span(),
                            payload.ref.span(), payload.nref.span(),
-                           payload.structure.span(), &payload.metas,
+                           payload.structure.span(), &payload.metas, nullptr,
                            payload.stiu.data(), payload.stiu.size(),
                            payload.format_version,
                            payload.params.t_sync_interval});
@@ -611,10 +632,10 @@ ArchiveWriter::ArchiveWriter(const core::CompressedCorpus& corpus,
     : corpus_(corpus), index_(index) {}
 
 std::vector<uint8_t> ArchiveWriter::Serialize() const {
-  // Streams are borrowed straight from the corpus's BitWriters: the only
-  // copy of the compressed payload is into the output image itself.
-  ByteWriter stiu;
-  if (index_ != nullptr) index_->Serialize(stiu);
+  // Streams are borrowed straight from the corpus's BitWriters and the
+  // StIU tuples are serialized from the index into the image: the output
+  // image is the only buffer written.
+  //
   // A corpus built without sync points (K == 0) serializes as v2: the
   // image carries nothing a v2 reader cannot parse, so it should not
   // claim a version that locks v2 readers out.
@@ -623,7 +644,7 @@ std::vector<uint8_t> ArchiveWriter::Serialize() const {
       {&corpus_.params(), corpus_.entry_bits(), &corpus_.compressed_bits(),
        corpus_.t_stream().span(), corpus_.ref_stream().span(),
        corpus_.nref_stream().span(), corpus_.structure_stream().span(),
-       &corpus_.metas(), stiu.bytes().data(), stiu.size(),
+       &corpus_.metas(), index_, nullptr, 0,
        interval > 0 ? kFormatVersion : 2, interval});
 }
 
@@ -733,6 +754,10 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
     if (error != nullptr) *error = "archive carries no StIU section";
     return nullptr;
   }
+  if (payload_.stiu.empty()) {
+    if (error != nullptr) *error = "StIU section already released by TakeIndex";
+    return nullptr;
+  }
   if (grid.num_regions() != uint64_t{payload_.stiu_cells_per_side} *
                                 payload_.stiu_cells_per_side) {
     if (error != nullptr) {
@@ -786,6 +811,14 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
       }
     }
   }
+  return index;
+}
+
+std::unique_ptr<core::StiuIndex> ArchiveReader::TakeIndex(
+    const network::GridIndex& grid, std::string* error) {
+  std::unique_ptr<core::StiuIndex> index = LoadIndex(grid, error);
+  // Move-assign an empty vector: `= {}` would clear but keep the capacity.
+  if (index != nullptr) payload_.stiu = std::vector<uint8_t>();
   return index;
 }
 

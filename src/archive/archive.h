@@ -77,7 +77,8 @@ struct ArchivePayload {
   /// re-encode so round-trips stay byte-identical (a v2 file must not come
   /// back labelled v3). Payloads built in memory carry the current version.
   uint32_t format_version = kFormatVersion;
-  /// Serialized StIU section payload; empty when the archive carries none.
+  /// Serialized StIU section payload; empty when the archive carries none
+  /// (or ArchiveReader::TakeIndex released it).
   std::vector<uint8_t> stiu;
   /// Grid resolution the StIU tuples were built over (from the StIU
   /// section); 0 when no index is archived.
@@ -181,8 +182,9 @@ class ArchiveReader {
   /// the view of the live CompressedCorpus this archive was saved from.
   core::CorpusView view() const;
 
-  /// True when the archive carries StIU tuples.
-  bool has_index() const { return !payload_.stiu.empty(); }
+  /// True when the archive carries StIU tuples (also after TakeIndex has
+  /// released their bytes).
+  bool has_index() const { return payload_.stiu_cells_per_side != 0; }
 
   /// Grid resolution to rebuild the spatial grid with before LoadIndex.
   uint32_t index_cells_per_side() const { return payload_.stiu_cells_per_side; }
@@ -192,6 +194,12 @@ class ArchiveReader {
   /// (with a reason) on mismatch or when no index is archived.
   std::unique_ptr<core::StiuIndex> LoadIndex(
       const network::GridIndex& grid, std::string* error = nullptr) const;
+
+  /// LoadIndex for readers that need the index only once: on success the
+  /// archived StIU bytes are freed (payload().stiu becomes empty), so the
+  /// tuples are not held twice. Later LoadIndex/TakeIndex calls fail.
+  std::unique_ptr<core::StiuIndex> TakeIndex(const network::GridIndex& grid,
+                                             std::string* error = nullptr);
 
  private:
   bool open_ = false;

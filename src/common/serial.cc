@@ -1,56 +1,26 @@
 #include "common/serial.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "common/varint.h"  // ZigZagEncode / ZigZagDecode
+#include <utility>
 
 namespace utcq::common {
 
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
+void ByteWriter::Reserve(size_t n) {
+  if (buf_.size() - size_ >= n) return;
+  // reserve() before resize(): resize alone may round the capacity up.
+  buf_.reserve(size_ + n);
+  buf_.resize(size_ + n);
 }
 
-void ByteWriter::PutU32(uint32_t v) {
-  PutU16(static_cast<uint16_t>(v));
-  PutU16(static_cast<uint16_t>(v >> 16));
+void ByteWriter::Grow(size_t n) {
+  Reserve(std::max(n, buf_.size()));  // at least doubles: amortized O(1)
 }
 
-void ByteWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
-
-void ByteWriter::PutF32(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(bits);
-}
-
-void ByteWriter::PutF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void ByteWriter::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  PutU8(static_cast<uint8_t>(v));
-}
-
-void ByteWriter::PutSignedVarint(int64_t v) { PutVarint(ZigZagEncode(v)); }
-
-void ByteWriter::PutBytes(const void* data, size_t size) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + size);
-}
-
-void ByteWriter::PutBlob(const void* data, size_t size) {
-  PutVarint(size);
-  PutBytes(data, size);
+std::vector<uint8_t> ByteWriter::Release() {
+  buf_.resize(size_);
+  size_ = 0;
+  return std::exchange(buf_, {});
 }
 
 uint8_t ByteReader::GetU8() {
@@ -142,26 +112,48 @@ void ByteReader::Skip(size_t size) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// Slicing-by-8 tables: entries[0] is the classic byte-at-a-time table;
+/// entries[k][b] is the CRC register after byte b followed by k zero bytes,
+/// so eight table lookups fold eight input bytes into the register at once.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFF] ^ (prev >> 8);
+      }
     }
   }
 };
 
+uint32_t LoadLittleEndian32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.entries;
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table.entries[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLittleEndian32(data);
+    const uint32_t hi = LoadLittleEndian32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

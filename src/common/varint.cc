@@ -31,15 +31,6 @@ uint64_t GetVarint(BitReader& r) {
   return value;
 }
 
-uint64_t ZigZagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-int64_t ZigZagDecode(uint64_t value) {
-  return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
-}
-
 void PutSignedVarint(BitWriter& w, int64_t value) {
   PutVarint(w, ZigZagEncode(value));
 }

@@ -14,8 +14,13 @@ void PutVarint(BitWriter& w, uint64_t value);
 uint64_t GetVarint(BitReader& r);
 
 /// ZigZag mapping so small negative values stay small when varint-coded.
-uint64_t ZigZagEncode(int64_t value);
-int64_t ZigZagDecode(uint64_t value);
+inline uint64_t ZigZagEncode(int64_t value) {
+  return (static_cast<uint64_t>(value) << 1) ^
+         static_cast<uint64_t>(value >> 63);
+}
+inline int64_t ZigZagDecode(uint64_t value) {
+  return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
+}
 
 void PutSignedVarint(BitWriter& w, int64_t value);
 int64_t GetSignedVarint(BitReader& r);

@@ -50,6 +50,14 @@ std::span<const Tuple> RunOf(std::span<const Tuple> bucket, uint32_t j) {
   return {first, last};
 }
 
+std::vector<const traj::UncertainTrajectory*> AddressesOf(
+    const traj::UncertainCorpus& corpus) {
+  std::vector<const traj::UncertainTrajectory*> out;
+  out.reserve(corpus.size());
+  for (const traj::UncertainTrajectory& tu : corpus) out.push_back(&tu);
+  return out;
+}
+
 }  // namespace
 
 StiuIndex::StiuIndex(const network::RoadNetwork& net,
@@ -58,18 +66,26 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
                      const CorpusView& cc,
                      const std::vector<std::vector<NrefFactorLayout>>& layouts,
                      StiuParams params)
+    : StiuIndex(net, grid, AddressesOf(corpus), cc, layouts, params) {}
+
+StiuIndex::StiuIndex(const network::RoadNetwork& net,
+                     const network::GridIndex& grid,
+                     std::span<const traj::UncertainTrajectory* const> trajs,
+                     const CorpusView& cc,
+                     const std::vector<std::vector<NrefFactorLayout>>& layouts,
+                     StiuParams params)
     : grid_(grid), params_(params) {
   params_.time_partition_s = std::max<int64_t>(params_.time_partition_s, 1);
   const size_t partitions =
       static_cast<size_t>((traj::kSecondsPerDay + params_.time_partition_s - 1) /
                           params_.time_partition_s);
-  temporal_.resize(corpus.size());
+  temporal_.resize(trajs.size());
   partition_trajs_.resize(partitions);
   region_refs_.resize(grid.num_regions());
   region_nrefs_.resize(grid.num_regions());
 
-  for (size_t j = 0; j < corpus.size(); ++j) {
-    const traj::UncertainTrajectory& tu = corpus[j];
+  for (size_t j = 0; j < trajs.size(); ++j) {
+    const traj::UncertainTrajectory& tu = *trajs[j];
     const TrajMeta& meta = cc.meta(j);
 
     // ---- temporal tuples: bit positions into the SIAR-coded T stream ----
@@ -434,7 +450,8 @@ std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesOf(
   return RunOf(NrefTuplesInBuckets(re, b, b + 1), j);
 }
 
-void StiuIndex::Serialize(common::ByteWriter& out) const {
+template <typename Out>
+void StiuIndex::SerializeTo(Out& out) const {
   out.PutVarint(params_.cells_per_side);
   out.PutSignedVarint(params_.time_partition_s);
 
@@ -482,6 +499,10 @@ void StiuIndex::Serialize(common::ByteWriter& out) const {
     }
   }
 }
+
+void StiuIndex::Serialize(common::ByteWriter& out) const { SerializeTo(out); }
+
+void StiuIndex::Serialize(common::ByteCounter& out) const { SerializeTo(out); }
 
 const StiuIndex::TemporalTuple& StiuIndex::TemporalTupleFor(
     size_t j, traj::Timestamp t) const {

@@ -74,7 +74,15 @@ class StiuIndex {
   };
 
   /// Builds the index during compression (needs the uncompressed corpus for
-  /// the spatial aggregates and the factor layouts for ma.pos).
+  /// the spatial aggregates and the factor layouts for ma.pos). Trajectory
+  /// j of the index is *trajs[j], borrowed for the constructor's duration,
+  /// so a shard indexes its members in place without copying them.
+  StiuIndex(const network::RoadNetwork& net, const network::GridIndex& grid,
+            std::span<const traj::UncertainTrajectory* const> trajs,
+            const CorpusView& cc,
+            const std::vector<std::vector<NrefFactorLayout>>& layouts,
+            StiuParams params);
+  /// Same, over every trajectory of `corpus` in order.
   StiuIndex(const network::RoadNetwork& net, const network::GridIndex& grid,
             const traj::UncertainCorpus& corpus, const CorpusView& cc,
             const std::vector<std::vector<NrefFactorLayout>>& layouts,
@@ -89,6 +97,8 @@ class StiuIndex {
   /// Writes params and every tuple list; the exact inverse of the reading
   /// constructor.
   void Serialize(common::ByteWriter& out) const;
+  /// Counts the bytes Serialize would write, without writing them.
+  void Serialize(common::ByteCounter& out) const;
 
   const network::GridIndex& grid() const { return grid_; }
   const StiuParams& params() const { return params_; }
@@ -152,6 +162,9 @@ class StiuIndex {
   size_t directory_size_bytes() const;
 
  private:
+  template <typename Out>
+  void SerializeTo(Out& out) const;
+
   /// One non-empty bucket of a partition-major list: its id and the index
   /// of its first tuple.
   struct BucketRun {

@@ -93,18 +93,31 @@ traj::ComponentSizes ShardedBuild::compressed_bits() const {
 
 bool ShardedBuild::Save(const std::string& manifest_path,
                         std::string* error) const {
-  const auto [dir, base] = SplitDirBase(manifest_path);
+  const auto split = SplitDirBase(manifest_path);
+  const std::string& dir = split.first;
 
   archive::ShardManifest manifest;
   manifest.policy = static_cast<uint8_t>(plan.policy);
   manifest.time_partition_s = plan.time_window_s;
   manifest.shards.resize(shards.size());
   for (uint32_t s = 0; s < shards.size(); ++s) {
-    manifest.shards[s].file = ShardArchivePath(base, s);
+    manifest.shards[s].file = ShardArchivePath(split.second, s);
     manifest.shards[s].members = plan.members[s];
+  }
+  // Each task serializes and durably writes one shard file (temp file,
+  // fsync, rename, directory fsync) and writes only its own slots.
+  std::vector<std::string> errors(shards.size());
+  std::vector<uint8_t> saved(shards.size(), 0);
+  common::ParallelFor(shards.size(), 0, [&](size_t s) {
     const archive::ArchiveWriter writer(shards[s]->corpus,
                                         shards[s]->index.get());
-    if (!writer.Save(dir + manifest.shards[s].file, error)) return false;
+    saved[s] = writer.Save(dir + manifest.shards[s].file, &errors[s]);
+  });
+  for (size_t s = 0; s < shards.size(); ++s) {
+    if (!saved[s]) {
+      if (error != nullptr) *error = errors[s];
+      return false;
+    }
   }
   // The manifest is written last: it is the publication point of the set,
   // and it must never name a shard file that is not fully on disk.
@@ -125,17 +138,6 @@ ShardedCompressor::ShardedCompressor(const network::RoadNetwork& net,
   index_params_.cells_per_side = grid.cells_per_side();
 }
 
-std::unique_ptr<CompressedShard> ShardedCompressor::CompressOneShard(
-    const traj::UncertainCorpus& sub) const {
-  auto shard = std::make_unique<CompressedShard>();
-  const core::UtcqCompressor compressor(net_, params_);
-  std::vector<std::vector<core::NrefFactorLayout>> layouts;
-  shard->corpus = compressor.Compress(sub, &layouts);
-  shard->index = std::make_unique<core::StiuIndex>(
-      net_, grid_, sub, shard->corpus, layouts, index_params_);
-  return shard;
-}
-
 ShardedBuild ShardedCompressor::Compress(
     const traj::UncertainCorpus& corpus) const {
   ShardedBuild build;
@@ -143,39 +145,26 @@ ShardedBuild ShardedCompressor::Compress(
   const uint32_t n = build.plan.num_shards();
   build.shards.resize(n);
   // Every shard is an independent single-threaded compression over shared
-  // immutable inputs (network, grid, params); the only cross-thread writes
-  // are to each worker's own build.shards slot. The shard's trajectories
-  // are copied worker-locally just in time, bounding the extra working set
-  // to the shards in flight rather than the whole corpus. ParallelFor runs
-  // this on the persistent shared pool — the same workers that serve query
-  // fan-out — so repeated builds pay no thread start-up.
+  // immutable inputs (network, grid, params, the corpus itself); the only
+  // cross-thread writes are to each worker's own build.shards slot.
+  // Begin + AppendTrajectory over the members is exactly Compress over a
+  // copied sub-corpus, without the copy. ParallelFor runs this on the
+  // persistent shared pool — the same workers that serve query fan-out —
+  // so repeated builds pay no thread start-up.
   common::ParallelFor(n, opts_.num_threads, [&](size_t s) {
-    traj::UncertainCorpus sub;
-    sub.reserve(build.plan.members[s].size());
-    for (const uint32_t j : build.plan.members[s]) sub.push_back(corpus[j]);
-    build.shards[s] = CompressOneShard(sub);
-  });
-  return build;
-}
-
-ShardedBuild ShardedCompressor::Compress(traj::UncertainCorpus&& corpus) const {
-  ShardedBuild build;
-  build.plan = MakeShardPlan(corpus, opts_);
-  const uint32_t n = build.plan.num_shards();
-  // Moving each trajectory into its shard costs pointer swaps, not payload
-  // copies: peak memory stays at one corpus for ingest pipelines that are
-  // done with the raw data.
-  std::vector<traj::UncertainCorpus> subs(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    subs[s].reserve(build.plan.members[s].size());
-    for (const uint32_t j : build.plan.members[s]) {
-      subs[s].push_back(std::move(corpus[j]));
+    std::vector<const traj::UncertainTrajectory*> trajs;
+    trajs.reserve(build.plan.members[s].size());
+    for (const uint32_t j : build.plan.members[s]) trajs.push_back(&corpus[j]);
+    const core::UtcqCompressor compressor(net_, params_);
+    auto shard = std::make_unique<CompressedShard>();
+    shard->corpus = compressor.Begin();
+    std::vector<std::vector<core::NrefFactorLayout>> layouts(trajs.size());
+    for (size_t k = 0; k < trajs.size(); ++k) {
+      compressor.AppendTrajectory(*trajs[k], &shard->corpus, &layouts[k]);
     }
-  }
-  corpus.clear();
-  build.shards.resize(n);
-  common::ParallelFor(n, opts_.num_threads, [&](size_t s) {
-    build.shards[s] = CompressOneShard(subs[s]);
+    shard->index = std::make_unique<core::StiuIndex>(
+        net_, grid_, trajs, shard->corpus, layouts, index_params_);
+    build.shards[s] = std::move(shard);
   });
   return build;
 }
@@ -197,35 +186,52 @@ bool ShardedCorpus::Open(const network::RoadNetwork& net,
   if (manifest.shards.empty()) return fail("manifest names no shards");
 
   const std::string dir = SplitDirBase(manifest_path).first;
+  const size_t n = manifest.shards.size();
 
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(manifest.shards.size());
-  uint32_t cells = 0;
-  for (const archive::ShardManifest::Shard& entry : manifest.shards) {
+  // Shard files are read and decoded concurrently; each task writes only
+  // its own slots. The checks then run in shard order, so a bad set fails
+  // with the same (first) error a one-by-one open would report.
+  std::vector<std::unique_ptr<Shard>> shards(n);
+  std::vector<std::string> errors(n);
+  common::ParallelFor(n, 0, [&](size_t s) {
     auto shard = std::make_unique<Shard>();
-    if (!shard->reader.Open(dir + entry.file, error)) return false;
-    if (!shard->reader.has_index()) {
+    if (shard->reader.Open(dir + manifest.shards[s].file, &errors[s])) {
+      shards[s] = std::move(shard);
+    }
+  });
+  uint32_t cells = 0;
+  for (size_t s = 0; s < n; ++s) {
+    const archive::ShardManifest::Shard& entry = manifest.shards[s];
+    if (shards[s] == nullptr) return fail(errors[s]);
+    const archive::ArchiveReader& reader = shards[s]->reader;
+    if (!reader.has_index()) {
       return fail("shard " + entry.file + " carries no StIU index");
     }
-    if (shard->reader.payload().metas.size() != entry.members.size()) {
+    if (reader.payload().metas.size() != entry.members.size()) {
       return fail("shard " + entry.file +
                   " trajectory count disagrees with the manifest");
     }
     if (cells == 0) {
-      cells = shard->reader.index_cells_per_side();
-    } else if (shard->reader.index_cells_per_side() != cells) {
+      cells = reader.index_cells_per_side();
+    } else if (reader.index_cells_per_side() != cells) {
       return fail("shard " + entry.file +
                   " was indexed over a different grid resolution");
     }
-    shards.push_back(std::move(shard));
   }
 
+  // Indexes are built concurrently too. TakeIndex frees each shard's StIU
+  // section bytes once its index exists: nothing reads them again.
   auto grid = std::make_unique<network::GridIndex>(net, cells);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    shards[s]->index = shards[s]->reader.LoadIndex(*grid, error);
-    if (shards[s]->index == nullptr) return false;
-    shards[s]->queries = std::make_unique<core::UtcqQueryProcessor>(
-        net, shards[s]->reader.view(), *shards[s]->index);
+  common::ParallelFor(n, 0, [&](size_t s) {
+    Shard& shard = *shards[s];
+    shard.index = shard.reader.TakeIndex(*grid, &errors[s]);
+    if (shard.index != nullptr) {
+      shard.queries = std::make_unique<core::UtcqQueryProcessor>(
+          net, shard.reader.view(), *shard.index);
+    }
+  });
+  for (size_t s = 0; s < n; ++s) {
+    if (shards[s]->index == nullptr) return fail(errors[s]);
   }
 
   // Routing table: every global index must be claimed exactly once across

@@ -94,15 +94,19 @@ struct ShardedBuild {
   traj::ComponentSizes compressed_bits() const;
 
   /// Writes `manifest_path` plus one `<manifest>.shard-NNN` file per shard
-  /// in the same directory.
+  /// in the same directory. The shard files are written concurrently on
+  /// the shared pool; the manifest only after all of them succeeded. On
+  /// failure no manifest is written and `*error` is the lowest-index
+  /// failing shard's error.
   bool Save(const std::string& manifest_path,
             std::string* error = nullptr) const;
 };
 
 /// Parallel compression pipeline: partitions a corpus by the shard policy
-/// and compresses the shards concurrently. Each shard runs the existing
-/// single-threaded UtcqCompressor + StIU build unchanged — shards share
-/// only the immutable road network and grid, so no locking is involved.
+/// and compresses the shards concurrently. Each shard runs the
+/// single-threaded UtcqCompressor + StIU build over its members, read in
+/// place from the caller's corpus — shards share only immutable inputs
+/// (network, grid, corpus), so no locking is involved.
 class ShardedCompressor {
  public:
   /// `net` and `grid` must outlive the compressor and every build it
@@ -111,21 +115,13 @@ class ShardedCompressor {
                     const network::GridIndex& grid, core::UtcqParams params,
                     core::StiuParams index_params, ShardOptions opts);
 
-  /// Borrowing build: each worker copies its shard's trajectories just in
-  /// time, so at most num_threads sub-corpora are materialized at once.
+  /// Compresses every shard straight from `corpus` by reference: no
+  /// trajectory is copied.
   ShardedBuild Compress(const traj::UncertainCorpus& corpus) const;
-
-  /// Consuming build for ingest pipelines that are done with the raw
-  /// corpus: trajectories are *moved* into their shards (no payload
-  /// copies), keeping peak memory at one corpus. `corpus` is left empty.
-  ShardedBuild Compress(traj::UncertainCorpus&& corpus) const;
 
   const ShardOptions& options() const { return opts_; }
 
  private:
-  std::unique_ptr<CompressedShard> CompressOneShard(
-      const traj::UncertainCorpus& sub) const;
-
   const network::RoadNetwork& net_;
   const network::GridIndex& grid_;
   core::UtcqParams params_;
@@ -144,8 +140,10 @@ class ShardedCorpus {
   ShardedCorpus() = default;
 
   /// Opens manifest + shards. `net` must be the network the corpus was
-  /// compressed against and must outlive this object. On failure returns
-  /// false and leaves the corpus unopened.
+  /// compressed against and must outlive this object. Shards are read,
+  /// validated and indexed concurrently on the shared pool; the cross-shard
+  /// checks run in shard order, so the error reported is the first one in
+  /// shard order. On failure returns false and leaves the corpus unopened.
   bool Open(const network::RoadNetwork& net, const std::string& manifest_path,
             std::string* error = nullptr);
 

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,8 @@ TEST(Archive, SaveLoadResaveIsBitExact) {
   ArchiveFixture fx;
   const ArchiveWriter writer(fx.sys->compressed(), &fx.sys->index());
   const std::vector<uint8_t> first = writer.Serialize();
+  // One allocation at the exact image size, StIU section included.
+  EXPECT_EQ(first.capacity(), first.size());
 
   ArchiveReader reader;
   std::string error;
@@ -229,6 +232,38 @@ TEST(Archive, ReloadedStiuTuplesMatch) {
       EXPECT_EQ(na[k].ma_pos, nb[k].ma_pos);
     }
   }
+}
+
+TEST(Archive, TakeIndexFreesTheSectionBytesAndKeepsHasIndex) {
+  ArchiveFixture fx;
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  const network::GridIndex grid(fx.net, reader.index_cells_per_side());
+  const auto loaded = reader.LoadIndex(grid);
+  ASSERT_NE(loaded, nullptr);
+
+  std::string error;
+  const auto taken = reader.TakeIndex(grid, &error);
+  ASSERT_NE(taken, nullptr) << error;
+  common::ByteWriter a;
+  common::ByteWriter b;
+  loaded->Serialize(a);
+  taken->Serialize(b);
+  EXPECT_TRUE(std::ranges::equal(a.bytes(), b.bytes()));
+
+  EXPECT_TRUE(reader.payload().stiu.empty());
+  EXPECT_EQ(reader.payload().stiu.capacity(), 0u);
+  EXPECT_TRUE(reader.has_index());
+  EXPECT_EQ(reader.LoadIndex(grid, &error), nullptr);
+  EXPECT_NE(error.find("released"), std::string::npos) << error;
+  EXPECT_EQ(reader.TakeIndex(grid, &error), nullptr);
+
+  ArchiveReader bare;
+  ASSERT_TRUE(bare.OpenBytes(ArchiveWriter(fx.sys->compressed()).Serialize()));
+  EXPECT_FALSE(bare.has_index());
+  EXPECT_EQ(bare.TakeIndex(grid, &error), nullptr);
+  EXPECT_NE(error.find("no StIU section"), std::string::npos) << error;
 }
 
 TEST(Archive, ArchiveWithoutIndexStillDecodes) {
@@ -626,6 +661,126 @@ TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
   }
 }
 
+/// FNV-1a (64-bit) over an image: a fingerprint that no compiler or
+/// standard library can change.
+uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// A payload built field by field: every section kind, multi-byte and
+/// negative varints, sync tables and a crafted StIU section. Every float is
+/// a literal (no floating-point arithmetic), so the image is the same
+/// under any compiler.
+ArchivePayload GoldenPayload() {
+  ArchivePayload p;
+  p.params.eta_d = 0.0078125;
+  p.params.eta_p = 0.001953125;
+  p.params.num_pivots = 2;
+  p.params.default_interval_s = 15;
+  p.params.t_sync_interval = 4;
+  p.entry_bits = 5;
+  p.compressed_bits = {1234567, 89, uint64_t{1} << 40, 300, 0, 127};
+  const auto fill = [](ArchivePayload::Stream* s, size_t bytes, int pad) {
+    for (size_t i = 0; i < bytes; ++i) {
+      s->bytes.push_back(static_cast<uint8_t>(i * 37 + 11));
+    }
+    s->size_bits = bytes * 8 - pad;
+  };
+  fill(&p.t, 300, 3);
+  fill(&p.ref, 200, 0);
+  fill(&p.nref, 150, 7);
+  fill(&p.structure, 17, 1);
+
+  core::TrajMeta a;
+  a.t_pos = 0;
+  a.n_points = 40;
+  a.t_first = -100;
+  a.t_last = 5000;
+  a.refs = {{1, 0, 12, 1000, 0.5f}, {2, 500, 300, 1200, 0.25f}};
+  a.nrefs = {{0, 1, 7, 9, 0.125f}};
+  a.t_syncs = {{4, -60, 100}, {9, 200, 333}};
+  core::TrajMeta b;
+  b.t_pos = 700;
+  b.n_points = 3;
+  b.t_first = 86000;
+  b.t_last = 86399;
+  b.refs = {{0, 1599, 1, 1599, 1.0f}};
+  core::TrajMeta c;
+  c.t_pos = 2396;
+  c.n_points = 200;
+  c.t_first = 0;
+  c.t_last = 3599;
+  c.refs = {{3, 40, 128, 900, 0.0625f}};
+  c.nrefs = {{0, 0, 0, 16384, 0.375f},
+             {1, 0, 1193, 2, 0.1875f},
+             {2, 0, 77, 0, 0.0f}};
+  c.t_syncs = {{128, 1000, 2000}};
+  p.metas = {a, b, c};
+
+  test::StiuSection stiu;
+  stiu.cells_per_side = 2;
+  stiu.time_partition_s = 43200;
+  stiu.temporal = {{{-100, 0, 17}, {43200, 30, 190}},
+                   {{86000, 0, 717}},
+                   {{0, 0, 2413}}};
+  stiu.partitions = {{0, 2}, {0, 1}};
+  using RefTuple = core::StiuIndex::RefTuple;
+  using NrefTuple = core::StiuIndex::NrefTuple;
+  RefTuple r0;
+  r0.traj = 0;
+  r0.ref_idx = 1;
+  r0.fv_id = 0xFFFFFFFEu;
+  r0.fv_no = 5;
+  r0.d_no = 2;
+  r0.ref_passes = true;
+  r0.d_pos = 1210;
+  r0.p_total = 0.75f;
+  r0.p_max = 0.125f;
+  RefTuple r1 = r0;
+  r1.traj = 2;
+  r1.ref_idx = 0;
+  r1.fv_id = 7;
+  r1.fv_no = 300;
+  r1.d_no = 0;
+  r1.ref_passes = false;
+  r1.d_pos = 900;
+  r1.p_total = 0.5f;
+  r1.p_max = 0.375f;
+  NrefTuple n0;
+  n0.traj = 2;
+  n0.nref_idx = 1;
+  n0.rv_id = 123456;
+  n0.rv_no = 0;
+  n0.ma_pos = uint64_t{1} << 33;
+  stiu.refs = {{r0}, {}, {r0, r1}, {}};
+  stiu.nrefs = {{}, {n0}, {}, {n0, n0}};
+  p.stiu = stiu.Write();
+  p.stiu_cells_per_side = 2;
+  return p;
+}
+
+// Byte-exact pin of the container writer, recorded before the writer was
+// rewritten around exact-size images: any change to these bytes is a
+// format change.
+TEST(Archive, GoldenImageBytesArePinned) {
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload());
+  ArchivePayload loaded;
+  std::string error;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
+      << error;
+  const std::vector<uint8_t> again = EncodeArchive(loaded);
+  EXPECT_EQ(again, image);
+  EXPECT_EQ(again.size(), 1015u);
+  EXPECT_EQ(Fnv1a64(again), 0x8474EBCE1718ED52ull);
+  // The image is allocated once, at its exact size.
+  EXPECT_EQ(again.capacity(), again.size());
+}
+
 TEST(Archive, OpenMissingFileFails) {
   ArchiveReader reader;
   std::string error;
@@ -650,9 +805,8 @@ std::vector<uint8_t> WithExtraSection(std::vector<uint8_t> image, uint64_t tag,
                                       const common::ByteWriter& body) {
   common::ByteWriter section;
   section.PutVarint(tag);
-  const std::vector<uint8_t> payload = body.bytes();
-  section.PutBlob(payload.data(), payload.size());
-  const std::vector<uint8_t>& sec = section.bytes();
+  section.PutBlob(body.bytes().data(), body.size());
+  const std::span<const uint8_t> sec = section.bytes();
   image.insert(image.end() - 4, sec.begin(), sec.end());
   EXPECT_LT(image[12], 0x7F);  // still a single-byte varint after the bump
   image[12] += 1;

@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "common/exp_golomb.h"
 #include "common/pddp.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "common/thread_pool.h"
 #include "common/varint.h"
 #include "common/wah_bitmap.h"
@@ -118,6 +122,146 @@ TEST(Varint, SignedZigZag) {
   for (int64_t v = -70; v <= 70; v += 7) PutSignedVarint(w, v);
   BitReader r(w);
   for (int64_t v = -70; v <= 70; v += 7) EXPECT_EQ(GetSignedVarint(r), v);
+}
+
+// ---------------------------------------------------- byte serialization
+
+/// The container's byte layout spelled out one byte at a time:
+/// little-endian fixed widths and LEB128 varints.
+struct ByteAtATimeEncoder {
+  std::vector<uint8_t> out;
+
+  void Fixed(uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+  void Varint(uint64_t v) {
+    do {
+      uint8_t b = v & 0x7F;
+      v >>= 7;
+      if (v != 0) b |= 0x80;
+      out.push_back(b);
+    } while (v != 0);
+  }
+  void SignedVarint(int64_t v) {
+    Varint((static_cast<uint64_t>(v) << 1) ^ (v < 0 ? ~uint64_t{0} : 0));
+  }
+};
+
+TEST(ByteWriter, MatchesByteAtATimeEncoding) {
+  const std::vector<uint64_t> varints = {
+      0,           1,           127,          128,
+      16383,       16384,       0xFFFFFFFFu,  uint64_t{1} << 32,
+      uint64_t{1} << 63,        std::numeric_limits<uint64_t>::max()};
+  const std::vector<int64_t> signed_varints = {
+      0, -1, 1, -64, 63, -65, 64,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max()};
+  const uint8_t raw[] = {9, 8, 7};
+
+  const auto put_all = [&](auto& out) {
+    for (const uint64_t v : varints) out.PutVarint(v);
+    for (const int64_t v : signed_varints) out.PutSignedVarint(v);
+    out.PutU8(0xAB);
+    out.PutU16(0xBEEF);
+    out.PutU32(0xDEADBEEFu);
+    out.PutU64(0x0123456789ABCDEFull);
+    out.PutF32(1.5f);
+    out.PutF32(-0.0f);
+    out.PutF64(0.1);
+    out.PutBytes(raw, sizeof(raw));
+    out.PutBytes(nullptr, 0);
+    out.PutBlob(raw, sizeof(raw));
+  };
+  ByteAtATimeEncoder ref;
+  for (const uint64_t v : varints) ref.Varint(v);
+  for (const int64_t v : signed_varints) ref.SignedVarint(v);
+  ref.Fixed(0xAB, 1);
+  ref.Fixed(0xBEEF, 2);
+  ref.Fixed(0xDEADBEEFu, 4);
+  ref.Fixed(0x0123456789ABCDEFull, 8);
+  ref.Fixed(0x3FC00000u, 4);             // 1.5f
+  ref.Fixed(0x80000000u, 4);             // -0.0f
+  ref.Fixed(0x3FB999999999999Aull, 8);   // 0.1
+  ref.out.insert(ref.out.end(), raw, raw + sizeof(raw));
+  ref.Varint(sizeof(raw));
+  ref.out.insert(ref.out.end(), raw, raw + sizeof(raw));
+
+  ByteWriter w;
+  put_all(w);
+  EXPECT_TRUE(std::ranges::equal(w.bytes(), ref.out));
+  ByteCounter counter;
+  put_all(counter);
+  EXPECT_EQ(counter.size(), ref.out.size());
+  EXPECT_EQ(w.Release(), ref.out);
+  EXPECT_EQ(w.size(), 0u);
+
+  for (const uint64_t v : varints) {
+    ByteAtATimeEncoder one;
+    one.Varint(v);
+    EXPECT_EQ(ByteWriter::VarintLength(v), one.out.size()) << v;
+  }
+}
+
+TEST(ByteWriter, GrowsAcrossReallocationsAndReservesExactly) {
+  ByteWriter grown;
+  ByteAtATimeEncoder ref;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    const uint64_t v = i * i * i * 0x9E3779B97F4A7C15ull >> (i % 64);
+    grown.PutVarint(v);
+    ref.Varint(v);
+    grown.PutU32(static_cast<uint32_t>(i));
+    ref.Fixed(i, 4);
+  }
+  EXPECT_EQ(grown.Release(), ref.out);
+
+  ByteWriter exact;
+  exact.Reserve(ref.out.size());
+  exact.PutBytes(ref.out.data(), ref.out.size());
+  const std::vector<uint8_t> image = exact.Release();
+  EXPECT_EQ(image, ref.out);
+  EXPECT_EQ(image.capacity(), image.size());
+}
+
+/// CRC-32 register update one bit at a time, straight from the reflected
+/// polynomial: the reference the table-driven Crc32 must match.
+uint32_t BitwiseCrcStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  const uint8_t none[1] = {0};
+  EXPECT_EQ(Crc32(none, 0), 0u);
+  EXPECT_EQ(Crc32(none, 0, 0xCBF43926u), 0xCBF43926u);  // seed passes through
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAlignmentAndSeed) {
+  constexpr size_t kMaxLen = 4096;
+  Rng rng(20241017);
+  std::vector<uint8_t> data(kMaxLen + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = data.data() + align;
+    for (const uint32_t seed : {0u, 0x5EED1234u}) {
+      uint32_t reg = seed ^ 0xFFFFFFFFu;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const uint32_t want = reg ^ 0xFFFFFFFFu;
+        ASSERT_EQ(Crc32(p, len, seed), want)
+            << "align " << align << " len " << len << " seed " << seed;
+        // Chaining: the CRC of a prefix seeds the CRC of the rest.
+        const size_t cut = len / 3;
+        ASSERT_EQ(Crc32(p + cut, len - cut, Crc32(p, cut, seed)), want)
+            << "align " << align << " len " << len << " cut " << cut;
+        if (len < kMaxLen) reg = BitwiseCrcStep(reg, p[len]);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- exp-golomb

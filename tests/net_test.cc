@@ -65,14 +65,14 @@ void ExpectBitExactRoundTrip(const T& value, EncodeFn encode,
                              DecodeFn decode) {
   common::ByteWriter w;
   encode(value, &w);
-  const std::vector<uint8_t> bytes = w.bytes();
+  const std::vector<uint8_t> bytes = w.Release();
   common::ByteReader r(bytes);
   T decoded{};
   ASSERT_TRUE(decode(&r, &decoded));
   EXPECT_TRUE(decoded == value);
   common::ByteWriter again;
   encode(decoded, &again);
-  EXPECT_EQ(again.bytes(), bytes) << "re-encode is not byte-identical";
+  EXPECT_EQ(again.Release(), bytes) << "re-encode is not byte-identical";
 }
 
 TEST(Wire, HelloRoundTripsBitExact) {
@@ -99,7 +99,7 @@ TEST(Wire, QueryRequestRoundTripsBitExactAllKinds) {
   for (const auto& req : {where, when, range}) {
     common::ByteWriter w;
     EncodeQueryRequest(req, &w);
-    const std::vector<uint8_t> bytes = w.bytes();
+    const std::vector<uint8_t> bytes = w.Release();
     common::ByteReader r(bytes);
     serve::QueryRequest decoded;
     ASSERT_TRUE(DecodeQueryRequest(&r, &decoded));
@@ -114,7 +114,7 @@ TEST(Wire, QueryRequestRoundTripsBitExactAllKinds) {
     EXPECT_EQ(decoded.region.max_y, req.region.max_y);
     common::ByteWriter again;
     EncodeQueryRequest(decoded, &again);
-    EXPECT_EQ(again.bytes(), bytes);
+    EXPECT_EQ(again.Release(), bytes);
   }
 }
 
@@ -131,7 +131,7 @@ TEST(Wire, QueryResultRoundTripsBitExactWithHits) {
   for (const auto& result : {where, when, range}) {
     common::ByteWriter w;
     EncodeQueryResult(result, &w);
-    const std::vector<uint8_t> bytes = w.bytes();
+    const std::vector<uint8_t> bytes = w.Release();
     common::ByteReader r(bytes);
     serve::QueryResult decoded;
     ASSERT_TRUE(DecodeQueryResult(&r, &decoded));
@@ -141,7 +141,7 @@ TEST(Wire, QueryResultRoundTripsBitExactWithHits) {
     EXPECT_TRUE(decoded.range == result.range);
     common::ByteWriter again;
     EncodeQueryResult(decoded, &again);
-    EXPECT_EQ(again.bytes(), bytes);
+    EXPECT_EQ(again.Release(), bytes);
   }
 }
 
@@ -153,7 +153,7 @@ TEST(Wire, BatchAndIngestAndStatsRoundTripBitExact) {
         serve::QueryRequest::MakeRange({0, 0, 1, 1}, 5, 0.3)};
     common::ByteWriter w;
     EncodeBatchRequest(reqs, &w);
-    const std::vector<uint8_t> bytes = w.bytes();
+    const std::vector<uint8_t> bytes = w.Release();
     common::ByteReader r(bytes);
     std::vector<serve::QueryRequest> decoded;
     ASSERT_TRUE(DecodeBatchRequest(&r, &decoded));
@@ -161,7 +161,7 @@ TEST(Wire, BatchAndIngestAndStatsRoundTripBitExact) {
     ASSERT_EQ(decoded.size(), reqs.size());
     common::ByteWriter again;
     EncodeBatchRequest(decoded, &again);
-    EXPECT_EQ(again.bytes(), bytes);
+    EXPECT_EQ(again.Release(), bytes);
   }
   ExpectBitExactRoundTrip(IngestPointRequest{77, {1.5, -2.5, 1234}},
                           EncodeIngestPoint, DecodeIngestPoint);
@@ -394,7 +394,7 @@ TEST(Wire, MetricsResponseRoundTripsCanonically) {
 
   common::ByteWriter w;
   EncodeMetricsResponse(snap, &w);
-  const std::vector<uint8_t> bytes = w.bytes();
+  const std::vector<uint8_t> bytes = w.Release();
   common::ByteReader r(bytes);
   obs::RegistrySnapshot got;
   ASSERT_TRUE(DecodeMetricsResponse(&r, &got));
@@ -419,7 +419,7 @@ TEST(Wire, MetricsResponseRoundTripsCanonically) {
   // Canonical: re-encoding the decoded snapshot is byte-identical.
   common::ByteWriter again;
   EncodeMetricsResponse(got, &again);
-  EXPECT_EQ(again.bytes(), bytes);
+  EXPECT_EQ(again.Release(), bytes);
 }
 
 TEST(Wire, MetricsDecoderRejectsMalformedPayloads) {

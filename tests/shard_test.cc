@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -323,17 +324,166 @@ TEST(ShardManifest, RejectsDuplicateShardFiles) {
   EXPECT_NE(error.find("twice"), std::string::npos);
 }
 
-TEST(Sharded, ConsumingCompressMatchesBorrowing) {
+TEST(Sharded, CompressByReferenceMatchesCopiedSubCorpora) {
+  // Shards are compressed straight from the caller's corpus. The result
+  // must equal compressing a copied sub-corpus per shard, down to the
+  // archive bytes, and the unsharded total.
   ShardFixture fx;
   ShardOptions opts;
   opts.num_shards = 4;
   opts.num_threads = 2;
+  const core::StiuParams index_params{16, 900};
+  const ShardedCompressor compressor(fx.net, *fx.grid, fx.params, index_params,
+                                     opts);
+  const ShardedBuild build = compressor.Compress(fx.corpus);
+  EXPECT_EQ(build.total_bits(), fx.sys->compressed().total_bits());
+  for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
+    traj::UncertainCorpus sub;
+    for (const uint32_t j : build.plan.members[s]) sub.push_back(fx.corpus[j]);
+    const core::UtcqCompressor one(fx.net, fx.params);
+    std::vector<std::vector<core::NrefFactorLayout>> layouts;
+    const core::CompressedCorpus cc = one.Compress(sub, &layouts);
+    const core::StiuIndex index(fx.net, *fx.grid, sub, cc, layouts,
+                                index_params);
+    EXPECT_EQ(archive::ArchiveWriter(build.shards[s]->corpus,
+                                     build.shards[s]->index.get())
+                  .Serialize(),
+              archive::ArchiveWriter(cc, &index).Serialize())
+        << "shard " << s;
+  }
+}
+
+TEST(Sharded, SavedFilesEqualEachShardsSerialize) {
+  ShardFixture fx;
+  ShardOptions opts;
+  opts.num_shards = 5;
   const ShardedCompressor compressor(fx.net, *fx.grid, fx.params,
                                      core::StiuParams{16, 900}, opts);
-  traj::UncertainCorpus consumable = fx.corpus;
-  const ShardedBuild build = compressor.Compress(std::move(consumable));
-  EXPECT_TRUE(consumable.empty());
-  EXPECT_EQ(build.total_bits(), fx.sys->compressed().total_bits());
+  const ShardedBuild build = compressor.Compress(fx.corpus);
+  const std::string manifest = fx.TempPath("set_files.utcq");
+  std::string error;
+  ASSERT_TRUE(build.Save(manifest, &error)) << error;
+  std::vector<std::string> files = {manifest};
+  for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
+    files.push_back(ShardArchivePath(manifest, s));
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(archive::ReadFileBytes(files.back(), &bytes, &error)) << error;
+    EXPECT_EQ(bytes, archive::ArchiveWriter(build.shards[s]->corpus,
+                                            build.shards[s]->index.get())
+                         .Serialize())
+        << "shard " << s;
+  }
+  ShardFixture::Cleanup(files);
+}
+
+TEST(Sharded, FailedSaveReportsTheFirstBadShardAndPublishesNoManifest) {
+  ShardFixture fx;
+  ShardOptions opts;
+  opts.num_shards = 4;
+  const core::StiuParams index_params{16, 900};
+  const ShardedBuild old_set =
+      ShardedCompressor(fx.net, *fx.grid, fx.params, index_params, opts)
+          .Compress(fx.corpus);
+  opts.policy = ShardPolicy::kTimePartition;
+  const ShardedBuild new_set =
+      ShardedCompressor(fx.net, *fx.grid, fx.params, index_params, opts)
+          .Compress(fx.corpus);
+  const std::string manifest = fx.TempPath("set_fail.utcq");
+  std::string error;
+  ASSERT_TRUE(old_set.Save(manifest, &error)) << error;
+  std::vector<uint8_t> published;
+  ASSERT_TRUE(archive::ReadFileBytes(manifest, &published, &error));
+
+  // A directory where shards 1 and 3 must go: their renames fail, every
+  // other shard is written.
+  for (const uint32_t s : {1u, 3u}) {
+    const std::string path = ShardArchivePath(manifest, s);
+    std::remove(path.c_str());
+    ASSERT_TRUE(std::filesystem::create_directory(path));
+  }
+  EXPECT_FALSE(new_set.Save(manifest, &error));
+  EXPECT_EQ(error, "cannot rename " + ShardArchivePath(manifest, 1) +
+                       ".tmp to " + ShardArchivePath(manifest, 1));
+
+  // The old manifest is still the published one, byte for byte, and no
+  // temp file is left behind.
+  std::vector<uint8_t> after;
+  ASSERT_TRUE(archive::ReadFileBytes(manifest, &after, &error));
+  EXPECT_EQ(after, published);
+  EXPECT_FALSE(std::filesystem::exists(manifest + ".tmp"));
+  for (uint32_t s = 0; s < 4; ++s) {
+    const std::string tmp = ShardArchivePath(manifest, s) + ".tmp";
+    EXPECT_FALSE(std::filesystem::exists(tmp)) << tmp;
+  }
+
+  std::filesystem::remove(ShardArchivePath(manifest, 1));
+  std::filesystem::remove(ShardArchivePath(manifest, 3));
+  std::vector<std::string> files = {manifest};
+  for (uint32_t s = 0; s < 4; ++s) {
+    files.push_back(ShardArchivePath(manifest, s));
+  }
+  ShardFixture::Cleanup(files);
+}
+
+TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
+  ShardFixture fx;
+  ShardOptions opts;
+  opts.num_shards = 4;
+  const ShardedBuild build =
+      ShardedCompressor(fx.net, *fx.grid, fx.params, core::StiuParams{16, 900},
+                        opts)
+          .Compress(fx.corpus);
+  const std::string manifest = fx.TempPath("set_open.utcq");
+  std::string error;
+  ASSERT_TRUE(build.Save(manifest, &error)) << error;
+  std::vector<std::string> files = {manifest};
+  for (uint32_t s = 0; s < 4; ++s) {
+    files.push_back(ShardArchivePath(manifest, s));
+  }
+
+  const auto rewrite = [&](uint32_t s, const std::vector<uint8_t>& bytes) {
+    ASSERT_TRUE(archive::SaveBytesAtomic(bytes, files[s + 1], &error)) << error;
+  };
+  const auto image = [&](uint32_t s, const core::StiuIndex* index) {
+    return archive::ArchiveWriter(build.shards[s]->corpus, index).Serialize();
+  };
+  const auto bad_magic = [&](uint32_t s) {
+    std::vector<uint8_t> bytes = image(s, build.shards[s]->index.get());
+    bytes[0] ^= 0xFF;
+    return bytes;
+  };
+  const auto bad_crc = [&](uint32_t s) {
+    std::vector<uint8_t> bytes = image(s, build.shards[s]->index.get());
+    bytes[bytes.size() / 2] ^= 0x01;
+    return bytes;
+  };
+  // The texts a one-shard-at-a-time open reports for the lower shard.
+  const std::string kBadMagic = "bad magic: not a UTCQ archive";
+  const std::string kBadCrc = "checksum mismatch: archive corrupt or truncated";
+
+  ShardedCorpus sharded;
+  rewrite(1, bad_magic(1));
+  rewrite(3, bad_crc(3));
+  EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
+  EXPECT_EQ(error, kBadMagic);
+
+  rewrite(1, bad_crc(1));
+  rewrite(3, bad_magic(3));
+  EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
+  EXPECT_EQ(error, kBadCrc);
+
+  // Valid archives without an index fail the cross-shard checks, which
+  // name the shard.
+  rewrite(1, image(1, nullptr));
+  rewrite(3, image(3, nullptr));
+  EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
+  EXPECT_EQ(error, "shard set_open.utcq.shard-001 carries no StIU index");
+  EXPECT_FALSE(sharded.is_open());
+
+  rewrite(1, image(1, build.shards[1]->index.get()));
+  rewrite(3, image(3, build.shards[3]->index.get()));
+  EXPECT_TRUE(sharded.Open(fx.net, manifest, &error)) << error;
+  ShardFixture::Cleanup(files);
 }
 
 TEST(Sharded, OpenRejectsOverlappingMemberLists) {
