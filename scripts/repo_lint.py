@@ -247,7 +247,7 @@ def check_file(path, r, lines, findings):
     if r.startswith("src/strategies/"):
         scan_lines(
             path, lines, "alloc-in-kernel", R4_PATTERN,
-            "allocation in a decode-kernel TU — kernels must stay "
+            "allocation in a decode-kernel file — kernels must stay "
             "allocation-free", findings,
         )
     if r == "src/core/decoder.cc":
@@ -334,6 +334,11 @@ SELF_TEST_CASES = [
      "src/strategies/x.cc", "out.push_back(v);\n", ["alloc-in-kernel"]),
     ("std::vector declaration in a kernel TU trips",
      "src/strategies/x.cc", "std::vector<int> tmp;\n", ["alloc-in-kernel"]),
+    ("push_back in the kernels header trips",
+     "src/strategies/kernels.h", "  out.push_back(v);\n", ["alloc-in-kernel"]),
+    ("resize in the kernels header trips",
+     "src/strategies/kernels.h", "  d.entries.resize(n);\n",
+     ["alloc-in-kernel"]),
     ("push_back outside the kernels does not trip R4",
      "src/core/x.cc", "out.push_back(v);\n", []),
     # R5
@@ -358,6 +363,13 @@ SELF_TEST_CASES = [
      "src/core/x.cc",
      "const auto t0 = std::chrono::steady_clock::now();\n",
      ["wall-clock-in-hot-path"]),
+    ("steady_clock read in the kernels header trips",
+     "src/strategies/kernels.h",
+     "  const auto t0 = std::chrono::steady_clock::now();\n",
+     ["wall-clock-in-hot-path"]),
+    ("clock_gettime in the kernels header trips",
+     "src/strategies/kernels.h", "  clock_gettime(CLOCK_MONOTONIC, &ts);\n",
+     ["wall-clock-in-hot-path"]),
     ("clock reads in the serving tier are fine",
      "src/serve/x.cc",
      "const auto t0 = std::chrono::steady_clock::now();\n", []),
@@ -381,8 +393,8 @@ SELF_TEST_CASES = [
     ("atomic bool flag stays legal everywhere",
      "src/net/x.h", "std::atomic<bool> stopping_{false};\n", []),
     ("atomic pointer stays legal everywhere",
-     "src/strategies/x.cc",
-     "std::atomic<const Kernels*> g_active{nullptr};\n", []),
+     "src/serve/x.h",
+     "std::atomic<const Snapshot*> current_{nullptr};\n", []),
     ("obs::Counter inside src/obs keeps its atomic",
      "src/obs/metrics.h",
      "  void Add(uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }\n",

@@ -34,16 +34,6 @@ REQUIRED = {
                             "resident_bytes"],
         },
     },
-    "decode": {
-        "keys": ["bench", "trajectories", "decode_reps", "payload_bytes",
-                 "threads_available", "threads_effective",
-                 "equivalence_mismatches", "best_tier",
-                 "best_speedup_vs_bitloop", "tiers"],
-        "list_keys": {
-            "tiers": ["tier", "decode_seconds", "decode_mbps", "qps",
-                      "speedup_vs_bitloop"],
-        },
-    },
     "ingest": {
         "keys": ["bench", "raw_streams", "points", "matched_trajectories",
                  "threads_available", "equivalence_mismatches",
@@ -179,18 +169,6 @@ def validate(filename):
             if not run.get("seconds", 0) > 0:
                 errors.append(f"runs[{i}].seconds = {run.get('seconds')}"
                               " (expected > 0)")
-    if bench == "decode":
-        # The first entry is the bitloop baseline; an optimized tier slower
-        # than it (speedup floor 1.0) means the dispatch layer regressed.
-        if not doc.get("best_speedup_vs_bitloop", 0) >= 1.0:
-            errors.append("best_speedup_vs_bitloop = "
-                          f"{doc.get('best_speedup_vs_bitloop')}"
-                          " (expected >= 1.0)")
-        for i, run in enumerate(doc.get("tiers", [])):
-            for key in ("decode_mbps", "qps"):
-                if not run.get(key, 0) > 0:
-                    errors.append(f"tiers[{i}].{key} = {run.get(key)}"
-                                  " (expected > 0)")
     if bench == "ingest":
         if not doc.get("points_per_sec", 0) > 0:
             errors.append(f"points_per_sec = {doc.get('points_per_sec')}"

@@ -82,10 +82,7 @@ class BitReader {
 
   // The four read primitives are defined in-class and force-inlined: they
   // are the innermost ops of every decode kernel, and a call per bit/field
-  // would dominate at these sizes. always_inline also keeps each strategy
-  // TU's copy compiled under that TU's own ISA flags with no out-of-line
-  // body a linker could merge across differently-flagged TUs (the ODR
-  // hazard documented in strategies/word_kernels.h).
+  // would dominate at these sizes.
 #define UTCQ_BITSTREAM_INLINE inline __attribute__((always_inline))
 
   /// Reads one bit. Reading past the end returns 0 and sets overflow().

@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "strategies/strategies.h"
+#include "strategies/kernels.h"
 
 namespace utcq::common {
 
@@ -15,19 +15,15 @@ void PutExpGolomb(BitWriter& w, uint64_t value, int k) {
 }
 
 uint64_t GetExpGolomb(BitReader& r, int k) {
-  return GetExpGolomb(r, strategies::Active(), k);
-}
-
-uint64_t GetExpGolomb(BitReader& r, const strategies::Kernels& ks, int k) {
   // No valid codeword has a unary prefix longer than 63 zeros (shifted
   // would not fit in 64 bits); the scan rejects longer runs — and runs
   // truncated by the end of the stream — by latching overflow.
-  const int n = ks.scan_zero_run(r, 63);
+  const int n = strategies::ScanZeroRun(r, 63);
   if (n < 0) return 0;
   uint64_t shifted = uint64_t{1} << n;
-  shifted |= ks.get_bits(r, n);
+  shifted |= r.GetBits(n);
   uint64_t value = (shifted - 1) << k;
-  if (k > 0) value |= ks.get_bits(r, k);
+  if (k > 0) value |= r.GetBits(k);
   return value;
 }
 
@@ -60,17 +56,13 @@ void PutImprovedExpGolomb(BitWriter& w, int64_t delta) {
 }
 
 int64_t GetImprovedExpGolomb(BitReader& r) {
-  return GetImprovedExpGolomb(r, strategies::Active());
-}
-
-int64_t GetImprovedExpGolomb(BitReader& r, const strategies::Kernels& ks) {
   // Groups past 62 decode to magnitudes >= 2^63 - 1 that do not fit a
   // positive int64_t; the scan rejects such runs — and runs a truncated
   // stream ends with a phantom 0 bit — by latching overflow.
-  const int j = ks.scan_one_run(r, 62);
+  const int j = strategies::ScanOneRun(r, 62);
   if (j <= 0) return 0;  // group 0 holds only delta == 0
-  const bool negative = ks.get_bits(r, 1) != 0;
-  const uint64_t offset = ks.get_bits(r, j);
+  const bool negative = r.GetBits(1) != 0;
+  const uint64_t offset = r.GetBits(j);
   const int64_t magnitude =
       static_cast<int64_t>(offset + ((uint64_t{1} << j) - 1));
   return negative ? -magnitude : magnitude;

@@ -5,10 +5,6 @@
 
 #include "common/bitstream.h"
 
-namespace utcq::strategies {
-struct Kernels;
-}  // namespace utcq::strategies
-
 namespace utcq::common {
 
 /// Standard order-k Exp-Golomb codes for unsigned integers [32].
@@ -16,12 +12,6 @@ namespace utcq::common {
 /// Order 0 examples: 0 -> "1", 1 -> "010", 2 -> "011", 3 -> "00100".
 void PutExpGolomb(BitWriter& w, uint64_t value, int k = 0);
 uint64_t GetExpGolomb(BitReader& r, int k = 0);
-
-/// GetExpGolomb against an explicit kernel table. Decode loops that pull
-/// many codes hoist strategies::Active() once and use these overloads: the
-/// per-symbol atomic load and out-of-line call are measurable at unary-code
-/// symbol sizes.
-uint64_t GetExpGolomb(BitReader& r, const strategies::Kernels& ks, int k);
 
 /// Length in bits of the order-k Exp-Golomb code of `value`.
 int ExpGolombLength(uint64_t value, int k = 0);
@@ -38,7 +28,6 @@ int ExpGolombLength(uint64_t value, int k = 0);
 /// -1 -> "1010".
 void PutImprovedExpGolomb(BitWriter& w, int64_t delta);
 int64_t GetImprovedExpGolomb(BitReader& r);
-int64_t GetImprovedExpGolomb(BitReader& r, const strategies::Kernels& ks);
 
 /// Length in bits of the improved code of `delta`.
 int ImprovedExpGolombLength(int64_t delta);

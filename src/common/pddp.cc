@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "strategies/strategies.h"
+#include "strategies/kernels.h"
 
 namespace utcq::common {
 
@@ -50,7 +50,7 @@ double PddpCodec::Decode(BitReader& r) const {
   // max_bits_ — which the encoder never emits, but the field is wide
   // enough to hold — are rejected via MarkOverflow after consuming only
   // the length field.
-  return strategies::Active().pddp_decode(r, length_bits_, max_bits_);
+  return strategies::PddpDecode(r, length_bits_, max_bits_);
 }
 
 int PddpCodec::CodeLength(double value) const {

@@ -1,7 +1,5 @@
 #include "common/varint.h"
 
-#include "strategies/strategies.h"
-
 namespace utcq::common {
 
 void PutVarint(BitWriter& w, uint64_t value) {
@@ -15,15 +13,10 @@ void PutVarint(BitWriter& w, uint64_t value) {
 }
 
 uint64_t GetVarint(BitReader& r) {
-  // Varints frame every stream (lengths, counts), so their reads go through
-  // the active kernel table like every other decode read: a continuation
-  // bit plus a 7-bit group per byte is 8 bit-at-a-time reads under the
-  // kBitloop tier, exactly what the pre-dispatch decoder paid.
-  const strategies::Kernels& ks = strategies::Active();
   uint64_t value = 0;
   int shift = 0;
   while (true) {
-    const uint64_t byte = ks.get_bits(r, 8);
+    const uint64_t byte = r.GetBits(8);
     value |= (byte & 0x7Fu) << shift;
     if ((byte & 0x80u) == 0 || shift >= 63) break;
     shift += 7;

@@ -7,7 +7,7 @@
 #include "common/varint.h"
 #include "core/improved_ted.h"
 #include "core/referential.h"
-#include "strategies/strategies.h"
+#include "strategies/kernels.h"
 
 namespace utcq::core {
 
@@ -26,9 +26,8 @@ uint64_t UtcqDecoder::DecodeTimesInto(
   const TrajMeta& meta = cc_.meta(j);
   BitReader r = cc_.t_reader();
   r.Seek(meta.t_pos);
-  const strategies::Kernels& ks = strategies::Active();
   const uint64_t n = common::GetVarint(r);
-  const auto t0 = static_cast<traj::Timestamp>(ks.get_bits(r, 17));
+  const auto t0 = static_cast<traj::Timestamp>(r.GetBits(17));
   // Streams may come from an untrusted archive: every delta costs at least
   // one bit, so a count beyond the remaining bits is corrupt, not large.
   if (n > 0 && n - 1 > r.remaining()) return 0;
@@ -41,13 +40,13 @@ uint64_t UtcqDecoder::DecodeTimesInto(
   const int64_t interval = cc_.params().default_interval_s;
   // Deltas come off the stream through the batched kernel, a chunk per
   // call; a short chunk means overflow latched mid-stream, which discards
-  // the whole sequence exactly as the per-symbol loop did.
+  // the whole sequence.
   int64_t deltas[128];
   uint64_t left = n > 0 ? n - 1 : 0;
   while (left > 0) {
     const size_t chunk =
         static_cast<size_t>(std::min<uint64_t>(left, std::size(deltas)));
-    const size_t got = ks.decode_ieg(r, deltas, chunk);
+    const size_t got = strategies::DecodeIeg(r, deltas, chunk);
     for (size_t i = 0; i < got; ++i) {
       t += interval + deltas[i];
       out->push_back(t);
@@ -89,10 +88,9 @@ std::optional<UtcqDecoder::TimeBracket> UtcqDecoder::BracketTime(
     }
   }
   r.Seek(t_pos);
-  const strategies::Kernels& ks = strategies::Active();
   traj::Timestamp cur = t_start;
   for (uint32_t i = t_no; i + 1 < meta.n_points; ++i) {
-    const int64_t delta = common::GetImprovedExpGolomb(r, ks);
+    const int64_t delta = common::GetImprovedExpGolomb(r);
     const traj::Timestamp next =
         cur + cc_.params().default_interval_s + delta;
     if (t <= next) {
@@ -114,7 +112,6 @@ uint64_t UtcqDecoder::DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
   if (last >= meta.n_points) last = meta.n_points - 1;
 
   BitReader r = cc_.t_reader();
-  const strategies::Kernels& ks = strategies::Active();
 
   // Start state: the latest sync at or before `first`, else the block
   // header (count varint + 17-bit t0). The guards mirror BracketTime's —
@@ -140,7 +137,7 @@ uint64_t UtcqDecoder::DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
   } else {
     const uint64_t n = common::GetVarint(r);
     if (n != meta.n_points) return 0;  // stream/meta disagree: corrupt
-    t = static_cast<traj::Timestamp>(ks.get_bits(r, 17));
+    t = static_cast<traj::Timestamp>(r.GetBits(17));
   }
 
   const int64_t interval = cc_.params().default_interval_s;
@@ -149,7 +146,7 @@ uint64_t UtcqDecoder::DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
   while (entry < last) {
     const size_t want = static_cast<size_t>(
         std::min<uint64_t>(last - entry, std::size(deltas)));
-    const size_t got = ks.decode_ieg(r, deltas, want);
+    const size_t got = strategies::DecodeIeg(r, deltas, want);
     for (size_t i = 0; i < got; ++i) {
       t += interval + deltas[i];
       ++entry;
@@ -182,12 +179,6 @@ std::optional<UtcqDecoder::TimeBracket> UtcqDecoder::BracketInTimes(
   return std::nullopt;
 }
 
-DecodedInstance UtcqDecoder::DecodeReference(size_t j, uint32_t ref_idx) const {
-  DecodedInstance d;
-  DecodeReferenceInto(j, ref_idx, &d);
-  return d;
-}
-
 uint64_t UtcqDecoder::DecodeReferenceInto(size_t j, uint32_t ref_idx,
                                           DecodedInstance* out) const {
   const TrajMeta& meta = cc_.meta(j);
@@ -202,33 +193,27 @@ uint64_t UtcqDecoder::DecodeReferenceInto(size_t j, uint32_t ref_idx,
   d.p = 0.0;
   BitReader r = cc_.ref_reader();
   r.Seek(rm.offset);
-  const strategies::Kernels& ks = strategies::Active();
-  d.sv = static_cast<network::VertexId>(ks.get_bits(r, 32));
+  d.sv = static_cast<network::VertexId>(r.GetBits(32));
   const uint64_t e_len = common::GetVarint(r);
   // Untrusted-stream guard: each entry costs >= 1 bit (entry_bits >= 1).
   if (e_len > r.remaining()) return 0;
   d.entries.resize(e_len);
-  ks.read_fields(r, cc_.entry_bits(), d.entries.data(), d.entries.size());
+  const int entry_bits = cc_.entry_bits();
+  for (uint32_t& e : d.entries) {
+    e = static_cast<uint32_t>(r.GetBits(entry_bits));
+  }
   const size_t trimmed = e_len >= 2 ? e_len - 2 : 0;
   d.tflag_trimmed.resize(trimmed);
-  ks.unpack_bits(r, d.tflag_trimmed.data(), d.tflag_trimmed.size());
-  // Per-point PDDP decodes call the kernel directly: routing each point
-  // through PddpCodec::Decode would redo the active-table load and an
-  // out-of-line call per point, pure overhead at this loop's trip count.
+  strategies::UnpackBits(r, d.tflag_trimmed.data(), d.tflag_trimmed.size());
+  // The per-point rd codes go through the batched kernel, not one
+  // out-of-line PddpCodec::Decode call per point.
   const common::PddpCodec& dc = cc_.d_codec();
   d.rds.resize(meta.n_points);
-  ks.pddp_run(r, dc.length_field_bits(), dc.max_code_bits(), d.rds.data(),
-              d.rds.size());
+  strategies::PddpRun(r, dc.length_field_bits(), dc.max_code_bits(),
+                      d.rds.data(), d.rds.size());
   const common::PddpCodec& pc = cc_.p_codec();
-  d.p = ks.pddp_decode(r, pc.length_field_bits(), pc.max_code_bits());
+  d.p = strategies::PddpDecode(r, pc.length_field_bits(), pc.max_code_bits());
   return r.position() - rm.offset;
-}
-
-DecodedInstance UtcqDecoder::DecodeNonReference(
-    size_t j, uint32_t nref_idx, const DecodedInstance& ref) const {
-  DecodedInstance d;
-  DecodeNonReferenceInto(j, nref_idx, ref, &d);
-  return d;
 }
 
 uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
@@ -247,11 +232,6 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
 
   BitReader r = cc_.nref_reader();
   r.Seek(nm.offset);
-  // Every fixed-width read below goes through the active kernel table:
-  // these factor loops are the hottest part of non-reference decode, and
-  // the kBitloop tier must replicate the pre-dispatch bit-at-a-time cost
-  // to stay an honest benchmark baseline.
-  const strategies::Kernels& ks = strategies::Active();
 
   // --- E factors ---
   // Factor operands come straight off a possibly untrusted stream, so every
@@ -264,20 +244,20 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
   const int l_bits = BitsFor(ref_e_len > 0 ? ref_e_len - 1 : 0);
   d.entries.reserve(std::min<uint64_t>(e_len, r.remaining()));
   while (d.entries.size() < e_len && !r.overflow()) {
-    const uint32_t s = static_cast<uint32_t>(ks.get_bits(r, s_bits));
+    const uint32_t s = static_cast<uint32_t>(r.GetBits(s_bits));
     if (s == ref_e_len) {  // case B
       d.entries.push_back(
-          static_cast<uint32_t>(ks.get_bits(r, cc_.entry_bits())));
+          static_cast<uint32_t>(r.GetBits(cc_.entry_bits())));
       continue;
     }
     if (s > ref_e_len) break;  // corrupt factor start
-    const uint32_t l = static_cast<uint32_t>(ks.get_bits(r, l_bits)) + 1;
+    const uint32_t l = static_cast<uint32_t>(r.GetBits(l_bits)) + 1;
     if (l > ref_e_len - s) break;  // corrupt copy length
     d.entries.insert(d.entries.end(), ref.entries.begin() + s,
                      ref.entries.begin() + s + l);
     if (d.entries.size() < e_len) {
       d.entries.push_back(
-          static_cast<uint32_t>(ks.get_bits(r, cc_.entry_bits())));
+          static_cast<uint32_t>(r.GetBits(cc_.entry_bits())));
     }
   }
 
@@ -288,14 +268,14 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
   // stream bit, but resize/reserve would pay up front).
   const size_t trimmed_len =
       d.entries.size() >= 2 ? d.entries.size() - 2 : 0;
-  const auto mode = static_cast<TflagMode>(ks.get_bits(r, 2));
+  const auto mode = static_cast<TflagMode>(r.GetBits(2));
   switch (mode) {
     case TflagMode::kIdentical:
       d.tflag_trimmed = ref.tflag_trimmed;
       break;
     case TflagMode::kLiteral:
       d.tflag_trimmed.resize(trimmed_len);
-      ks.unpack_bits(r, d.tflag_trimmed.data(), d.tflag_trimmed.size());
+      strategies::UnpackBits(r, d.tflag_trimmed.data(), d.tflag_trimmed.size());
       break;
     case TflagMode::kFactors: {
       const uint32_t rtl = static_cast<uint32_t>(ref.tflag_trimmed.size());
@@ -306,8 +286,8 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
       if (h > r.remaining() + trimmed_len + 1) break;
       d.tflag_trimmed.reserve(trimmed_len);
       for (uint64_t k = 0; k < h && !r.overflow(); ++k) {
-        const uint32_t s = static_cast<uint32_t>(ks.get_bits(r, ts_bits));
-        const uint32_t l = static_cast<uint32_t>(ks.get_bits(r, tl_bits));
+        const uint32_t s = static_cast<uint32_t>(r.GetBits(ts_bits));
+        const uint32_t l = static_cast<uint32_t>(r.GetBits(tl_bits));
         if (s > rtl || l > rtl - s) break;  // corrupt factor
         d.tflag_trimmed.insert(d.tflag_trimmed.end(),
                                ref.tflag_trimmed.begin() + s,
@@ -319,7 +299,7 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
         }
       }
       if (d.tflag_trimmed.size() < trimmed_len) {
-        d.tflag_trimmed.push_back(ks.get_bits(r, 1) != 0 ? 1 : 0);  // final M
+        d.tflag_trimmed.push_back(r.GetBits(1) != 0 ? 1 : 0);  // final M
       }
       break;
     }
@@ -332,24 +312,29 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
   const common::PddpCodec& dc = cc_.d_codec();
   d.rds = ref.rds;
   for (uint64_t k = 0; k < h_d && !r.overflow(); ++k) {
-    const uint32_t pos = static_cast<uint32_t>(ks.get_bits(r, pos_bits));
-    const double rd =
-        ks.pddp_decode(r, dc.length_field_bits(), dc.max_code_bits());
+    const uint32_t pos = static_cast<uint32_t>(r.GetBits(pos_bits));
+    const double rd = strategies::PddpDecode(r, dc.length_field_bits(),
+                                             dc.max_code_bits());
     if (pos < d.rds.size()) d.rds[pos] = rd;
   }
 
   const common::PddpCodec& pc = cc_.p_codec();
-  d.p = ks.pddp_decode(r, pc.length_field_bits(), pc.max_code_bits());
+  d.p = strategies::PddpDecode(r, pc.length_field_bits(), pc.max_code_bits());
   return r.position() - nm.offset;
 }
 
 DecodedInstance UtcqDecoder::DecodeByOriginal(size_t j, uint32_t w) const {
   const TrajMeta& meta = cc_.meta(j);
   const auto [is_ref, idx] = meta.roles[w];
-  if (is_ref) return DecodeReference(j, idx);
-  const DecodedInstance ref =
-      DecodeReference(j, meta.nrefs[idx].ref_pos);
-  return DecodeNonReference(j, idx, ref);
+  DecodedInstance d;
+  if (is_ref) {
+    DecodeReferenceInto(j, idx, &d);
+    return d;
+  }
+  DecodedInstance ref;
+  DecodeReferenceInto(j, meta.nrefs[idx].ref_pos, &ref);
+  DecodeNonReferenceInto(j, idx, ref, &d);
+  return d;
 }
 
 std::optional<traj::TrajectoryInstance> UtcqDecoder::ToInstance(
@@ -367,15 +352,16 @@ traj::DecodedTraj UtcqDecoder::DecodeTraj(size_t j) const {
   // References are kept in decoded (improved-TED) form for the duration of
   // the walk: every non-reference expands against its reference's entries,
   // not against the reconstructed instance.
+  // Non-references are transient, so one scratch instance serves them all.
   std::vector<DecodedInstance> refs(meta.refs.size());
   for (uint32_t r = 0; r < meta.refs.size(); ++r) {
-    refs[r] = DecodeReference(j, r);
+    DecodeReferenceInto(j, r, &refs[r]);
     dt.ref_insts[r] = ToInstance(refs[r]);
   }
+  DecodedInstance scratch;
   for (uint32_t k = 0; k < meta.nrefs.size(); ++k) {
-    const DecodedInstance d =
-        DecodeNonReference(j, k, refs[meta.nrefs[k].ref_pos]);
-    dt.nref_insts[k] = ToInstance(d);
+    DecodeNonReferenceInto(j, k, refs[meta.nrefs[k].ref_pos], &scratch);
+    dt.nref_insts[k] = ToInstance(scratch);
   }
   return dt;
 }

@@ -74,8 +74,9 @@ class UtcqDecoder {
   /// n_points) into `out` (cleared, capacity kept), seeking through the
   /// sync table to the latest sync at or before `first` instead of
   /// expanding from the block start. Allocation-free beyond `out`'s
-  /// growth; deltas route through the active strategy kernels. Returns
-  /// the stream bits consumed; on a corrupt stream `out` is left empty.
+  /// growth; deltas decode through the batched strategies::DecodeIeg.
+  /// Returns the stream bits consumed; on a corrupt stream `out` is left
+  /// empty.
   uint64_t DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
                            std::vector<traj::Timestamp>* out,
                            SeekStats* seek = nullptr) const;
@@ -87,16 +88,11 @@ class UtcqDecoder {
       const std::vector<traj::Timestamp>& times, uint32_t n_points,
       traj::Timestamp t, uint32_t t_no, traj::Timestamp t_start);
 
-  DecodedInstance DecodeReference(size_t j, uint32_t ref_idx) const;
-  DecodedInstance DecodeNonReference(size_t j, uint32_t nref_idx,
-                                     const DecodedInstance& ref) const;
-
-  /// Scratch-buffer variants of the two instance decoders: `d`'s vectors
-  /// are cleared (capacity kept) and refilled, so a loop that decodes many
-  /// instances through one DecodedInstance stops paying an allocation per
-  /// instance. Results are identical to the by-value overloads. Both
-  /// return the stream bits consumed (0 on a rejected corrupt stream),
-  /// feeding the partial-decode byte accounting.
+  /// The two instance decoders. `d`'s vectors are cleared (capacity kept)
+  /// and refilled, so a loop that decodes many instances through one
+  /// DecodedInstance stops paying an allocation per instance. Both return
+  /// the stream bits consumed (0 on a rejected corrupt stream), feeding
+  /// the partial-decode byte accounting.
   uint64_t DecodeReferenceInto(size_t j, uint32_t ref_idx,
                                DecodedInstance* d) const;
   uint64_t DecodeNonReferenceInto(size_t j, uint32_t nref_idx,

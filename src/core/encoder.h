@@ -65,7 +65,7 @@ class CompressedCorpus {
 
   /// The read path is written against CorpusView; a live corpus converts
   /// implicitly so call sites need not care which side they hold.
-  operator CorpusView() const { return view(); }  // NOLINT(runtime/explicit)
+  operator CorpusView() const { return view(); }
 
  private:
   friend class UtcqCompressor;

@@ -76,7 +76,7 @@ class TedCompressed {
 
   /// The read path is written against TedCorpusView; a live corpus converts
   /// implicitly so call sites need not care which side they hold.
-  operator TedCorpusView() const { return view(); }  // NOLINT
+  operator TedCorpusView() const { return view(); }
 
   /// Decodes the shared time sequence of trajectory `traj_idx`.
   std::vector<traj::Timestamp> DecodeTimes(size_t traj_idx) const;

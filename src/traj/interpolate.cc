@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "strategies/strategies.h"
-
 namespace utcq::traj {
 
 using network::EdgeId;
@@ -105,26 +103,12 @@ std::vector<Timestamp> TimesAtPosition(const RoadNetwork& net,
   if (times.size() != inst.locations.size() || times.empty()) return result;
   const std::vector<double> prefix = PrefixLengths(net, inst);
 
-  // Path offsets of all mapped locations (monotone non-decreasing),
-  // expanded 8 at a time through the strategy mul_add kernel: gather
-  // (prefix, rd, edge length) into stack chunks, then
-  // loc_offsets[i] = prefix[pi] + rd * length elementwise.
-  const size_t n_loc = inst.locations.size();
-  std::vector<double> loc_offsets(n_loc);
-  const strategies::Kernels& ks = strategies::Active();
-  constexpr size_t kChunk = 8;
-  double bases[kChunk];
-  double rds[kChunk];
-  double lengths[kChunk];
-  for (size_t base = 0; base < n_loc; base += kChunk) {
-    const size_t m = std::min(kChunk, n_loc - base);
-    for (size_t v = 0; v < m; ++v) {
-      const MappedLocation& loc = inst.locations[base + v];
-      bases[v] = prefix[loc.path_index];
-      rds[v] = loc.rd;
-      lengths[v] = net.edge(inst.path[loc.path_index]).length;
-    }
-    ks.mul_add(bases, rds, lengths, loc_offsets.data() + base, m);
+  // Path offsets of all mapped locations (monotone non-decreasing).
+  std::vector<double> loc_offsets(inst.locations.size());
+  for (size_t i = 0; i < loc_offsets.size(); ++i) {
+    const MappedLocation& loc = inst.locations[i];
+    loc_offsets[i] = prefix[loc.path_index] +
+                     loc.rd * net.edge(inst.path[loc.path_index]).length;
   }
 
   for (size_t k = 0; k < inst.path.size(); ++k) {
@@ -180,32 +164,19 @@ std::vector<NetworkPosition> PositionsInBracket(
     }
     return out;
   }
-  // One fraction for the whole batch: the scalar path recomputes this per
-  // instance from the same three integers, giving the same double.
+  // One fraction for the whole batch: the single-instance path recomputes
+  // this per instance from the same three integers, giving the same double.
   const double f = static_cast<double>(t - t0) / static_cast<double>(t1 - t0);
-  const strategies::Kernels& ks = strategies::Active();
-  constexpr size_t kChunk = 8;
-  double d0[kChunk];
-  double d1[kChunk];
-  double offsets[kChunk];
-  size_t slots[kChunk];
-  for (size_t base = 0; base < insts.size(); base += kChunk) {
-    const size_t end = std::min(base + kChunk, insts.size());
-    size_t m = 0;
-    for (size_t k = base; k < end; ++k) {
-      const TrajectoryInstance& inst = *insts[k];
-      if (i + 1 >= inst.locations.size()) {
-        out[k] = PositionInBracket(net, inst, i, t0, t1, t);
-        continue;
-      }
-      OffsetPairOfLocations(net, inst, i, &d0[m], &d1[m]);
-      slots[m] = k;
-      ++m;
+  for (size_t k = 0; k < insts.size(); ++k) {
+    const TrajectoryInstance& inst = *insts[k];
+    if (i + 1 >= inst.locations.size()) {
+      out[k] = PositionInBracket(net, inst, i, t0, t1, t);
+      continue;
     }
-    ks.lerp(d0, d1, f, offsets, m);
-    for (size_t v = 0; v < m; ++v) {
-      out[slots[v]] = PositionAtPathOffset(net, *insts[slots[v]], offsets[v]);
-    }
+    double d0 = 0.0;
+    double d1 = 0.0;
+    OffsetPairOfLocations(net, inst, i, &d0, &d1);
+    out[k] = PositionAtPathOffset(net, inst, d0 + (d1 - d0) * f);
   }
   return out;
 }

@@ -45,9 +45,9 @@ NetworkPosition PositionInBracket(const network::RoadNetwork& net,
 
 /// PositionInBracket over many instances sharing one time bracket — the
 /// shape of a Where hit list or a Range candidate chunk, where one (t, t0,
-/// t1) is evaluated against every qualifying instance. Offsets are gathered
-/// per instance and interpolated through the strategy layer's batched lerp
-/// kernel, 8 instances per round; out[k] is bit-for-bit what
+/// t1) is evaluated against every qualifying instance. The interpolation
+/// fraction is computed once and each instance's offset pair comes from one
+/// path walk; out[k] is bit-for-bit what
 /// PositionInBracket(net, *insts[k], i, t0, t1, t) returns.
 std::vector<NetworkPosition> PositionsInBracket(
     const network::RoadNetwork& net,

@@ -246,12 +246,12 @@ void RunBatch(const network::RoadNetwork& net, const verify::Oracle& oracle,
   }
 }
 
-// ----------------------------------------------------------- tier plumbing
+// ------------------------------------------------------------ temp files
 
 std::string TempPath(const std::string& name) {
-  // Seed-keyed names alone collide when the strategy matrix runs several
-  // tier variants of this binary concurrently under ctest -j; the pid keeps
-  // each process's archives (and any debris from an aborted run) private.
+  // Seed-keyed names alone collide when several instances of this binary
+  // run concurrently; the pid keeps each process's archives (and any
+  // debris from an aborted run) private.
   return ::testing::TempDir() + "/pid" + std::to_string(::getpid()) + "_" +
          name;
 }
@@ -408,8 +408,8 @@ void RunWorkload(uint64_t seed) {
   // engine, so every network answer is compared with operator== against
   // Execute/ExecuteBatch before the oracle pass — no tolerance, no
   // reordering. Single queries round-trip one at a time; the whole
-  // workload then rides one pipelined burst. Ephemeral port: the strategy
-  // matrix runs several instances of this binary concurrently.
+  // workload then rides one pipelined burst. Ephemeral port, so several
+  // instances of this binary can run concurrently.
   {
     serve::QueryEngine engine(sys.queries());
     net::TcpServer server(&engine, nullptr);

@@ -1,12 +1,12 @@
-// Differential pinning of the strategy kernel tiers (DESIGN.md §12).
+// Differential pinning of the decode kernels (DESIGN.md §12).
 //
-// Every kernel of every supported tier is compared against the kBitloop
-// reference table on the same inputs: return values, cursor positions and
-// overflow() latching must match bit-for-bit — on clean streams, truncated
-// streams, structurally invalid codes and buffers whose final partial byte
-// carries garbage padding. The suite closes with corpus-level proof: full
-// decompression and the three probabilistic queries produce identical
-// results under every tier.
+// Every word-at-a-time kernel in strategies/kernels.h, and the
+// word-at-a-time BitReader::GetBits, is compared against its bit-at-a-time
+// reference in strategies::bitloop on the same inputs: return values,
+// cursor positions and overflow() latching must match bit-for-bit — on
+// clean streams, truncated streams, structurally invalid codes, buffers
+// whose final partial byte carries garbage padding, and the real time
+// streams the encoder writes.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,13 @@
 #include "common/exp_golomb.h"
 #include "common/pddp.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "core/utcq.h"
 #include "network/grid_index.h"
-#include "strategies/strategies.h"
+#include "strategies/kernels.h"
 #include "test_fixtures.h"
 #include "traj/generator.h"
+#include "traj/interpolate.h"
 #include "traj/profiles.h"
 
 namespace utcq {
@@ -31,34 +33,7 @@ namespace {
 using common::BitReader;
 using common::BitWriter;
 using common::Rng;
-using strategies::Kernels;
-using strategies::Tier;
-
-/// The tiers a differential test iterates: every supported non-reference
-/// tier (the reference itself is the oracle).
-std::vector<Tier> SupportedTestTiers() {
-  std::vector<Tier> tiers;
-  for (const Tier t : {Tier::kScalar, Tier::kSse42, Tier::kAvx2}) {
-    if (strategies::TierSupported(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-const Kernels& Reference() {
-  const Kernels* ref = strategies::KernelsFor(Tier::kBitloop);
-  EXPECT_NE(ref, nullptr);
-  return *ref;
-}
-
-/// Restores the startup-active table after a test that calls SetActive.
-class ActiveTierGuard {
- public:
-  ActiveTierGuard() : saved_(strategies::Active().tier) {}
-  ~ActiveTierGuard() { strategies::SetActive(saved_); }
-
- private:
-  Tier saved_;
-};
+namespace bitloop = strategies::bitloop;
 
 /// A random byte buffer viewed as `size_bits` bits. The bytes beyond the
 /// last valid bit stay random on purpose: PeekBits64-based kernels must
@@ -82,116 +57,69 @@ RandomStream MakeRandomStream(Rng& rng, size_t max_bytes) {
 }
 
 void ExpectSameState(const BitReader& got, const BitReader& want,
-                     const char* tier, const char* what) {
-  EXPECT_EQ(got.position(), want.position()) << tier << ": " << what;
-  EXPECT_EQ(got.overflow(), want.overflow()) << tier << ": " << what;
+                     const char* what) {
+  EXPECT_EQ(got.position(), want.position()) << what;
+  EXPECT_EQ(got.overflow(), want.overflow()) << what;
 }
 
-TEST(StrategyPlumbing, BaselineTiersAlwaysSupported) {
-  EXPECT_TRUE(strategies::TierSupported(Tier::kBitloop));
-  EXPECT_TRUE(strategies::TierSupported(Tier::kScalar));
-  EXPECT_NE(strategies::BestSupportedTier(), Tier::kBitloop);
-  EXPECT_TRUE(strategies::TierSupported(strategies::BestSupportedTier()));
-  // The active table is one of the supported ones and self-describes.
-  const Kernels& active = strategies::Active();
-  EXPECT_TRUE(strategies::TierSupported(active.tier));
-  EXPECT_STREQ(active.name, strategies::TierName(active.tier));
+using ScanFn = int (*)(BitReader&, int);
+
+ScanFn WordScan(bool zeros) {
+  return zeros ? &strategies::ScanZeroRun : &strategies::ScanOneRun;
 }
 
-TEST(StrategyPlumbing, KernelsForAgreesWithTierSupported) {
-  for (int i = 0; i < strategies::kNumTiers; ++i) {
-    const Tier t = static_cast<Tier>(i);
-    EXPECT_EQ(strategies::KernelsFor(t) != nullptr,
-              strategies::TierSupported(t))
-        << strategies::TierName(t);
-  }
-}
-
-TEST(StrategyPlumbing, ParseTierRoundTrips) {
-  for (int i = 0; i < strategies::kNumTiers; ++i) {
-    const Tier t = static_cast<Tier>(i);
-    Tier parsed;
-    ASSERT_TRUE(strategies::ParseTier(strategies::TierName(t), &parsed));
-    EXPECT_EQ(parsed, t);
-  }
-  Tier parsed;
-  EXPECT_FALSE(strategies::ParseTier("avx512", &parsed));
-  EXPECT_FALSE(strategies::ParseTier("", &parsed));
-}
-
-TEST(StrategyPlumbing, SetActiveSwapsAndRestores) {
-  ActiveTierGuard guard;
-  for (int i = 0; i < strategies::kNumTiers; ++i) {
-    const Tier t = static_cast<Tier>(i);
-    if (!strategies::TierSupported(t)) {
-      EXPECT_FALSE(strategies::SetActive(t));
-      continue;
-    }
-    ASSERT_TRUE(strategies::SetActive(t));
-    EXPECT_EQ(strategies::Active().tier, t);
-  }
+ScanFn ReferenceScan(bool zeros) {
+  return zeros ? &bitloop::ScanZeroRun : &bitloop::ScanOneRun;
 }
 
 TEST(StrategyKernels, GetBitsMatchesReference) {
   const uint64_t seed = test::BaseSeed(1001);
   Rng rng(seed);
-  const Kernels& ref = Reference();
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    for (int trial = 0; trial < 200; ++trial) {
-      const RandomStream s = MakeRandomStream(rng, 40);
-      BitReader got = s.reader();
-      BitReader want = s.reader();
-      // Read width sequences that cross word boundaries, hit the end and
-      // keep reading past it (phantom zeros + latched overflow).
-      while (!want.overflow()) {
-        const int width = static_cast<int>(rng.UniformInt(0, 64));
-        EXPECT_EQ(ks.get_bits(got, width), ref.get_bits(want, width))
-            << strategies::TierName(tier) << " seed=" << seed
-            << " pos=" << want.position();
-        ExpectSameState(got, want, strategies::TierName(tier), "get_bits");
-      }
-      // A read after the latch behaves identically too.
-      EXPECT_EQ(ks.get_bits(got, 17), ref.get_bits(want, 17));
-      ExpectSameState(got, want, strategies::TierName(tier), "post-latch");
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomStream s = MakeRandomStream(rng, 40);
+    BitReader got = s.reader();
+    BitReader want = s.reader();
+    // Read width sequences that cross word boundaries, hit the end and
+    // keep reading past it (phantom zeros + latched overflow).
+    while (!want.overflow()) {
+      const int width = static_cast<int>(rng.UniformInt(0, 64));
+      EXPECT_EQ(got.GetBits(width), bitloop::GetBits(want, width))
+          << "seed=" << seed << " pos=" << want.position();
+      ExpectSameState(got, want, "get_bits");
     }
+    // A read after the latch behaves identically too.
+    EXPECT_EQ(got.GetBits(17), bitloop::GetBits(want, 17));
+    ExpectSameState(got, want, "post-latch");
   }
 }
 
 TEST(StrategyKernels, UnaryScansMatchReferenceOnRandomStreams) {
   const uint64_t seed = test::BaseSeed(1002);
   Rng rng(seed);
-  const Kernels& ref = Reference();
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    for (int trial = 0; trial < 300; ++trial) {
-      // Biased bits make long runs (including overlong ones) likely.
-      const double p_one = rng.Uniform(0.02, 0.98);
-      BitWriter w;
-      const int nbits = static_cast<int>(rng.UniformInt(1, 400));
-      for (int i = 0; i < nbits; ++i) w.PutBit(rng.Bernoulli(p_one));
-      const bool zeros = rng.Bernoulli(0.5);
-      const int max_run = static_cast<int>(rng.UniformInt(0, 80));
+  for (int trial = 0; trial < 300; ++trial) {
+    // Biased bits make long runs (including overlong ones) likely.
+    const double p_one = rng.Uniform(0.02, 0.98);
+    BitWriter w;
+    const int nbits = static_cast<int>(rng.UniformInt(1, 400));
+    for (int i = 0; i < nbits; ++i) w.PutBit(rng.Bernoulli(p_one));
+    const bool zeros = rng.Bernoulli(0.5);
+    const int max_run = static_cast<int>(rng.UniformInt(0, 80));
 
-      BitReader got(w);
-      BitReader want(w);
-      auto scan = zeros ? ks.scan_zero_run : ks.scan_one_run;
-      auto ref_scan = zeros ? ref.scan_zero_run : ref.scan_one_run;
-      while (true) {
-        const int a = scan(got, max_run);
-        const int b = ref_scan(want, max_run);
-        EXPECT_EQ(a, b) << strategies::TierName(tier) << " seed=" << seed
-                        << " zeros=" << zeros << " max_run=" << max_run
-                        << " pos=" << want.position();
-        ExpectSameState(got, want, strategies::TierName(tier), "scan");
-        if (a != b || a < 0) break;
-      }
+    BitReader got(w);
+    BitReader want(w);
+    while (true) {
+      const int a = WordScan(zeros)(got, max_run);
+      const int b = ReferenceScan(zeros)(want, max_run);
+      EXPECT_EQ(a, b) << "seed=" << seed << " zeros=" << zeros
+                      << " max_run=" << max_run
+                      << " pos=" << want.position();
+      ExpectSameState(got, want, "scan");
+      if (a != b || a < 0) break;
     }
   }
 }
 
 TEST(StrategyKernels, UnaryScansMatchReferenceOnCraftedStreams) {
-  const Kernels& ref = Reference();
   // Runs straddling the crafted edges: exactly max_run, one over, truncated
   // by the stream end, empty stream, and a run ending in garbage padding.
   struct Case {
@@ -207,106 +135,105 @@ TEST(StrategyKernels, UnaryScansMatchReferenceOnCraftedStreams) {
       {5, true, 3, 5},     {6, true, 3, 5},     {64, false, 0, 63},
       {65, false, 0, 63},  {128, true, 1, 200}, {130, false, 0, 200},
   };
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    for (const bool zeros : {true, false}) {
-      for (const Case& c : cases) {
-        BitWriter w;
-        w.PutRun(!zeros ? true : false, c.run);
-        if (c.terminated) w.PutBit(zeros);
-        for (size_t i = 0; i < c.trailing; ++i) w.PutBit((i & 1) != 0);
+  for (const bool zeros : {true, false}) {
+    for (const Case& c : cases) {
+      BitWriter w;
+      w.PutRun(!zeros, c.run);
+      if (c.terminated) w.PutBit(zeros);
+      for (size_t i = 0; i < c.trailing; ++i) w.PutBit((i & 1) != 0);
 
-        // Garbage padding: view one bit fewer than written so the byte's
-        // tail carries stale bits past size_bits.
-        for (const size_t shrink : {size_t{0}, size_t{1}}) {
-          if (shrink > w.size_bits()) continue;
-          const size_t bits = w.size_bits() - shrink;
-          BitReader got(w.bytes().data(), bits);
-          BitReader want(w.bytes().data(), bits);
-          auto scan = zeros ? ks.scan_zero_run : ks.scan_one_run;
-          auto ref_scan = zeros ? ref.scan_zero_run : ref.scan_one_run;
-          EXPECT_EQ(scan(got, c.max_run), ref_scan(want, c.max_run))
-              << strategies::TierName(tier) << " zeros=" << zeros
-              << " run=" << c.run << " max_run=" << c.max_run
-              << " shrink=" << shrink;
-          ExpectSameState(got, want, strategies::TierName(tier), "crafted");
-        }
+      // Garbage padding: view one bit fewer than written so the byte's
+      // tail carries stale bits past size_bits.
+      for (const size_t shrink : {size_t{0}, size_t{1}}) {
+        if (shrink > w.size_bits()) continue;
+        const size_t bits = w.size_bits() - shrink;
+        BitReader got(w.bytes().data(), bits);
+        BitReader want(w.bytes().data(), bits);
+        EXPECT_EQ(WordScan(zeros)(got, c.max_run),
+                  ReferenceScan(zeros)(want, c.max_run))
+            << "zeros=" << zeros << " run=" << c.run
+            << " max_run=" << c.max_run << " shrink=" << shrink;
+        ExpectSameState(got, want, "crafted");
       }
     }
   }
 }
 
 TEST(StrategyKernels, UnaryScansMatchReferenceWithPreLatchedOverflow) {
-  const Kernels& ref = Reference();
   BitWriter w;
   w.PutRun(false, 20);
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    BitReader got(w);
-    BitReader want(w);
-    got.MarkOverflow();
-    want.MarkOverflow();
-    EXPECT_EQ(ks.scan_zero_run(got, 63), ref.scan_zero_run(want, 63))
-        << strategies::TierName(tier);
-    ExpectSameState(got, want, strategies::TierName(tier), "pre-latched");
-    EXPECT_EQ(ks.scan_one_run(got, 62), ref.scan_one_run(want, 62))
-        << strategies::TierName(tier);
-    ExpectSameState(got, want, strategies::TierName(tier), "pre-latched");
-  }
+  BitReader got(w);
+  BitReader want(w);
+  got.MarkOverflow();
+  want.MarkOverflow();
+  EXPECT_EQ(strategies::ScanZeroRun(got, 63), bitloop::ScanZeroRun(want, 63));
+  ExpectSameState(got, want, "pre-latched");
+  EXPECT_EQ(strategies::ScanOneRun(got, 62), bitloop::ScanOneRun(want, 62));
+  ExpectSameState(got, want, "pre-latched");
 }
 
-TEST(StrategyKernels, ReadFieldsAndUnpackBitsMatchReference) {
+TEST(StrategyKernels, FieldRunsAndUnpackBitsMatchReference) {
   const uint64_t seed = test::BaseSeed(1003);
   Rng rng(seed);
-  const Kernels& ref = Reference();
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    for (int trial = 0; trial < 200; ++trial) {
-      const RandomStream s = MakeRandomStream(rng, 64);
-      // Widths both sides of the AVX2 kernel's kMaxSimdFieldWidth split,
-      // plus degenerate width 0; counts that overrun the stream exercise
-      // the tail/overflow path.
-      const int width = static_cast<int>(rng.UniformInt(0, 20));
-      const size_t n = static_cast<size_t>(rng.UniformInt(0, 80));
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomStream s = MakeRandomStream(rng, 64);
+    // A run of same-width fields (the reference entry-stream walk), with
+    // degenerate width 0 and counts that overrun the stream to exercise
+    // the tail/overflow path.
+    const int width = static_cast<int>(rng.UniformInt(0, 20));
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 80));
 
-      BitReader got = s.reader();
-      BitReader want = s.reader();
-      std::vector<uint32_t> out_got(n + 1, 0xA5A5A5A5u);
-      std::vector<uint32_t> out_want(n + 1, 0xA5A5A5A5u);
-      ks.read_fields(got, width, out_got.data(), n);
-      ref.read_fields(want, width, out_want.data(), n);
-      EXPECT_EQ(out_got, out_want)
-          << strategies::TierName(tier) << " seed=" << seed
-          << " width=" << width << " n=" << n;
-      ExpectSameState(got, want, strategies::TierName(tier), "read_fields");
-
-      BitReader bgot = s.reader();
-      BitReader bwant = s.reader();
-      const size_t skip = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(s.size_bits)));
-      bgot.Advance(skip);
-      bwant.Advance(skip);
-      std::vector<uint8_t> bits_got(n + 1, 0xEE);
-      std::vector<uint8_t> bits_want(n + 1, 0xEE);
-      ks.unpack_bits(bgot, bits_got.data(), n);
-      ref.unpack_bits(bwant, bits_want.data(), n);
-      EXPECT_EQ(bits_got, bits_want)
-          << strategies::TierName(tier) << " seed=" << seed << " n=" << n
-          << " skip=" << skip;
-      ExpectSameState(bgot, bwant, strategies::TierName(tier), "unpack_bits");
+    BitReader got = s.reader();
+    BitReader want = s.reader();
+    std::vector<uint32_t> out_got(n);
+    std::vector<uint32_t> out_want(n);
+    for (size_t i = 0; i < n; ++i) {
+      out_got[i] = static_cast<uint32_t>(got.GetBits(width));
+      out_want[i] = static_cast<uint32_t>(bitloop::GetBits(want, width));
     }
+    EXPECT_EQ(out_got, out_want)
+        << "seed=" << seed << " width=" << width << " n=" << n;
+    ExpectSameState(got, want, "fields");
+
+    BitReader bgot = s.reader();
+    BitReader bwant = s.reader();
+    const size_t skip = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(s.size_bits)));
+    bgot.Advance(skip);
+    bwant.Advance(skip);
+    std::vector<uint8_t> bits_got(n + 1, 0xEE);
+    std::vector<uint8_t> bits_want(n + 1, 0xEE);
+    strategies::UnpackBits(bgot, bits_got.data(), n);
+    bitloop::UnpackBits(bwant, bits_want.data(), n);
+    EXPECT_EQ(bits_got, bits_want)
+        << "seed=" << seed << " n=" << n << " skip=" << skip;
+    ExpectSameState(bgot, bwant, "unpack_bits");
   }
 }
 
-TEST(StrategyKernels, CodecsMatchReferenceThroughSetActive) {
+TEST(StrategyKernels, CodecsMatchReference) {
   // The integration-shaped differential: the real codec entry points
-  // (GetExpGolomb / GetImprovedExpGolomb / PddpCodec::Decode) dispatch
-  // through Active(), so decoding one stream under each tier must yield
-  // identical values, cursor positions and overflow state.
-  ActiveTierGuard guard;
+  // (GetExpGolomb / GetImprovedExpGolomb / PddpCodec::Decode) against the
+  // same codes decoded by the bit-at-a-time reference — identical values,
+  // cursor positions and overflow state, on clean and truncated streams.
   const uint64_t seed = test::BaseSeed(1004);
   Rng rng(seed);
   const common::PddpCodec pddp(0.001);
+
+  auto ref_exp_golomb = [](BitReader& r, int k) -> uint64_t {
+    const int n = bitloop::ScanZeroRun(r, 63);
+    if (n < 0) return 0;
+    const uint64_t shifted = (uint64_t{1} << n) | bitloop::GetBits(r, n);
+    return ((shifted - 1) << k) | bitloop::GetBits(r, k);
+  };
+  auto ref_improved = [](BitReader& r) -> int64_t {
+    const int j = bitloop::ScanOneRun(r, 62);
+    if (j <= 0) return 0;
+    const bool negative = bitloop::GetBits(r, 1) != 0;
+    const int64_t magnitude = static_cast<int64_t>(
+        bitloop::GetBits(r, j) + ((uint64_t{1} << j) - 1));
+    return negative ? -magnitude : magnitude;
+  };
 
   for (int trial = 0; trial < 50; ++trial) {
     BitWriter w;
@@ -341,56 +268,35 @@ TEST(StrategyKernels, CodecsMatchReferenceThroughSetActive) {
       bits = static_cast<size_t>(rng.UniformInt(0, bits));
     }
 
-    struct Run {
-      std::vector<uint64_t> eg;
-      std::vector<int64_t> ieg;
-      std::vector<double> pd;
-      size_t pos;
-      bool overflow;
-    };
-    auto decode_all = [&](Tier tier) {
-      EXPECT_TRUE(strategies::SetActive(tier));
-      Run run;
-      BitReader r(w.bytes().data(), bits);
-      for (int i = 0; i < n_ops; ++i) {
-        switch (ops[i]) {
-          case 0:
-            run.eg.push_back(common::GetExpGolomb(r, ks_ord[i]));
-            break;
-          case 1:
-            run.ieg.push_back(common::GetImprovedExpGolomb(r));
-            break;
-          default:
-            run.pd.push_back(pddp.Decode(r));
-            break;
+    BitReader got(w.bytes().data(), bits);
+    BitReader want(w.bytes().data(), bits);
+    for (int i = 0; i < n_ops; ++i) {
+      switch (ops[i]) {
+        case 0:
+          EXPECT_EQ(common::GetExpGolomb(got, ks_ord[i]),
+                    ref_exp_golomb(want, ks_ord[i]))
+              << "seed=" << seed << " op=" << i;
+          break;
+        case 1:
+          EXPECT_EQ(common::GetImprovedExpGolomb(got), ref_improved(want))
+              << "seed=" << seed << " op=" << i;
+          break;
+        default: {
+          const double a = pddp.Decode(got);
+          const double b = bitloop::PddpDecode(
+              want, pddp.length_field_bits(), pddp.max_code_bits());
+          // Bitwise double equality, not approximate.
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+              << "seed=" << seed << " op=" << i;
+          break;
         }
       }
-      run.pos = r.position();
-      run.overflow = r.overflow();
-      return run;
-    };
-
-    const Run want = decode_all(Tier::kBitloop);
-    for (const Tier tier : SupportedTestTiers()) {
-      const Run got = decode_all(tier);
-      EXPECT_EQ(got.eg, want.eg)
-          << strategies::TierName(tier) << " seed=" << seed;
-      EXPECT_EQ(got.ieg, want.ieg)
-          << strategies::TierName(tier) << " seed=" << seed;
-      ASSERT_EQ(got.pd.size(), want.pd.size()) << strategies::TierName(tier);
-      for (size_t i = 0; i < want.pd.size(); ++i) {
-        // Bitwise double equality, not approximate.
-        EXPECT_EQ(std::memcmp(&got.pd[i], &want.pd[i], sizeof(double)), 0)
-            << strategies::TierName(tier) << " seed=" << seed << " i=" << i;
-      }
-      EXPECT_EQ(got.pos, want.pos) << strategies::TierName(tier);
-      EXPECT_EQ(got.overflow, want.overflow) << strategies::TierName(tier);
+      ExpectSameState(got, want, "codec");
     }
   }
 }
 
 TEST(StrategyKernels, PddpDecodeRejectsOversizedLengthLikeReference) {
-  const Kernels& ref = Reference();
   // A length field beyond max_bits: structurally invalid (no real codec
   // writes one), must latch overflow after consuming exactly the length
   // field. Driven with raw kernel parameters because a real PddpCodec's
@@ -401,18 +307,14 @@ TEST(StrategyKernels, PddpDecodeRejectsOversizedLengthLikeReference) {
   w.PutBits(kMaxBits + 2, kLengthBits);
   w.PutBits(0x5A5A5A5A5A5A5Aull, 56);  // bits a buggy kernel might consume
   w.PutBits(0xFF, 8);                  // pad past one peek window
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    BitReader got(w);
-    BitReader want(w);
-    const double a = ks.pddp_decode(got, kLengthBits, kMaxBits);
-    const double b = ref.pddp_decode(want, kLengthBits, kMaxBits);
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-        << strategies::TierName(tier);
-    EXPECT_TRUE(got.overflow());
-    EXPECT_EQ(got.position(), static_cast<size_t>(kLengthBits));
-    ExpectSameState(got, want, strategies::TierName(tier), "pddp oversize");
-  }
+  BitReader got(w);
+  BitReader want(w);
+  const double a = strategies::PddpDecode(got, kLengthBits, kMaxBits);
+  const double b = bitloop::PddpDecode(want, kLengthBits, kMaxBits);
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
+  EXPECT_TRUE(got.overflow());
+  EXPECT_EQ(got.position(), static_cast<size_t>(kLengthBits));
+  ExpectSameState(got, want, "pddp oversize");
 }
 
 TEST(StrategyKernels, BatchedDeltaDecodeMatchesReference) {
@@ -448,17 +350,12 @@ TEST(StrategyKernels, BatchedDeltaDecodeMatchesReference) {
         static_cast<size_t>(count) + static_cast<size_t>(rng.UniformInt(0, 2));
     std::vector<int64_t> want(ask, -777), got(ask, -777);
     BitReader want_r = base;
-    const size_t want_n = Reference().decode_ieg(want_r, want.data(), ask);
-    for (const Tier tier : SupportedTestTiers()) {
-      const Kernels& ks = *strategies::KernelsFor(tier);
-      BitReader got_r = base;
-      std::fill(got.begin(), got.end(), -777);
-      const size_t got_n = ks.decode_ieg(got_r, got.data(), ask);
-      EXPECT_EQ(got_n, want_n) << strategies::TierName(tier);
-      EXPECT_EQ(got, want) << strategies::TierName(tier);
-      ExpectSameState(got_r, want_r, strategies::TierName(tier),
-                      "decode_ieg");
-    }
+    BitReader got_r = base;
+    const size_t want_n = bitloop::DecodeIeg(want_r, want.data(), ask);
+    const size_t got_n = strategies::DecodeIeg(got_r, got.data(), ask);
+    EXPECT_EQ(got_n, want_n) << "seed=" << seed;
+    EXPECT_EQ(got, want) << "seed=" << seed;
+    ExpectSameState(got_r, want_r, "decode_ieg");
     // On clean full-length streams the decoded deltas are the encoder's.
     if (trial % 2 == 0) {
       ASSERT_EQ(want_n, static_cast<size_t>(count));
@@ -485,121 +382,153 @@ TEST(StrategyKernels, BatchedPddpRunMatchesReference) {
     std::vector<double> want(static_cast<size_t>(count), -1.0);
     std::vector<double> got(static_cast<size_t>(count), -1.0);
     BitReader want_r = base;
-    Reference().pddp_run(want_r, codec.length_field_bits(),
-                         codec.max_code_bits(), want.data(), want.size());
-    for (const Tier tier : SupportedTestTiers()) {
-      const Kernels& ks = *strategies::KernelsFor(tier);
-      BitReader got_r = base;
-      std::fill(got.begin(), got.end(), -1.0);
-      ks.pddp_run(got_r, codec.length_field_bits(), codec.max_code_bits(),
-                  got.data(), got.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(double)),
-                0)
-          << strategies::TierName(tier);
-      ExpectSameState(got_r, want_r, strategies::TierName(tier), "pddp_run");
-    }
+    BitReader got_r = base;
+    bitloop::PddpRun(want_r, codec.length_field_bits(), codec.max_code_bits(),
+                     want.data(), want.size());
+    strategies::PddpRun(got_r, codec.length_field_bits(),
+                        codec.max_code_bits(), got.data(), got.size());
+    // Bitwise double equality; memcmp may not see an empty vector's null
+    // data().
+    EXPECT_TRUE(want.empty() || std::memcmp(got.data(), want.data(),
+                                            want.size() * sizeof(double)) == 0)
+        << "seed=" << seed;
+    ExpectSameState(got_r, want_r, "pddp_run");
   }
 }
 
-TEST(StrategyKernels, FloatKernelsAreBitExact) {
-  const uint64_t seed = test::BaseSeed(1005);
-  Rng rng(seed);
-  for (const Tier tier : SupportedTestTiers()) {
-    const Kernels& ks = *strategies::KernelsFor(tier);
-    for (int trial = 0; trial < 100; ++trial) {
-      // Sizes around the AVX2 4-lane width, magnitudes where contraction
-      // or reassociation would visibly change the rounding.
-      const size_t n = static_cast<size_t>(rng.UniformInt(0, 13));
-      std::vector<double> a(n), b(n), c(n), got(n, -1.0), want(n, -2.0);
-      for (size_t i = 0; i < n; ++i) {
-        a[i] = rng.Uniform(-1e7, 1e7);
-        b[i] = rng.Uniform(-1e7, 1e7);
-        c[i] = rng.Uniform(-1e3, 1e3);
+/// A small compressed corpus: real encoder output for the stream tests.
+struct SmallSystem {
+  traj::DatasetProfile profile = traj::ChengduProfile();
+  network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  traj::UncertainCorpus corpus = test::MakeSmallCorpus(net, profile, 2024, 40);
+  network::GridIndex grid{net, 8};
+  core::UtcqSystem sys{net, grid, corpus, Params(profile), {8, 900}};
+
+  static core::UtcqParams Params(const traj::DatasetProfile& p) {
+    core::UtcqParams params;
+    params.default_interval_s = p.default_interval_s;
+    return params;
+  }
+};
+
+/// One walk of a T block: the varint count, the 17-bit t0 and count - 1
+/// improved Exp-Golomb deltas.
+struct TimeBlockWalk {
+  uint64_t n = 0;
+  uint64_t t0 = 0;
+  std::vector<int64_t> deltas;
+  size_t clean = 0;  // deltas that decoded before overflow latched
+  size_t pos = 0;
+  bool overflow = false;
+};
+
+TimeBlockWalk WalkWithKernels(BitReader r) {
+  TimeBlockWalk walk;
+  walk.n = common::GetVarint(r);
+  walk.t0 = r.GetBits(17);
+  // Real counts are small; a corrupt one (truncated block) is capped so the
+  // walk stays bounded. Both walks apply the same cap.
+  const size_t want = static_cast<size_t>(
+      std::min<uint64_t>(walk.n > 0 ? walk.n - 1 : 0, 4096));
+  walk.deltas.assign(want, -777);
+  walk.clean = strategies::DecodeIeg(r, walk.deltas.data(), want);
+  walk.pos = r.position();
+  walk.overflow = r.overflow();
+  return walk;
+}
+
+TimeBlockWalk WalkWithReference(BitReader r) {
+  TimeBlockWalk walk;
+  // The varint framing spelled out bit by bit: a continuation bit and a
+  // 7-bit group per byte, least significant group first.
+  for (int shift = 0;; shift += 7) {
+    const uint64_t byte = bitloop::GetBits(r, 8);
+    walk.n |= (byte & 0x7Fu) << shift;
+    if ((byte & 0x80u) == 0 || shift >= 63) break;
+  }
+  walk.t0 = bitloop::GetBits(r, 17);
+  const size_t want = static_cast<size_t>(
+      std::min<uint64_t>(walk.n > 0 ? walk.n - 1 : 0, 4096));
+  walk.deltas.assign(want, -777);
+  walk.clean = bitloop::DecodeIeg(r, walk.deltas.data(), want);
+  walk.pos = r.position();
+  walk.overflow = r.overflow();
+  return walk;
+}
+
+void ExpectSameWalk(const TimeBlockWalk& got, const TimeBlockWalk& want,
+                    size_t j, const char* what) {
+  EXPECT_EQ(got.n, want.n) << what << " traj " << j;
+  EXPECT_EQ(got.t0, want.t0) << what << " traj " << j;
+  EXPECT_EQ(got.deltas, want.deltas) << what << " traj " << j;
+  EXPECT_EQ(got.clean, want.clean) << what << " traj " << j;
+  EXPECT_EQ(got.pos, want.pos) << what << " traj " << j;
+  EXPECT_EQ(got.overflow, want.overflow) << what << " traj " << j;
+}
+
+TEST(StrategyStreams, EncoderTimeBlocksMatchReference) {
+  // The kernels on encoder output, not only random bits: every
+  // trajectory's real T block, walked by both implementations from
+  // meta.t_pos, whole and truncated.
+  const SmallSystem s;
+  const core::CorpusView cc = s.sys.compressed().view();
+  const common::BitSpan span = cc.t_span();
+  ASSERT_GT(cc.num_trajectories(), 0u);
+  Rng rng(test::BaseSeed(1008));
+  for (size_t j = 0; j < cc.num_trajectories(); ++j) {
+    const core::TrajMeta& meta = cc.meta(j);
+    BitReader r(span);
+    r.Seek(meta.t_pos);
+    const TimeBlockWalk want = WalkWithReference(r);
+    const TimeBlockWalk got = WalkWithKernels(r);
+    ExpectSameWalk(got, want, j, "whole");
+    // A clean walk decodes every sample of the trajectory.
+    EXPECT_FALSE(want.overflow) << "traj " << j;
+    EXPECT_EQ(want.n, meta.n_points) << "traj " << j;
+    EXPECT_EQ(want.clean, want.deltas.size()) << "traj " << j;
+
+    // The same block cut short at a random bit inside it (header included):
+    // both must stop on the same symbol with the same cursor and latch.
+    const size_t block_bits = want.pos - meta.t_pos;
+    const size_t cut = meta.t_pos + static_cast<size_t>(rng.UniformInt(
+                                        0, static_cast<int64_t>(block_bits) - 1));
+    std::vector<uint8_t> copy(span.data, span.data + span.size_bytes());
+    BitReader tr(copy.data(), cut);
+    tr.Seek(meta.t_pos);
+    const TimeBlockWalk want_cut = WalkWithReference(tr);
+    const TimeBlockWalk got_cut = WalkWithKernels(tr);
+    ExpectSameWalk(got_cut, want_cut, j, "truncated");
+    EXPECT_TRUE(want_cut.overflow) << "traj " << j << " cut=" << cut;
+  }
+}
+
+TEST(StrategyStreams, BracketInterpolationIsBitExact) {
+  // PositionsInBracket shares one fraction and one path walk per instance;
+  // each answer must be the exact double PositionInBracket computes alone.
+  const SmallSystem s;
+  Rng rng(test::BaseSeed(1009));
+  for (const traj::UncertainTrajectory& tu : s.corpus) {
+    std::vector<const traj::TrajectoryInstance*> insts;
+    for (const auto& inst : tu.instances) insts.push_back(&inst);
+    for (int q = 0; q < 5; ++q) {
+      const size_t i = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(tu.times.size()) - 1));
+      const traj::Timestamp t0 = tu.times[i];
+      const traj::Timestamp t1 =
+          i + 1 < tu.times.size() ? tu.times[i + 1] : t0;
+      const traj::Timestamp t = t0 + rng.UniformInt(0, std::max<int64_t>(
+                                                           t1 - t0, 0));
+      const auto batch = traj::PositionsInBracket(s.net, insts, i, t0, t1, t);
+      ASSERT_EQ(batch.size(), insts.size());
+      for (size_t k = 0; k < insts.size(); ++k) {
+        const traj::NetworkPosition one =
+            traj::PositionInBracket(s.net, *insts[k], i, t0, t1, t);
+        EXPECT_EQ(batch[k].edge, one.edge);
+        EXPECT_EQ(std::memcmp(&batch[k].ndist, &one.ndist, sizeof(double)),
+                  0)
+            << "traj " << tu.id << " i=" << i << " k=" << k;
       }
-      const double f = rng.Uniform(-2.0, 2.0);
-
-      ks.lerp(a.data(), b.data(), f, got.data(), n);
-      for (size_t i = 0; i < n; ++i) want[i] = a[i] + (b[i] - a[i]) * f;
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
-          << strategies::TierName(tier) << " lerp seed=" << seed;
-
-      ks.mul_add(a.data(), b.data(), c.data(), got.data(), n);
-      for (size_t i = 0; i < n; ++i) want[i] = a[i] + b[i] * c[i];
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
-          << strategies::TierName(tier) << " mul_add seed=" << seed;
     }
-  }
-}
-
-TEST(StrategyCorpus, AllTiersDecodeAndQueryIdentically) {
-  // End-to-end: one compressed corpus, decompressed and queried under
-  // every tier. Hit-for-hit identical — positions and probabilities are
-  // compared as exact doubles, not approximately.
-  ActiveTierGuard guard;
-  const auto profile = traj::ChengduProfile();
-  const auto net = test::MakeSmallCity(profile, 14);
-  const auto corpus = test::MakeSmallCorpus(net, profile, 2024, 40);
-
-  core::UtcqParams params;
-  params.default_interval_s = profile.default_interval_s;
-  const network::GridIndex grid(net, 8);
-  const core::UtcqSystem sys(net, grid, corpus, params, {8, 900});
-
-  struct TierRun {
-    traj::UncertainCorpus decoded;
-    std::vector<std::vector<traj::WhereHit>> where;
-    std::vector<std::vector<traj::WhenHit>> when;
-    std::vector<traj::RangeResult> range;
-  };
-  const auto bbox = net.bounding_box();
-  auto run_tier = [&](Tier tier) {
-    EXPECT_TRUE(strategies::SetActive(tier));
-    TierRun run;
-    run.decoded = sys.decoder().DecompressAll();
-    Rng rng(7);  // same query workload for every tier
-    for (int q = 0; q < 30; ++q) {
-      const size_t j =
-          static_cast<size_t>(rng.UniformInt(0, corpus.size() - 1));
-      const auto& tu = corpus[j];
-      const traj::Timestamp t =
-          tu.times.front() +
-          rng.UniformInt(0, std::max<int64_t>(
-                                tu.times.back() - tu.times.front(), 1));
-      const double alpha = rng.Uniform(0.05, 0.8);
-      run.where.push_back(sys.queries().Where(j, t, alpha));
-
-      const auto& inst0 = tu.instances.front();
-      const auto& loc = inst0.locations[static_cast<size_t>(
-          rng.UniformInt(0, inst0.locations.size() - 1))];
-      run.when.push_back(sys.queries().When(
-          j, inst0.path[loc.path_index], loc.rd, alpha));
-
-      const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
-      const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
-      const double half = rng.Uniform(100.0, 600.0);
-      run.range.push_back(sys.queries().Range(
-          {cx - half, cy - half, cx + half, cy + half}, t, alpha));
-    }
-    return run;
-  };
-
-  const TierRun want = run_tier(Tier::kBitloop);
-  ASSERT_EQ(want.decoded.size(), corpus.size());
-  for (const Tier tier : SupportedTestTiers()) {
-    const TierRun got = run_tier(tier);
-    ASSERT_EQ(got.decoded.size(), want.decoded.size())
-        << strategies::TierName(tier);
-    for (size_t j = 0; j < want.decoded.size(); ++j) {
-      EXPECT_EQ(got.decoded[j].id, want.decoded[j].id);
-      EXPECT_EQ(got.decoded[j].times, want.decoded[j].times)
-          << strategies::TierName(tier) << " traj " << j;
-      EXPECT_EQ(got.decoded[j].instances, want.decoded[j].instances)
-          << strategies::TierName(tier) << " traj " << j;
-    }
-    EXPECT_EQ(got.where, want.where) << strategies::TierName(tier);
-    EXPECT_EQ(got.when, want.when) << strategies::TierName(tier);
-    EXPECT_EQ(got.range, want.range) << strategies::TierName(tier);
   }
 }
 

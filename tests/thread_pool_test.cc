@@ -1,8 +1,7 @@
 // Behavioural pinning of the persistent work-stealing pool (DESIGN.md §12):
 // exactly-once index coverage, nesting, zero-worker degradation, drain-
 // before-join shutdown, and many external threads sharing one pool. The
-// strategy-matrix ctest pass reruns this file under every kernel tier, and
-// the TSan CI job runs it under ThreadSanitizer.
+// TSan CI job runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
