@@ -1,7 +1,7 @@
 // Streaming-ingestion benchmark: raw GPS points through the
 // ingest::StreamingService — online matching throughput (points/sec), seal
 // latency percentiles, flush cost, and live-vs-sealed query throughput
-// through a tier-mode serve::QueryEngine.
+// through a serve::QueryEngine over the tier.
 //
 // Emits BENCH_ingest.json, the baseline of the streaming tier, validated
 // by scripts/validate_bench_json.py in CI next to BENCH_shard.json and

@@ -19,8 +19,8 @@ namespace utcq::serve {
 /// Byte-budgeted, sharded LRU cache of decoded trajectories — the
 /// amortization structure of the query-serving layer (DESIGN.md §9).
 ///
-/// Keys are opaque 64-bit ids (the engine packs corpus-shard/local-index
-/// pairs). The key space is partitioned across `num_shards` independent
+/// Keys are opaque 64-bit ids (the engine uses global trajectory ids).
+/// The key space is partitioned across `num_shards` independent
 /// LRU lists, each behind its own mutex, so concurrent readers of distinct
 /// trajectories rarely contend; the decode itself always runs *outside*
 /// the lock, so a slow decode never serializes the shard's hits. Each
@@ -40,7 +40,10 @@ class DecodedTrajCache {
  public:
   /// `budget_bytes` is the total across shards (each shard gets an equal
   /// slice); 0 disables retention entirely (every lookup decodes).
-  explicit DecodedTrajCache(size_t budget_bytes, uint32_t num_shards = 8,
+  static constexpr uint32_t kDefaultShards = 8;
+
+  explicit DecodedTrajCache(size_t budget_bytes,
+                            uint32_t num_shards = kDefaultShards,
                             obs::MetricRegistry* registry = nullptr);
 
   DecodedTrajCache(const DecodedTrajCache&) = delete;

@@ -10,18 +10,19 @@ namespace utcq::serve {
 
 namespace {
 
-/// Cache key: corpus shard in the high half, local index in the low half.
-uint64_t CacheKey(uint32_t shard, uint32_t local) {
-  return (static_cast<uint64_t>(shard) << 32) | local;
-}
+/// A whole single corpus served as a live tail: local index = global id.
+class CorpusTail final : public LiveTail {
+ public:
+  explicit CorpusTail(const core::UtcqQueryProcessor& queries)
+      : queries_(queries) {}
+  const core::UtcqQueryProcessor& queries() const override { return queries_; }
+  uint32_t count() const override {
+    return static_cast<uint32_t>(queries_.decoder().view().num_trajectories());
+  }
 
-/// Pseudo-shard of tier-mode cache keys. In tier mode *every* entry —
-/// sealed or live — is keyed by its global trajectory id: a sealed
-/// trajectory's decoded form never changes, so the very entry warmed while
-/// it was live keeps serving after the flush moves it into the sealed set,
-/// and across live-shard rebuilds. (A sealed archive set never reaches
-/// 2^32 - 1 real shards, so the pseudo-shard cannot collide.)
-constexpr uint32_t kTierKeyShard = 0xFFFFFFFFu;
+ private:
+  const core::UtcqQueryProcessor& queries_;
+};
 
 obs::MetricRegistry* ResolveRegistry(
     obs::MetricRegistry* requested,
@@ -64,32 +65,33 @@ QueryRequest QueryRequest::MakeRange(const network::Rect& region,
   return req;
 }
 
-#define UTCQ_ENGINE_INIT(opts)                                            \
-  opts_(opts), clock_(opts.clock != nullptr ? opts.clock                  \
-                                            : &obs::Clock::Real()),       \
-      cache_(opts.cache_budget_bytes, opts.cache_shards,                  \
-             ResolveRegistry(opts.registry, owned_registry_))
-
 QueryEngine::QueryEngine(const core::UtcqQueryProcessor& queries,
                          EngineOptions opts)
-    : single_(&queries), UTCQ_ENGINE_INIT(opts) {
-  InitInstruments();
-}
+    : QueryEngine(nullptr,
+                  std::make_shared<const TierSnapshot>(TierSnapshot{
+                      nullptr, std::make_shared<const CorpusTail>(queries)}),
+                  opts) {}
 
 QueryEngine::QueryEngine(const shard::ShardedCorpus& corpus,
                          EngineOptions opts)
-    : sharded_(&corpus), UTCQ_ENGINE_INIT(opts) {
-  InitInstruments();
-}
+    : QueryEngine(nullptr,
+                  std::make_shared<const TierSnapshot>(TierSnapshot{
+                      // Non-owning alias: the caller keeps `corpus` alive.
+                      {std::shared_ptr<void>(), &corpus}, nullptr}),
+                  opts) {}
 
 QueryEngine::QueryEngine(const TierSource& tier, EngineOptions opts)
-    : tier_(&tier), UTCQ_ENGINE_INIT(opts) {
-  InitInstruments();
-}
+    : QueryEngine(&tier, nullptr, opts) {}
 
-#undef UTCQ_ENGINE_INIT
-
-void QueryEngine::InitInstruments() {
+QueryEngine::QueryEngine(const TierSource* tier,
+                         std::shared_ptr<const TierSnapshot> fixed,
+                         EngineOptions opts)
+    : fixed_(std::move(fixed)),
+      tier_(tier != nullptr ? tier : &fixed_),
+      opts_(opts),
+      clock_(opts.clock != nullptr ? opts.clock : &obs::Clock::Real()),
+      cache_(opts.cache_budget_bytes, DecodedTrajCache::kDefaultShards,
+             ResolveRegistry(opts.registry, owned_registry_)) {
   obs::MetricRegistry& reg =
       opts_.registry != nullptr ? *opts_.registry : *owned_registry_;
   queries_ = &reg.GetCounter("serve.engine.queries");
@@ -108,44 +110,27 @@ void QueryEngine::InitInstruments() {
 }
 
 size_t QueryEngine::num_trajectories() const {
-  if (tier_ != nullptr) return tier_->Acquire()->num_trajectories();
-  return sharded_ != nullptr
-             ? sharded_->num_trajectories()
-             : single_->decoder().view().num_trajectories();
-}
-
-size_t QueryEngine::TotalOf(const TierSnapshot* snap) const {
-  return snap != nullptr ? snap->num_trajectories() : num_trajectories();
+  return tier_->Acquire()->num_trajectories();
 }
 
 QueryEngine::Target QueryEngine::Resolve(uint32_t global,
-                                         const TierSnapshot* snap) const {
-  if (snap != nullptr) {
-    const size_t sealed_n = snap->sealed_count();
-    if (global < sealed_n) {
-      const auto [s, local] = snap->sealed->Route(global);
-      return {&snap->sealed->shard_queries(s), s, local,
-              CacheKey(kTierKeyShard, global)};
-    }
-    const uint32_t local = global - static_cast<uint32_t>(sealed_n);
-    return {&snap->live->queries(), kTierKeyShard, local,
-            CacheKey(kTierKeyShard, global)};
+                                         const TierSnapshot& snap) const {
+  const size_t sealed_n = snap.sealed_count();
+  if (global < sealed_n) {
+    const auto [s, local] = snap.sealed->Route(global);
+    return {&snap.sealed->shard_queries(s), local, global};
   }
-  if (sharded_ != nullptr) {
-    const auto [s, local] = sharded_->Route(global);
-    return {&sharded_->shard_queries(s), s, local, CacheKey(s, local)};
-  }
-  return {single_, 0, global, CacheKey(0, global)};
+  return {&snap.live->queries(), global - static_cast<uint32_t>(sealed_n),
+          global};
 }
 
 std::shared_ptr<const traj::DecodedTraj> QueryEngine::Pin(
     const Target& target, PinAgg* agg) {
-  const core::UtcqQueryProcessor* qp = target.qp;
-  const uint32_t local = target.local;
   DecodedTrajCache::PinOutcome outcome;
   auto dt = cache_.GetOrDecode(
-      target.cache_key,
-      [qp, local] { return qp->decoder().DecodeTraj(local); }, &outcome);
+      target.global,
+      [&target] { return target.qp->decoder().DecodeTraj(target.local); },
+      &outcome);
   if (agg != nullptr && !outcome.hit) {
     common::MutexLock lock(agg->mu);
     agg->decode_bytes += outcome.decoded_bytes;
@@ -232,81 +217,77 @@ traj::RangeResult QueryEngine::Range(const network::Rect& region,
 }
 
 QueryResult QueryEngine::Execute(const QueryRequest& req) {
-  std::shared_ptr<const TierSnapshot> snap;
-  if (tier_ != nullptr) snap = tier_->Acquire();
-  return ExecuteOne(req, opts_.num_threads, snap.get());
+  const std::shared_ptr<const TierSnapshot> snap = tier_->Acquire();
+  std::shared_ptr<const traj::DecodedTraj> dt;
+  QueryResult result = ExecuteOne(req, 0, *snap, &dt);
+  queries_->Increment();
+  return result;
 }
 
-QueryResult QueryEngine::ExecuteOne(const QueryRequest& req,
-                                    unsigned range_threads,
-                                    const TierSnapshot* snap) {
+QueryResult QueryEngine::ExecuteOne(
+    const QueryRequest& req, unsigned range_threads, const TierSnapshot& snap,
+    std::shared_ptr<const traj::DecodedTraj>* dt) {
   const uint64_t start_ns = clock_->NowNanos();
   PinAgg agg;
   QueryResult result;
   result.kind = req.kind;
-  // A server-shaped API sees untrusted trajectory ids: out-of-range point
-  // queries answer empty instead of indexing past the routing table.
-  const bool routable =
-      req.kind == QueryKind::kRange || req.traj < TotalOf(snap);
-  if (routable) {
-    switch (req.kind) {
-      case QueryKind::kWhere: {
-        const Target target = Resolve(req.traj, snap);
-        // The uncached path rejects an out-of-window t from meta alone;
-        // pinning first would turn that O(1) rejection into a full decode.
-        const core::TrajMeta& meta =
-            target.qp->decoder().view().meta(target.local);
-        if (req.t < meta.t_first || req.t > meta.t_last) break;
-        if (PartialActive()) {
-          // Seek path: bracket through the sync table and decode only the
-          // qualifying instances — never the cache (a partial expansion
-          // cached under the full-decode key would poison later hits).
-          core::QueryStats qs;
-          result.where = target.qp->Where(target.local, req.t, req.alpha, &qs);
-          RecordPartial(qs, &agg);
-          break;
-        }
-        const auto dt = Pin(target, &agg);
-        result.where = target.qp->Where(target.local, req.t, req.alpha, *dt);
-        break;
-      }
-      case QueryKind::kWhen: {
-        const Target target = Resolve(req.traj, snap);
-        // Same principle as kWhere: the uncached path rejects a trajectory
-        // with no StIU tuples near the edge from the index alone (Lemma 1
-        // full skip) — keep that O(index) rejection ahead of the decode.
-        // Accepted edges repeat this per-trajectory tuple lookup inside
-        // When's group construction; that duplicate index probe is orders
-        // cheaper than the decode the rejection avoids.
-        if (!target.qp->MayPassEdge(target.local, req.edge)) break;
-        if (PartialActive()) {
-          core::QueryStats qs;
-          result.when =
-              target.qp->When(target.local, req.edge, req.rd, req.alpha, &qs);
-          RecordPartial(qs, &agg);
-          break;
-        }
-        const auto dt = Pin(target, &agg);
-        result.when =
-            target.qp->When(target.local, req.edge, req.rd, req.alpha, *dt);
-        break;
-      }
-      case QueryKind::kRange:
-        result.range = RangeInternal(req.region, req.t, req.alpha,
-                                     range_threads, snap, &agg);
-        break;
-    }
+  if (req.kind == QueryKind::kRange) {
+    result.range = RangeInternal(req.region, req.t, req.alpha, range_threads,
+                                 snap, &agg);
+  } else if (req.traj < snap.num_trajectories()) {
+    // A server-shaped API sees untrusted trajectory ids: out-of-range
+    // point queries answer empty (still timed and accounted) instead of
+    // indexing past the routing table.
+    AnswerPoint(req, Resolve(req.traj, snap), dt, &agg, &result);
   }
-  queries_->Increment();
   const uint64_t now_ns = clock_->NowNanos();
   FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
   return result;
 }
 
+void QueryEngine::AnswerPoint(const QueryRequest& req, const Target& target,
+                              std::shared_ptr<const traj::DecodedTraj>* dt,
+                              PinAgg* agg, QueryResult* result) {
+  const core::UtcqQueryProcessor& qp = *target.qp;
+  const bool where = req.kind == QueryKind::kWhere;
+  // The uncached path rejects an out-of-window t from meta alone, and a
+  // trajectory with no StIU tuples near the edge from the index alone
+  // (Lemma 1 full skip); pinning first would turn those cheap rejections
+  // into full decodes. Accepted edges repeat the tuple lookup inside
+  // When's group construction — a probe orders cheaper than the decode
+  // the rejection avoids.
+  if (where) {
+    const core::TrajMeta& meta = qp.decoder().view().meta(target.local);
+    if (req.t < meta.t_first || req.t > meta.t_last) return;
+  } else if (!qp.MayPassEdge(target.local, req.edge)) {
+    return;
+  }
+  if (PartialActive()) {
+    // Seek path: bracket through the sync table and decode only the
+    // qualifying instances — never the cache (a partial expansion cached
+    // under the full-decode key would poison later hits).
+    core::QueryStats qs;
+    if (where) {
+      result->where = qp.Where(target.local, req.t, req.alpha, &qs);
+    } else {
+      result->when = qp.When(target.local, req.edge, req.rd, req.alpha, &qs);
+    }
+    RecordPartial(qs, agg);
+    return;
+  }
+  // The decode lands in this request's latency sample and pin attribution.
+  if (*dt == nullptr) *dt = Pin(target, agg);
+  if (where) {
+    result->where = qp.Where(target.local, req.t, req.alpha, **dt);
+  } else {
+    result->when = qp.When(target.local, req.edge, req.rd, req.alpha, **dt);
+  }
+}
+
 traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
                                              traj::Timestamp tq, double alpha,
                                              unsigned num_threads,
-                                             const TierSnapshot* snap,
+                                             const TierSnapshot& snap,
                                              PinAgg* agg) {
   // Cached Range hands the processors a provider that pins through the
   // cache. A cold bracket passes empty providers instead, so surviving
@@ -315,56 +296,32 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
   const bool cached = !PartialActive();
   core::QueryStats qs;
   traj::RangeResult out;
-  if (snap != nullptr) {
-    // Sealed fan-out first, then the live tail; live hits are offset to
-    // global ids, and since every live id exceeds every sealed id the
-    // concatenation is already globally sorted.
-    if (snap->sealed != nullptr) {
-      shard::ShardDecodedProvider provider;
-      if (cached) {
-        provider = [this, snap, agg](uint32_t s, uint32_t local) {
-          const uint32_t global =
-              snap->sealed->manifest().shards[s].members[local];
-          return Pin({&snap->sealed->shard_queries(s), s, local,
-                      CacheKey(kTierKeyShard, global)},
-                     agg);
-        };
-      }
-      out = snap->sealed->Range(region, tq, alpha, &qs, num_threads,
-                                provider);
-    }
-    if (snap->live != nullptr) {
-      const uint32_t base = static_cast<uint32_t>(snap->sealed_count());
-      traj::DecodedProvider provider;
-      if (cached) {
-        provider = [this, snap, base, agg](uint32_t local) {
-          return Pin({&snap->live->queries(), kTierKeyShard, local,
-                      CacheKey(kTierKeyShard, base + local)},
-                     agg);
-        };
-      }
-      for (const uint32_t local :
-           snap->live->queries().Range(region, tq, alpha, provider, &qs)) {
-        out.push_back(base + local);
-      }
-    }
-  } else if (sharded_ != nullptr) {
+  // Sealed fan-out first, then the live tail; live hits are offset to
+  // global ids, and since every live id exceeds every sealed id the
+  // concatenation is already globally sorted.
+  if (snap.sealed != nullptr) {
     shard::ShardDecodedProvider provider;
     if (cached) {
-      provider = [this, agg](uint32_t s, uint32_t local) {
-        return Pin({&sharded_->shard_queries(s), s, local, CacheKey(s, local)},
+      provider = [this, &snap, agg](uint32_t s, uint32_t local) {
+        return Pin({&snap.sealed->shard_queries(s), local,
+                    snap.sealed->manifest().shards[s].members[local]},
                    agg);
       };
     }
-    out = sharded_->Range(region, tq, alpha, &qs, num_threads, provider);
-  } else {
+    out = snap.sealed->Range(region, tq, alpha, &qs, num_threads, provider);
+  }
+  if (snap.live != nullptr) {
+    const uint32_t base = static_cast<uint32_t>(snap.sealed_count());
     traj::DecodedProvider provider;
     if (cached) {
-      provider = [this, agg](uint32_t j) {
-        return Pin({single_, 0, j, CacheKey(0, j)}, agg);
+      provider = [this, &snap, base, agg](uint32_t local) {
+        return Pin({&snap.live->queries(), local, base + local}, agg);
       };
     }
-    out = single_->Range(region, tq, alpha, provider, &qs);
+    for (const uint32_t local :
+         snap.live->queries().Range(region, tq, alpha, provider, &qs)) {
+      out.push_back(base + local);
+    }
   }
   if (!cached) RecordPartial(qs, agg);
   range_tuples_scanned_->Record(qs.tuples_scanned);
@@ -378,8 +335,7 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
 
   // One snapshot for the whole batch: every request is answered against
   // the same live+sealed split even while ingestion seals and flushes.
-  std::shared_ptr<const TierSnapshot> snap;
-  if (tier_ != nullptr) snap = tier_->Acquire();
+  const std::shared_ptr<const TierSnapshot> snap = tier_->Acquire();
 
   // Group point queries by target trajectory so each trajectory's decode
   // (or cache fetch) happens once per batch regardless of how requests
@@ -387,14 +343,9 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   std::vector<std::pair<uint32_t, std::vector<uint32_t>>> groups;
   std::unordered_map<uint32_t, size_t> group_of;
   std::vector<uint32_t> ranges;
-  const size_t total = TotalOf(snap.get());
   for (uint32_t i = 0; i < requests.size(); ++i) {
     if (requests[i].kind == QueryKind::kRange) {
       ranges.push_back(i);
-      continue;
-    }
-    if (requests[i].traj >= total) {  // untrusted id: answer empty
-      results[i].kind = requests[i].kind;
       continue;
     }
     const auto [it, inserted] =
@@ -409,67 +360,18 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   // whole batch (longest-processing-time-first). A lone unit cannot
   // saturate the workers, so only then does the nested fan-out get them.
   const size_t units = groups.size() + ranges.size();
-  const unsigned range_threads = units <= 1 ? opts_.num_threads : 1;
-  common::ParallelFor(units, opts_.num_threads, [&](size_t u) {
-    if (u >= ranges.size()) {
-      const auto& [traj_idx, members] = groups[u - ranges.size()];
-      const Target target = Resolve(traj_idx, snap.get());
-      const core::TrajMeta& meta =
-          target.qp->decoder().view().meta(target.local);
-      // Pinned by the first request that survives its cheap rejection —
-      // the decode lands in that request's latency sample and pin
-      // attribution, matching Execute()'s accounting, and a group of
-      // all-rejected requests never decodes at all.
-      std::shared_ptr<const traj::DecodedTraj> dt;
-      for (const uint32_t i : members) {
-        const QueryRequest& req = requests[i];
-        const uint64_t start_ns = clock_->NowNanos();
-        PinAgg agg;
-        const auto pinned = [&]() -> const traj::DecodedTraj& {
-          if (dt == nullptr) dt = Pin(target, &agg);
-          return *dt;
-        };
-        results[i].kind = req.kind;
-        if (PartialActive()) {
-          // Same uncached calls as Execute()'s partial branch; requests
-          // the cheap meta/index rejection dismisses don't count as
-          // partial queries there either.
-          core::QueryStats qs;
-          bool attempted = false;
-          if (req.kind == QueryKind::kWhere) {
-            if (req.t >= meta.t_first && req.t <= meta.t_last) {
-              results[i].where =
-                  target.qp->Where(target.local, req.t, req.alpha, &qs);
-              attempted = true;
-            }
-          } else if (target.qp->MayPassEdge(target.local, req.edge)) {
-            results[i].when = target.qp->When(target.local, req.edge, req.rd,
-                                              req.alpha, &qs);
-            attempted = true;
-          }
-          if (attempted) RecordPartial(qs, &agg);
-        } else if (req.kind == QueryKind::kWhere) {
-          if (req.t >= meta.t_first && req.t <= meta.t_last) {
-            results[i].where =
-                target.qp->Where(target.local, req.t, req.alpha, pinned());
-          }
-        } else if (target.qp->MayPassEdge(target.local, req.edge)) {
-          results[i].when = target.qp->When(target.local, req.edge, req.rd,
-                                            req.alpha, pinned());
-        }
-        const uint64_t now_ns = clock_->NowNanos();
-        FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
-      }
-    } else {
-      const uint32_t i = ranges[u];
-      const QueryRequest& req = requests[i];
-      const uint64_t start_ns = clock_->NowNanos();
-      PinAgg agg;
-      results[i].kind = req.kind;
-      results[i].range = RangeInternal(req.region, req.t, req.alpha,
-                                       range_threads, snap.get(), &agg);
-      const uint64_t now_ns = clock_->NowNanos();
-      FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
+  const unsigned range_threads = units <= 1 ? 0 : 1;
+  common::ParallelFor(units, 0, [&](size_t u) {
+    if (u < ranges.size()) {
+      results[ranges[u]] =
+          ExecuteOne(requests[ranges[u]], range_threads, *snap, nullptr);
+      return;
+    }
+    // One lazy pin per group: a group of all-rejected requests never
+    // decodes at all.
+    std::shared_ptr<const traj::DecodedTraj> dt;
+    for (const uint32_t i : groups[u - ranges.size()].second) {
+      results[i] = ExecuteOne(requests[i], range_threads, *snap, &dt);
     }
   });
 

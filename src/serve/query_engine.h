@@ -66,17 +66,11 @@ struct EngineOptions {
   /// Total decoded-trajectory cache budget. 0 keeps nothing resident
   /// (every query decodes — the cold path, useful for measurement).
   size_t cache_budget_bytes = 256ull << 20;
-  uint32_t cache_shards = 8;
   /// Partial-decode policy; see PartialDecode. The partial path never
   /// touches the DecodedTrajCache in either direction — in particular it
   /// must never insert its partially expanded state under the full-decode
   /// key, where a later query would trust it as complete.
   PartialDecode partial_decode = PartialDecode::kAuto;
-  /// Fan-out width for ExecuteBatch grouping and Range. 0 picks
-  /// common::DefaultThreads(). Work runs on the process-wide persistent
-  /// ThreadPool::Shared() (no per-batch thread spawning); this caps how
-  /// many of its workers one batch enlists.
-  unsigned num_threads = 0;
   /// Where the engine's `serve.*` instruments live (DESIGN.md §15).
   /// nullptr = a private registry, so independent engines (tests) keep
   /// exact per-instance stats; a server passes one registry for export.
@@ -133,11 +127,15 @@ struct EngineStats {
   }
 };
 
-/// The query-serving layer (DESIGN.md §9): sits above a single compressed
-/// corpus (CorpusView + StIU via UtcqQueryProcessor) or a sharded archive
-/// set, and amortizes the expensive step of every probabilistic query — the
-/// bitstream decode of the target trajectory — across repeated accesses
-/// through a byte-budgeted, sharded-LRU DecodedTrajCache.
+/// The query-serving layer (DESIGN.md §9): answers against the
+/// TierSnapshots of one TierSource — a sealed archive set covering global
+/// ids [0, sealed) plus a live tail covering the rest — and amortizes the
+/// expensive step of every probabilistic query, the bitstream decode of the
+/// target trajectory, across repeated accesses through a byte-budgeted,
+/// sharded-LRU DecodedTrajCache keyed by global trajectory id. A single
+/// corpus or an opened archive set is served as a fixed tier (FixedTier).
+/// Fan-out (ExecuteBatch grouping, Range) runs on the process-wide
+/// persistent ThreadPool::Shared() at common::DefaultThreads() width.
 ///
 /// All entry points are safe to call from many threads concurrently: the
 /// underlying processors are immutable, the cache takes per-shard locks,
@@ -146,26 +144,26 @@ struct EngineStats {
 /// processor returns.
 class QueryEngine {
  public:
-  /// Serves a single corpus. `queries` (and everything it borrows) must
+  /// Serves a single corpus, as a tier with nothing sealed whose live
+  /// tail is the whole corpus. `queries` (and everything it borrows) must
   /// outlive the engine.
   explicit QueryEngine(const core::UtcqQueryProcessor& queries,
                        EngineOptions opts = {});
 
-  /// Serves an opened sharded archive set; point queries route to the
-  /// owning shard, Range fans out with the cache shared across shards.
+  /// Serves an opened sharded archive set, as a tier that is all sealed;
+  /// point queries route to the owning shard, Range fans out with the
+  /// cache shared across shards. `corpus` must outlive the engine.
   explicit QueryEngine(const shard::ShardedCorpus& corpus,
                        EngineOptions opts = {});
 
-  /// Live+sealed mode: serves a streaming tier (DESIGN.md §10). Every
-  /// Execute acquires one TierSnapshot — ExecuteBatch one for the whole
-  /// batch — so each request sees a consistent sealed-set/live-tail split
-  /// while ingestion seals and flushes underneath. Point queries route by
-  /// global id to whichever part currently owns it; Range merges the
-  /// sealed fan-out with the live tail's hits. Every decoded-cache entry
-  /// is keyed by global id in this mode, which stays valid across
-  /// live-shard rebuilds and across the flush that moves a trajectory into
-  /// the sealed set (its decoded form never changes) — flushing never
-  /// cools the cache.
+  /// Serves a streaming tier (DESIGN.md §10). Every Execute acquires one
+  /// TierSnapshot — ExecuteBatch one for the whole batch — so each request
+  /// sees a consistent sealed-set/live-tail split while ingestion seals
+  /// and flushes underneath. Point queries route by global id to whichever
+  /// part currently owns it; Range merges the sealed fan-out with the live
+  /// tail's hits. The global-id cache key stays valid across live-shard
+  /// rebuilds and across the flush that moves a trajectory into the sealed
+  /// set (its decoded form never changes) — flushing never cools the cache.
   explicit QueryEngine(const TierSource& tier, EngineOptions opts = {});
 
   size_t num_trajectories() const;
@@ -192,15 +190,14 @@ class QueryEngine {
   /// The retained worst queries, sorted slowest first. Empty unless
   /// EngineOptions::slow_query_threshold_us is set.
   std::vector<SlowQuery> slow_queries() const;
-  void ClearCache() { cache_.Clear(); }
-  const EngineOptions& options() const { return opts_; }
 
  private:
+  /// Where one global id lives in a snapshot: the owning processor, the
+  /// id's local index there, and the global id itself (the cache key).
   struct Target {
     const core::UtcqQueryProcessor* qp = nullptr;
-    uint32_t shard = 0;
     uint32_t local = 0;
-    uint64_t cache_key = 0;
+    uint32_t global = 0;
   };
 
   /// Per-query pin cost, accumulated across every Pin the query takes
@@ -211,7 +208,11 @@ class QueryEngine {
     uint64_t misses UTCQ_GUARDED_BY(mu) = 0;
   };
 
-  void InitInstruments();
+  /// Every public constructor lands here: serves `tier`, or the fixed
+  /// snapshot `fixed` when `tier` is null.
+  QueryEngine(const TierSource* tier, std::shared_ptr<const TierSnapshot> fixed,
+              EngineOptions opts);
+
   /// True when this engine answers point queries / cold Range brackets via
   /// partial decode (see PartialDecode).
   bool PartialActive() const {
@@ -223,16 +224,25 @@ class QueryEngine {
   /// and the per-query pin aggregation (for the decode_bytes histogram and
   /// slow-query log; cache miss accounting is untouched — no pin happened).
   void RecordPartial(const core::QueryStats& qs, PinAgg* agg);
-  size_t TotalOf(const TierSnapshot* snap) const;
-  Target Resolve(uint32_t global, const TierSnapshot* snap) const;
+  /// `global` must be below snap.num_trajectories().
+  Target Resolve(uint32_t global, const TierSnapshot& snap) const;
   std::shared_ptr<const traj::DecodedTraj> Pin(const Target& target,
                                                PinAgg* agg);
+  /// Times, answers and accounts one request of any kind. `dt` is the
+  /// target's lazy pin for point queries (ignored for Range): the first
+  /// request that survives its cheap rejection fills it, so a batch that
+  /// shares one slot per trajectory decodes it at most once.
   QueryResult ExecuteOne(const QueryRequest& req, unsigned range_threads,
-                         const TierSnapshot* snap);
+                         const TierSnapshot& snap,
+                         std::shared_ptr<const traj::DecodedTraj>* dt);
+  /// The one Where/When routine behind Execute and ExecuteBatch.
+  void AnswerPoint(const QueryRequest& req, const Target& target,
+                   std::shared_ptr<const traj::DecodedTraj>* dt, PinAgg* agg,
+                   QueryResult* result);
   traj::RangeResult RangeInternal(const network::Rect& region,
                                   traj::Timestamp tq, double alpha,
                                   unsigned num_threads,
-                                  const TierSnapshot* snap, PinAgg* agg);
+                                  const TierSnapshot& snap, PinAgg* agg);
   obs::Histogram& LatencyFor(QueryKind kind) {
     switch (kind) {
       case QueryKind::kWhere: return *latency_where_;
@@ -245,8 +255,9 @@ class QueryEngine {
   void FinishQuery(const QueryRequest& req, uint64_t latency_ns,
                    PinAgg& agg);
 
-  const core::UtcqQueryProcessor* single_ = nullptr;
-  const shard::ShardedCorpus* sharded_ = nullptr;
+  /// The adapter constructors' fixed source; declared before tier_,
+  /// which points at it unless the caller supplied a TierSource.
+  FixedTier fixed_;
   const TierSource* tier_ = nullptr;
   EngineOptions opts_;
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/query.h"
 #include "shard/sharded.h"
@@ -37,14 +38,29 @@ struct TierSnapshot {
   size_t num_trajectories() const { return sealed_count() + live_count(); }
 };
 
-/// What a QueryEngine in live+sealed mode serves from: each Acquire returns
-/// a consistent TierSnapshot (sealed set and live tail taken under one
-/// lock), so a query — or a whole batch — sees the tier at one instant no
-/// matter how ingestion and flushing race it.
+/// What a QueryEngine serves from: each Acquire returns a consistent
+/// TierSnapshot (sealed set and live tail taken under one lock), so a
+/// query — or a whole batch — sees the tier at one instant no matter how
+/// ingestion and flushing race it.
 class TierSource {
  public:
   virtual ~TierSource() = default;
   virtual std::shared_ptr<const TierSnapshot> Acquire() const = 0;
+};
+
+/// A tier that never changes: every Acquire hands back the one stored
+/// snapshot (no allocation per query). Serves a fixed archive set or
+/// corpus, and freezes a sealed+live split for tests.
+class FixedTier final : public TierSource {
+ public:
+  explicit FixedTier(std::shared_ptr<const TierSnapshot> snap)
+      : snap_(std::move(snap)) {}
+  std::shared_ptr<const TierSnapshot> Acquire() const override {
+    return snap_;
+  }
+
+ private:
+  std::shared_ptr<const TierSnapshot> snap_;
 };
 
 }  // namespace utcq::serve

@@ -354,7 +354,7 @@ void RunWorkload(uint64_t seed) {
     snap->sealed = sealed;
     snap->live = live.Snapshot();
     ASSERT_EQ(snap->num_trajectories(), w.corpus.size());
-    const test::FixedTier tier(snap);
+    const serve::FixedTier tier(snap);
     serve::QueryEngine engine(tier);
     RunPath(w.net, oracle, w.queries, PathOf("tier-live+sealed", engine));
     RunBatch(w.net, oracle, w.queries, engine, "tier-live+sealed");

@@ -16,9 +16,11 @@
 
 #include "common/rng.h"
 #include "core/utcq.h"
+#include "ingest/live_shard.h"
 #include "network/generator.h"
 #include "serve/decoded_cache.h"
 #include "serve/query_engine.h"
+#include "serve/tier.h"
 #include "shard/sharded.h"
 #include "ted/ted_compress.h"
 #include "ted/ted_index.h"
@@ -112,6 +114,36 @@ ServeFixture& Fixture() {
   static ServeFixture* fixture = new ServeFixture();
   return *fixture;
 }
+
+/// `corpus` compressed into a 4-shard archive set, saved under TempDir as
+/// `name` and opened; the files are removed on destruction.
+struct SavedSet {
+  SavedSet(const ServeFixture& f, const traj::UncertainCorpus& corpus,
+           const std::string& name)
+      : manifest(::testing::TempDir() + "/" + name) {
+    shard::ShardOptions sopts;
+    sopts.num_shards = 4;
+    const shard::ShardedBuild build =
+        shard::ShardedCompressor(f.net, *f.grid, f.params,
+                                 core::StiuParams{16, 900}, sopts)
+            .Compress(corpus);
+    num_shards = build.plan.num_shards();
+    std::string error;
+    EXPECT_TRUE(build.Save(manifest, &error)) << error;
+    EXPECT_TRUE(sharded->Open(f.net, manifest, &error)) << error;
+  }
+  ~SavedSet() {
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      std::remove(shard::ShardArchivePath(manifest, s).c_str());
+    }
+    std::remove(manifest.c_str());
+  }
+
+  std::string manifest;
+  uint32_t num_shards = 0;
+  std::shared_ptr<shard::ShardedCorpus> sharded =
+      std::make_shared<shard::ShardedCorpus>();
+};
 
 TEST(DecodedTrajCache, LruEvictsLeastRecentlyUsed) {
   // Single cache shard so the eviction order is fully deterministic.
@@ -299,7 +331,6 @@ TEST(QueryEngine, ConcurrentMixedQueriesMatchUncached) {
   // hits, misses, and evictions against each other.
   EngineOptions opts;
   opts.cache_budget_bytes = 64 * 1024;
-  opts.cache_shards = 4;
   QueryEngine engine(f.sys->queries(), opts);
 
   const auto reqs = f.MakeWorkload(100, 5150);
@@ -329,16 +360,9 @@ TEST(QueryEngine, ConcurrentMixedQueriesMatchUncached) {
 
 TEST(QueryEngine, ShardedBackendMatchesAndSharesCache) {
   ServeFixture& f = Fixture();
-  shard::ShardOptions sopts;
-  sopts.num_shards = 4;
-  const shard::ShardedCompressor compressor(f.net, *f.grid, f.params,
-                                            core::StiuParams{16, 900}, sopts);
-  const shard::ShardedBuild build = compressor.Compress(f.corpus);
-  const std::string manifest = ::testing::TempDir() + "/serve_set.utcq";
-  std::string error;
-  ASSERT_TRUE(build.Save(manifest, &error)) << error;
-  shard::ShardedCorpus sharded;
-  ASSERT_TRUE(sharded.Open(f.net, manifest, &error)) << error;
+  const SavedSet set(f, f.corpus, "serve_set.utcq");
+  ASSERT_TRUE(set.sharded->is_open());
+  const shard::ShardedCorpus& sharded = *set.sharded;
 
   QueryEngine engine(sharded);
   EXPECT_EQ(engine.num_trajectories(), f.corpus.size());
@@ -361,11 +385,6 @@ TEST(QueryEngine, ShardedBackendMatchesAndSharesCache) {
   for (size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_TRUE(ServeFixture::SameResult(batched[i], f.Uncached(reqs[i])));
   }
-
-  for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
-    std::remove(shard::ShardArchivePath(manifest, s).c_str());
-  }
-  std::remove(manifest.c_str());
 }
 
 TEST(TedDecodedHandle, MatchesUncachedQueries) {
@@ -420,6 +439,82 @@ TEST(QueryEngine, OutOfRangeTrajectoryAnswersEmpty) {
   EXPECT_EQ(results[1].where, f.sys->queries().Where(
                                   0, f.corpus[0].times.front(), 0.3));
   EXPECT_EQ(engine.stats().queries, 4u);
+}
+
+TEST(QueryEngine, EveryRequestIsTimedAndAccountedEvenOutOfRange) {
+  // Execute and ExecuteBatch alike record one latency sample and one
+  // decode_bytes sample per request — out-of-range ids included — so the
+  // per-kind latency histograms reconcile with serve.engine.queries.
+  ServeFixture& f = Fixture();
+  obs::MetricRegistry registry;
+  EngineOptions opts;
+  opts.registry = &registry;
+  QueryEngine engine(f.sys->queries(), opts);
+  const auto n = static_cast<uint32_t>(engine.num_trajectories());
+  std::vector<QueryRequest> reqs = f.MakeWorkload(30, 8080);
+  for (const uint32_t bad : {n, n + 7, UINT32_MAX}) {
+    reqs.insert(reqs.begin() + bad % reqs.size(),
+                QueryRequest::MakeWhere(bad, 100, 0.3));
+    reqs.push_back(QueryRequest::MakeWhen(bad, 0, 0.5, 0.3));
+  }
+  engine.ExecuteBatch(reqs);
+  for (const auto& req : reqs) engine.Execute(req);
+
+  const auto snap = registry.Snapshot();
+  const auto count = [&snap](const std::string& hist) -> uint64_t {
+    for (const auto& [name, h] : snap.histograms) {
+      if (name == hist) return h.count;
+    }
+    return 0;
+  };
+  const uint64_t queries = engine.stats().queries;
+  EXPECT_EQ(queries, 2 * reqs.size());
+  EXPECT_EQ(count("serve.engine.latency_ns.where") +
+                count("serve.engine.latency_ns.when") +
+                count("serve.engine.latency_ns.range"),
+            queries);
+  EXPECT_EQ(count("serve.engine.decode_bytes"), queries);
+}
+
+TEST(QueryEngine, PointAndRangePinsShareOneCacheKey) {
+  // Every cache entry is keyed by its global trajectory id, whichever path
+  // pins it: once a batch of Where over every id has warmed the cache,
+  // Range candidates — sealed or live — are all hits.
+  ServeFixture& f = Fixture();
+  const size_t half = f.corpus.size() / 2;
+  const SavedSet set(
+      f, traj::UncertainCorpus(f.corpus.begin(), f.corpus.begin() + half),
+      "one_key_set.utcq");
+  ASSERT_TRUE(set.sharded->is_open());
+  const std::shared_ptr<shard::ShardedCorpus>& sealed = set.sharded;
+
+  ingest::LiveShard live(f.net, *f.grid, f.params, core::StiuParams{16, 900});
+  for (size_t j = half; j < f.corpus.size(); ++j) live.Append(f.corpus[j]);
+  const FixedTier tier(std::make_shared<const TierSnapshot>(
+      TierSnapshot{sealed, live.Snapshot()}));
+
+  std::vector<QueryRequest> wheres;
+  for (uint32_t j = 0; j < f.corpus.size(); ++j) {
+    wheres.push_back(QueryRequest::MakeWhere(j, f.corpus[j].times.front(),
+                                             0.3));
+  }
+  const auto bbox = f.net.bounding_box();
+  for (const auto& [name, engine] :
+       {std::pair{"sharded", std::make_shared<QueryEngine>(*sealed)},
+        std::pair{"sealed+live", std::make_shared<QueryEngine>(tier)}}) {
+    SCOPED_TRACE(name);
+    engine->ExecuteBatch(wheres);
+    const EngineStats warm = engine->stats();
+    EXPECT_EQ(warm.cache_resident_entries, engine->num_trajectories());
+    for (const auto& tu : f.corpus) {
+      const traj::Timestamp tq = (tu.times.front() + tu.times.back()) / 2;
+      engine->Range({bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y}, tq,
+                    0.3);
+    }
+    const EngineStats after = engine->stats();
+    EXPECT_EQ(after.cache_misses, warm.cache_misses);
+    EXPECT_GT(after.cache_hits, warm.cache_hits);
+  }
 }
 
 TEST(QueryEngine, StatsReportLatencyPercentiles) {
@@ -538,17 +633,9 @@ TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
   // per Range, and their sums equal the QueryStats ShardedCorpus::Range
   // reports for the same requests — cached, batched and partial alike.
   ServeFixture& f = Fixture();
-  shard::ShardOptions sopts;
-  sopts.num_shards = 4;
-  const shard::ShardedBuild build =
-      shard::ShardedCompressor(f.net, *f.grid, f.params,
-                               core::StiuParams{16, 900}, sopts)
-          .Compress(f.corpus);
-  const std::string manifest = ::testing::TempDir() + "/range_stats_set.utcq";
-  std::string error;
-  ASSERT_TRUE(build.Save(manifest, &error)) << error;
-  shard::ShardedCorpus sharded;
-  ASSERT_TRUE(sharded.Open(f.net, manifest, &error)) << error;
+  const SavedSet set(f, f.corpus, "range_stats_set.utcq");
+  ASSERT_TRUE(set.sharded->is_open());
+  const shard::ShardedCorpus& sharded = *set.sharded;
 
   std::vector<QueryRequest> ranges;
   for (const QueryRequest& req : f.MakeWorkload(150, 4242)) {
@@ -592,11 +679,6 @@ TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
     EXPECT_EQ(candidates.count, ranges.size());
     EXPECT_EQ(candidates.sum, want.candidates);
   }
-
-  for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
-    std::remove(shard::ShardArchivePath(manifest, s).c_str());
-  }
-  std::remove(manifest.c_str());
 }
 
 }  // namespace

@@ -9,34 +9,16 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/rng.h"
 #include "network/generator.h"
 #include "network/road_network.h"
-#include "serve/tier.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "traj/types.h"
 
 namespace utcq::test {
-
-/// Fixed-snapshot tier source: freezes one sealed+live split and serves
-/// it, isolating serving-path checks from ingestion concurrency (which
-/// tests/ingest_test.cc covers with a real StreamingService).
-class FixedTier final : public serve::TierSource {
- public:
-  explicit FixedTier(std::shared_ptr<const serve::TierSnapshot> snap)
-      : snap_(std::move(snap)) {}
-  std::shared_ptr<const serve::TierSnapshot> Acquire() const override {
-    return snap_;
-  }
-
- private:
-  std::shared_ptr<const serve::TierSnapshot> snap_;
-};
 
 /// Every suite's network derives from this seed so fixtures across files
 /// agree on the map they test against.

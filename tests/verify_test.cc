@@ -263,7 +263,7 @@ TEST(ErrorPaths, TierWithEmptyLiveTailServesSealedOnly) {
   tier_snap->live = live.Snapshot();  // nullptr: the shard is empty
   EXPECT_EQ(tier_snap->live, nullptr);
 
-  const test::FixedTier tier(tier_snap);
+  const serve::FixedTier tier(tier_snap);
   serve::QueryEngine engine(tier);
   EXPECT_EQ(engine.num_trajectories(), 4u);
   EXPECT_FALSE(engine.Where(0, f.corpus[0].times.front(), 0.0).empty());
