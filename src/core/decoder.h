@@ -113,7 +113,7 @@ class UtcqDecoder {
   /// traj::DecodedTraj).
   traj::DecodedTraj DecodeTraj(size_t j) const;
 
-  /// Full corpus decompression (round-trip tests, ablation benches).
+  /// Full corpus decompression (round-trip tests).
   traj::UncertainCorpus DecompressAll() const;
 
   const CorpusView& view() const { return cc_; }

@@ -11,7 +11,7 @@
 namespace utcq::core {
 
 /// Counters making the filtering lemmas' effectiveness observable
-/// (reported by the query benches).
+/// (bench/e2e reports them as its range.* metrics).
 struct QueryStats {
   uint64_t candidates = 0;
   uint64_t pruned_lemma1 = 0;  // when: p_max gate on non-references

@@ -32,7 +32,7 @@ CompressionReport MakeReport(const traj::ComponentSizes& raw,
 
 /// One-stop UTCQ pipeline: compression, StIU construction, and the three
 /// probabilistic query types, bundled behind the public API the examples
-/// and benches use.
+/// and tests use.
 class UtcqSystem {
  public:
   /// Compresses `corpus` and builds the StIU index.
@@ -57,7 +57,7 @@ class UtcqSystem {
   CompressionReport report_;
 };
 
-/// Formats a report as the Table 8 row layout (for benches and examples).
+/// Formats a report as the Table 8 row layout (for the examples).
 std::string FormatReport(const std::string& label,
                          const CompressionReport& report);
 

@@ -54,8 +54,6 @@ enum class PartialDecode : uint8_t {
   /// warmed cache amortizes its decode across repeats partial decode would
   /// pay every time.
   kAuto,
-  /// Always pin a full decode (pre-v3 behaviour).
-  kOff,
   /// Always answer from the bitstreams; the cache is never consulted or
   /// populated by query execution. Differential harnesses force this to
   /// sweep the seek path.

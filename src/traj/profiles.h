@@ -20,7 +20,8 @@ struct IntervalDeviationMix {
 
 /// Statistical profile of one of the paper's datasets (Tables 5-6, Fig. 4).
 /// The workload generator consumes a profile and emits a synthetic corpus
-/// whose statistics match it; bench_fig4_stats verifies the match.
+/// whose statistics match it; integration_test's StatisticsMatchPaperShape
+/// verifies the match.
 struct DatasetProfile {
   std::string name;
 

@@ -23,7 +23,7 @@ namespace {
 
 /// A small compressed corpus + StIU index, the write side of every test.
 struct ArchiveFixture {
-  ArchiveFixture() {
+  explicit ArchiveFixture(bool disable_referential = false) {
     const auto profile = traj::ChengduProfile();
     net = test::MakeSmallCity(profile, 14);
     traj::UncertainTrajectoryGenerator gen(net, profile, 7070);
@@ -31,6 +31,7 @@ struct ArchiveFixture {
     grid = std::make_unique<network::GridIndex>(net, 16);
     core::UtcqParams params;
     params.default_interval_s = profile.default_interval_s;
+    params.disable_referential = disable_referential;
     sys = std::make_unique<core::UtcqSystem>(net, *grid, corpus, params,
                                              core::StiuParams{16, 900});
   }
@@ -64,39 +65,47 @@ TEST(Archive, SaveLoadResaveIsBitExact) {
 }
 
 TEST(Archive, FileRoundTripPreservesEveryStreamAndMeta) {
-  ArchiveFixture fx;
-  const std::string path = fx.TempPath("roundtrip.utcq");
-  std::string error;
-  ASSERT_TRUE(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
-                  .Save(path, &error))
-      << error;
+  // Both encoder modes: referential (the default) and every instance
+  // standalone, whose flag the archive params must carry back.
+  for (const bool disable_referential : {false, true}) {
+    SCOPED_TRACE(disable_referential ? "referential off" : "referential on");
+    ArchiveFixture fx(disable_referential);
+    const std::string path = fx.TempPath("roundtrip.utcq");
+    std::string error;
+    ASSERT_TRUE(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
+                    .Save(path, &error))
+        << error;
 
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.Open(path, &error)) << error;
-  std::remove(path.c_str());
+    ArchiveReader reader;
+    ASSERT_TRUE(reader.Open(path, &error)) << error;
+    std::remove(path.c_str());
 
-  const core::CompressedCorpus& cc = fx.sys->compressed();
-  const ArchivePayload& payload = reader.payload();
-  EXPECT_EQ(payload.entry_bits, cc.entry_bits());
-  EXPECT_EQ(payload.params.default_interval_s, cc.params().default_interval_s);
-  EXPECT_EQ(payload.t.size_bits, cc.t_stream().size_bits());
-  EXPECT_EQ(payload.t.bytes, cc.t_stream().bytes());
-  EXPECT_EQ(payload.ref.bytes, cc.ref_stream().bytes());
-  EXPECT_EQ(payload.nref.bytes, cc.nref_stream().bytes());
-  EXPECT_EQ(payload.structure.bytes, cc.structure_stream().bytes());
-  ASSERT_EQ(payload.metas.size(), cc.num_trajectories());
-  for (size_t j = 0; j < payload.metas.size(); ++j) {
-    const core::TrajMeta& a = payload.metas[j];
-    const core::TrajMeta& b = cc.meta(j);
-    EXPECT_EQ(a.t_pos, b.t_pos);
-    EXPECT_EQ(a.n_points, b.n_points);
-    ASSERT_EQ(a.refs.size(), b.refs.size());
-    ASSERT_EQ(a.nrefs.size(), b.nrefs.size());
-    EXPECT_EQ(a.roles, b.roles);
-    for (size_t r = 0; r < a.refs.size(); ++r) {
-      EXPECT_EQ(a.refs[r].offset, b.refs[r].offset);
-      EXPECT_EQ(a.refs[r].d_pos, b.refs[r].d_pos);
-      EXPECT_EQ(a.refs[r].p_quantized, b.refs[r].p_quantized);
+    const core::CompressedCorpus& cc = fx.sys->compressed();
+    const ArchivePayload& payload = reader.payload();
+    EXPECT_EQ(payload.entry_bits, cc.entry_bits());
+    EXPECT_EQ(payload.params.default_interval_s,
+              cc.params().default_interval_s);
+    EXPECT_EQ(payload.params.disable_referential, disable_referential);
+    EXPECT_EQ(payload.t.size_bits, cc.t_stream().size_bits());
+    EXPECT_EQ(payload.t.bytes, cc.t_stream().bytes());
+    EXPECT_EQ(payload.ref.bytes, cc.ref_stream().bytes());
+    EXPECT_EQ(payload.nref.bytes, cc.nref_stream().bytes());
+    EXPECT_EQ(payload.structure.bytes, cc.structure_stream().bytes());
+    ASSERT_EQ(payload.metas.size(), cc.num_trajectories());
+    for (size_t j = 0; j < payload.metas.size(); ++j) {
+      const core::TrajMeta& a = payload.metas[j];
+      const core::TrajMeta& b = cc.meta(j);
+      EXPECT_EQ(a.t_pos, b.t_pos);
+      EXPECT_EQ(a.n_points, b.n_points);
+      ASSERT_EQ(a.refs.size(), b.refs.size());
+      ASSERT_EQ(a.nrefs.size(), b.nrefs.size());
+      if (disable_referential) EXPECT_TRUE(a.nrefs.empty());
+      EXPECT_EQ(a.roles, b.roles);
+      for (size_t r = 0; r < a.refs.size(); ++r) {
+        EXPECT_EQ(a.refs[r].offset, b.refs[r].offset);
+        EXPECT_EQ(a.refs[r].d_pos, b.refs[r].d_pos);
+        EXPECT_EQ(a.refs[r].p_quantized, b.refs[r].p_quantized);
+      }
     }
   }
 }

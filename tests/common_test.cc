@@ -15,7 +15,6 @@
 #include "common/serial.h"
 #include "common/thread_pool.h"
 #include "common/varint.h"
-#include "common/wah_bitmap.h"
 
 namespace utcq::common {
 namespace {
@@ -503,42 +502,6 @@ TEST(PddpTree, DeduplicatesAndIndexes) {
   EXPECT_EQ(tree.IndexOf(0.12345), -1);
 }
 
-// ---------------------------------------------------------------------- wah
-
-TEST(WahBitmap, RoundTripPatterns) {
-  const std::vector<std::vector<uint8_t>> patterns = {
-      {},
-      {1},
-      {0, 1, 0, 1, 1, 1, 0},
-      std::vector<uint8_t>(200, 0),
-      std::vector<uint8_t>(200, 1),
-  };
-  for (const auto& bits : patterns) {
-    const WahBitmap bm = WahBitmap::Compress(bits);
-    EXPECT_EQ(bm.Decompress(), bits);
-  }
-}
-
-TEST(WahBitmap, LongRunsCompress) {
-  std::vector<uint8_t> bits(31 * 100, 0);  // 100 all-zero groups
-  const WahBitmap bm = WahBitmap::Compress(bits);
-  EXPECT_LT(bm.size_bits(), bits.size() / 10);
-  EXPECT_EQ(bm.Decompress(), bits);
-}
-
-TEST(WahBitmap, MixedRunsAndLiterals) {
-  Rng rng(5);
-  std::vector<uint8_t> bits;
-  for (int block = 0; block < 40; ++block) {
-    const uint8_t fill = rng.Bernoulli(0.5) ? 1 : 0;
-    const size_t len = static_cast<size_t>(rng.UniformInt(1, 120));
-    for (size_t i = 0; i < len; ++i) bits.push_back(fill);
-    for (int i = 0; i < 5; ++i) bits.push_back(rng.Bernoulli(0.5) ? 1 : 0);
-  }
-  const WahBitmap bm = WahBitmap::Compress(bits);
-  EXPECT_EQ(bm.Decompress(), bits);
-}
-
 // ---------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicGivenSeed) {
@@ -558,9 +521,9 @@ TEST(Rng, WeightedRespectsZeroWeights) {
 TEST(EffectiveThreads, ClampsToHardwareAndTaskCount) {
   const unsigned hw = DefaultThreads();
   // Requesting more threads than the hardware offers must not report (or
-  // spawn) phantom parallelism — the BENCH_shard.json "threads: 8 on a
-  // 1-core box" bug. (The clamp only applies when the hardware width is
-  // determinable; DefaultThreads() == hardware_concurrency() then.)
+  // spawn) phantom parallelism. (The clamp only applies when the hardware
+  // width is determinable; DefaultThreads() == hardware_concurrency()
+  // then.)
   if (std::thread::hardware_concurrency() != 0) {
     EXPECT_EQ(EffectiveThreads(8, 8 * hw), std::min(hw, 8u));
   }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/plain_query.h"
 #include "core/utcq.h"
 #include "network/generator.h"
@@ -37,20 +36,14 @@ TEST_P(EndToEnd, UtcqBeatsTedOnRatioAndTime) {
   uparams.default_interval_s = fx.profile.default_interval_s;
   uparams.eta_p = fx.profile.eta_p;
   uparams.num_pivots = fx.profile.name == "DK" ? 2 : 1;
-  common::Stopwatch uw;
   core::UtcqCompressor ucomp(fx.net, uparams);
   const auto cc = ucomp.Compress(fx.corpus);
-  const double utime = uw.ElapsedSeconds();
 
   // --- TED baseline ---
   ted::TedParams tparams;
   tparams.eta_p = fx.profile.eta_p;
-  common::Stopwatch tw;
   ted::TedCompressor tcomp(fx.net, tparams);
   const auto tc = tcomp.Compress(fx.corpus);
-  const double ttime = tw.ElapsedSeconds();
-  (void)utime;
-  (void)ttime;
 
   const auto raw = traj::MeasureRawSize(fx.net, fx.corpus);
   const double utcq_cr = static_cast<double>(raw.total()) /
@@ -78,9 +71,39 @@ TEST_P(EndToEnd, UtcqBeatsTedOnRatioAndTime) {
       static_cast<double>(cc.compressed_bits().tflag_bits);
   EXPECT_GT(utcq_tflag, 1.3) << fx.profile.name;
 
+  // Per-stream floors: referential coding lifts E and D above TED's, and
+  // both systems code p with the same PDDP codec, so p bits are identical.
+  const auto& ub = cc.compressed_bits();
+  const auto& tb = tc.compressed_bits();
+  EXPECT_LT(ub.e_bits, tb.e_bits) << fx.profile.name;
+  EXPECT_LT(ub.d_bits, tb.d_bits) << fx.profile.name;
+  EXPECT_EQ(ub.p_bits, tb.p_bits) << fx.profile.name;
+
   // TED's matrix transformation dominates the memory comparison.
   EXPECT_GT(tc.peak_memory_bytes(), cc.peak_memory_bytes())
       << fx.profile.name;
+}
+
+TEST_P(EndToEnd, ReferentialCodingBeatsStandaloneInstances) {
+  // The ablation DESIGN.md §5 cites: with every instance coded standalone
+  // (UtcqParams::disable_referential) only improved TED + SIAR remain, so
+  // E, D and T' lose the reference machinery, and so does the total.
+  const auto profiles = traj::AllProfiles();
+  ProfileFixture fx(profiles[static_cast<size_t>(GetParam())], 150);
+  core::UtcqParams params;
+  params.default_interval_s = fx.profile.default_interval_s;
+  params.eta_p = fx.profile.eta_p;
+  const auto on = core::UtcqCompressor(fx.net, params).Compress(fx.corpus);
+  params.disable_referential = true;
+  const auto off = core::UtcqCompressor(fx.net, params).Compress(fx.corpus);
+
+  // Same raw size on both sides, so a higher CR is strictly fewer bits.
+  const auto& ob = on.compressed_bits();
+  const auto& fb = off.compressed_bits();
+  EXPECT_LT(ob.total(), fb.total()) << fx.profile.name;
+  EXPECT_LT(ob.e_bits, fb.e_bits) << fx.profile.name;
+  EXPECT_LT(ob.d_bits, fb.d_bits) << fx.profile.name;
+  EXPECT_LT(ob.tflag_bits, fb.tflag_bits) << fx.profile.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, EndToEnd, ::testing::Values(0, 1, 2));
@@ -88,7 +111,6 @@ INSTANTIATE_TEST_SUITE_P(Profiles, EndToEnd, ::testing::Values(0, 1, 2));
 TEST(EndToEnd, MorePivotsImproveOrHoldCompression) {
   ProfileFixture fx(traj::HangzhouProfile(), 100);
   const auto raw = traj::MeasureRawSize(fx.net, fx.corpus);
-  double prev_cr = 0.0;
   double first_cr = 0.0;
   double last_cr = 0.0;
   for (int pivots = 1; pivots <= 4; ++pivots) {
@@ -102,9 +124,7 @@ TEST(EndToEnd, MorePivotsImproveOrHoldCompression) {
                       static_cast<double>(cc.compressed_bits().total());
     if (pivots == 1) first_cr = cr;
     last_cr = cr;
-    prev_cr = cr;
   }
-  (void)prev_cr;
   // Fig. 8 shape: the ratio does not degrade with more pivots.
   EXPECT_GE(last_cr, first_cr * 0.98);
 }

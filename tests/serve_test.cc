@@ -288,6 +288,36 @@ TEST(QueryEngine, PartialDecodeNeverTouchesTheCache) {
   EXPECT_EQ(st.partial_queries, 0u);
 }
 
+TEST(QueryEngine, PartialDecodeReadsFewerBytesThanFullDecode) {
+  // The point of the seekable bitstreams: answering from them must consume
+  // fewer compressed-stream bytes than pinning a full decode, or the seek
+  // machinery is dead weight. One Where per trajectory, so the full-decode
+  // engine misses (and decodes) every trajectory exactly once.
+  ServeFixture& f = Fixture();
+  core::UtcqParams params = f.params;
+  params.t_sync_interval = 2;  // dense sync tables so the seek path engages
+  const core::UtcqSystem sys2(f.net, *f.grid, f.corpus, params,
+                              core::StiuParams{16, 900});
+
+  EngineOptions popts;
+  popts.partial_decode = PartialDecode::kAlways;
+  QueryEngine partial(sys2.queries(), popts);
+  QueryEngine full(sys2.queries());
+  for (uint32_t j = 0; j < f.corpus.size(); ++j) {
+    const auto& times = f.corpus[j].times;
+    const traj::Timestamp t = (times.front() + times.back()) / 2;
+    EXPECT_EQ(partial.Where(j, t, 0.3), full.Where(j, t, 0.3)) << j;
+  }
+
+  const EngineStats ps = partial.stats();
+  const EngineStats fs = full.stats();
+  EXPECT_EQ(ps.partial_queries, f.corpus.size());
+  EXPECT_EQ(fs.partial_queries, 0u);
+  EXPECT_EQ(fs.cache_misses, f.corpus.size());
+  EXPECT_GT(ps.decode_bytes_partial, 0u);
+  EXPECT_LT(ps.decode_bytes_partial, fs.bytes_decoded);
+}
+
 TEST(QueryEngine, TinyBudgetEvictionStaysCorrect) {
   ServeFixture& f = Fixture();
   EngineOptions opts;
@@ -323,6 +353,33 @@ TEST(QueryEngine, BatchEqualsSequential) {
   }
   EXPECT_EQ(batch_engine.stats().batches, 1u);
   EXPECT_EQ(batch_engine.stats().queries, reqs.size());
+}
+
+TEST(QueryEngine, BatchDecodesEachTrajectoryOnceUnderCachePressure) {
+  // A round-robin stream over more trajectories than the budget holds
+  // thrashes an LRU one query at a time, but a batch groups by trajectory
+  // and pins each group once.
+  ServeFixture& f = Fixture();
+  constexpr uint32_t kTrajs = 10;
+  constexpr int kRounds = 3;
+  std::vector<QueryRequest> reqs;
+  for (int round = 0; round < kRounds; ++round) {
+    for (uint32_t j = 0; j < kTrajs; ++j) {
+      const auto& times = f.corpus[j].times;
+      reqs.push_back(QueryRequest::MakeWhere(
+          j, (times.front() + times.back()) / 2, 0.3));
+    }
+  }
+  EngineOptions opts;
+  opts.cache_budget_bytes = 512;  // far below one decoded trajectory
+
+  QueryEngine seq(f.sys->queries(), opts);
+  for (const auto& req : reqs) (void)seq.Execute(req);
+  EXPECT_EQ(seq.stats().cache_misses, reqs.size());
+
+  QueryEngine batch(f.sys->queries(), opts);
+  (void)batch.ExecuteBatch(reqs);
+  EXPECT_EQ(batch.stats().cache_misses, kTrajs);
 }
 
 TEST(QueryEngine, ConcurrentMixedQueriesMatchUncached) {
