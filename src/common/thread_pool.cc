@@ -132,8 +132,10 @@ void ThreadPool::WorkerLoop(size_t self) {
       task = nullptr;  // release captures before sleeping
       continue;
     }
+    // A failed FindTask does not prove the queues drained: a Submit may
+    // have landed since, so exit only once stop_ is latched with nothing
+    // pending (the check after the wait loop).
     MutexLock lk(sleep_mu_);
-    if (stop_) return;  // nothing findable and shutting down: drained
     // Explicit wait loop (not a predicate lambda) so the stop_ reads sit
     // in a scope the thread-safety analysis can see sleep_mu_ held in.
     while (!stop_ && pending_.load(std::memory_order_acquire) == 0) {

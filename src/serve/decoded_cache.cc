@@ -39,20 +39,36 @@ void DecodedTrajCache::EvictToBudget(Shard& shard) {
     shard.index.erase(victim.key);
     shard.lru.pop_back();
     evictions_->Increment();
+    shard.full = false;
   }
 }
 
 std::shared_ptr<const traj::DecodedTraj> DecodedTrajCache::GetOrDecode(
-    uint64_t key, const DecodeFn& decode, PinOutcome* outcome) {
+    uint64_t key, Admission admission, const DecodeFn& decode,
+    PinOutcome* outcome) {
   Shard& shard = ShardFor(key);
+  const bool if_room = admission == Admission::kIfRoom;
   {
     common::MutexLock lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      hits_->Increment();
-      if (outcome != nullptr) outcome->hit = true;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->value;
+    for (;;) {
+      const auto it = shard.index.find(key);
+      if (it != shard.index.end()) {
+        hits_->Increment();
+        if (outcome != nullptr) outcome->hit = true;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        return it->second->value;
+      }
+      if (!if_room) break;
+      // No room to fill and no licence to evict: the caller answers
+      // without a decode, so this lookup is neither a hit nor a miss.
+      if (shard.full || budget_per_shard_ == 0) return nullptr;
+      if (!shard.admitting) {
+        shard.admitting = true;
+        break;
+      }
+      // Another point decode is probing this shard's room; its outcome
+      // (admitted, or latched full) decides this lookup too.
+      shard.admitted.Wait(shard.mu);
     }
     misses_->Increment();
   }
@@ -69,12 +85,22 @@ std::shared_ptr<const traj::DecodedTraj> DecodedTrajCache::GetOrDecode(
   }
 
   common::MutexLock lock(shard.mu);
+  if (if_room) {
+    shard.admitting = false;
+    shard.admitted.NotifyAll();
+  }
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // A concurrent miss inserted first; keep the resident copy so pins
     // converge on one allocation.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return it->second->value;
+  }
+  if (if_room && shard.tracker.current_bytes() + bytes > budget_per_shard_) {
+    // Admitting would evict: hand the decode to this caller only, and send
+    // the shard's later point misses to the bitstreams.
+    shard.full = true;
+    return value;
   }
   shard.lru.push_front(Entry{key, value, bytes});
   shard.index.emplace(key, shard.lru.begin());
@@ -104,6 +130,7 @@ void DecodedTrajCache::Clear() {
     shard.lru.clear();
     shard.index.clear();
     shard.tracker.Reset();
+    shard.full = false;
   }
 }
 

@@ -18,6 +18,9 @@ namespace utcq::serve {
 
 /// Byte-budgeted, sharded LRU cache of decoded trajectories — the
 /// amortization structure of the query-serving layer (DESIGN.md §9).
+/// Every lookup names its admission rule (Admission): Range pins evict
+/// least-recently-used entries to admit their decode, point queries only
+/// fill free budget and never evict.
 ///
 /// Keys are opaque 64-bit ids (the engine uses global trajectory ids).
 /// The key space is partitioned across `num_shards` independent
@@ -39,7 +42,8 @@ namespace utcq::serve {
 class DecodedTrajCache {
  public:
   /// `budget_bytes` is the total across shards (each shard gets an equal
-  /// slice); 0 disables retention entirely (every lookup decodes).
+  /// slice); 0 disables retention entirely (every kEvict lookup decodes,
+  /// every kIfRoom lookup returns nullptr).
   static constexpr uint32_t kDefaultShards = 8;
 
   explicit DecodedTrajCache(size_t budget_bytes,
@@ -51,6 +55,21 @@ class DecodedTrajCache {
 
   using DecodeFn = std::function<traj::DecodedTraj()>;
 
+  /// How a miss may claim space in its cache shard.
+  enum class Admission : uint8_t {
+    /// Insert, then evict from the LRU tail back to the budget (Range pins).
+    kEvict,
+    /// Insert only while the shard has free budget; never evict (point
+    /// queries). A decode that would overflow is handed to the caller but
+    /// not inserted, and it latches the shard full: later kIfRoom misses
+    /// there return nullptr without decoding, so the caller answers from
+    /// the bitstreams instead, until an eviction or Clear frees space.
+    /// A shard runs one kIfRoom decode at a time: a kIfRoom miss that
+    /// finds one in flight waits for its outcome, so concurrent misses
+    /// cannot overshoot the latch with decodes that will not be admitted.
+    kIfRoom,
+  };
+
   /// What one GetOrDecode did — per-query cost attribution for the
   /// engine's decode-bytes histogram and slow-query log.
   struct PinOutcome {
@@ -60,12 +79,16 @@ class DecodedTrajCache {
     uint64_t decoded_bytes = 0;
   };
 
-  /// Returns the cached entry for `key`, decoding (and inserting) on miss.
-  /// When two threads miss the same key concurrently both decode, and the
-  /// first insert wins — wasted work under a thundering herd, but no lock
-  /// is ever held across a decode.
+  /// Returns the cached entry for `key`, decoding (and admitting per
+  /// `admission`) on miss. Returns nullptr only for a kIfRoom miss on a
+  /// shard latched full (or with a zero budget slice): no decode ran, and
+  /// the lookup counts as neither hit nor miss. When two kEvict lookups
+  /// miss the same key concurrently both decode, and the first insert wins
+  /// — wasted work under a thundering herd, but no lock is ever held
+  /// across a decode.
   std::shared_ptr<const traj::DecodedTraj> GetOrDecode(
-      uint64_t key, const DecodeFn& decode, PinOutcome* outcome = nullptr);
+      uint64_t key, Admission admission, const DecodeFn& decode,
+      PinOutcome* outcome = nullptr);
 
   /// Lookup without decode; nullptr on miss. Does not touch hit/miss
   /// counters (introspection, tests).
@@ -102,10 +125,19 @@ class DecodedTrajCache {
     /// Byte accounting moves strictly with lru/index mutations, so it
     /// shares their guard — the budget check reads it under the same lock.
     common::MemoryTracker tracker UTCQ_GUARDED_BY(mu);
+    /// Latched by a kIfRoom decode that did not fit; reset by any eviction
+    /// and by Clear. Without it "admit while under budget" is plain LRU:
+    /// every eviction leaves the shard under budget again.
+    bool full UTCQ_GUARDED_BY(mu) = false;
+    /// A kIfRoom decode is in flight (set before it unlocks, cleared with
+    /// a notify on `admitted` when it relocks to admit or latch).
+    bool admitting UTCQ_GUARDED_BY(mu) = false;
+    common::CondVar admitted;
   };
 
   Shard& ShardFor(uint64_t key) const;
-  /// Evicts from the back of `shard` until it fits its budget slice.
+  /// Evicts from the back of `shard` until it fits its budget slice;
+  /// unlatches `shard.full` if it evicted anything.
   void EvictToBudget(Shard& shard) UTCQ_REQUIRES(shard.mu);
 
   /// Declared before the instrument pointers so they outlive every use.

@@ -125,16 +125,21 @@ QueryEngine::Target QueryEngine::Resolve(uint32_t global,
 }
 
 std::shared_ptr<const traj::DecodedTraj> QueryEngine::Pin(
-    const Target& target, PinAgg* agg) {
+    const Target& target, DecodedTrajCache::Admission admission,
+    PinAgg* agg) {
   DecodedTrajCache::PinOutcome outcome;
   auto dt = cache_.GetOrDecode(
-      target.global,
+      target.global, admission,
       [&target] { return target.qp->decoder().DecodeTraj(target.local); },
       &outcome);
-  if (agg != nullptr && !outcome.hit) {
+  if (agg != nullptr && dt != nullptr) {
     common::MutexLock lock(agg->mu);
-    agg->decode_bytes += outcome.decoded_bytes;
-    agg->misses += 1;
+    if (outcome.hit) {
+      agg->hits += 1;
+    } else {
+      agg->decode_bytes += outcome.decoded_bytes;
+      agg->misses += 1;
+    }
   }
   return dt;
 }
@@ -144,9 +149,10 @@ void QueryEngine::RecordPartial(const core::QueryStats& qs, PinAgg* agg) {
   partial_queries_->Increment();
   decode_bytes_partial_->Add(bytes);
   sync_seeks_->Add(qs.sync_seeks);
-  if (agg != nullptr && bytes > 0) {
+  if (agg != nullptr) {
     common::MutexLock lock(agg->mu);
     agg->decode_bytes += bytes;
+    agg->partial = true;
   }
 }
 
@@ -154,11 +160,13 @@ void QueryEngine::FinishQuery(const QueryRequest& req, uint64_t latency_ns,
                               PinAgg& agg) {
   LatencyFor(req.kind).Record(latency_ns);
   uint64_t decode_bytes = 0;
-  uint64_t misses = 0;
+  bool cache_hit = false;
+  bool partial = false;
   {
     common::MutexLock lock(agg.mu);
     decode_bytes = agg.decode_bytes;
-    misses = agg.misses;
+    cache_hit = agg.hits > 0 && agg.misses == 0;
+    partial = agg.partial;
   }
   decode_bytes_->Record(decode_bytes);
 
@@ -172,7 +180,8 @@ void QueryEngine::FinishQuery(const QueryRequest& req, uint64_t latency_ns,
   entry.traj = req.kind == QueryKind::kRange ? UINT32_MAX : req.traj;
   entry.latency_us = static_cast<double>(latency_ns) / 1000.0;
   entry.decode_bytes = decode_bytes;
-  entry.cache_hit = misses == 0;
+  entry.cache_hit = cache_hit;
+  entry.partial = partial;
   common::MutexLock lock(slow_mu_);
   if (slow_.size() < opts_.slow_query_log_size) {
     slow_.push_back(entry);
@@ -262,10 +271,16 @@ void QueryEngine::AnswerPoint(const QueryRequest& req, const Target& target,
   } else if (!qp.MayPassEdge(target.local, req.edge)) {
     return;
   }
-  if (PartialActive()) {
+  // The decode lands in this request's latency sample and pin attribution.
+  // Point pins never evict: on a full cache shard no decode runs and the
+  // handle stays empty.
+  if (*dt == nullptr) {
+    *dt = Pin(target, DecodedTrajCache::Admission::kIfRoom, agg);
+  }
+  if (*dt == nullptr) {
     // Seek path: bracket through the sync table and decode only the
-    // qualifying instances — never the cache (a partial expansion cached
-    // under the full-decode key would poison later hits).
+    // qualifying instances — never into the cache (a partial expansion
+    // cached under the full-decode key would poison later hits).
     core::QueryStats qs;
     if (where) {
       result->where = qp.Where(target.local, req.t, req.alpha, &qs);
@@ -275,8 +290,6 @@ void QueryEngine::AnswerPoint(const QueryRequest& req, const Target& target,
     RecordPartial(qs, agg);
     return;
   }
-  // The decode lands in this request's latency sample and pin attribution.
-  if (*dt == nullptr) *dt = Pin(target, agg);
   if (where) {
     result->where = qp.Where(target.local, req.t, req.alpha, **dt);
   } else {
@@ -290,10 +303,11 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
                                              const TierSnapshot& snap,
                                              PinAgg* agg) {
   // Cached Range hands the processors a provider that pins through the
-  // cache. A cold bracket passes empty providers instead, so surviving
-  // members decode inline from the bitstreams (BracketTime seeks through
-  // the sync tables) and the cache is neither consulted nor populated.
-  const bool cached = !PartialActive();
+  // cache, evicting to admit. With no budget a cold bracket passes empty
+  // providers instead, so surviving members decode inline from the
+  // bitstreams (BracketTime seeks through the sync tables) and the cache is
+  // neither consulted nor populated.
+  const bool cached = cache_.budget_bytes() > 0;
   core::QueryStats qs;
   traj::RangeResult out;
   // Sealed fan-out first, then the live tail; live hits are offset to
@@ -305,7 +319,7 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
       provider = [this, &snap, agg](uint32_t s, uint32_t local) {
         return Pin({&snap.sealed->shard_queries(s), local,
                     snap.sealed->manifest().shards[s].members[local]},
-                   agg);
+                   DecodedTrajCache::Admission::kEvict, agg);
       };
     }
     out = snap.sealed->Range(region, tq, alpha, &qs, num_threads, provider);
@@ -315,7 +329,8 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
     traj::DecodedProvider provider;
     if (cached) {
       provider = [this, &snap, base, agg](uint32_t local) {
-        return Pin({&snap.live->queries(), local, base + local}, agg);
+        return Pin({&snap.live->queries(), local, base + local},
+                   DecodedTrajCache::Admission::kEvict, agg);
       };
     }
     for (const uint32_t local :

@@ -46,29 +46,12 @@ struct QueryResult {
   traj::RangeResult range;
 };
 
-/// Whether point queries and cold Range brackets answer from the seekable
-/// bitstreams (archive v3, DESIGN.md §16) instead of pinning a full decode.
-enum class PartialDecode : uint8_t {
-  /// Partial iff the cache keeps nothing resident (cache_budget_bytes == 0):
-  /// with no cache to warm, a full decode per query is pure waste, while a
-  /// warmed cache amortizes its decode across repeats partial decode would
-  /// pay every time.
-  kAuto,
-  /// Always answer from the bitstreams; the cache is never consulted or
-  /// populated by query execution. Differential harnesses force this to
-  /// sweep the seek path.
-  kAlways,
-};
-
 struct EngineOptions {
-  /// Total decoded-trajectory cache budget. 0 keeps nothing resident
-  /// (every query decodes — the cold path, useful for measurement).
+  /// Total decoded-trajectory cache budget. Point queries only fill free
+  /// budget; once a shard of it is full, their misses answer from the
+  /// seekable bitstreams (DESIGN.md §16). 0 keeps nothing resident: every
+  /// query answers from the bitstreams, Range through cold brackets.
   size_t cache_budget_bytes = 256ull << 20;
-  /// Partial-decode policy; see PartialDecode. The partial path never
-  /// touches the DecodedTrajCache in either direction — in particular it
-  /// must never insert its partially expanded state under the full-decode
-  /// key, where a later query would trust it as complete.
-  PartialDecode partial_decode = PartialDecode::kAuto;
   /// Where the engine's `serve.*` instruments live (DESIGN.md §15).
   /// nullptr = a private registry, so independent engines (tests) keep
   /// exact per-instance stats; a server passes one registry for export.
@@ -89,10 +72,14 @@ struct SlowQuery {
   /// Target trajectory; UINT32_MAX for range queries.
   uint32_t traj = 0;
   double latency_us = 0.0;
-  /// Bytes this query's pins materialized (0 when served from cache).
+  /// Bytes this query's pins materialized plus the compressed-stream bytes
+  /// its bitstream answers read (0 when served from cache).
   uint64_t decode_bytes = 0;
-  /// True when every pin this query took was a cache hit.
+  /// True when the query took at least one pin and every pin was a hit.
   bool cache_hit = false;
+  /// True when the query (or part of it) answered from the bitstreams
+  /// without pinning a full decode.
+  bool partial = false;
 };
 
 /// Point-in-time engine counters. Latency percentiles are read from the
@@ -104,7 +91,9 @@ struct EngineStats {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t bytes_decoded = 0;
-  /// Queries answered from the bitstreams without pinning a full decode.
+  /// Queries answered from the bitstreams without pinning a full decode
+  /// (point queries on a full cache shard, any query at budget 0). These
+  /// lookups count as neither cache hits nor misses.
   uint64_t partial_queries = 0;
   /// Compressed-stream bytes those queries consumed (the partial analogue
   /// of bytes_decoded, in comparable stream units).
@@ -130,7 +119,9 @@ struct EngineStats {
 /// ids [0, sealed) plus a live tail covering the rest — and amortizes the
 /// expensive step of every probabilistic query, the bitstream decode of the
 /// target trajectory, across repeated accesses through a byte-budgeted,
-/// sharded-LRU DecodedTrajCache keyed by global trajectory id. A single
+/// sharded-LRU DecodedTrajCache keyed by global trajectory id. Range pins
+/// evict to admit; point queries never do — a point miss on a full cache
+/// shard answers from the bitstreams instead. A single
 /// corpus or an opened archive set is served as a fixed tier (FixedTier).
 /// Fan-out (ExecuteBatch grouping, Range) runs on the process-wide
 /// persistent ThreadPool::Shared() at common::DefaultThreads() width.
@@ -203,7 +194,9 @@ class QueryEngine {
   struct PinAgg {
     common::Mutex mu;
     uint64_t decode_bytes UTCQ_GUARDED_BY(mu) = 0;
+    uint64_t hits UTCQ_GUARDED_BY(mu) = 0;
     uint64_t misses UTCQ_GUARDED_BY(mu) = 0;
+    bool partial UTCQ_GUARDED_BY(mu) = false;
   };
 
   /// Every public constructor lands here: serves `tier`, or the fixed
@@ -211,25 +204,22 @@ class QueryEngine {
   QueryEngine(const TierSource* tier, std::shared_ptr<const TierSnapshot> fixed,
               EngineOptions opts);
 
-  /// True when this engine answers point queries / cold Range brackets via
-  /// partial decode (see PartialDecode).
-  bool PartialActive() const {
-    return opts_.partial_decode == PartialDecode::kAlways ||
-           (opts_.partial_decode == PartialDecode::kAuto &&
-            opts_.cache_budget_bytes == 0);
-  }
   /// Folds one partial query's stream consumption into the obs counters
   /// and the per-query pin aggregation (for the decode_bytes histogram and
   /// slow-query log; cache miss accounting is untouched — no pin happened).
   void RecordPartial(const core::QueryStats& qs, PinAgg* agg);
   /// `global` must be below snap.num_trajectories().
   Target Resolve(uint32_t global, const TierSnapshot& snap) const;
-  std::shared_ptr<const traj::DecodedTraj> Pin(const Target& target,
-                                               PinAgg* agg);
+  /// The target's decoded handle through the cache; nullptr only for a
+  /// kIfRoom pin on a full shard (no decode ran).
+  std::shared_ptr<const traj::DecodedTraj> Pin(
+      const Target& target, DecodedTrajCache::Admission admission,
+      PinAgg* agg);
   /// Times, answers and accounts one request of any kind. `dt` is the
   /// target's lazy pin for point queries (ignored for Range): the first
   /// request that survives its cheap rejection fills it, so a batch that
-  /// shares one slot per trajectory decodes it at most once.
+  /// shares one slot per trajectory decodes it at most once. It stays empty
+  /// while the target's cache shard is full.
   QueryResult ExecuteOne(const QueryRequest& req, unsigned range_threads,
                          const TierSnapshot& snap,
                          std::shared_ptr<const traj::DecodedTraj>* dt);

@@ -1,7 +1,8 @@
 // Randomized differential harness (DESIGN.md §11): every seeded workload is
 // run through every real query path — the raw UtcqQueryProcessor, a sharded
 // archive set reopened from disk, the serving QueryEngine cold / warm /
-// batched, the live+sealed streaming tier and its reopened append-log set,
+// batched (also from the bitstreams alone and under a tight cache budget),
+// the live+sealed streaming tier and its reopened append-log set,
 // the TED baseline, the network tier (a real TCP round trip through
 // src/net/'s server and client), and a fine 60 s StIU time partition — and
 // every answer is checked hit-for-hit against verify::Oracle, a
@@ -468,18 +469,18 @@ void RunWorkload(uint64_t seed) {
     EXPECT_EQ(server.active_connections(), 0u) << "leaked sessions";
   }
 
-  // --- path 8: the serving engine with partial decode forced on, over a
+  // --- path 8: the serving engine with no cache budget, over a
   // recompression with a dense sync interval (K=2) — every query answers
   // from the seekable bitstreams (archive v3, DESIGN.md §16) and must be
   // hit-for-hit identical to the oracle and the full-decode engine. Sync
   // emission is meta-only, so the K=2 corpus decodes identically to the
-  // workload corpus; the oracle carries over unchanged.
+  // workload corpus; the oracle carries over unchanged. ---
+  core::UtcqParams dense = w.params;
+  dense.t_sync_interval = 2;
+  const core::UtcqSystem dsys(w.net, grid, w.corpus, dense, index_params);
   {
-    core::UtcqParams dense = w.params;
-    dense.t_sync_interval = 2;
-    const core::UtcqSystem dsys(w.net, grid, w.corpus, dense, index_params);
     serve::EngineOptions eopts;
-    eopts.partial_decode = serve::PartialDecode::kAlways;
+    eopts.cache_budget_bytes = 0;
     serve::QueryEngine engine(dsys.queries(), eopts);
     RunPath(w.net, oracle, w.queries, PathOf("engine-partial", engine));
     RunBatch(w.net, oracle, w.queries, engine, "engine-partial");
@@ -487,6 +488,30 @@ void RunWorkload(uint64_t seed) {
     EXPECT_GT(stats.partial_queries, 0u);
     EXPECT_EQ(stats.cache_resident_bytes, 0u)
         << "partial decode leaked state into the full-decode cache";
+  }
+
+  // --- path 8b: one engine whose budget holds about a quarter of the
+  // decoded corpus, over the same dense-sync recompression — point
+  // queries admitted while a cache shard has room (then hits), point
+  // misses on a full shard answered from the bitstreams, and Range pins
+  // (which evict to admit), all interleaved cold → warm → batched ---
+  {
+    const core::UtcqDecoder ddec = dsys.decoder();
+    size_t decoded_bytes = 0;
+    for (uint32_t j = 0; j < w.corpus.size(); ++j) {
+      decoded_bytes += ddec.DecodeTraj(j).ApproxBytes();
+    }
+    serve::EngineOptions eopts;
+    eopts.cache_budget_bytes = decoded_bytes / 4;
+    serve::QueryEngine engine(dsys.queries(), eopts);
+    RunPath(w.net, oracle, w.queries, PathOf("engine-tight-cold", engine));
+    RunPath(w.net, oracle, w.queries, PathOf("engine-tight-warm", engine));
+    RunBatch(w.net, oracle, w.queries, engine, "engine-tight");
+    const serve::EngineStats stats = engine.stats();
+    EXPECT_GT(stats.partial_queries, 0u);
+    EXPECT_GT(stats.cache_hits, 0u);
+    EXPECT_GT(stats.cache_misses, 0u);
+    EXPECT_LE(stats.cache_resident_bytes, eopts.cache_budget_bytes);
   }
 
   // --- path 9: a 60 s time partition, so most trajectories span several

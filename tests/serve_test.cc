@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -156,13 +157,14 @@ TEST(DecodedTrajCache, LruEvictsLeastRecentlyUsed) {
   DecodedTrajCache cache(2 * unit, 1);
   std::atomic<int> decodes{0};
   auto counted = [&](uint64_t key) {
-    return cache.GetOrDecode(key, [&, key] {
-      ++decodes;
-      traj::DecodedTraj dt;
-      dt.times.resize(100);
-      (void)key;
-      return dt;
-    });
+    return cache.GetOrDecode(
+        key, DecodedTrajCache::Admission::kEvict, [&, key] {
+          ++decodes;
+          traj::DecodedTraj dt;
+          dt.times.resize(100);
+          (void)key;
+          return dt;
+        });
   };
 
   counted(1);
@@ -190,13 +192,119 @@ TEST(DecodedTrajCache, PinsSurviveEviction) {
   const size_t bytes = big.ApproxBytes();
 
   DecodedTrajCache cache(bytes / 2, 1);  // nothing fits
-  const auto pin = cache.GetOrDecode(7, [&] { return big; });
+  const auto pin = cache.GetOrDecode(7, DecodedTrajCache::Admission::kEvict,
+                                     [&] { return big; });
   ASSERT_NE(pin, nullptr);
   EXPECT_EQ(pin->times.size(), 4096u);
   // The entry was evicted on insert (over budget), but the pin holds it.
   EXPECT_EQ(cache.Peek(7), nullptr);
   EXPECT_EQ(cache.stats().resident_entries, 0u);
   EXPECT_EQ(pin->times.size(), 4096u);
+}
+
+TEST(DecodedTrajCache, IfRoomLatchesAFullShardUntilAnEviction) {
+  // Single cache shard, room for exactly two entries.
+  using Admission = DecodedTrajCache::Admission;
+  const auto make = [] {
+    traj::DecodedTraj dt;
+    dt.times.resize(100);
+    return dt;
+  };
+  const size_t unit = make().ApproxBytes();
+  DecodedTrajCache cache(2 * unit, 1);
+  int decodes = 0;
+  const auto lookup = [&](uint64_t key, Admission admission) {
+    return cache.GetOrDecode(key, admission, [&] {
+      ++decodes;
+      return make();
+    });
+  };
+
+  // Free budget: point misses decode and stay resident.
+  ASSERT_NE(lookup(1, Admission::kIfRoom), nullptr);
+  ASSERT_NE(lookup(2, Admission::kIfRoom), nullptr);
+  EXPECT_NE(cache.Peek(1), nullptr);
+  EXPECT_NE(cache.Peek(2), nullptr);
+
+  // A decode that does not fit is handed back but not admitted, and no
+  // resident entry is evicted for it.
+  const auto third = lookup(3, Admission::kIfRoom);
+  ASSERT_NE(third, nullptr);
+  EXPECT_EQ(third->times.size(), 100u);
+  EXPECT_EQ(cache.Peek(3), nullptr);
+  EXPECT_NE(cache.Peek(1), nullptr);
+  EXPECT_NE(cache.Peek(2), nullptr);
+  EXPECT_EQ(decodes, 3);
+
+  // Latched: the next point miss returns nullptr without decoding, and
+  // counts as neither hit nor miss. Resident keys still hit.
+  EXPECT_EQ(lookup(4, Admission::kIfRoom), nullptr);
+  EXPECT_EQ(decodes, 3);
+  EXPECT_NE(lookup(1, Admission::kIfRoom), nullptr);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.resident_entries, 2u);
+
+  // An evicting insert (key 2 is now the LRU tail) clears the latch:
+  // the shard admits point decodes again while it has room.
+  ASSERT_NE(lookup(5, Admission::kEvict), nullptr);
+  EXPECT_EQ(cache.Peek(2), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(decodes, 4);
+  ASSERT_NE(lookup(6, Admission::kIfRoom), nullptr);
+  EXPECT_EQ(decodes, 5);
+  EXPECT_EQ(cache.Peek(6), nullptr);  // still full: returned, not admitted
+  EXPECT_EQ(lookup(7, Admission::kIfRoom), nullptr);
+  EXPECT_EQ(decodes, 5);
+
+  // Clear resets the latch too.
+  cache.Clear();
+  ASSERT_NE(lookup(7, Admission::kIfRoom), nullptr);
+  EXPECT_NE(cache.Peek(7), nullptr);
+  EXPECT_EQ(decodes, 6);
+}
+
+TEST(DecodedTrajCache, IfRoomRunsOnePointDecodePerShardAtATime) {
+  // A point miss that arrives while another point decode is probing the
+  // same shard's room waits for that outcome instead of racing it: here
+  // the first decode overflows and latches, so the second lookup returns
+  // nullptr without decoding at all.
+  using Admission = DecodedTrajCache::Admission;
+  traj::DecodedTraj big;
+  big.times.resize(4096);
+  DecodedTrajCache cache(big.ApproxBytes() / 2, 1);  // nothing fits
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> decodes{0};
+  std::thread first([&] {
+    const auto pin = cache.GetOrDecode(1, Admission::kIfRoom, [&] {
+      ++decodes;
+      started = true;
+      while (!release) std::this_thread::yield();
+      return big;
+    });
+    EXPECT_NE(pin, nullptr);
+  });
+  while (!started) std::this_thread::yield();
+  std::thread second([&] {
+    EXPECT_EQ(cache.GetOrDecode(2, Admission::kIfRoom,
+                                [&] {
+                                  ++decodes;
+                                  return big;
+                                }),
+              nullptr);
+  });
+  // Give the second lookup time to reach the wait (either order passes).
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release = true;
+  first.join();
+  second.join();
+  EXPECT_EQ(decodes.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().resident_entries, 0u);
 }
 
 TEST(QueryEngine, MatchesUncachedColdAndWarm) {
@@ -241,8 +349,9 @@ TEST(QueryEngine, PartialDecodeNeverTouchesTheCache) {
   // A partial decode must never land in the DecodedTrajCache under the
   // full-decode key: a later query hitting that entry would trust a stale
   // prefix as the complete trajectory. The partial path is structurally
-  // cache-free — force it on over a warm-cache budget and the cache must
-  // stay empty in both directions (no inserts, no hits, no misses).
+  // cache-free — a budget-0 engine answers everything from the bitstreams
+  // and the cache must stay empty in both directions (no inserts, no hits,
+  // no misses).
   ServeFixture& f = Fixture();
   core::UtcqParams params = f.params;
   params.t_sync_interval = 2;  // dense sync tables so the seek path engages
@@ -250,7 +359,7 @@ TEST(QueryEngine, PartialDecodeNeverTouchesTheCache) {
                               core::StiuParams{16, 900});
 
   EngineOptions popts;
-  popts.partial_decode = PartialDecode::kAlways;
+  popts.cache_budget_bytes = 0;
   QueryEngine partial(sys2.queries(), popts);
 
   const auto reqs = f.MakeWorkload(120, 2026);
@@ -300,7 +409,7 @@ TEST(QueryEngine, PartialDecodeReadsFewerBytesThanFullDecode) {
                               core::StiuParams{16, 900});
 
   EngineOptions popts;
-  popts.partial_decode = PartialDecode::kAlways;
+  popts.cache_budget_bytes = 0;
   QueryEngine partial(sys2.queries(), popts);
   QueryEngine full(sys2.queries());
   for (uint32_t j = 0; j < f.corpus.size(); ++j) {
@@ -355,10 +464,12 @@ TEST(QueryEngine, BatchEqualsSequential) {
   EXPECT_EQ(batch_engine.stats().queries, reqs.size());
 }
 
-TEST(QueryEngine, BatchDecodesEachTrajectoryOnceUnderCachePressure) {
-  // A round-robin stream over more trajectories than the budget holds
-  // thrashes an LRU one query at a time, but a batch groups by trajectory
-  // and pins each group once.
+TEST(QueryEngine, PointQueriesNeverEvictUnderCachePressure) {
+  // A round-robin stream over more trajectories than the budget holds used
+  // to thrash an LRU one query at a time. Point queries now never evict to
+  // admit: the first miss on each cache shard decodes, finds no room and
+  // latches the shard, and every later miss there answers from the
+  // bitstreams — sequentially and batched alike, with identical answers.
   ServeFixture& f = Fixture();
   constexpr uint32_t kTrajs = 10;
   constexpr int kRounds = 3;
@@ -374,12 +485,81 @@ TEST(QueryEngine, BatchDecodesEachTrajectoryOnceUnderCachePressure) {
   opts.cache_budget_bytes = 512;  // far below one decoded trajectory
 
   QueryEngine seq(f.sys->queries(), opts);
-  for (const auto& req : reqs) (void)seq.Execute(req);
-  EXPECT_EQ(seq.stats().cache_misses, reqs.size());
-
+  std::vector<QueryResult> sequential;
+  for (const auto& req : reqs) sequential.push_back(seq.Execute(req));
   QueryEngine batch(f.sys->queries(), opts);
-  (void)batch.ExecuteBatch(reqs);
-  EXPECT_EQ(batch.stats().cache_misses, kTrajs);
+  const std::vector<QueryResult> batched = batch.ExecuteBatch(reqs);
+
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_TRUE(ServeFixture::SameResult(sequential[i], f.Uncached(reqs[i])))
+        << i;
+    EXPECT_TRUE(ServeFixture::SameResult(batched[i], sequential[i])) << i;
+  }
+  for (const auto& [name, engine, queries_per_miss] :
+       {std::tuple{"sequential", &seq, uint64_t{1}},
+        std::tuple{"batch", &batch, uint64_t{kRounds}}}) {
+    SCOPED_TRACE(name);
+    const EngineStats st = engine->stats();
+    EXPECT_EQ(st.cache_evictions, 0u);
+    EXPECT_EQ(st.cache_hits, 0u);
+    EXPECT_EQ(st.cache_resident_entries, 0u);
+    // At most one decode per cache shard (10 trajectories span more than
+    // one shard, so at least one decode ran).
+    EXPECT_GE(st.cache_misses, 1u);
+    EXPECT_LE(st.cache_misses, DecodedTrajCache::kDefaultShards);
+    // Every other request answered from the bitstreams. A batch answers a
+    // decoded group's repeats from the group's one handle.
+    EXPECT_EQ(st.cache_misses * queries_per_miss + st.partial_queries,
+              reqs.size());
+  }
+}
+
+TEST(QueryEngine, PointMissesFillFreeBudgetAndNeverEvict) {
+  // A budget a quarter of the decoded corpus: point queries admit while a
+  // cache shard has room, then answer from the bitstreams — hot entries
+  // stay resident and hit on the second pass. Range pins still evict.
+  ServeFixture& f = Fixture();
+  const core::UtcqDecoder decoder = f.sys->decoder();
+  size_t decoded_bytes = 0;
+  for (uint32_t j = 0; j < f.corpus.size(); ++j) {
+    decoded_bytes += decoder.DecodeTraj(j).ApproxBytes();
+  }
+  EngineOptions opts;
+  opts.cache_budget_bytes = decoded_bytes / 4;
+  QueryEngine engine(f.sys->queries(), opts);
+
+  std::vector<QueryRequest> reqs;
+  for (uint32_t j = 0; j < f.corpus.size(); ++j) {
+    const auto& tu = f.corpus[j];
+    const auto& path = tu.instances.front().path;
+    reqs.push_back(QueryRequest::MakeWhere(
+        j, (tu.times.front() + tu.times.back()) / 2, 0.3));
+    reqs.push_back(QueryRequest::MakeWhen(j, path[path.size() / 2], 0.5, 0.2));
+  }
+  uint64_t first_pass_hits = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& req : reqs) {
+      EXPECT_TRUE(ServeFixture::SameResult(engine.Execute(req),
+                                           f.Uncached(req)))
+          << "pass " << pass;
+    }
+    if (pass == 0) first_pass_hits = engine.stats().cache_hits;
+  }
+  const EngineStats points = engine.stats();
+  EXPECT_EQ(points.cache_evictions, 0u);
+  EXPECT_GT(points.partial_queries, 0u);
+  EXPECT_GT(points.cache_hits, first_pass_hits);
+  EXPECT_GT(points.cache_resident_entries, 0u);
+  EXPECT_LE(points.cache_resident_bytes, opts.cache_budget_bytes);
+
+  for (const QueryRequest& req : f.MakeWorkload(150, 4242)) {
+    if (req.kind != QueryKind::kRange) continue;
+    EXPECT_TRUE(ServeFixture::SameResult(engine.Execute(req), f.Uncached(req)));
+  }
+  const EngineStats after = engine.stats();
+  EXPECT_GT(after.cache_misses, points.cache_misses);
+  EXPECT_GT(after.cache_evictions, 0u);
+  EXPECT_EQ(after.partial_queries, points.partial_queries);
 }
 
 TEST(QueryEngine, ConcurrentMixedQueriesMatchUncached) {
@@ -634,13 +814,41 @@ TEST(QueryEngine, SlowQueryLogRetainsTheWorstDeterministically) {
   // its decode cost attributed. The others were warm repeats.
   EXPECT_EQ(slow[0].traj, 2u);
   EXPECT_FALSE(slow[0].cache_hit);
+  EXPECT_FALSE(slow[0].partial);
   EXPECT_GT(slow[0].decode_bytes, 0u);
   for (size_t i = 1; i < slow.size(); ++i) {
     EXPECT_EQ(slow[i].traj, 1u);
     EXPECT_TRUE(slow[i].cache_hit);
+    EXPECT_FALSE(slow[i].partial);
     EXPECT_EQ(slow[i].decode_bytes, 0u);
     EXPECT_EQ(slow[i].kind, QueryKind::kWhere);
   }
+}
+
+TEST(QueryEngine, SlowQueryLogMarksBitstreamAnswers) {
+  // A budget-0 engine pins nothing: its slow queries are bitstream
+  // answers, never cache hits — a query with no pin at all is not a hit.
+  ServeFixture& f = Fixture();
+  StepClock clock;
+  clock.step = 5 * 1000;
+  EngineOptions opts;
+  opts.cache_budget_bytes = 0;
+  opts.clock = &clock;
+  opts.slow_query_threshold_us = 1;
+  QueryEngine engine(f.sys->queries(), opts);
+  const auto& tu = f.corpus[3];
+  engine.Where(3, (tu.times.front() + tu.times.back()) / 2, 0.3);
+  engine.When(3, tu.instances.front().path.front(), 0.5, 0.3);
+
+  const auto slow = engine.slow_queries();
+  ASSERT_EQ(slow.size(), 2u);
+  for (const SlowQuery& q : slow) {
+    EXPECT_EQ(q.traj, 3u);
+    EXPECT_TRUE(q.partial);
+    EXPECT_FALSE(q.cache_hit);
+    EXPECT_GT(q.decode_bytes, 0u);
+  }
+  EXPECT_EQ(engine.stats().partial_queries, 2u);
 }
 
 TEST(QueryEngine, ZeroThresholdDisablesTheSlowQueryLog) {

@@ -280,12 +280,15 @@ TEST(ErrorPaths, TierWithEmptyLiveTailServesSealedOnly) {
 TEST(ErrorPaths, ZeroByteCacheBudgetDecodesEveryTimeAndStaysEmpty) {
   ErrorPathFixture& f = Fixture();
 
-  // The cache itself: a 0-byte budget must serve every lookup by decode,
-  // retain nothing, and still pin the handed-out value for the caller.
+  // The cache itself: a 0-byte budget must serve every evicting lookup by
+  // decode, retain nothing, and still pin the handed-out value for the
+  // caller.
   serve::DecodedTrajCache cache(0, 4);
   const auto decode = [&f] { return f.sys->decoder().DecodeTraj(0); };
-  const auto a = cache.GetOrDecode(1, decode);
-  const auto b = cache.GetOrDecode(1, decode);
+  const auto a =
+      cache.GetOrDecode(1, serve::DecodedTrajCache::Admission::kEvict, decode);
+  const auto b =
+      cache.GetOrDecode(1, serve::DecodedTrajCache::Admission::kEvict, decode);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->times, b->times);
