@@ -105,12 +105,13 @@ int main(int argc, char** argv) {
   common::Stopwatch sw;
   const shard::ShardedBuild build = scomp.Compress(corpus);
   const double sharded_seconds = sw.ElapsedSeconds();
+  const bool same_bits = build.total_bits() == cc.total_bits();
   std::printf(
       "sharded build: %u shards on %u threads in %.3fs (%.2fx vs "
-      "single-threaded compress+index; bit-identical payload: %s)\n",
+      "single-threaded compress+index; same payload bits: %s)\n",
       build.plan.num_shards(), common::DefaultThreads(), sharded_seconds,
-      unsharded_seconds / sharded_seconds,
-      build.total_bits() == cc.total_bits() ? "yes" : "NO");
+      unsharded_seconds / sharded_seconds, same_bits ? "yes" : "NO");
+  if (!same_bits) return 1;
 
   const std::string manifest = "/tmp/utcq_fleet_set.utcq";
   std::string error;

@@ -1,6 +1,7 @@
 #include "core/encoder.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/exp_golomb.h"
 #include "common/varint.h"
@@ -21,7 +22,7 @@ namespace {
 /// sentinel); L-1: ceil(log2(|E(ref)|)) bits; M: entry_bits. M presence on
 /// the final factor is implied by the decoded length.
 void EncodeEFactors(BitWriter& w, const std::vector<EFactor>& factors,
-                    uint32_t ref_e_len, uint32_t target_e_len, int entry_bits,
+                    uint32_t ref_e_len, int entry_bits,
                     NrefFactorLayout* layout) {
   const int s_bits = BitsFor(ref_e_len);
   const int l_bits = BitsFor(ref_e_len > 0 ? ref_e_len - 1 : 0);
@@ -45,7 +46,6 @@ void EncodeEFactors(BitWriter& w, const std::vector<EFactor>& factors,
       ++decoded;
     }
   }
-  (void)target_e_len;
 }
 
 void EncodeTflagCom(BitWriter& w, const TflagCom& com,
@@ -255,6 +255,9 @@ void UtcqCompressor::AppendTrajectory(
     }
 
     // --- non-references ---
+    // One occurrence index per reference, built on its first member and
+    // shared by its whole Rrs.
+    std::vector<std::optional<SymbolIndex>> ref_index(plan.references.size());
     for (uint32_t w = 0; w < n_inst; ++w) {
       if (plan.ref_of[w] < 0) continue;
       const uint32_t ref_pos = static_cast<uint32_t>(plan.ref_of[w]);
@@ -270,9 +273,10 @@ void UtcqCompressor::AppendTrajectory(
       NrefFactorLayout nref_layout;
       size_t before = out.nref_stream_.size_bits();
       common::PutVarint(out.nref_stream_, repr.entries.size());
-      const auto e_factors = FactorizeE(ref.entries, repr.entries);
+      if (!ref_index[ref_pos]) ref_index[ref_pos].emplace(ref.entries);
+      const auto e_factors = FactorizeE(*ref_index[ref_pos], repr.entries);
       EncodeEFactors(out.nref_stream_, e_factors,
-                     static_cast<uint32_t>(ref.entries.size()), nm.e_len,
+                     static_cast<uint32_t>(ref.entries.size()),
                      out.entry_bits_, &nref_layout);
       out.compressed_bits_.e_bits += out.nref_stream_.size_bits() - before;
 

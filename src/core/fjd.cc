@@ -1,6 +1,7 @@
 #include "core/fjd.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace utcq::core {
 
@@ -33,19 +34,104 @@ double Fjd(const PivotCom& com_w, const PivotCom& com_v) {
   return sum / static_cast<double>(std::max(h_w, h_v));
 }
 
+namespace {
+
+/// One PivotCom as parallel start/end/length arrays plus H, so the FJD inner
+/// loop reads three contiguous arrays instead of (S, L) pairs.
+struct FlatCom {
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> end;
+  std::vector<uint32_t> len;
+  uint32_t total = 0;
+
+  explicit FlatCom(const PivotCom& com) : total(com.total_factors) {
+    start.reserve(com.factors.size());
+    end.reserve(com.factors.size());
+    len.reserve(com.factors.size());
+    for (const auto& [s, l] : com.factors) {
+      start.push_back(s);
+      end.push_back(s + l);
+      len.push_back(l);
+    }
+  }
+};
+
+/// Fjd() over flattened factors, bit-for-bit: the same sums in the same
+/// factor order. Eq. 2's rule (largest overlap, then smallest L_w) is the
+/// maximum of the key (overlap << 32) | (UINT32_MAX - L_w), which the inner
+/// loop takes without a branch.
+double FlatFjd(const FlatCom& w, const FlatCom& v) {
+  if (w.total == 0 || v.total == 0) return 0.0;
+  const size_t n_w = w.len.size();
+  double sum = 0.0;
+  for (size_t b = 0; b < v.len.size(); ++b) {
+    const uint32_t s_v = v.start[b];
+    const uint32_t e_v = v.end[b];
+    uint64_t best = 0;
+    for (size_t a = 0; a < n_w; ++a) {
+      const uint32_t lo = std::max(w.start[a], s_v);
+      const uint32_t hi = std::min(w.end[a], e_v);
+      const uint64_t overlap = hi > lo ? hi - lo : 0;
+      best = std::max(best, (overlap << 32) | (UINT32_MAX - w.len[a]));
+    }
+    const auto overlap = static_cast<uint32_t>(best >> 32);
+    if (overlap > 0) {
+      const uint32_t l_w = UINT32_MAX - static_cast<uint32_t>(best);
+      sum += static_cast<double>(overlap) /
+             static_cast<double>(std::max(l_w, v.len[b]));
+    }
+  }
+  return sum / static_cast<double>(std::max(w.total, v.total));
+}
+
+}  // namespace
+
 std::vector<std::vector<double>> BuildScoreMatrix(
     const std::vector<std::vector<PivotCom>>& pivot_reprs,
     const std::vector<double>& probabilities,
     const std::vector<uint32_t>& start_vertices) {
   const size_t n = probabilities.size();
   std::vector<std::vector<double>> sm(n, std::vector<double>(n, 0.0));
+
+  // Representation classes: instances whose representations agree against
+  // every pivot have equal FJDs to and from everyone, so max_i FJD is
+  // computed once per ordered pair of classes.
+  auto same_class = [&](uint32_t a, uint32_t b) {
+    for (const auto& reprs : pivot_reprs) {
+      if (!(reprs[a] == reprs[b])) return false;
+    }
+    return true;
+  };
+  std::vector<uint32_t> class_of(n);
+  std::vector<uint32_t> members;  // one instance per class
+  for (uint32_t w = 0; w < n; ++w) {
+    uint32_t c = 0;
+    while (c < members.size() && !same_class(members[c], w)) ++c;
+    if (c == members.size()) members.push_back(w);
+    class_of[w] = c;
+  }
+  const size_t classes = members.size();
+
+  // flat[i * classes + c]: class c's representation against pivot i.
+  std::vector<FlatCom> flat;
+  flat.reserve(pivot_reprs.size() * classes);
+  for (const auto& reprs : pivot_reprs) {
+    for (const uint32_t w : members) flat.emplace_back(reprs[w]);
+  }
+
+  constexpr double kUnset = -1.0;  // FJD is never negative
+  std::vector<double> memo(classes * classes, kUnset);
   for (size_t w = 0; w < n; ++w) {
     for (size_t v = 0; v < n; ++v) {
       if (w == v) continue;  // SF(w, w) = 0
       if (start_vertices[w] != start_vertices[v]) continue;
-      double best = 0.0;
-      for (const auto& reprs : pivot_reprs) {
-        best = std::max(best, Fjd(reprs[w], reprs[v]));
+      double& best = memo[class_of[w] * classes + class_of[v]];
+      if (best == kUnset) {
+        best = 0.0;
+        for (size_t i = 0; i < pivot_reprs.size(); ++i) {
+          best = std::max(best, FlatFjd(flat[i * classes + class_of[w]],
+                                        flat[i * classes + class_of[v]]));
+        }
       }
       sm[w][v] = probabilities[w] * best;
     }

@@ -1,43 +1,30 @@
 #include "core/pivot.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace utcq::core {
 
-PivotCom FactorizeAgainstPivot(const std::vector<uint32_t>& pivot,
-                               const std::vector<uint32_t>& target) {
+PivotCom FactorizeAgainstPivot(const SymbolIndex& pivot,
+                               std::span<const uint32_t> target) {
   PivotCom com;
-  const size_t n = target.size();
-  const size_t m = pivot.size();
-  std::unordered_map<uint32_t, std::vector<uint32_t>> occurrences;
-  for (uint32_t s = 0; s < m; ++s) occurrences[pivot[s]].push_back(s);
-
   size_t i = 0;
-  while (i < n) {
-    uint32_t best_s = 0;
-    size_t best_l = 0;
-    const auto it = occurrences.find(target[i]);
-    if (it != occurrences.end()) {
-      for (const uint32_t s : it->second) {
-        size_t l = 0;
-        while (s + l < m && i + l < n && pivot[s + l] == target[i + l]) ++l;
-        if (l > best_l) {
-          best_l = l;
-          best_s = s;
-        }
-      }
-    }
+  while (i < target.size()) {
+    const auto [best_s, best_l] = pivot.LongestMatch(target, i);
     ++com.total_factors;
     if (best_l == 0) {
       // Symbol absent from the pivot: factor omitted but counted.
       ++i;
       continue;
     }
-    com.factors.emplace_back(best_s, static_cast<uint32_t>(best_l));
+    com.factors.emplace_back(best_s, best_l);
     i += best_l;
   }
   return com;
+}
+
+PivotCom FactorizeAgainstPivot(const std::vector<uint32_t>& pivot,
+                               const std::vector<uint32_t>& target) {
+  return FactorizeAgainstPivot(SymbolIndex(pivot), target);
 }
 
 std::vector<uint32_t> SelectPivots(
@@ -52,12 +39,12 @@ std::vector<uint32_t> SelectPivots(
   for (int round = 0; round < num_pivots && pivots.size() < n; ++round) {
     // Represent everything against `current`; the instance with the most
     // factors is farthest away and becomes the next pivot.
+    const SymbolIndex index(entry_seqs[current]);
     uint32_t farthest = current;
     uint32_t max_factors = 0;
     for (uint32_t w = 0; w < n; ++w) {
       if (chosen[w]) continue;
-      const PivotCom com =
-          FactorizeAgainstPivot(entry_seqs[current], entry_seqs[w]);
+      const PivotCom com = FactorizeAgainstPivot(index, entry_seqs[w]);
       if (com.total_factors > max_factors) {
         max_factors = com.total_factors;
         farthest = w;
@@ -76,10 +63,10 @@ std::vector<std::vector<PivotCom>> RepresentAgainstPivots(
     const std::vector<uint32_t>& pivots) {
   std::vector<std::vector<PivotCom>> result(pivots.size());
   for (size_t i = 0; i < pivots.size(); ++i) {
+    const SymbolIndex index(entry_seqs[pivots[i]]);
     result[i].reserve(entry_seqs.size());
     for (const auto& seq : entry_seqs) {
-      result[i].push_back(
-          FactorizeAgainstPivot(entry_seqs[pivots[i]], seq));
+      result[i].push_back(FactorizeAgainstPivot(index, seq));
     }
   }
   return result;

@@ -2,9 +2,10 @@
 #define UTCQ_CORE_PIVOT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/improved_ted.h"
+#include "core/referential.h"
 
 namespace utcq::core {
 
@@ -15,9 +16,16 @@ namespace utcq::core {
 struct PivotCom {
   std::vector<std::pair<uint32_t, uint32_t>> factors;  // (S, L)
   uint32_t total_factors = 0;
+
+  bool operator==(const PivotCom&) const = default;
 };
 
-/// Greedy longest-match (S, L) factorization used for pivot representation.
+/// Greedy longest-match (S, L) factorization used for pivot representation,
+/// against an indexed pivot.
+PivotCom FactorizeAgainstPivot(const SymbolIndex& pivot,
+                               std::span<const uint32_t> target);
+
+/// As above, indexing `pivot` for this one call.
 PivotCom FactorizeAgainstPivot(const std::vector<uint32_t>& pivot,
                                const std::vector<uint32_t>& target);
 

@@ -1,55 +1,70 @@
 #include "core/referential.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/bitstream.h"
 
 namespace utcq::core {
 
-std::vector<EFactor> FactorizeE(const std::vector<uint32_t>& ref,
-                                const std::vector<uint32_t>& target) {
+SymbolIndex::SymbolIndex(std::span<const uint32_t> seq) : seq_(seq) {
+  occurrences_.reserve(seq.size());
+  for (uint32_t s = 0; s < seq.size(); ++s) {
+    occurrences_.emplace_back(seq[s], s);
+  }
+  std::sort(occurrences_.begin(), occurrences_.end());
+}
+
+std::pair<uint32_t, uint32_t> SymbolIndex::LongestMatch(
+    std::span<const uint32_t> target, size_t i) const {
+  const uint32_t symbol = target[i];
+  const size_t m = seq_.size();
+  const size_t rest = target.size() - i;
+  uint32_t best_s = 0;
+  size_t best_l = 0;
+  for (auto it = std::lower_bound(occurrences_.begin(), occurrences_.end(),
+                                  std::pair<uint32_t, uint32_t>{symbol, 0});
+       it != occurrences_.end() && it->first == symbol; ++it) {
+    const uint32_t s = it->second;
+    const size_t limit = std::min(m - s, rest);
+    size_t l = 1;  // seq[s] == target[i] by construction
+    while (l < limit && seq_[s + l] == target[i + l]) ++l;
+    if (l > best_l) {
+      best_l = l;
+      best_s = s;
+      if (l == rest) break;  // no later candidate can be strictly longer
+    }
+  }
+  return {best_s, static_cast<uint32_t>(best_l)};
+}
+
+std::vector<EFactor> FactorizeE(const SymbolIndex& ref,
+                                std::span<const uint32_t> target) {
   std::vector<EFactor> factors;
   const size_t n = target.size();
-  const size_t m = ref.size();
-
-  // Occurrence lists per symbol keep the greedy scan near O(n * matches).
-  std::unordered_map<uint32_t, std::vector<uint32_t>> occurrences;
-  for (uint32_t s = 0; s < m; ++s) occurrences[ref[s]].push_back(s);
-
+  const auto m = static_cast<uint32_t>(ref.size());
   size_t i = 0;
   while (i < n) {
-    uint32_t best_s = 0;
-    size_t best_l = 0;
-    const auto it = occurrences.find(target[i]);
-    if (it != occurrences.end()) {
-      for (const uint32_t s : it->second) {
-        size_t l = 0;
-        while (s + l < m && i + l < n && ref[s + l] == target[i + l]) ++l;
-        if (l > best_l) {
-          best_l = l;
-          best_s = s;
-        }
-      }
-    }
+    const auto [best_s, best_l] = ref.LongestMatch(target, i);
     if (best_l == 0) {
       // Case B: the symbol does not occur in the reference at all.
-      factors.push_back(
-          {static_cast<uint32_t>(m), 0, target[i], /*case_b=*/true});
+      factors.push_back({m, 0, target[i], /*case_b=*/true});
       ++i;
       continue;
     }
     if (i + best_l == n) {
       // Case A: complete final match, M omitted.
-      factors.push_back(
-          {best_s, static_cast<uint32_t>(best_l), std::nullopt, false});
+      factors.push_back({best_s, best_l, std::nullopt, false});
       break;
     }
-    factors.push_back(
-        {best_s, static_cast<uint32_t>(best_l), target[i + best_l], false});
+    factors.push_back({best_s, best_l, target[i + best_l], false});
     i += best_l + 1;
   }
   return factors;
+}
+
+std::vector<EFactor> FactorizeE(const std::vector<uint32_t>& ref,
+                                const std::vector<uint32_t>& target) {
+  return FactorizeE(SymbolIndex(ref), target);
 }
 
 std::vector<uint32_t> ExpandE(const std::vector<uint32_t>& ref,

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace utcq::core {
@@ -23,9 +25,36 @@ struct EFactor {
   bool operator==(const EFactor&) const = default;
 };
 
-/// Greedy longest-match factorization of `target` against `ref`
-/// (ties broken toward the smallest S for determinism). The result decodes
-/// back to `target` via ExpandE for any inputs.
+/// Occurrence index of one sequence: its (symbol, position) pairs as one
+/// flat sorted array, so each symbol's positions are a contiguous ascending
+/// run. Built once per pivot or reference and shared by every factorization
+/// against it. Borrows the sequence, which must outlive the index.
+class SymbolIndex {
+ public:
+  explicit SymbolIndex(std::span<const uint32_t> seq);
+  explicit SymbolIndex(const std::vector<uint32_t>&& seq) = delete;
+
+  /// Longest common prefix of target[i, ...) with seq[s, ...) over every
+  /// occurrence s of target[i], as (S, L). Candidates are tried in ascending
+  /// S and only a strictly longer match replaces the best, so ties go to
+  /// the smallest S. L is 0 when target[i] does not occur in the sequence.
+  std::pair<uint32_t, uint32_t> LongestMatch(std::span<const uint32_t> target,
+                                             size_t i) const;
+
+  size_t size() const { return seq_.size(); }
+
+ private:
+  std::span<const uint32_t> seq_;
+  std::vector<std::pair<uint32_t, uint32_t>> occurrences_;  // (symbol, S)
+};
+
+/// Greedy longest-match factorization of `target` against the indexed
+/// reference (ties broken toward the smallest S for determinism). The result
+/// decodes back to `target` via ExpandE for any inputs.
+std::vector<EFactor> FactorizeE(const SymbolIndex& ref,
+                                std::span<const uint32_t> target);
+
+/// As above, indexing `ref` for this one call.
 std::vector<EFactor> FactorizeE(const std::vector<uint32_t>& ref,
                                 const std::vector<uint32_t>& target);
 

@@ -78,6 +78,87 @@ TEST(BitStream, AppendConcatenates) {
   EXPECT_EQ(r.GetBits(7), 0b1011001u);
 }
 
+/// Bit-at-a-time model of BitWriter: one bool per bit, packed MSB-first
+/// with a zero-padded last byte.
+struct BitOracle {
+  std::vector<bool> bits;
+
+  void PutBits(uint64_t value, int width) {
+    for (int i = width - 1; i >= 0; --i) bits.push_back((value >> i) & 1u);
+  }
+  std::vector<uint8_t> Bytes() const {
+    std::vector<uint8_t> out((bits.size() + 7) / 8, 0);
+    for (size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i]) out[i / 8] |= static_cast<uint8_t>(0x80u >> (i % 8));
+    }
+    return out;
+  }
+};
+
+/// Applies one random operation to both a writer and its oracle.
+void RandomBitOp(Rng& rng, BitWriter& w, BitOracle& o) {
+  switch (rng.UniformInt(0, 3)) {
+    case 0: {
+      // Values carry garbage above `width`; only the low bits may land.
+      const int width = static_cast<int>(rng.UniformInt(0, 64));
+      const uint64_t value = rng.engine()();
+      w.PutBits(value, width);
+      o.PutBits(value, width);
+      break;
+    }
+    case 1: {
+      const bool bit = rng.Bernoulli(0.5);
+      const auto count = static_cast<size_t>(rng.UniformInt(0, 200));
+      w.PutRun(bit, count);
+      for (size_t i = 0; i < count; ++i) o.bits.push_back(bit);
+      break;
+    }
+    case 2: {
+      const bool bit = rng.Bernoulli(0.5);
+      w.PutBit(bit);
+      o.bits.push_back(bit);
+      break;
+    }
+    default: {
+      BitWriter other;
+      BitOracle other_o;
+      const auto lead = static_cast<int>(rng.UniformInt(0, 15));
+      const uint64_t value = rng.engine()();
+      other.PutBits(value, lead);
+      other_o.PutBits(value, lead);
+      for (int k = static_cast<int>(rng.UniformInt(0, 4)); k > 0; --k) {
+        const int width = static_cast<int>(rng.UniformInt(0, 64));
+        const uint64_t v = rng.engine()();
+        other.PutBits(v, width);
+        other_o.PutBits(v, width);
+      }
+      w.Append(other);
+      o.bits.insert(o.bits.end(), other_o.bits.begin(), other_o.bits.end());
+      break;
+    }
+  }
+}
+
+TEST(BitStream, WordWritesMatchBitAtATimeOracle) {
+  Rng rng(20261017);
+  for (int round = 0; round < 300; ++round) {
+    BitWriter w;
+    BitOracle o;
+    // Random start offset, so every op meets every in-byte alignment.
+    const auto offset = static_cast<int>(rng.UniformInt(0, 23));
+    for (int i = 0; i < offset; ++i) {
+      const bool bit = rng.Bernoulli(0.5);
+      w.PutBit(bit);
+      o.bits.push_back(bit);
+    }
+    for (int op = 0; op < 40; ++op) {
+      RandomBitOp(rng, w, o);
+      ASSERT_EQ(w.size_bits(), o.bits.size()) << "round " << round;
+      ASSERT_EQ(w.bytes(), o.Bytes()) << "round " << round << " op " << op;
+    }
+  }
+}
+
 TEST(BitStream, BitAt) {
   BitWriter w;
   w.PutBits(0b10110, 5);

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <queue>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/fjd.h"
 #include "core/pivot.h"
 #include "core/reference_selection.h"
@@ -112,6 +116,63 @@ TEST(Fjd, ScoreMatrixZeroDiagonalAndSvGate) {
   EXPECT_GT(sm[0][1], sm[1][0]);
 }
 
+/// A random PivotCom: factors inside a short pivot, H at least the factor
+/// count (absent symbols add to H only), sometimes empty.
+PivotCom RandomPivotCom(common::Rng& rng) {
+  PivotCom com;
+  for (int k = static_cast<int>(rng.UniformInt(0, 6)); k > 0; --k) {
+    com.factors.emplace_back(static_cast<uint32_t>(rng.UniformInt(0, 20)),
+                             static_cast<uint32_t>(rng.UniformInt(1, 8)));
+  }
+  com.total_factors = static_cast<uint32_t>(com.factors.size()) +
+                      static_cast<uint32_t>(rng.UniformInt(0, 2));
+  return com;
+}
+
+TEST(Fjd, ScoreMatrixEqualsPairwiseFjd) {
+  common::Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<size_t>(rng.UniformInt(0, 14));
+    const auto num_pivots = static_cast<size_t>(rng.UniformInt(1, 3));
+    // Each instance draws its representation against each pivot from a
+    // small pool independently, so instances agree against one pivot and
+    // differ against another: the class memo must key on all pivots.
+    std::vector<std::vector<PivotCom>> reprs(num_pivots);
+    for (auto& per_pivot : reprs) {
+      std::vector<PivotCom> pool(static_cast<size_t>(rng.UniformInt(1, 3)));
+      for (auto& com : pool) com = RandomPivotCom(rng);
+      for (size_t w = 0; w < n; ++w) {
+        per_pivot.push_back(pool[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+      }
+    }
+    std::vector<double> probs(n);
+    std::vector<uint32_t> svs(n);
+    for (size_t w = 0; w < n; ++w) {
+      probs[w] = rng.Uniform(0.01, 1.0);
+      svs[w] = static_cast<uint32_t>(rng.UniformInt(0, 1));
+    }
+    const auto sm = BuildScoreMatrix(reprs, probs, svs);
+    ASSERT_EQ(sm.size(), n);
+    for (size_t w = 0; w < n; ++w) {
+      for (size_t v = 0; v < n; ++v) {
+        double want = 0.0;
+        if (w != v && svs[w] == svs[v]) {
+          double best = 0.0;
+          for (const auto& per_pivot : reprs) {
+            best = std::max(best, Fjd(per_pivot[w], per_pivot[v]));
+          }
+          want = probs[w] * best;
+        }
+        // Bitwise: Algorithm 1 orders cells by these doubles.
+        ASSERT_TRUE(sm[w][v] == want)
+            << "trial " << trial << " cell " << w << "," << v << ": "
+            << sm[w][v] << " vs " << want;
+      }
+    }
+  }
+}
+
 TEST(Fjd, PaperScoreMatrixPrefersHighProbabilityReference) {
   const auto ex = test::MakePaperExample();
   const auto seqs = PaperEntrySequences();
@@ -207,6 +268,75 @@ TEST(ReferenceSelection, RrsMembership) {
   ASSERT_EQ(plan.references.size(), 2u);
   EXPECT_EQ(plan.references[1], 3u);
   EXPECT_TRUE(plan.Rrs(1).empty());
+}
+
+/// Algorithm 1 as it was written before the early exit: every positive cell
+/// is popped, applied or skipped, and references are found by linear
+/// search.
+ReferencePlan ExhaustiveSelectReferences(
+    const std::vector<std::vector<double>>& sm) {
+  const size_t n = sm.size();
+  ReferencePlan plan;
+  plan.ref_of.assign(n, -1);
+  struct Cell {
+    double score;
+    uint32_t w;
+    uint32_t v;
+    bool operator<(const Cell& o) const { return score < o.score; }
+  };
+  std::priority_queue<Cell> heap;
+  for (uint32_t w = 0; w < n; ++w) {
+    for (uint32_t v = 0; v < n; ++v) {
+      if (w != v && sm[w][v] > 0.0) heap.push({sm[w][v], w, v});
+    }
+  }
+  std::vector<bool> is_reference(n, false);
+  std::vector<bool> is_represented(n, false);
+  while (!heap.empty()) {
+    const Cell cell = heap.top();
+    heap.pop();
+    if (is_represented[cell.w]) continue;
+    if (is_reference[cell.v] || is_represented[cell.v]) continue;
+    is_reference[cell.w] = true;
+    is_represented[cell.v] = true;
+    const auto it =
+        std::find(plan.references.begin(), plan.references.end(), cell.w);
+    const auto pos = static_cast<int32_t>(it - plan.references.begin());
+    if (it == plan.references.end()) plan.references.push_back(cell.w);
+    plan.ref_of[cell.v] = pos;
+  }
+  for (uint32_t w = 0; w < n; ++w) {
+    if (!is_reference[w] && !is_represented[w]) plan.references.push_back(w);
+  }
+  return plan;
+}
+
+TEST(ReferenceSelection, EarlyExitMatchesExhaustiveLoop) {
+  common::Rng rng(90210);
+  const double levels[] = {0.25, 0.5, 0.75};
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto n = static_cast<size_t>(rng.UniformInt(0, 16));
+    std::vector<std::vector<double>> sm(n, std::vector<double>(n, 0.0));
+    // Three score levels make ties the rule, so the heap's tie order
+    // decides references; dead rows and columns leave instances that
+    // represent nobody or that nobody can represent.
+    const double density = rng.Uniform(0.1, 0.9);
+    std::vector<bool> dead_row(n), dead_col(n);
+    for (size_t w = 0; w < n; ++w) {
+      dead_row[w] = rng.Bernoulli(0.2);
+      dead_col[w] = rng.Bernoulli(0.2);
+    }
+    for (size_t w = 0; w < n; ++w) {
+      for (size_t v = 0; v < n; ++v) {
+        if (w == v || dead_row[w] || dead_col[v]) continue;
+        if (rng.Bernoulli(density)) sm[w][v] = levels[rng.UniformInt(0, 2)];
+      }
+    }
+    const ReferencePlan want = ExhaustiveSelectReferences(sm);
+    const ReferencePlan got = SelectReferences(sm);
+    ASSERT_EQ(got.references, want.references) << "trial " << trial;
+    ASSERT_EQ(got.ref_of, want.ref_of) << "trial " << trial;
+  }
 }
 
 }  // namespace

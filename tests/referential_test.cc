@@ -1,7 +1,10 @@
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/improved_ted.h"
+#include "core/pivot.h"
 #include "core/referential.h"
 #include "paper_example.h"
 #include "traj/types.h"
@@ -110,6 +113,126 @@ TEST(FactorizeE, RandomRoundTrip) {
     for (auto& v : target) v = static_cast<uint32_t>(rng.UniformInt(0, 7));
     const auto factors = FactorizeE(ref, target);
     EXPECT_EQ(ExpandE(ref, factors), target);
+  }
+}
+
+// The greedy scans as they were written before SymbolIndex: a per-call
+// unordered_map of occurrence lists. The index must reproduce them factor
+// for factor, since the archive bytes are built from these factors.
+namespace oracle {
+
+std::pair<uint32_t, size_t> MapLongestMatch(
+    const std::unordered_map<uint32_t, std::vector<uint32_t>>& occurrences,
+    const std::vector<uint32_t>& ref, const std::vector<uint32_t>& target,
+    size_t i) {
+  uint32_t best_s = 0;
+  size_t best_l = 0;
+  const auto it = occurrences.find(target[i]);
+  if (it != occurrences.end()) {
+    for (const uint32_t s : it->second) {
+      size_t l = 0;
+      while (s + l < ref.size() && i + l < target.size() &&
+             ref[s + l] == target[i + l]) {
+        ++l;
+      }
+      if (l > best_l) {
+        best_l = l;
+        best_s = s;
+      }
+    }
+  }
+  return {best_s, best_l};
+}
+
+std::unordered_map<uint32_t, std::vector<uint32_t>> Occurrences(
+    const std::vector<uint32_t>& ref) {
+  std::unordered_map<uint32_t, std::vector<uint32_t>> occurrences;
+  for (uint32_t s = 0; s < ref.size(); ++s) occurrences[ref[s]].push_back(s);
+  return occurrences;
+}
+
+std::vector<EFactor> FactorizeE(const std::vector<uint32_t>& ref,
+                                const std::vector<uint32_t>& target) {
+  const auto occurrences = Occurrences(ref);
+  std::vector<EFactor> factors;
+  const size_t n = target.size();
+  const auto m = static_cast<uint32_t>(ref.size());
+  size_t i = 0;
+  while (i < n) {
+    const auto [best_s, best_l] = MapLongestMatch(occurrences, ref, target, i);
+    if (best_l == 0) {
+      factors.push_back({m, 0, target[i], true});
+      ++i;
+      continue;
+    }
+    if (i + best_l == n) {
+      factors.push_back(
+          {best_s, static_cast<uint32_t>(best_l), std::nullopt, false});
+      break;
+    }
+    factors.push_back(
+        {best_s, static_cast<uint32_t>(best_l), target[i + best_l], false});
+    i += best_l + 1;
+  }
+  return factors;
+}
+
+PivotCom FactorizeAgainstPivot(const std::vector<uint32_t>& pivot,
+                               const std::vector<uint32_t>& target) {
+  const auto occurrences = Occurrences(pivot);
+  PivotCom com;
+  size_t i = 0;
+  while (i < target.size()) {
+    const auto [best_s, best_l] =
+        MapLongestMatch(occurrences, pivot, target, i);
+    ++com.total_factors;
+    if (best_l == 0) {
+      ++i;
+      continue;
+    }
+    com.factors.emplace_back(best_s, static_cast<uint32_t>(best_l));
+    i += best_l;
+  }
+  return com;
+}
+
+}  // namespace oracle
+
+TEST(SymbolIndex, FactorizersMatchTheOccurrenceMapScan) {
+  common::Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Small alphabets make long runs of equal candidates, so the first-
+    // longest tie rule decides many factors.
+    const auto alphabet = static_cast<uint32_t>(rng.UniformInt(1, 6));
+    std::vector<uint32_t> ref(static_cast<size_t>(rng.UniformInt(0, 40)));
+    for (auto& v : ref) v = static_cast<uint32_t>(rng.UniformInt(0, alphabet));
+    const SymbolIndex index(ref);  // shared by every target below
+    for (int t = 0; t < 8; ++t) {
+      std::vector<uint32_t> target;
+      if (t % 2 == 0 || ref.empty()) {
+        target.resize(static_cast<size_t>(rng.UniformInt(0, 40)));
+        for (auto& v : target) {
+          v = static_cast<uint32_t>(rng.UniformInt(0, alphabet + 1));
+        }
+      } else {
+        target = ref;  // a mutated copy: long matches, a few mismatches
+        for (int k = static_cast<int>(rng.UniformInt(0, 4)); k > 0; --k) {
+          const auto at = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(target.size()) - 1));
+          target[at] = static_cast<uint32_t>(rng.UniformInt(0, alphabet + 1));
+        }
+      }
+      const auto want_e = oracle::FactorizeE(ref, target);
+      ASSERT_EQ(FactorizeE(index, target), want_e) << "trial " << trial;
+      ASSERT_EQ(FactorizeE(ref, target), want_e) << "trial " << trial;
+      const PivotCom want_p = oracle::FactorizeAgainstPivot(ref, target);
+      const PivotCom got_p = FactorizeAgainstPivot(index, target);
+      ASSERT_EQ(got_p.factors, want_p.factors) << "trial " << trial;
+      ASSERT_EQ(got_p.total_factors, want_p.total_factors)
+          << "trial " << trial;
+      ASSERT_EQ(FactorizeAgainstPivot(ref, target).factors, want_p.factors)
+          << "trial " << trial;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "archive/archive.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "shard/sharded.h"
@@ -350,6 +351,59 @@ TEST(Sharded, CompressByReferenceMatchesCopiedSubCorpora) {
                   .Serialize(),
               archive::ArchiveWriter(cc, &index).Serialize())
         << "shard " << s;
+  }
+}
+
+TEST(Sharded, CompressedBytesArePinned) {
+  // Golden digests of every shard image of a fixed corpus, once per pivot
+  // count. The compressor's planning kernels (pivot factorization, the FJD
+  // score matrix, Algorithm 1) may be rewritten for speed only if these
+  // stay put: any change to a chosen pivot, a score cell or a reference
+  // changes the archive bytes. Algorithm 1 pops a std::priority_queue whose
+  // equal-score tie order is libstdc++'s heap algorithm, so the digests
+  // hold for that standard library; another one may legitimately pick
+  // different (equally scored) references and fail this test.
+  const auto profile = traj::HangzhouProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  const traj::UncertainCorpus corpus =
+      test::MakeSmallCorpus(net, profile, 2026, 120);
+  const network::GridIndex grid(net, 16);
+  ShardOptions opts;
+  opts.num_shards = 4;
+  opts.num_threads = 2;
+  struct Golden {
+    int num_pivots;
+    size_t size[4];
+    uint32_t crc[4];
+  };
+  const Golden goldens[] = {
+      {1,
+       {46657, 38124, 78075, 61017},
+       {1412498319u, 1902971870u, 1109638582u, 2208677772u}},
+      {2,
+       {46620, 38143, 77991, 61033},
+       {3480344583u, 1963503081u, 1183546369u, 2876210944u}},
+  };
+  for (const Golden& golden : goldens) {
+    core::UtcqParams params;
+    params.default_interval_s = profile.default_interval_s;
+    params.num_pivots = golden.num_pivots;
+    const ShardedCompressor compressor(net, grid, params,
+                                       core::StiuParams{16, 900}, opts);
+    const ShardedBuild build = compressor.Compress(corpus);
+    ASSERT_EQ(build.plan.num_shards(), 4u);
+    for (uint32_t s = 0; s < 4; ++s) {
+      const std::vector<uint8_t> bytes =
+          archive::ArchiveWriter(build.shards[s]->corpus,
+                                 build.shards[s]->index.get())
+              .Serialize();
+      // An image ends in the CRC-32 of everything before it, so a CRC over
+      // the whole image is a constant residue: digest the body.
+      EXPECT_EQ(bytes.size(), golden.size[s])
+          << "num_pivots " << golden.num_pivots << " shard " << s;
+      EXPECT_EQ(common::Crc32(bytes.data(), bytes.size() - 4), golden.crc[s])
+          << "num_pivots " << golden.num_pivots << " shard " << s;
+    }
   }
 }
 
