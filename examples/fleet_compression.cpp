@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
   uparams.eta_p = profile.eta_p;
   common::Stopwatch uw;
   core::UtcqCompressor ucomp(net, uparams);
-  std::vector<std::vector<core::NrefFactorLayout>> ulayouts;
-  const auto cc = ucomp.Compress(corpus, &ulayouts);
+  const auto cc = ucomp.Compress(corpus);
   const auto ureport = core::MakeReport(raw, cc.compressed_bits(),
                                         uw.ElapsedSeconds(),
                                         cc.peak_memory_bytes());
@@ -63,8 +62,7 @@ int main(int argc, char** argv) {
   // baseline is compression + index, not compression alone.
   const network::GridIndex grid(net, 32);
   common::Stopwatch iw;
-  const core::StiuIndex uindex(net, grid, corpus, cc, ulayouts,
-                               core::StiuParams{32, 1800});
+  const core::StiuIndex uindex(grid, corpus, cc, core::StiuParams{32, 1800});
   const double unsharded_seconds = ureport.seconds + iw.ElapsedSeconds();
 
   // --- TED baseline ---

@@ -82,9 +82,8 @@ int main(int argc, char** argv) {
   utcq::core::UtcqParams params;
   params.default_interval_s = profile.default_interval_s;
   const utcq::core::UtcqCompressor compressor(net, params);
-  std::vector<std::vector<utcq::core::NrefFactorLayout>> layouts;
-  const utcq::core::CompressedCorpus cc = compressor.Compress(corpus, &layouts);
-  const utcq::core::StiuIndex index(net, grid, corpus, cc.view(), layouts,
+  const utcq::core::CompressedCorpus cc = compressor.Compress(corpus);
+  const utcq::core::StiuIndex index(grid, corpus, cc.view(),
                                     utcq::core::StiuParams{16, 900});
 
   bool ok = true;

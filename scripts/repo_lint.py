@@ -43,6 +43,12 @@ compiler nor clang-tidy can express, by scanning first-party sources:
                              export, no naming discipline; DESIGN.md §15).
                              Atomic flags (std::atomic<bool>) and atomic
                              pointers stay legal everywhere.
+  R9 append-only-section-tags
+                             `enum class SectionTag` in
+                             src/archive/archive.h keeps every on-disk tag
+                             (1-10) at its value and position; a new tag
+                             only appends, above every earlier value
+                             (DESIGN.md §6: tags are never renumbered).
 
 A finding can be waived inline with `// repo-lint: allow(<rule>)` on the
 offending line, but every waiver should carry a justification comment.
@@ -180,6 +186,17 @@ R8_PATTERN = re.compile(
 )
 R8_ALLOWED_PREFIXES = ("src/obs/", "src/common/")
 
+# --- R9: archive section tags are append-only --------------------------------
+
+R9_FILE = "src/archive/archive.h"
+R9_FROZEN = [
+    ("kParams", 1), ("kTStream", 2), ("kRefStream", 3), ("kNrefStream", 4),
+    ("kStructure", 5), ("kMetas", 6), ("kStiu", 7), ("kShardManifest", 8),
+    ("kTSyncIndex", 9), ("kStiuV4", 10),
+]
+R9_ENUM_RE = re.compile(r"\benum\s+class\s+SectionTag\b")
+R9_ENTRY_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,?\s*$")
+
 
 def decode_into_bodies(lines):
     """Yield (start_lineno, body_lines) for each Decode*Into definition,
@@ -221,6 +238,49 @@ def decode_into_bodies(lines):
                 yield i + 1, list(range(open_line + 1, min(j + 1, n)))
                 i = j
         i += 1
+
+
+def section_tags(lines):
+    """(name, value, line index) of every SectionTag enumerator in
+    declaration order, or None when the enum is missing."""
+    start = next((i for i, raw in enumerate(lines)
+                  if R9_ENUM_RE.search(strip_comment(raw))), None)
+    if start is None:
+        return None
+    tags = []
+    for i in range(start + 1, len(lines)):
+        code = strip_comment(lines[i])
+        if "}" in code:
+            break
+        m = R9_ENTRY_RE.match(code)
+        if m:
+            tags.append((m.group(1), int(m.group(2)), i))
+    return tags
+
+
+def check_section_tags(path, lines, findings):
+    rule = "append-only-section-tags"
+    tags = section_tags(lines)
+    if tags is None:
+        findings.append(Finding(rule, path, 1, "",
+                                "enum class SectionTag not found"))
+        return
+    for k, (name, value) in enumerate(R9_FROZEN):
+        if k >= len(tags) or tags[k][:2] != (name, value):
+            i = tags[k][2] if k < len(tags) else len(lines) - 1
+            findings.append(Finding(
+                rule, path, i + 1, lines[i] if lines else "",
+                f"SectionTag entry {k + 1} must stay {name} = {value}: "
+                "on-disk tags are never renumbered, removed or reordered "
+                "(DESIGN.md §6)"))
+            return
+    prev = R9_FROZEN[-1][1]
+    for name, value, i in tags[len(R9_FROZEN):]:
+        if value <= prev:
+            findings.append(Finding(
+                rule, path, i + 1, lines[i],
+                f"new SectionTag {name} = {value} must append above {prev}"))
+        prev = max(prev, value)
 
 
 def check_file(path, r, lines, findings):
@@ -287,6 +347,8 @@ def check_file(path, r, lines, findings):
             "so stats are snapshotable and exported (DESIGN.md §15)",
             findings,
         )
+    if r == R9_FILE:
+        check_section_tags(path, lines, findings)
 
 
 def check(findings):
@@ -303,6 +365,21 @@ def check(findings):
 # snippets (allowed location, waiver, or a benign look-alike) must stay
 # clean. A rule edit that silently stops matching fails here, not in a
 # future PR that reintroduces the banned pattern.
+
+SECTION_TAGS_OK = (
+    "enum class SectionTag : uint64_t {\n"
+    "  kParams = 1,  // UtcqParams\n"
+    "  kTStream = 2,\n"
+    "  kRefStream = 3,\n"
+    "  kNrefStream = 4,\n"
+    "  kStructure = 5,\n"
+    "  kMetas = 6,\n"
+    "  kStiu = 7,\n"
+    "  kShardManifest = 8,\n"
+    "  kTSyncIndex = 9,\n"
+    "  kStiuV4 = 10,\n"
+    "};\n"
+)
 
 SELF_TEST_CASES = [
     # R1
@@ -402,6 +479,23 @@ SELF_TEST_CASES = [
     ("the pool's pending count stays legal",
      "src/common/thread_pool.cc",
      "pending_.fetch_add(1, std::memory_order_release);\n", []),
+    # R9
+    ("the section tags as shipped are clean",
+     R9_FILE, SECTION_TAGS_OK, []),
+    ("a new tag appended above the last is clean",
+     R9_FILE, SECTION_TAGS_OK.replace(
+         "};", "  kFuture = 11,  // a later section\n};"), []),
+    ("a renumbered tag trips",
+     R9_FILE, SECTION_TAGS_OK.replace("kStiu = 7,", "kStiu = 11,"),
+     ["append-only-section-tags"]),
+    ("a removed tag trips",
+     R9_FILE, SECTION_TAGS_OK.replace("  kShardManifest = 8,\n", ""),
+     ["append-only-section-tags"]),
+    ("a new tag reusing an old value trips",
+     R9_FILE, SECTION_TAGS_OK.replace("};", "  kFuture = 4,\n};"),
+     ["append-only-section-tags"]),
+    ("a missing SectionTag enum trips",
+     R9_FILE, "namespace utcq::archive {}\n", ["append-only-section-tags"]),
 ]
 
 

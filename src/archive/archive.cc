@@ -233,10 +233,12 @@ struct ArchiveRef {
   common::BitSpan t, ref, nref, structure;
   const std::vector<core::TrajMeta>* metas;
   /// StIU section source: the live index when non-null, else `stiu_size`
-  /// archived bytes (no section when both are empty).
+  /// archived bytes (no section when both are empty), written under tag 7
+  /// when `stiu_legacy`.
   const core::StiuIndex* index;
   const uint8_t* stiu;
   size_t stiu_size;
+  bool stiu_legacy;
   /// Version stamped into the header; the sync index (tag 9) is written
   /// iff t_sync_interval > 0, regardless of version, so re-encoding a
   /// loaded payload reproduces the original byte-for-byte.
@@ -266,9 +268,9 @@ void ForEachSectionBody(const ArchiveRef& p, const Visit& visit) {
   }
   visit(SectionTag::kMetas, [&](auto& out) { PutMetas(out, *p.metas); });
   if (p.index != nullptr) {
-    visit(SectionTag::kStiu, [&](auto& out) { p.index->Serialize(out); });
+    visit(SectionTag::kStiuV4, [&](auto& out) { p.index->Serialize(out); });
   } else if (p.stiu_size > 0) {
-    visit(SectionTag::kStiu,
+    visit(p.stiu_legacy ? SectionTag::kStiu : SectionTag::kStiuV4,
           [&](auto& out) { out.PutBytes(p.stiu, p.stiu_size); });
   }
   if (p.t_sync_interval > 0) {
@@ -401,7 +403,9 @@ std::vector<uint8_t> EncodeShardManifest(const ShardManifest& manifest) {
 
   ByteWriter out;
   out.PutBytes(kMagic, sizeof(kMagic));
-  out.PutU32(kFormatVersion);
+  // Manifests use no v4 section, so they keep the v3 stamp (§6: the
+  // version advances only for files that use the new section).
+  out.PutU32(3);
   out.PutVarint(1);  // section count
   out.PutVarint(static_cast<uint64_t>(SectionTag::kShardManifest));
   out.PutBlob(body.bytes().data(), body.size());
@@ -487,7 +491,7 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload) {
                            payload.ref.span(), payload.nref.span(),
                            payload.structure.span(), &payload.metas, nullptr,
                            payload.stiu.data(), payload.stiu.size(),
-                           payload.format_version,
+                           payload.stiu_legacy, payload.format_version,
                            payload.params.t_sync_interval});
 }
 
@@ -548,7 +552,15 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             }
             have_metas = true;
             break;
-          case SectionTag::kStiu: {
+          case SectionTag::kStiu:
+          case SectionTag::kStiuV4: {
+            // Tag 7 is the pre-v4 tuple shape; an image holds one shape.
+            const bool legacy =
+                static_cast<SectionTag>(tag) == SectionTag::kStiu;
+            if (out->stiu_cells_per_side != 0 && out->stiu_legacy != legacy) {
+              return fail("archive carries both StIU section shapes");
+            }
+            out->stiu_legacy = legacy;
             out->stiu.assign(body, body + length);
             // Peek the cells_per_side the tuples were built over (first
             // field of the StIU payload) so callers can rebuild a matching
@@ -636,16 +648,17 @@ std::vector<uint8_t> ArchiveWriter::Serialize() const {
   // StIU tuples are serialized from the index into the image: the output
   // image is the only buffer written.
   //
-  // A corpus built without sync points (K == 0) serializes as v2: the
-  // image carries nothing a v2 reader cannot parse, so it should not
-  // claim a version that locks v2 readers out.
+  // The version is the oldest that can parse the image: v4 with an index
+  // (tag 10), else v3 with sync points (tag 9), else v2. An image should
+  // not claim a version that locks older readers out.
   const uint32_t interval = corpus_.params().t_sync_interval;
+  const uint32_t version = index_ != nullptr ? 4 : interval > 0 ? 3 : 2;
   return EncodeArchiveRef(
       {&corpus_.params(), corpus_.entry_bits(), &corpus_.compressed_bits(),
        corpus_.t_stream().span(), corpus_.ref_stream().span(),
        corpus_.nref_stream().span(), corpus_.structure_stream().span(),
-       &corpus_.metas(), index_, nullptr, 0,
-       interval > 0 ? kFormatVersion : 2, interval});
+       &corpus_.metas(), index_, nullptr, 0, /*stiu_legacy=*/false, version,
+       interval});
 }
 
 bool ArchiveWriter::Save(const std::string& path, std::string* error) const {
@@ -766,7 +779,8 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
     return nullptr;
   }
   ByteReader in(payload_.stiu);
-  auto index = std::make_unique<core::StiuIndex>(grid, in);
+  auto index =
+      std::make_unique<core::StiuIndex>(grid, in, payload_.stiu_legacy);
   if (!in.ok()) {
     if (error != nullptr) *error = "StIU section failed to parse";
     return nullptr;

@@ -39,8 +39,10 @@ inline constexpr char kMagic[8] = {'U', 'T', 'C', 'Q', 'A', 'R', 'C', '\0'};
 /// version bump; the payload shapes of tags 1-7 are unchanged, so version-1
 /// files still open). Version 3 added the T-stream sync index (tag 9,
 /// DESIGN.md §16) the same way: v1/v2 files still open (their trajectories
-/// simply carry no skip tables), and v3 readers skip nothing new.
-inline constexpr uint32_t kFormatVersion = 3;
+/// simply carry no skip tables), and v3 readers skip nothing new. Version 4
+/// added the slim StIU section (tag 10, the read fields of tag 7 only);
+/// v1-v3 tag-7 sections still parse, their extra fields discarded.
+inline constexpr uint32_t kFormatVersion = 4;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append.
@@ -51,9 +53,10 @@ enum class SectionTag : uint64_t {
   kNrefStream = 4,     // referential non-reference payloads
   kStructure = 5,      // per-trajectory role bitmaps
   kMetas = 6,          // TrajMeta records (bit positions into the streams)
-  kStiu = 7,           // serialized StIU tuple lists (optional)
+  kStiu = 7,           // StIU tuple lists, pre-v4 shape (read, not written)
   kShardManifest = 8,  // shard-set manifest (sole section of manifest files)
   kTSyncIndex = 9,     // per-trajectory T-stream sync tables (v3, optional)
+  kStiuV4 = 10,        // StIU tuple lists, read fields only (v4, optional)
 };
 
 /// The decoded contents of an archive, owning every buffer a CorpusView
@@ -80,6 +83,9 @@ struct ArchivePayload {
   /// Serialized StIU section payload; empty when the archive carries none
   /// (or ArchiveReader::TakeIndex released it).
   std::vector<uint8_t> stiu;
+  /// True when `stiu` came from a tag-7 section (pre-v4 tuple shape); it is
+  /// re-encoded under the same tag.
+  bool stiu_legacy = false;
   /// Grid resolution the StIU tuples were built over (from the StIU
   /// section); 0 when no index is archived.
   uint32_t stiu_cells_per_side = 0;

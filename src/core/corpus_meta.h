@@ -75,12 +75,8 @@ struct TrajMeta {
   std::vector<TSync> t_syncs;
 };
 
-/// Transient per-factor layout of one encoded non-reference E(.) block,
-/// consumed by the StIU builder to compute ma.pos tuples; not persisted.
-struct NrefFactorLayout {
-  std::vector<uint32_t> factor_entry_start;  // decoded E index per factor
-  std::vector<uint64_t> factor_bit_offset;   // absolute offset in nref_stream
-};
+/// Empty shim for bench/e2e/replay.cc; ROADMAP item 6 deletes it.
+struct NrefFactorLayout {};
 
 }  // namespace utcq::core
 

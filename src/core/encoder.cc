@@ -22,29 +22,18 @@ namespace {
 /// sentinel); L-1: ceil(log2(|E(ref)|)) bits; M: entry_bits. M presence on
 /// the final factor is implied by the decoded length.
 void EncodeEFactors(BitWriter& w, const std::vector<EFactor>& factors,
-                    uint32_t ref_e_len, int entry_bits,
-                    NrefFactorLayout* layout) {
+                    uint32_t ref_e_len, int entry_bits) {
   const int s_bits = BitsFor(ref_e_len);
   const int l_bits = BitsFor(ref_e_len > 0 ? ref_e_len - 1 : 0);
-  uint32_t decoded = 0;
   for (const EFactor& f : factors) {
-    if (layout != nullptr) {
-      layout->factor_entry_start.push_back(decoded);
-      layout->factor_bit_offset.push_back(w.size_bits());
-    }
     if (f.case_b) {
       w.PutBits(ref_e_len, s_bits);
       w.PutBits(*f.m, entry_bits);
-      ++decoded;
       continue;
     }
     w.PutBits(f.s, s_bits);
     w.PutBits(f.l - 1, l_bits);
-    decoded += f.l;
-    if (f.m.has_value()) {
-      w.PutBits(*f.m, entry_bits);
-      ++decoded;
-    }
+    if (f.m.has_value()) w.PutBits(*f.m, entry_bits);
   }
 }
 
@@ -84,21 +73,22 @@ CompressedCorpus UtcqCompressor::Begin() const {
 }
 
 CompressedCorpus UtcqCompressor::Compress(
-    const traj::UncertainCorpus& corpus,
-    std::vector<std::vector<NrefFactorLayout>>* layouts) const {
+    const traj::UncertainCorpus& corpus) const {
   CompressedCorpus out = Begin();
-  if (layouts != nullptr) layouts->clear();
   for (const traj::UncertainTrajectory& tu : corpus) {
-    std::vector<NrefFactorLayout> traj_layouts;
-    AppendTrajectory(tu, &out, layouts != nullptr ? &traj_layouts : nullptr);
-    if (layouts != nullptr) layouts->push_back(std::move(traj_layouts));
+    AppendTrajectory(tu, &out);
   }
   return out;
 }
 
 void UtcqCompressor::AppendTrajectory(
-    const traj::UncertainTrajectory& tu, CompressedCorpus* corpus_out,
-    std::vector<NrefFactorLayout>* layout) const {
+    const traj::UncertainTrajectory& tu, CompressedCorpus* out,
+    std::vector<NrefFactorLayout>* /*unused*/) const {
+  AppendTrajectory(tu, out);
+}
+
+void UtcqCompressor::AppendTrajectory(const traj::UncertainTrajectory& tu,
+                                      CompressedCorpus* corpus_out) const {
   CompressedCorpus& out = *corpus_out;
   common::MemoryTracker mem;
   auto quantize_d = [&](double v) { return out.d_codec_.Quantize(v); };
@@ -270,14 +260,13 @@ void UtcqCompressor::AppendTrajectory(
       nm.offset = out.nref_stream_.size_bits();
       nm.e_len = static_cast<uint32_t>(repr.entries.size());
 
-      NrefFactorLayout nref_layout;
       size_t before = out.nref_stream_.size_bits();
       common::PutVarint(out.nref_stream_, repr.entries.size());
       if (!ref_index[ref_pos]) ref_index[ref_pos].emplace(ref.entries);
       const auto e_factors = FactorizeE(*ref_index[ref_pos], repr.entries);
       EncodeEFactors(out.nref_stream_, e_factors,
                      static_cast<uint32_t>(ref.entries.size()),
-                     out.entry_bits_, &nref_layout);
+                     out.entry_bits_);
       out.compressed_bits_.e_bits += out.nref_stream_.size_bits() - before;
 
       before = out.nref_stream_.size_bits();
@@ -305,7 +294,6 @@ void UtcqCompressor::AppendTrajectory(
 
       meta.roles[w] = {false, static_cast<uint32_t>(meta.nrefs.size())};
       meta.nrefs.push_back(nm);
-      if (layout != nullptr) layout->push_back(std::move(nref_layout));
     }
 
     out.metas_.push_back(std::move(meta));

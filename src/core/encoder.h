@@ -91,12 +91,8 @@ class UtcqCompressor {
   UtcqCompressor(const network::RoadNetwork& net, UtcqParams params)
       : net_(net), params_(params) {}
 
-  /// Compresses the corpus. When `layouts` is non-null it receives, for
-  /// every trajectory, the per-non-reference factor layout (for StIU
-  /// construction).
-  CompressedCorpus Compress(
-      const traj::UncertainCorpus& corpus,
-      std::vector<std::vector<NrefFactorLayout>>* layouts = nullptr) const;
+  /// Compresses the corpus.
+  CompressedCorpus Compress(const traj::UncertainCorpus& corpus) const;
 
   /// Incremental entry points for streaming ingestion. Begin initializes an
   /// empty corpus (params, entry width, codecs); each AppendTrajectory
@@ -107,8 +103,11 @@ class UtcqCompressor {
   /// (the invariant the live-shard flush path rests on).
   CompressedCorpus Begin() const;
   void AppendTrajectory(const traj::UncertainTrajectory& tu,
+                        CompressedCorpus* out) const;
+  /// Layout-ignoring shim for bench/e2e; ROADMAP item 6 deletes it.
+  void AppendTrajectory(const traj::UncertainTrajectory& tu,
                         CompressedCorpus* out,
-                        std::vector<NrefFactorLayout>* layout = nullptr) const;
+                        std::vector<NrefFactorLayout>* layouts) const;
 
  private:
   const network::RoadNetwork& net_;

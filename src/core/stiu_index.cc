@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/exp_golomb.h"
 #include "common/varint.h"
@@ -11,36 +10,6 @@
 namespace utcq::core {
 
 namespace {
-
-/// Entry index in E(.) of each path edge (accounting for the 0 repeats).
-std::vector<uint32_t> EntryIndexOfPathEdge(
-    const traj::TrajectoryInstance& inst) {
-  std::vector<uint32_t> counts(inst.path.size(), 0);
-  for (const auto& loc : inst.locations) ++counts[loc.path_index];
-  std::vector<uint32_t> entry_idx(inst.path.size(), 0);
-  uint32_t cursor = 0;
-  for (size_t i = 0; i < inst.path.size(); ++i) {
-    entry_idx[i] = cursor;
-    cursor += 1 + (counts[i] > 1 ? counts[i] - 1 : 0);
-  }
-  return entry_idx;
-}
-
-/// First path-edge index entering each region, in travel order.
-std::vector<std::pair<network::RegionId, uint32_t>> FirstVisits(
-    const network::GridIndex& grid, const traj::TrajectoryInstance& inst) {
-  std::vector<std::pair<network::RegionId, uint32_t>> visits;
-  std::unordered_map<network::RegionId, bool> seen;
-  for (uint32_t i = 0; i < inst.path.size(); ++i) {
-    for (const network::RegionId re : grid.RegionsOfEdge(inst.path[i])) {
-      if (!seen[re]) {
-        seen[re] = true;
-        visits.emplace_back(re, i);
-      }
-    }
-  }
-  return visits;
-}
 
 /// Trajectory `j`'s run inside an id-sorted bucket.
 template <typename Tuple>
@@ -60,20 +29,21 @@ std::vector<const traj::UncertainTrajectory*> AddressesOf(
 
 }  // namespace
 
-StiuIndex::StiuIndex(const network::RoadNetwork& net,
-                     const network::GridIndex& grid,
+StiuIndex::StiuIndex(const network::GridIndex& grid,
                      const traj::UncertainCorpus& corpus,
-                     const CorpusView& cc,
-                     const std::vector<std::vector<NrefFactorLayout>>& layouts,
-                     StiuParams params)
-    : StiuIndex(net, grid, AddressesOf(corpus), cc, layouts, params) {}
+                     const CorpusView& cc, StiuParams params)
+    : StiuIndex(grid, AddressesOf(corpus), cc, params) {}
 
-StiuIndex::StiuIndex(const network::RoadNetwork& net,
-                     const network::GridIndex& grid,
+StiuIndex::StiuIndex(
+    const network::RoadNetwork& /*net*/, const network::GridIndex& grid,
+    const traj::UncertainCorpus& corpus, const CorpusView& cc,
+    const std::vector<std::vector<NrefFactorLayout>>& /*layouts*/,
+    StiuParams params)
+    : StiuIndex(grid, corpus, cc, params) {}
+
+StiuIndex::StiuIndex(const network::GridIndex& grid,
                      std::span<const traj::UncertainTrajectory* const> trajs,
-                     const CorpusView& cc,
-                     const std::vector<std::vector<NrefFactorLayout>>& layouts,
-                     StiuParams params)
+                     const CorpusView& cc, StiuParams params)
     : grid_(grid), params_(params) {
   params_.time_partition_s = std::max<int64_t>(params_.time_partition_s, 1);
   const size_t partitions =
@@ -83,6 +53,20 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
   partition_trajs_.resize(partitions);
   region_refs_.resize(grid.num_regions());
   region_nrefs_.resize(grid.num_regions());
+
+  // Per-trajectory scratch, reused: the regions the trajectory visits in
+  // first-visit order (a visit is a slot), each region's slot, the last
+  // instance that visited each slot, and one aggregate per (slot, ref).
+  constexpr uint32_t kNone = UINT32_MAX;
+  struct GroupAgg {
+    float p_max = 0.0f;  // over non-references only
+    bool ref_passes = false;
+    bool present = false;
+  };
+  std::vector<network::RegionId> visited;
+  std::vector<uint32_t> slot_of(grid.num_regions(), kNone);
+  std::vector<uint32_t> last_visitor;
+  std::vector<GroupAgg> agg;
 
   for (size_t j = 0; j < trajs.size(); ++j) {
     const traj::UncertainTrajectory& tu = *trajs[j];
@@ -121,115 +105,54 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
     }
 
     // ---- spatial tuples ----
-    // Region visit lists per instance, plus D-code bit offsets per ref.
-    struct GroupAgg {
-      float p_total = 0.0f;
-      float p_max = 0.0f;  // over non-references only
-      bool ref_passes = false;
-      network::VertexId fv_id = network::kInvalidVertex;
-      uint32_t fv_no = 0;
-      uint32_t d_no = 0;
-      uint64_t d_pos = 0;
-    };
-    // Aggregate per (region, ref group).
-    std::unordered_map<uint64_t, GroupAgg> agg;
-    auto key_of = [](network::RegionId re, uint32_t ref_pos) {
-      return (static_cast<uint64_t>(re) << 20) | ref_pos;
-    };
-
+    // One NrefTuple per (region, non-reference) visit; one RefTuple per
+    // (region, reference group) that any member visits.
+    const size_t num_refs = meta.refs.size();
+    visited.clear();
+    last_visitor.clear();
+    agg.clear();
     for (uint32_t w = 0; w < tu.instances.size(); ++w) {
       const traj::TrajectoryInstance& inst = tu.instances[w];
       const auto [is_ref, idx] = meta.roles[w];
       const uint32_t ref_pos = is_ref ? idx : meta.nrefs[idx].ref_pos;
-      const float p = is_ref ? meta.refs[idx].p_quantized
-                             : meta.nrefs[idx].p_quantized;
-      const auto entry_idx = EntryIndexOfPathEdge(inst);
-      const auto visits = FirstVisits(grid, inst);
-
-      // D-code offsets (references only): prefix bit lengths of codes.
-      std::vector<uint64_t> d_offsets;
-      if (is_ref) {
-        d_offsets.resize(inst.locations.size() + 1, meta.refs[idx].d_pos);
-        for (size_t k = 0; k < inst.locations.size(); ++k) {
-          d_offsets[k + 1] =
-              d_offsets[k] + cc.d_codec().CodeLength(inst.locations[k].rd);
-        }
-      }
-      // Location ordinals per entry (gamma of the full bit-string).
-      std::vector<uint32_t> gamma(inst.path.size(), 0);
-      {
-        uint32_t count = 0;
-        size_t loc = 0;
-        for (size_t i = 0; i < inst.path.size(); ++i) {
-          while (loc < inst.locations.size() &&
-                 inst.locations[loc].path_index == i) {
-            ++count;
-            ++loc;
+      for (const network::EdgeId e : inst.path) {
+        for (const network::RegionId re : grid.RegionsOfEdge(e)) {
+          if (slot_of[re] == kNone) {
+            slot_of[re] = static_cast<uint32_t>(visited.size());
+            visited.push_back(re);
+            last_visitor.push_back(kNone);
+            agg.resize(agg.size() + num_refs);
           }
-          gamma[i] = count;
-        }
-      }
-
-      for (const auto& [re, path_edge] : visits) {
-        GroupAgg& a = agg[key_of(re, ref_pos)];
-        a.p_total += p;
-        if (is_ref) {
-          a.ref_passes = true;
-          a.fv_no = entry_idx[path_edge];
-          a.fv_id = path_edge == 0
-                        ? traj::StartVertex(net, inst)
-                        : net.edge(inst.path[path_edge]).from;
-          a.d_no = path_edge == 0 ? 0 : gamma[path_edge - 1];
-          // Bracketing D code: the last location at or before region entry.
-          const uint32_t code =
-              a.d_no > 0 ? a.d_no - 1 : 0;
-          a.d_pos = d_offsets[std::min<size_t>(code, inst.locations.size())];
-        } else {
-          a.p_max = std::max(a.p_max, p);
-          // Non-reference tuple.
-          NrefTuple nt;
-          nt.traj = static_cast<uint32_t>(j);
-          nt.nref_idx = idx;
-          nt.rv_no = entry_idx[path_edge];
-          nt.rv_id = path_edge == 0
-                         ? traj::StartVertex(net, inst)
-                         : net.edge(inst.path[path_edge]).from;
-          // Factor containing entry rv_no (ma.pos).
-          const NrefFactorLayout& layout = layouts[j][idx];
-          const auto it = std::upper_bound(layout.factor_entry_start.begin(),
-                                           layout.factor_entry_start.end(),
-                                           nt.rv_no);
-          const size_t f =
-              it == layout.factor_entry_start.begin()
-                  ? 0
-                  : static_cast<size_t>(it - layout.factor_entry_start.begin()) -
-                        1;
-          nt.ma_pos = f < layout.factor_bit_offset.size()
-                          ? layout.factor_bit_offset[f]
-                          : 0;
-          region_nrefs_[re].push_back(nt);
+          const uint32_t slot = slot_of[re];
+          if (last_visitor[slot] == w) continue;
+          last_visitor[slot] = w;
+          GroupAgg& a = agg[slot * num_refs + ref_pos];
+          a.present = true;
+          if (is_ref) {
+            a.ref_passes = true;
+          } else {
+            a.p_max = std::max(a.p_max, meta.nrefs[idx].p_quantized);
+            region_nrefs_[re].push_back({static_cast<uint32_t>(j), idx});
+          }
         }
       }
     }
-
-    for (const auto& [key, a] : agg) {
-      RefTuple rt;
-      rt.traj = static_cast<uint32_t>(j);
-      rt.ref_idx = static_cast<uint32_t>(key & 0xFFFFFu);
-      rt.fv_id = a.fv_id;
-      rt.fv_no = a.fv_no;
-      rt.d_no = a.d_no;
-      rt.d_pos = a.d_pos;
-      rt.p_total = a.p_total;
-      rt.p_max = a.p_max;
-      rt.ref_passes = a.ref_passes;
-      region_refs_[static_cast<network::RegionId>(key >> 20)].push_back(rt);
+    for (uint32_t slot = 0; slot < visited.size(); ++slot) {
+      for (uint32_t r = 0; r < num_refs; ++r) {
+        const GroupAgg& a = agg[slot * num_refs + r];
+        if (a.present) {
+          region_refs_[visited[slot]].push_back(
+              {static_cast<uint32_t>(j), r, a.p_max, a.ref_passes});
+        }
+      }
+      slot_of[visited[slot]] = kNone;
     }
   }
   OrderByPartition();
 }
 
-StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
+StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
+                     bool legacy_shape)
     : grid_(grid) {
   params_.cells_per_side = static_cast<uint32_t>(in.GetVarint());
   params_.time_partition_s =
@@ -286,11 +209,13 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
     for (auto& rt : tuples) {
       rt.traj = static_cast<uint32_t>(in.GetVarint());
       rt.ref_idx = static_cast<uint32_t>(in.GetVarint());
-      rt.fv_id = static_cast<network::VertexId>(in.GetU32());
-      rt.fv_no = static_cast<uint32_t>(in.GetVarint());
-      rt.d_no = static_cast<uint32_t>(in.GetVarint());
-      rt.d_pos = in.GetVarint();
-      rt.p_total = in.GetF32();
+      if (legacy_shape) {
+        in.GetU32();     // fv_id
+        in.GetVarint();  // fv_no
+        in.GetVarint();  // d_no
+        in.GetVarint();  // d_pos
+        in.GetF32();     // p_total
+      }
       rt.p_max = in.GetF32();
       rt.ref_passes = in.GetU8() != 0;
     }
@@ -306,9 +231,11 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
     for (auto& nt : tuples) {
       nt.traj = static_cast<uint32_t>(in.GetVarint());
       nt.nref_idx = static_cast<uint32_t>(in.GetVarint());
-      nt.rv_id = static_cast<network::VertexId>(in.GetU32());
-      nt.rv_no = static_cast<uint32_t>(in.GetVarint());
-      nt.ma_pos = in.GetVarint();
+      if (legacy_shape) {
+        in.GetU32();     // rv_id
+        in.GetVarint();  // rv_no
+        in.GetVarint();  // ma_pos
+      }
     }
   }
   if (!in.ok()) {
@@ -479,11 +406,6 @@ void StiuIndex::SerializeTo(Out& out) const {
     for (const auto& rt : tuples) {
       out.PutVarint(rt.traj);
       out.PutVarint(rt.ref_idx);
-      out.PutU32(rt.fv_id);
-      out.PutVarint(rt.fv_no);
-      out.PutVarint(rt.d_no);
-      out.PutVarint(rt.d_pos);
-      out.PutF32(rt.p_total);
       out.PutF32(rt.p_max);
       out.PutU8(rt.ref_passes ? 1 : 0);
     }
@@ -493,9 +415,6 @@ void StiuIndex::SerializeTo(Out& out) const {
     for (const auto& nt : tuples) {
       out.PutVarint(nt.traj);
       out.PutVarint(nt.nref_idx);
-      out.PutU32(nt.rv_id);
-      out.PutVarint(nt.rv_no);
-      out.PutVarint(nt.ma_pos);
     }
   }
 }

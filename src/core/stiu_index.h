@@ -21,8 +21,10 @@ struct StiuParams {
 /// Spatio-temporal Information based Uncertain Trajectory Index
 /// (Section 5.2). Built during compression: temporal tuples point into the
 /// SIAR-coded T stream so where/range queries decode only the deltas after
-/// the partition start; spatial tuples carry the final-vertex anchors plus
-/// the p_total / p_max aggregates Lemmas 1-4 prune with.
+/// the partition start; spatial tuples name the instances that pass a
+/// region plus the p_max aggregate Lemmas 1-4 prune with. The paper's
+/// entry-point fields (fv, d, rv, ma) are not kept: nothing here decodes
+/// an instance from a region's entry point (DESIGN.md §7).
 ///
 /// The index is persistable: Serialize writes every tuple list to a byte
 /// stream (the archive's StIU section) and the deserializing constructor
@@ -47,42 +49,35 @@ class StiuIndex {
     uint64_t t_pos = 0;  // absolute bit position of the (t_no+1)-th delta
   };
 
-  /// Tuple of a reference w.r.t. a region (first form: the reference passes
-  /// the region; second form, ref_passes = false: only members of its Rrs
-  /// do — the paper's fv.id = infinity case).
-  /// Field order packs the tuple into 40 bytes (ref_passes fills the gap
-  /// before d_pos); the section format is field by field and unaffected.
+  /// Tuple of a reference group w.r.t. a region (first form: the reference
+  /// passes the region; second form, ref_passes = false: only members of
+  /// its Rrs do — the paper's fv.id = infinity case). 16 bytes.
   struct RefTuple {
     uint32_t traj = 0;
     uint32_t ref_idx = 0;
-    network::VertexId fv_id = network::kInvalidVertex;
-    uint32_t fv_no = 0;   // entry index of the region's first edge in E(ref)
-    uint32_t d_no = 0;    // gamma(fv_no): locations at or before that entry
+    float p_max = 0.0f;  // max non-reference probability in the region
     bool ref_passes = false;
-    uint64_t d_pos = 0;   // bit position of the bracketing D code
-    float p_total = 0.0f;
-    float p_max = 0.0f;   // max non-reference probability in the region
   };
 
-  /// Tuple of a non-reference w.r.t. a region.
+  /// Tuple of a non-reference w.r.t. a region. 8 bytes.
   struct NrefTuple {
     uint32_t traj = 0;
     uint32_t nref_idx = 0;
-    network::VertexId rv_id = network::kInvalidVertex;
-    uint32_t rv_no = 0;   // entry index of the region's first edge in E(nref)
-    uint64_t ma_pos = 0;  // bit offset of the factor containing that entry
   };
 
   /// Builds the index during compression (needs the uncompressed corpus for
-  /// the spatial aggregates and the factor layouts for ma.pos). Trajectory
-  /// j of the index is *trajs[j], borrowed for the constructor's duration,
-  /// so a shard indexes its members in place without copying them.
-  StiuIndex(const network::RoadNetwork& net, const network::GridIndex& grid,
+  /// the region visits). Trajectory j of the index is *trajs[j], borrowed
+  /// for the constructor's duration, so a shard indexes its members in
+  /// place without copying them. Each (region, trajectory) run of ref
+  /// tuples is ascending in ref_idx.
+  StiuIndex(const network::GridIndex& grid,
             std::span<const traj::UncertainTrajectory* const> trajs,
-            const CorpusView& cc,
-            const std::vector<std::vector<NrefFactorLayout>>& layouts,
-            StiuParams params);
+            const CorpusView& cc, StiuParams params);
   /// Same, over every trajectory of `corpus` in order.
+  StiuIndex(const network::GridIndex& grid,
+            const traj::UncertainCorpus& corpus, const CorpusView& cc,
+            StiuParams params);
+  /// Layout-ignoring shim for bench/e2e; ROADMAP item 6 deletes it.
   StiuIndex(const network::RoadNetwork& net, const network::GridIndex& grid,
             const traj::UncertainCorpus& corpus, const CorpusView& cc,
             const std::vector<std::vector<NrefFactorLayout>>& layouts,
@@ -91,11 +86,14 @@ class StiuIndex {
   /// Rebuilds an index from a Serialize()d byte stream (the archive's StIU
   /// section). `grid` must have been constructed with the cells_per_side
   /// recorded alongside the section; region-count mismatches latch
-  /// `in.ok()` false and leave the index empty.
-  StiuIndex(const network::GridIndex& grid, common::ByteReader& in);
+  /// `in.ok()` false and leave the index empty. `legacy_shape` reads the
+  /// pre-v4 (tag 7) tuple shape, whose eight extra fields are parsed and
+  /// discarded.
+  StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
+            bool legacy_shape);
 
-  /// Writes params and every tuple list; the exact inverse of the reading
-  /// constructor.
+  /// Writes params and every tuple list in the v4 (tag 10) shape; the
+  /// inverse of the reading constructor with legacy_shape = false.
   void Serialize(common::ByteWriter& out) const;
   /// Counts the bytes Serialize would write, without writing them.
   void Serialize(common::ByteCounter& out) const;

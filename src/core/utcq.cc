@@ -40,12 +40,11 @@ UtcqSystem::UtcqSystem(const network::RoadNetwork& net,
     : net_(net) {
   common::Stopwatch watch;
   UtcqCompressor compressor(net, params);
-  std::vector<std::vector<NrefFactorLayout>> layouts;
-  compressed_ = compressor.Compress(corpus, &layouts);
+  compressed_ = compressor.Compress(corpus);
   const double seconds = watch.ElapsedSeconds();
 
-  index_ = std::make_unique<StiuIndex>(net, grid, corpus, compressed_,
-                                       layouts, index_params);
+  index_ = std::make_unique<StiuIndex>(grid, corpus, compressed_,
+                                       index_params);
   queries_ = std::make_unique<UtcqQueryProcessor>(net, compressed_, *index_);
 
   report_ = MakeReport(traj::MeasureRawSize(net, corpus),

@@ -29,8 +29,7 @@ uint32_t LiveShard::Append(traj::UncertainTrajectory tu) {
   common::MutexLock lock(mu_);
   const uint32_t id = base_ + static_cast<uint32_t>(trajs_.size());
   tu.id = id;
-  layouts_.emplace_back();
-  compressor_.AppendTrajectory(tu, &cc_, &layouts_.back());
+  compressor_.AppendTrajectory(tu, &cc_);
   trajs_.push_back(std::move(tu));
   ++version_;
   cached_.reset();
@@ -45,7 +44,7 @@ std::shared_ptr<const LiveSnapshot> LiveShard::BuildLocked() const {
   snap->base_ = base_;
   snap->count_ = static_cast<uint32_t>(trajs_.size());
   snap->index_ = std::make_unique<core::StiuIndex>(
-      net_, grid_, trajs_, snap->cc_.view(), layouts_, index_params_);
+      grid_, trajs_, snap->cc_.view(), index_params_);
   snap->qp_ = std::make_unique<core::UtcqQueryProcessor>(
       net_, snap->cc_.view(), *snap->index_);
   return snap;
@@ -61,7 +60,6 @@ std::shared_ptr<const LiveSnapshot> LiveShard::Snapshot() const {
     uint64_t version;
     auto snap = std::shared_ptr<LiveSnapshot>(new LiveSnapshot());
     traj::UncertainCorpus trajs;
-    std::vector<std::vector<core::NrefFactorLayout>> layouts;
     {
       common::MutexLock lock(mu_);
       if (trajs_.empty()) return nullptr;
@@ -71,10 +69,9 @@ std::shared_ptr<const LiveSnapshot> LiveShard::Snapshot() const {
       snap->base_ = base_;
       snap->count_ = static_cast<uint32_t>(trajs_.size());
       trajs = trajs_;
-      layouts = layouts_;
     }
     snap->index_ = std::make_unique<core::StiuIndex>(
-        net_, grid_, trajs, snap->cc_.view(), layouts, index_params_);
+        grid_, trajs, snap->cc_.view(), index_params_);
     snap->qp_ = std::make_unique<core::UtcqQueryProcessor>(
         net_, snap->cc_.view(), *snap->index_);
     common::MutexLock lock(mu_);
@@ -97,20 +94,14 @@ void LiveShard::DropFlushed(size_t count) {
   if (count > trajs_.size()) count = trajs_.size();
   trajs_.erase(trajs_.begin(),
                trajs_.begin() + static_cast<ptrdiff_t>(count));
-  layouts_.erase(layouts_.begin(),
-                 layouts_.begin() + static_cast<ptrdiff_t>(count));
   base_ += static_cast<uint32_t>(count);
   // Re-encode the survivors (seals that raced the flush) onto fresh
   // streams; per-trajectory encoding is position-independent, so their
   // decoded form — and thus any cached handle — is unchanged.
   cc_ = compressor_.Begin();
-  std::vector<std::vector<core::NrefFactorLayout>> fresh;
-  fresh.reserve(trajs_.size());
   for (const traj::UncertainTrajectory& tu : trajs_) {
-    fresh.emplace_back();
-    compressor_.AppendTrajectory(tu, &cc_, &fresh.back());
+    compressor_.AppendTrajectory(tu, &cc_);
   }
-  layouts_ = std::move(fresh);
   ++version_;
   cached_.reset();
 }

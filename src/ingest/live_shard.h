@@ -107,8 +107,6 @@ class LiveShard {
   /// against it before installing.
   uint64_t version_ UTCQ_GUARDED_BY(mu_) = 0;
   std::vector<traj::UncertainTrajectory> trajs_ UTCQ_GUARDED_BY(mu_);
-  std::vector<std::vector<core::NrefFactorLayout>> layouts_
-      UTCQ_GUARDED_BY(mu_);
   core::CompressedCorpus cc_ UTCQ_GUARDED_BY(mu_);
   mutable std::shared_ptr<const LiveSnapshot> cached_ UTCQ_GUARDED_BY(mu_);
 };

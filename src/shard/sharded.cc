@@ -158,12 +158,11 @@ ShardedBuild ShardedCompressor::Compress(
     const core::UtcqCompressor compressor(net_, params_);
     auto shard = std::make_unique<CompressedShard>();
     shard->corpus = compressor.Begin();
-    std::vector<std::vector<core::NrefFactorLayout>> layouts(trajs.size());
-    for (size_t k = 0; k < trajs.size(); ++k) {
-      compressor.AppendTrajectory(*trajs[k], &shard->corpus, &layouts[k]);
+    for (const traj::UncertainTrajectory* tu : trajs) {
+      compressor.AppendTrajectory(*tu, &shard->corpus);
     }
     shard->index = std::make_unique<core::StiuIndex>(
-        net_, grid_, trajs, shard->corpus, layouts, index_params_);
+        grid_, trajs, shard->corpus, index_params_);
     build.shards[s] = std::move(shard);
   });
   return build;

@@ -14,6 +14,7 @@
 #include "network/generator.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
+#include "answer_checks.h"
 #include "stiu_sections.h"
 #include "test_fixtures.h"
 #include "verify/oracle.h"
@@ -226,9 +227,6 @@ TEST(Archive, ReloadedStiuTuplesMatch) {
     for (size_t k = 0; k < ra.size(); ++k) {
       EXPECT_EQ(ra[k].traj, rb[k].traj);
       EXPECT_EQ(ra[k].ref_idx, rb[k].ref_idx);
-      EXPECT_EQ(ra[k].fv_id, rb[k].fv_id);
-      EXPECT_EQ(ra[k].d_pos, rb[k].d_pos);
-      EXPECT_EQ(ra[k].p_total, rb[k].p_total);
       EXPECT_EQ(ra[k].p_max, rb[k].p_max);
       EXPECT_EQ(ra[k].ref_passes, rb[k].ref_passes);
     }
@@ -238,7 +236,6 @@ TEST(Archive, ReloadedStiuTuplesMatch) {
     for (size_t k = 0; k < na.size(); ++k) {
       EXPECT_EQ(na[k].traj, nb[k].traj);
       EXPECT_EQ(na[k].nref_idx, nb[k].nref_idx);
-      EXPECT_EQ(na[k].ma_pos, nb[k].ma_pos);
     }
   }
 }
@@ -346,44 +343,48 @@ TEST(Archive, RejectsTruncationBadMagicAndBitRot) {
 TEST(Archive, RejectsHostileStiuSections) {
   // CRC-valid archives whose StIU section lies about its shape must fail
   // LoadIndex cleanly instead of OOMing or leaving an index that queries
-  // out of bounds.
+  // out of bounds, under tag 10 and under the legacy tag 7 alike.
   ArchiveFixture fx;
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  ArchivePayload payload = reader.payload();
-  std::string error;
+  for (const bool legacy : {false, true}) {
+    SCOPED_TRACE(legacy ? "tag 7" : "tag 10");
+    ArchivePayload payload = reader.payload();
+    payload.stiu_legacy = legacy;
+    std::string error;
 
-  // Claims zero trajectories while the metas section has 50.
-  {
-    common::ByteWriter stiu;
-    stiu.PutVarint(16);                      // cells_per_side
-    stiu.PutSignedVarint(900);               // time_partition_s
-    stiu.PutVarint(0);                       // num_trajs
-    stiu.PutVarint(0);                       // num_partitions
-    stiu.PutVarint(fx.grid->num_regions());  // num_regions
-    for (uint32_t re = 0; re < 2 * fx.grid->num_regions(); ++re) {
-      stiu.PutVarint(0);  // empty ref + nref tuple lists
+    // Claims zero trajectories while the metas section has 50.
+    {
+      common::ByteWriter stiu;
+      stiu.PutVarint(16);                      // cells_per_side
+      stiu.PutSignedVarint(900);               // time_partition_s
+      stiu.PutVarint(0);                       // num_trajs
+      stiu.PutVarint(0);                       // num_partitions
+      stiu.PutVarint(fx.grid->num_regions());  // num_regions
+      for (uint32_t re = 0; re < 2 * fx.grid->num_regions(); ++re) {
+        stiu.PutVarint(0);  // empty ref + nref tuple lists
+      }
+      payload.stiu = stiu.Release();
+      ArchiveReader hostile;
+      ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
+      EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
+      EXPECT_NE(error.find("trajectory count"), std::string::npos) << error;
     }
-    payload.stiu = stiu.Release();
-    ArchiveReader hostile;
-    ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-    EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
-    EXPECT_NE(error.find("trajectory count"), std::string::npos) << error;
-  }
 
-  // Claims an absurd trajectory count (would OOM a naive resize).
-  {
-    common::ByteWriter stiu;
-    stiu.PutVarint(16);
-    stiu.PutSignedVarint(900);
-    stiu.PutVarint(uint64_t{1} << 60);  // num_trajs
-    stiu.PutVarint(0);
-    stiu.PutVarint(fx.grid->num_regions());
-    payload.stiu = stiu.Release();
-    ArchiveReader hostile;
-    ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-    EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
+    // Claims an absurd trajectory count (would OOM a naive resize).
+    {
+      common::ByteWriter stiu;
+      stiu.PutVarint(16);
+      stiu.PutSignedVarint(900);
+      stiu.PutVarint(uint64_t{1} << 60);  // num_trajs
+      stiu.PutVarint(0);
+      stiu.PutVarint(fx.grid->num_regions());
+      payload.stiu = stiu.Release();
+      ArchiveReader hostile;
+      ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
+      EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
+    }
   }
 }
 
@@ -416,49 +417,55 @@ TEST(Archive, RejectsStiuTuplePointingOutsideMetas) {
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  ArchivePayload payload = reader.payload();
+  for (const bool legacy : {false, true}) {
+    SCOPED_TRACE(legacy ? "tag 7" : "tag 10");
+    ArchivePayload payload = reader.payload();
+    payload.stiu_legacy = legacy;
 
-  // A structurally valid StIU section (right trajectory count, every
-  // trajectory covered) whose one spatial tuple names a ref index that
-  // does not exist in the metas.
-  common::ByteWriter stiu;
-  stiu.PutVarint(16);                      // cells_per_side
-  stiu.PutSignedVarint(900);               // time_partition_s
-  stiu.PutVarint(payload.metas.size());    // num_trajs
-  stiu.PutVarint(0);                       // num_partitions
-  stiu.PutVarint(fx.grid->num_regions());  // num_regions
-  for (size_t j = 0; j < payload.metas.size(); ++j) {
-    stiu.PutVarint(1);  // one temporal tuple
-    stiu.PutVarint(0);  // t_start delta
-    stiu.PutVarint(0);  // t_no
-    stiu.PutVarint(0);  // t_pos
-  }
-  for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
-    if (re == 0) {
-      stiu.PutVarint(1);  // one hostile ref tuple
-      stiu.PutVarint(0);  // traj
-      stiu.PutVarint(1u << 20);  // ref_idx: far outside metas[0].refs
-      stiu.PutU32(0);            // fv_id
-      stiu.PutVarint(0);         // fv_no
-      stiu.PutVarint(0);         // d_no
-      stiu.PutVarint(0);         // d_pos
-      stiu.PutF32(0.5f);
-      stiu.PutF32(0.5f);
-      stiu.PutU8(1);
-    } else {
-      stiu.PutVarint(0);
+    // A structurally valid StIU section (right trajectory count, every
+    // trajectory covered) whose one spatial tuple names a ref index that
+    // does not exist in the metas.
+    common::ByteWriter stiu;
+    stiu.PutVarint(16);                      // cells_per_side
+    stiu.PutSignedVarint(900);               // time_partition_s
+    stiu.PutVarint(payload.metas.size());    // num_trajs
+    stiu.PutVarint(0);                       // num_partitions
+    stiu.PutVarint(fx.grid->num_regions());  // num_regions
+    for (size_t j = 0; j < payload.metas.size(); ++j) {
+      stiu.PutVarint(1);  // one temporal tuple
+      stiu.PutVarint(0);  // t_start delta
+      stiu.PutVarint(0);  // t_no
+      stiu.PutVarint(0);  // t_pos
     }
-  }
-  for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
-    stiu.PutVarint(0);  // no nref tuples
-  }
-  payload.stiu = stiu.Release();
+    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
+      if (re == 0) {
+        stiu.PutVarint(1);  // one hostile ref tuple
+        stiu.PutVarint(0);  // traj
+        stiu.PutVarint(1u << 20);  // ref_idx: far outside metas[0].refs
+        if (legacy) {
+          stiu.PutU32(0);     // fv_id
+          stiu.PutVarint(0);  // fv_no
+          stiu.PutVarint(0);  // d_no
+          stiu.PutVarint(0);  // d_pos
+          stiu.PutF32(0.5f);  // p_total
+        }
+        stiu.PutF32(0.5f);  // p_max
+        stiu.PutU8(1);      // ref_passes
+      } else {
+        stiu.PutVarint(0);
+      }
+    }
+    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
+      stiu.PutVarint(0);  // no nref tuples
+    }
+    payload.stiu = stiu.Release();
 
-  std::string error;
-  ArchiveReader hostile;
-  ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-  EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
-  EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
+    std::string error;
+    ArchiveReader hostile;
+    ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
+    EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
+    EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
+  }
 }
 
 using test::ListOrder;
@@ -515,8 +522,9 @@ std::vector<network::Rect> RangeRects(const ArchiveFixture& fx) {
 }
 
 /// `loaded` answers every Where / When / Range of the fixture's query mix
-/// hit for hit like the live processor, and its Range answers match a full
-/// scan of the decompressed corpus (up to alpha ties at summation noise).
+/// hit for hit like the live processor, and like a full scan of the
+/// decompressed corpus (Where/When in any order, Range up to alpha ties at
+/// summation noise).
 void ExpectSameAnswers(const ArchiveFixture& fx,
                        const core::UtcqQueryProcessor& loaded) {
   const core::UtcqQueryProcessor& live = fx.sys->queries();
@@ -536,6 +544,7 @@ void ExpectSameAnswers(const ArchiveFixture& fx,
       EXPECT_EQ(a[k].position.edge, b[k].position.edge);
       EXPECT_EQ(a[k].position.ndist, b[k].position.ndist);
     }
+    test::ExpectWhereEqual(fx.net, b, oracle.Where(j, t_mid, 0.2));
     const auto& inst = tu.instances.front();
     const auto edge = inst.path[inst.locations.front().path_index];
     const double rd = inst.locations.front().rd;
@@ -546,6 +555,7 @@ void ExpectSameAnswers(const ArchiveFixture& fx,
       EXPECT_EQ(wa[k].instance, wb[k].instance);
       EXPECT_EQ(wa[k].t, wb[k].t);
     }
+    test::ExpectWhenEqual(wb, oracle.When(j, edge, rd, 0.1));
     EXPECT_EQ(live.MayPassEdge(j, edge), loaded.MayPassEdge(j, edge));
     if (j % 5 != 0) continue;
     for (const network::Rect& re : rects) {
@@ -682,11 +692,13 @@ uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
 }
 
 /// A payload built field by field: every section kind, multi-byte and
-/// negative varints, sync tables and a crafted StIU section. Every float is
-/// a literal (no floating-point arithmetic), so the image is the same
-/// under any compiler.
-ArchivePayload GoldenPayload() {
+/// negative varints, sync tables and a crafted StIU section, as a v3 image
+/// with a tag-7 section (`legacy`) or as a v4 image with a tag-10 one.
+/// Every float is a literal (no floating-point arithmetic), so the image is
+/// the same under any compiler.
+ArchivePayload GoldenPayload(bool legacy) {
   ArchivePayload p;
+  p.format_version = legacy ? 3 : 4;
   p.params.eta_d = 0.0078125;
   p.params.eta_p = 0.001953125;
   p.params.num_pivots = 2;
@@ -738,9 +750,7 @@ ArchivePayload GoldenPayload() {
                    {{86000, 0, 717}},
                    {{0, 0, 2413}}};
   stiu.partitions = {{0, 2}, {0, 1}};
-  using RefTuple = core::StiuIndex::RefTuple;
-  using NrefTuple = core::StiuIndex::NrefTuple;
-  RefTuple r0;
+  test::LegacyRefTuple r0;
   r0.traj = 0;
   r0.ref_idx = 1;
   r0.fv_id = 0xFFFFFFFEu;
@@ -750,7 +760,7 @@ ArchivePayload GoldenPayload() {
   r0.d_pos = 1210;
   r0.p_total = 0.75f;
   r0.p_max = 0.125f;
-  RefTuple r1 = r0;
+  test::LegacyRefTuple r1 = r0;
   r1.traj = 2;
   r1.ref_idx = 0;
   r1.fv_id = 7;
@@ -760,7 +770,7 @@ ArchivePayload GoldenPayload() {
   r1.d_pos = 900;
   r1.p_total = 0.5f;
   r1.p_max = 0.375f;
-  NrefTuple n0;
+  test::LegacyNrefTuple n0;
   n0.traj = 2;
   n0.nref_idx = 1;
   n0.rv_id = 123456;
@@ -768,16 +778,17 @@ ArchivePayload GoldenPayload() {
   n0.ma_pos = uint64_t{1} << 33;
   stiu.refs = {{r0}, {}, {r0, r1}, {}};
   stiu.nrefs = {{}, {n0}, {}, {n0, n0}};
-  p.stiu = stiu.Write();
+  p.stiu = legacy ? stiu.WriteLegacy() : stiu.Write();
+  p.stiu_legacy = legacy;
   p.stiu_cells_per_side = 2;
   return p;
 }
 
 // Byte-exact pin of the container writer, recorded before the writer was
 // rewritten around exact-size images: any change to these bytes is a
-// format change.
+// format change. The image is v3 with a tag-7 StIU section.
 TEST(Archive, GoldenImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload());
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(true));
   ArchivePayload loaded;
   std::string error;
   ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
@@ -787,6 +798,23 @@ TEST(Archive, GoldenImageBytesArePinned) {
   EXPECT_EQ(again.size(), 1015u);
   EXPECT_EQ(Fnv1a64(again), 0x8474EBCE1718ED52ull);
   // The image is allocated once, at its exact size.
+  EXPECT_EQ(again.capacity(), again.size());
+}
+
+// The same payload as a v4 image: a tag-10 StIU section, recorded when
+// tag 10 was added.
+TEST(Archive, GoldenV4ImageBytesArePinned) {
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(false));
+  ArchivePayload loaded;
+  std::string error;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
+      << error;
+  EXPECT_FALSE(loaded.stiu_legacy);
+  const std::vector<uint8_t> again = EncodeArchive(loaded);
+  EXPECT_EQ(again, image);
+  EXPECT_EQ(again[8], 4u);
+  EXPECT_EQ(again.size(), 947u);
+  EXPECT_EQ(Fnv1a64(again), 0xA08079A96D4434F7ull);
   EXPECT_EQ(again.capacity(), again.size());
 }
 
@@ -823,13 +851,108 @@ std::vector<uint8_t> WithExtraSection(std::vector<uint8_t> image, uint64_t tag,
   return image;
 }
 
+TEST(Archive, V3Tag7ImageOpensAndAnswersLikeV4AndTheOracle) {
+  // A v3 image of a generated corpus, its StIU section in the tag-7 shape
+  // that v1-v3 writers emitted (the dropped fields filled with values no
+  // query may read), opens, re-encodes byte for byte, reloads the tuples
+  // of the v4 image and answers every query like the live index (which the
+  // v4 image reloads, LoadedQueriesMatchLiveQueries) and the oracle.
+  ArchiveFixture fx;
+  std::string error;
+  ArchiveReader v4;
+  ASSERT_TRUE(v4.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize(),
+      &error))
+      << error;
+  EXPECT_EQ(v4.payload().format_version, 4u);
+  EXPECT_FALSE(v4.payload().stiu_legacy);
+
+  test::StiuSection section = test::StiuSection::Of(fx.sys->index());
+  for (auto& list : section.refs) {
+    for (auto& rt : list) {
+      rt.fv_id = rt.traj * 7 + 3;
+      rt.fv_no = rt.ref_idx + 11;
+      rt.d_no = 5;
+      rt.d_pos = uint64_t{1} << 35;
+      rt.p_total = 0.875f;
+    }
+  }
+  for (auto& list : section.nrefs) {
+    for (auto& nt : list) {
+      nt.rv_id = 0xFFFFFFFEu;
+      nt.rv_no = nt.nref_idx + 2;
+      nt.ma_pos = uint64_t{1} << 40;
+    }
+  }
+  ArchivePayload legacy = v4.payload();
+  legacy.format_version = 3;
+  legacy.stiu = section.WriteLegacy();
+  legacy.stiu_legacy = true;
+  const std::vector<uint8_t> v3 = EncodeArchive(legacy);
+  EXPECT_EQ(v3[8], 3u);
+
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(v3, &error)) << error;
+  EXPECT_TRUE(reader.payload().stiu_legacy);
+  EXPECT_EQ(EncodeArchive(reader.payload()), v3);
+
+  const network::GridIndex grid(fx.net, reader.index_cells_per_side());
+  const auto old_index = reader.LoadIndex(grid, &error);
+  ASSERT_NE(old_index, nullptr) << error;
+  common::ByteWriter reserialized;
+  old_index->Serialize(reserialized);
+  EXPECT_TRUE(std::ranges::equal(reserialized.bytes(), v4.payload().stiu));
+
+  const core::UtcqQueryProcessor old_queries(fx.net, reader.view(),
+                                             *old_index);
+  ExpectSameAnswers(fx, old_queries);
+}
+
+TEST(Archive, RejectsImagesCarryingBothStiuShapes) {
+  // One image holds one StIU section shape: a tag-7 section spliced into a
+  // v4 image, or a tag-10 section into a v3 one, is invalid.
+  ArchiveFixture fx;
+  const test::StiuSection section = test::StiuSection::Of(fx.sys->index());
+  const auto body_of = [](const std::vector<uint8_t>& bytes) {
+    common::ByteWriter body;
+    body.PutBytes(bytes.data(), bytes.size());
+    return body;
+  };
+  const std::vector<uint8_t> v4 =
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  ArchiveReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.OpenBytes(v4, &error)) << error;
+  ArchivePayload legacy = reader.payload();
+  legacy.format_version = 3;
+  legacy.stiu = section.WriteLegacy();
+  legacy.stiu_legacy = true;
+  const std::vector<uint8_t> v3 = EncodeArchive(legacy);
+  ASSERT_TRUE(reader.OpenBytes(v3, &error)) << error;
+
+  for (const auto& [name, image] :
+       {std::pair{"tag 7 after tag 10",
+                  WithExtraSection(v4, 7, body_of(section.WriteLegacy()))},
+        std::pair{"tag 10 after tag 7",
+                  WithExtraSection(v3, 10, body_of(section.Write()))}}) {
+    SCOPED_TRACE(name);
+    ArchiveReader hostile;
+    EXPECT_FALSE(hostile.OpenBytes(image, &error));
+    EXPECT_NE(error.find("both StIU section shapes"), std::string::npos)
+        << error;
+  }
+}
+
 TEST(Archive, V3RoundTripPreservesSyncTables) {
   // The default UtcqParams emit sync points (t_sync_interval = 32), so the
-  // fixture's archive is already stamped format v3.
+  // fixture's index-free archive is stamped format v3; with an index
+  // (tag 10) it is v4.
   ArchiveFixture fx;
+  EXPECT_EQ(ArchiveWriter(fx.sys->compressed()).Serialize()[8],
+            3u);  // version little-endian low byte
   EXPECT_EQ(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
                 .Serialize()[8],
-            3u);  // version little-endian low byte
+            4u);
 
   // A dense interval guarantees the fixture's short trajectories actually
   // carry sync points, so the table round-trip is exercised non-vacuously.
@@ -840,7 +963,7 @@ TEST(Archive, V3RoundTripPreservesSyncTables) {
                               core::StiuParams{16, 900});
   const std::vector<uint8_t> bytes =
       ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize();
-  EXPECT_EQ(bytes[8], 3u);
+  EXPECT_EQ(bytes[8], 4u);
 
   ArchiveReader reader;
   std::string error;
@@ -872,17 +995,20 @@ TEST(Archive, V3RoundTripPreservesSyncTables) {
 }
 
 TEST(Archive, SyncFreeCorpusWritesV2ThatRoundTripsBitExact) {
-  // With sync emission disabled the writer must stamp format v2 and emit
-  // no kTSyncIndex section at all — pre-v3 readers stay compatible, and
-  // the §6 single-serialization rule holds across the downgrade.
+  // With sync emission disabled and no index the writer must stamp format
+  // v2 and emit no kTSyncIndex section at all — pre-v3 readers stay
+  // compatible, and the §6 single-serialization rule holds across the
+  // downgrade. An index (tag 10) alone makes the image v4.
   ArchiveFixture fx;
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
   params.t_sync_interval = 0;
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
+  EXPECT_EQ(ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize()[8],
+            4u);
   const std::vector<uint8_t> bytes =
-      ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize();
+      ArchiveWriter(sys2.compressed()).Serialize();
   EXPECT_EQ(bytes[8], 2u);
 
   ArchiveReader reader;
@@ -988,7 +1114,7 @@ TEST(Archive, RejectsCraftedSyncTables) {
 TEST(Archive, RejectsHandBuiltSyncSections) {
   // Tag-9 shapes the writer can never produce: a zero sync interval, and a
   // table set whose trajectory count disagrees with the metas. Both are
-  // spliced into a sync-free (v2) image so the crafted section is the only
+  // spliced into a sync-free image so the crafted section is the only
   // kTSyncIndex present.
   ArchiveFixture fx;
   core::UtcqParams params;

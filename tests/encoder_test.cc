@@ -203,14 +203,11 @@ TEST(Encoder, IncrementalAppendEqualsBatchBitExactly) {
   params.default_interval_s = profile.default_interval_s;
   const UtcqCompressor compressor(net, params);
 
-  std::vector<std::vector<NrefFactorLayout>> batch_layouts;
-  const CompressedCorpus batch = compressor.Compress(corpus, &batch_layouts);
+  const CompressedCorpus batch = compressor.Compress(corpus);
 
   CompressedCorpus incr = compressor.Begin();
-  std::vector<std::vector<NrefFactorLayout>> incr_layouts;
   for (const traj::UncertainTrajectory& tu : corpus) {
-    incr_layouts.emplace_back();
-    compressor.AppendTrajectory(tu, &incr, &incr_layouts.back());
+    compressor.AppendTrajectory(tu, &incr);
   }
 
   EXPECT_EQ(batch.t_stream().size_bits(), incr.t_stream().size_bits());
@@ -225,17 +222,6 @@ TEST(Encoder, IncrementalAppendEqualsBatchBitExactly) {
             incr.structure_stream().bytes());
   EXPECT_EQ(batch.num_trajectories(), incr.num_trajectories());
   EXPECT_EQ(batch.compressed_bits().total(), incr.compressed_bits().total());
-
-  ASSERT_EQ(batch_layouts.size(), incr_layouts.size());
-  for (size_t j = 0; j < batch_layouts.size(); ++j) {
-    ASSERT_EQ(batch_layouts[j].size(), incr_layouts[j].size()) << j;
-    for (size_t k = 0; k < batch_layouts[j].size(); ++k) {
-      EXPECT_EQ(batch_layouts[j][k].factor_entry_start,
-                incr_layouts[j][k].factor_entry_start);
-      EXPECT_EQ(batch_layouts[j][k].factor_bit_offset,
-                incr_layouts[j][k].factor_bit_offset);
-    }
-  }
 
   // Metas and params included: the serialized archives agree byte for byte.
   EXPECT_EQ(archive::ArchiveWriter(batch).Serialize(),

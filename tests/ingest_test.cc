@@ -102,7 +102,6 @@ struct IngestFixture {
   /// index parameters the live shard and flusher use.
   struct Batch {
     core::CompressedCorpus cc;
-    std::vector<std::vector<core::NrefFactorLayout>> layouts;
     std::unique_ptr<core::StiuIndex> index;
     std::unique_ptr<core::UtcqQueryProcessor> queries;
   };
@@ -110,11 +109,11 @@ struct IngestFixture {
       const traj::UncertainCorpus& corpus) const {
     auto batch = std::make_unique<Batch>();
     const core::UtcqCompressor compressor(net, opts.params);
-    batch->cc = compressor.Compress(corpus, &batch->layouts);
+    batch->cc = compressor.Compress(corpus);
     core::StiuParams iparams = opts.index_params;
     iparams.cells_per_side = grid->cells_per_side();
     batch->index = std::make_unique<core::StiuIndex>(
-        net, *grid, corpus, batch->cc.view(), batch->layouts, iparams);
+        *grid, corpus, batch->cc.view(), iparams);
     batch->queries = std::make_unique<core::UtcqQueryProcessor>(
         net, batch->cc.view(), *batch->index);
     return batch;

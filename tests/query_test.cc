@@ -508,7 +508,7 @@ TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
       }
       const auto bytes = crafted.Write();
       common::ByteReader in(bytes);
-      const StiuIndex crafted_index(grid, in);
+      const StiuIndex crafted_index(grid, in, /*legacy_shape=*/false);
       ASSERT_TRUE(in.ok());
       const UtcqQueryProcessor crafted_queries(net, sys.compressed(),
                                                crafted_index);

@@ -24,17 +24,43 @@ enum class ListOrder {
   kIdDescending,  // an order no writer emits
 };
 
+/// A ref tuple in the pre-v4 (tag 7) shape: the four fields the index
+/// keeps plus the five it no longer computes. Test-only: it lets a suite
+/// write the sections v1-v3 writers wrote.
+struct LegacyRefTuple {
+  uint32_t traj = 0;
+  uint32_t ref_idx = 0;
+  uint32_t fv_id = 0xFFFFFFFFu;
+  uint32_t fv_no = 0;
+  uint32_t d_no = 0;
+  bool ref_passes = false;
+  uint64_t d_pos = 0;
+  float p_total = 0.0f;
+  float p_max = 0.0f;
+};
+
+/// A nref tuple in the pre-v4 shape: the two kept fields plus three more.
+struct LegacyNrefTuple {
+  uint32_t traj = 0;
+  uint32_t nref_idx = 0;
+  uint32_t rv_id = 0xFFFFFFFFu;
+  uint32_t rv_no = 0;
+  uint64_t ma_pos = 0;
+};
+
 /// Every list of a StIU section, read back from a loaded index through its
 /// public accessors. Tests mutate the lists and Write() them back out in the
-/// layout StiuIndex::Serialize emits, which is how crafted sections and
-/// older writers' sections are built.
+/// layout StiuIndex::Serialize emits (tag 10), or WriteLegacy() them in the
+/// layout v1-v3 writers emitted (tag 7), which is how crafted sections and
+/// older writers' sections are built. Tuples carry the legacy fields, which
+/// Of() leaves at their defaults and Write() drops.
 struct StiuSection {
   uint32_t cells_per_side = 0;
   int64_t time_partition_s = 1;
   std::vector<std::vector<core::StiuIndex::TemporalTuple>> temporal;
   std::vector<std::vector<uint32_t>> partitions;
-  std::vector<std::vector<core::StiuIndex::RefTuple>> refs;
-  std::vector<std::vector<core::StiuIndex::NrefTuple>> nrefs;
+  std::vector<std::vector<LegacyRefTuple>> refs;
+  std::vector<std::vector<LegacyNrefTuple>> nrefs;
 
   static StiuSection Of(const core::StiuIndex& index) {
     StiuSection s;
@@ -48,15 +74,35 @@ struct StiuSection {
           static_cast<traj::Timestamp>(p) * index.time_partition_s()));
     }
     for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
-      s.refs.push_back(index.RefTuplesIn(re));
-      s.nrefs.push_back(index.NrefTuplesIn(re));
+      auto& refs = s.refs.emplace_back();
+      for (const auto& rt : index.RefTuplesIn(re)) {
+        refs.push_back({.traj = rt.traj,
+                        .ref_idx = rt.ref_idx,
+                        .ref_passes = rt.ref_passes,
+                        .p_max = rt.p_max});
+      }
+      auto& nrefs = s.nrefs.emplace_back();
+      for (const auto& nt : index.NrefTuplesIn(re)) {
+        nrefs.push_back({.traj = nt.traj, .nref_idx = nt.nref_idx});
+      }
     }
     return s;
   }
 
-  /// The section bytes, every region list stable-sorted into `order` (each
-  /// trajectory's tuples keep their relative order).
+  /// The tag-10 section bytes, every region list stable-sorted into `order`
+  /// (each trajectory's tuples keep their relative order).
   std::vector<uint8_t> Write(ListOrder order = ListOrder::kAsIndexed) const {
+    return WriteShape(order, /*legacy=*/false);
+  }
+
+  /// The same lists as a tag-7 section, legacy fields included.
+  std::vector<uint8_t> WriteLegacy(
+      ListOrder order = ListOrder::kAsIndexed) const {
+    return WriteShape(order, /*legacy=*/true);
+  }
+
+ private:
+  std::vector<uint8_t> WriteShape(ListOrder order, bool legacy) const {
     const auto ordered = [order](auto tuples) {
       std::stable_sort(tuples.begin(), tuples.end(),
                        [order](const auto& a, const auto& b) {
@@ -95,11 +141,13 @@ struct StiuSection {
       for (const auto& rt : tuples) {
         out.PutVarint(rt.traj);
         out.PutVarint(rt.ref_idx);
-        out.PutU32(rt.fv_id);
-        out.PutVarint(rt.fv_no);
-        out.PutVarint(rt.d_no);
-        out.PutVarint(rt.d_pos);
-        out.PutF32(rt.p_total);
+        if (legacy) {
+          out.PutU32(rt.fv_id);
+          out.PutVarint(rt.fv_no);
+          out.PutVarint(rt.d_no);
+          out.PutVarint(rt.d_pos);
+          out.PutF32(rt.p_total);
+        }
         out.PutF32(rt.p_max);
         out.PutU8(rt.ref_passes ? 1 : 0);
       }
@@ -110,9 +158,11 @@ struct StiuSection {
       for (const auto& nt : tuples) {
         out.PutVarint(nt.traj);
         out.PutVarint(nt.nref_idx);
-        out.PutU32(nt.rv_id);
-        out.PutVarint(nt.rv_no);
-        out.PutVarint(nt.ma_pos);
+        if (legacy) {
+          out.PutU32(nt.rv_id);
+          out.PutVarint(nt.rv_no);
+          out.PutVarint(nt.ma_pos);
+        }
       }
     }
     return out.Release();

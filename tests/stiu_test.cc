@@ -25,9 +25,9 @@
 namespace utcq::core {
 namespace {
 
-// ref_passes fills the padding before d_pos (the directory's memory is paid
-// for by this packing).
-static_assert(sizeof(StiuIndex::RefTuple) == 40);
+// Tuples hold only the fields queries read.
+static_assert(sizeof(StiuIndex::RefTuple) == 16);
+static_assert(sizeof(StiuIndex::NrefTuple) == 8);
 
 struct StiuFixture {
   explicit StiuFixture(int64_t partition_s = 900, size_t count = 60) {
@@ -132,24 +132,32 @@ TEST(StiuIndex, RefTupleAggregatesAreConsistent) {
   StiuFixture fx;
   for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
     for (const auto& rt : fx.sys->index().RefTuplesIn(re)) {
-      const TrajMeta& meta = fx.sys->compressed().meta(rt.traj);
-      // p_total covers at least the members that contributed p_max and the
-      // reference itself when it passes.
-      double lower = rt.p_max;
-      if (rt.ref_passes) lower += meta.refs[rt.ref_idx].p_quantized;
-      EXPECT_GE(rt.p_total + 1e-6, lower);
       EXPECT_GE(rt.p_max, 0.0f);
-      if (rt.ref_passes) {
-        EXPECT_LT(rt.fv_no, meta.refs[rt.ref_idx].e_len);
-      }
     }
   }
 }
 
+TEST(StiuIndex, RefTuplesOfATrajectoryAscendInRefIdx) {
+  // Each (region, trajectory) run lists its reference groups in ascending
+  // ref_idx, so the section bytes do not depend on a hash table's order.
+  StiuFixture fx;
+  size_t multi = 0;
+  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+    for (uint32_t j = 0; j < fx.corpus.size(); ++j) {
+      const auto run = fx.sys->index().RefTuplesOf(re, j);
+      for (size_t k = 1; k < run.size(); ++k) {
+        EXPECT_LT(run[k - 1].ref_idx, run[k].ref_idx)
+            << "region " << re << " traj " << j;
+      }
+      multi += run.size() > 1;
+    }
+  }
+  EXPECT_GT(multi, 0u);  // some runs hold more than one group
+}
+
 TEST(StiuIndex, PaperExampleTuples) {
   // Fig. 5: Tu^1_1 is the reference; the spatial tuples near the corridor
-  // start must name it with fv = SV and carry p_total = 1 (all three
-  // instances pass the first region).
+  // start must name it and carry the largest non-reference probability.
   const auto ex = test::MakePaperExample();
   const traj::UncertainCorpus corpus{ex.tu};
   const network::GridIndex grid(ex.net, 4);
@@ -163,10 +171,7 @@ TEST(StiuIndex, PaperExampleTuples) {
   for (const auto& rt : sys.index().RefTuplesIn(re0)) {
     if (rt.traj != 0 || !rt.ref_passes) continue;
     found = true;
-    EXPECT_EQ(rt.fv_id, ex.v[1]);  // SV special case of Section 5.2
-    EXPECT_EQ(rt.fv_no, 0u);
-    EXPECT_NEAR(rt.p_total, 1.0, 0.02);  // all instances start here
-    EXPECT_NEAR(rt.p_max, 0.2, 0.01);    // max non-reference probability
+    EXPECT_NEAR(rt.p_max, 0.2, 0.01);  // max non-reference probability
   }
   EXPECT_TRUE(found);
 }
@@ -302,7 +307,8 @@ TEST_P(StiuLayout, BucketDirectoryMatchesABinarySearchOracle) {
   const StiuIndex& built = fx.sys->index();
   const auto load = [&](const std::vector<uint8_t>& bytes) {
     common::ByteReader in(bytes);
-    auto index = std::make_unique<StiuIndex>(*fx.grid, in);
+    auto index = std::make_unique<StiuIndex>(*fx.grid, in,
+                                             /*legacy_shape=*/false);
     EXPECT_TRUE(in.ok());
     EXPECT_EQ(in.remaining(), 0u);
     return index;
@@ -324,7 +330,7 @@ TEST_P(StiuLayout, BucketDirectoryMatchesABinarySearchOracle) {
   }
   for (size_t re = 0; re < crafted.refs.size(); re += 3) {
     if (crafted.refs[re].empty()) continue;
-    StiuIndex::RefTuple phantom = crafted.refs[re].front();
+    test::LegacyRefTuple phantom = crafted.refs[re].front();
     phantom.traj = n + 1;
     crafted.refs[re].push_back(phantom);
   }
@@ -412,15 +418,12 @@ TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
     for (const uint32_t j : owners) {
       out.PutVarint(j);  // traj
       out.PutVarint(0);  // nref_idx
-      out.PutU32(0);     // rv_id
-      out.PutVarint(0);  // rv_no
-      out.PutVarint(0);  // ma_pos
     }
   }
 
   const auto start = std::chrono::steady_clock::now();
   common::ByteReader in(out.bytes());
-  const StiuIndex index(grid, in);
+  const StiuIndex index(grid, in, /*legacy_shape=*/false);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(in.remaining(), 0u);

@@ -216,10 +216,9 @@ TEST(ErrorPaths, EmptyCorpusAnswersEmptyEverywhere) {
   ErrorPathFixture& f = Fixture();
   const traj::UncertainCorpus empty;
   const core::UtcqCompressor compressor(f.net, f.params);
-  std::vector<std::vector<core::NrefFactorLayout>> layouts;
-  const core::CompressedCorpus cc = compressor.Compress(empty, &layouts);
+  const core::CompressedCorpus cc = compressor.Compress(empty);
   EXPECT_EQ(cc.num_trajectories(), 0u);
-  const core::StiuIndex index(f.net, f.grid, empty, cc.view(), layouts,
+  const core::StiuIndex index(f.grid, empty, cc.view(),
                               core::StiuParams{16, 900});
   const core::UtcqQueryProcessor qp(f.net, cc.view(), index);
   EXPECT_TRUE(qp.Where(0, 1000, 0.0).empty());
