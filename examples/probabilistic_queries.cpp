@@ -10,12 +10,12 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "core/plain_query.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "serve/query_engine.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
+#include "verify/plain_query.h"
 
 int main() {
   using namespace utcq;  // NOLINT
@@ -102,7 +102,7 @@ int main() {
       stats.p50_latency_us, stats.p99_latency_us);
 
   // --- spot-check against the uncompressed ground truth ---
-  const core::PlainQueryEngine plain(net, corpus);
+  const verify::PlainQueryEngine plain(net, corpus);
   size_t agree = 0;
   for (int i = 0; i < 50; ++i) {
     const size_t j =

@@ -89,22 +89,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         (void)qp.When(j, 0, 0.5, 0.25);
       }
       // Range over the whole map and over its lower-left quarter, at times
-      // that put the live bucket window at the day's first partition, on a
-      // partition boundary, at the last partition and past the day, so
-      // the bucket directory and the max_span window edges run on
-      // whatever partition lists the section crafted.
+      // that put tq in the day's first partition, at the last one, past
+      // the day, and on the first partition of the coarse partition
+      // holding mid-day at every layout level, so every level's rows run
+      // on whatever partition lists the section crafted.
       const auto bbox = Net().bounding_box();
       const utcq::network::Rect whole{bbox.min_x, bbox.min_y, bbox.max_x,
                                       bbox.max_y};
       const utcq::network::Rect quarter{
           bbox.min_x, bbox.min_y, (bbox.min_x + bbox.max_x) / 2,
           (bbox.min_y + bbox.max_y) / 2};
-      const utcq::traj::Timestamp boundary =
-          static_cast<utcq::traj::Timestamp>(index->num_partitions() / 2) *
-          index->time_partition_s();
-      for (const utcq::traj::Timestamp tq :
-           {utcq::traj::Timestamp{-1}, utcq::traj::Timestamp{0}, boundary,
-            utcq::traj::Timestamp{86399}, utcq::traj::Timestamp{90000}}) {
+      std::vector<utcq::traj::Timestamp> times = {-1, 0, 86399, 90000};
+      size_t width = 1;  // partitions per partition of the level
+      for (size_t level = 0; level < index->num_levels(); ++level) {
+        times.push_back(static_cast<utcq::traj::Timestamp>(
+                            index->num_partitions() / 2 / width * width) *
+                        index->time_partition_s());
+        width *= utcq::core::StiuIndex::kMaxCopies;
+      }
+      for (const utcq::traj::Timestamp tq : times) {
         (void)qp.Range(whole, tq, 0.25);
         (void)qp.Range(quarter, tq, 0.25);
       }

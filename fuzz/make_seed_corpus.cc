@@ -91,6 +91,12 @@ int main(int argc, char** argv) {
   // --- archives: with index, without index, and empty ---
   ok &= WriteFile((out / "archive" / "with_index.utcqarc").string(),
                   utcq::archive::ArchiveWriter(cc, &index).Serialize());
+  // 60 s partitions: the seed trajectories span more partitions than a
+  // level-0 copy may, so the section loads into coarser StIU levels too.
+  const utcq::core::StiuIndex index_60s(grid, corpus, cc.view(),
+                                        utcq::core::StiuParams{16, 60});
+  ok &= WriteFile((out / "archive" / "with_index_60s.utcqarc").string(),
+                  utcq::archive::ArchiveWriter(cc, &index_60s).Serialize());
   ok &= WriteFile((out / "archive" / "no_index.utcqarc").string(),
                   utcq::archive::ArchiveWriter(cc).Serialize());
   const utcq::core::CompressedCorpus empty =

@@ -805,24 +805,23 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
   // Spatial tuples feed straight into meta(traj).refs[ref_idx] /
   // .nrefs[nref_idx] on the query path; reject any that point outside the
   // metas section rather than letting queries index out of bounds.
-  for (network::RegionId re = 0; re < grid.num_regions(); ++re) {
-    for (const auto& rt : index->RefTuplesIn(re)) {
-      if (rt.traj >= payload_.metas.size() ||
-          rt.ref_idx >= payload_.metas[rt.traj].refs.size()) {
-        if (error != nullptr) {
-          *error = "StIU ref tuple points outside the metas section";
-        }
-        return nullptr;
+  // The layout holds every stored tuple (some more than once).
+  for (const auto& rt : index->ref_tuples()) {
+    if (rt.traj >= payload_.metas.size() ||
+        rt.ref_idx >= payload_.metas[rt.traj].refs.size()) {
+      if (error != nullptr) {
+        *error = "StIU ref tuple points outside the metas section";
       }
+      return nullptr;
     }
-    for (const auto& nt : index->NrefTuplesIn(re)) {
-      if (nt.traj >= payload_.metas.size() ||
-          nt.nref_idx >= payload_.metas[nt.traj].nrefs.size()) {
-        if (error != nullptr) {
-          *error = "StIU nref tuple points outside the metas section";
-        }
-        return nullptr;
+  }
+  for (const auto& nt : index->nref_tuples()) {
+    if (nt.traj >= payload_.metas.size() ||
+        nt.nref_idx >= payload_.metas[nt.traj].nrefs.size()) {
+      if (error != nullptr) {
+        *error = "StIU nref tuple points outside the metas section";
       }
+      return nullptr;
     }
   }
   return index;

@@ -192,7 +192,7 @@ bool UtcqQueryProcessor::MayPassEdge(size_t traj_idx,
   if (traj_idx >= cc().num_trajectories()) return false;  // untrusted id
   const auto j = static_cast<uint32_t>(traj_idx);
   for (const network::RegionId re : index_.grid().RegionsOfEdge(edge)) {
-    if (!index_.RefTuplesOf(re, j).empty()) return true;
+    if (!index_.TuplesOf(re, j).refs.empty()) return true;
   }
   return false;
 }
@@ -230,8 +230,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
   std::vector<uint32_t> nref_candidates;
   const auto j = static_cast<uint32_t>(traj_idx);
   for (const network::RegionId re : regions) {
-    const auto refs = index_.RefTuplesOf(re, j);
-    const auto nrefs = index_.NrefTuplesOf(re, j);
+    const auto [refs, nrefs] = index_.TuplesOf(re, j);
     if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
     for (const auto& rt : refs) {
       bool merged = false;
@@ -374,11 +373,12 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
   };
 
   // Candidate instances from the spatial tuples over retotal (a superset
-  // of RE — Lemma 4's region). Only the partition buckets that can hold an
-  // active trajectory are read; is_active still decides membership. An
-  // active trajectory's first tuple allocates its seen flags — one per
-  // non-reference, then one per reference — and only then is its meta
-  // read, so the flags dedupe instances seen from several regions.
+  // of RE — Lemma 4's region). Per level, only tq's partition is read: one
+  // contiguous run per grid row of retotal (consecutive region ids).
+  // is_active still decides membership. An active trajectory's first tuple
+  // allocates its seen flags — one per non-reference, then one per
+  // reference — and only then is its meta read, so the flags dedupe
+  // instances seen from several regions.
   struct SeenFlags {
     uint32_t nrefs = UINT32_MAX;  // first non-reference flag; MAX = unseen
     uint32_t refs = 0;            // first reference flag
@@ -397,31 +397,26 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
     }
     return s;
   };
-  // Every live slice is bounded, and its first tuples prefetched, before
-  // any is scanned: the slices are short (~8 tuples) and scattered, so
-  // their first-line cache misses overlap instead of serializing.
-  struct LiveSlices {
-    std::span<const StiuIndex::RefTuple> refs;
-    std::span<const StiuIndex::NrefTuple> nrefs;
-  };
-  std::vector<LiveSlices> slices;
-  slices.reserve(retotal.size());
-  for (const network::RegionId re : retotal) {
-    const LiveSlices& s = slices.emplace_back(LiveSlices{
-        index_.RefTuplesLiveAt(re, tq), index_.NrefTuplesLiveAt(re, tq)});
-    __builtin_prefetch(s.refs.data());
-    __builtin_prefetch(s.nrefs.data());
-  }
-  for (const auto& [refs, nrefs] : slices) {
-    if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
-    for (const auto& rt : refs) {
-      if (!rt.ref_passes || !is_active(rt.traj)) continue;
-      seen[flags_of(rt.traj).refs + rt.ref_idx] = 1;
+  for (size_t row = 0; row < retotal.size();) {
+    size_t row_end = row + 1;
+    while (row_end < retotal.size() &&
+           retotal[row_end] == retotal[row_end - 1] + 1) {
+      ++row_end;
     }
-    for (const auto& nt : nrefs) {
-      if (!is_active(nt.traj)) continue;
-      seen[flags_of(nt.traj).nrefs + nt.nref_idx] = 1;
+    for (size_t level = 0; level < index_.num_levels(); ++level) {
+      const auto [refs, nrefs] = index_.TuplesAt(level, tq, retotal[row],
+                                                 retotal[row_end - 1]);
+      if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
+      for (const auto& rt : refs) {
+        if (!rt.ref_passes || !is_active(rt.traj)) continue;
+        seen[flags_of(rt.traj).refs + rt.ref_idx] = 1;
+      }
+      for (const auto& nt : nrefs) {
+        if (!is_active(nt.traj)) continue;
+        seen[flags_of(nt.traj).nrefs + nt.nref_idx] = 1;
+      }
     }
+    row = row_end;
   }
 
   // Members as packed keys (traj | is_ref | idx), trajectory by trajectory

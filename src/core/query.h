@@ -26,9 +26,10 @@ struct QueryStats {
   uint64_t stream_bits_read = 0;
   /// Bracket scans whose start was upgraded through a v3 sync table.
   uint64_t sync_seeks = 0;
-  /// StIU spatial tuples read by candidate generation (Range's live
-  /// partition buckets, When's per-trajectory runs): whether the index
-  /// prunes at all, against the full region-list total.
+  /// StIU spatial tuples read by candidate generation: for Range, every
+  /// tuple in tq's partition rows of the query's regions at every level,
+  /// inactive trajectories' included; for When, the trajectory's runs.
+  /// Whether the index prunes at all, against the full region-list total.
   uint64_t tuples_scanned = 0;
 };
 

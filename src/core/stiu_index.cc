@@ -1,7 +1,9 @@
 #include "core/stiu_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/exp_golomb.h"
 #include "common/varint.h"
@@ -11,13 +13,14 @@ namespace utcq::core {
 
 namespace {
 
-/// Trajectory `j`'s run inside an id-sorted bucket.
-template <typename Tuple>
-std::span<const Tuple> RunOf(std::span<const Tuple> bucket, uint32_t j) {
-  const auto [first, last] =
-      std::ranges::equal_range(bucket, j, {}, &Tuple::traj);
-  return {first, last};
-}
+/// Level l's partitions are kMaxCopies^l = 1 << (kLevelShift * l) wide.
+constexpr uint32_t kLevelShift = std::countr_zero(StiuIndex::kMaxCopies);
+static_assert(StiuIndex::kMaxCopies == 1u << kLevelShift);
+
+/// Whether `T` (a possibly const-ref tuple type) is a ref tuple.
+template <typename T>
+constexpr bool kIsRef =
+    std::is_same_v<std::remove_cvref_t<T>, StiuIndex::RefTuple>;
 
 std::vector<const traj::UncertainTrajectory*> AddressesOf(
     const traj::UncertainCorpus& corpus) {
@@ -51,9 +54,45 @@ StiuIndex::StiuIndex(const network::GridIndex& grid,
                           params_.time_partition_s);
   temporal_.resize(trajs.size());
   partition_trajs_.resize(partitions);
-  region_refs_.resize(grid.num_regions());
-  region_nrefs_.resize(grid.num_regions());
+  std::vector<std::vector<RefTuple>> region_refs(grid.num_regions());
+  std::vector<std::vector<NrefTuple>> region_nrefs(grid.num_regions());
 
+  // ---- temporal tuples: bit positions into the SIAR-coded T stream ----
+  for (size_t j = 0; j < trajs.size(); ++j) {
+    const traj::UncertainTrajectory& tu = *trajs[j];
+    // Skip the header (n varint + 17-bit t0) to find the first delta.
+    common::BitReader r = cc.t_reader();
+    r.Seek(cc.meta(j).t_pos);
+    common::GetVarint(r);
+    r.GetBits(17);
+    uint64_t pos = r.position();
+
+    const auto deltas = SiarDeltas(tu.times, cc.params().default_interval_s);
+    int64_t last_partition = -1;
+    for (size_t i = 0; i < tu.times.size(); ++i) {
+      const int64_t p = tu.times[i] / params_.time_partition_s;
+      if (p != last_partition) {
+        temporal_[j].push_back({tu.times[i], static_cast<uint32_t>(i), pos});
+        last_partition = p;
+      }
+      if (i < deltas.size()) {
+        pos += common::ImprovedExpGolombLength(deltas[i]);
+      }
+    }
+    const size_t first_p = traj::DayPartition(
+        tu.times.front(), params_.time_partition_s, partitions);
+    const size_t last_p = traj::DayPartition(
+        tu.times.back(), params_.time_partition_s, partitions);
+    for (size_t p = first_p; p <= last_p; ++p) {
+      partition_trajs_[p].push_back(static_cast<uint32_t>(j));
+    }
+  }
+
+  // ---- spatial tuples ----
+  // One NrefTuple per (region, non-reference) visit; one RefTuple per
+  // (region, reference group) that any member visits. Trajectories are
+  // visited by (first partition, id), each at the first partition listing
+  // it, so every region list comes out in stored order.
   // Per-trajectory scratch, reused: the regions the trajectory visits in
   // first-visit order (a visit is a slot), each region's slot, the last
   // instance that visited each slot, and one aggregate per (slot, ref).
@@ -67,88 +106,55 @@ StiuIndex::StiuIndex(const network::GridIndex& grid,
   std::vector<uint32_t> slot_of(grid.num_regions(), kNone);
   std::vector<uint32_t> last_visitor;
   std::vector<GroupAgg> agg;
-
-  for (size_t j = 0; j < trajs.size(); ++j) {
-    const traj::UncertainTrajectory& tu = *trajs[j];
-    const TrajMeta& meta = cc.meta(j);
-
-    // ---- temporal tuples: bit positions into the SIAR-coded T stream ----
-    {
-      // Skip the header (n varint + 17-bit t0) to find the first delta.
-      common::BitReader r = cc.t_reader();
-      r.Seek(meta.t_pos);
-      common::GetVarint(r);
-      r.GetBits(17);
-      uint64_t pos = r.position();
-
-      const auto deltas =
-          SiarDeltas(tu.times, cc.params().default_interval_s);
-      int64_t last_partition = -1;
-      for (size_t i = 0; i < tu.times.size(); ++i) {
-        const int64_t p = tu.times[i] / params_.time_partition_s;
-        if (p != last_partition) {
-          temporal_[j].push_back(
-              {tu.times[i], static_cast<uint32_t>(i), pos});
-          last_partition = p;
-        }
-        if (i < deltas.size()) {
-          pos += common::ImprovedExpGolombLength(deltas[i]);
-        }
-      }
-      const size_t first_p = traj::DayPartition(
-          tu.times.front(), params_.time_partition_s, partitions);
-      const size_t last_p = traj::DayPartition(
-          tu.times.back(), params_.time_partition_s, partitions);
-      for (size_t p = first_p; p <= last_p; ++p) {
-        partition_trajs_[p].push_back(static_cast<uint32_t>(j));
-      }
-    }
-
-    // ---- spatial tuples ----
-    // One NrefTuple per (region, non-reference) visit; one RefTuple per
-    // (region, reference group) that any member visits.
-    const size_t num_refs = meta.refs.size();
-    visited.clear();
-    last_visitor.clear();
-    agg.clear();
-    for (uint32_t w = 0; w < tu.instances.size(); ++w) {
-      const traj::TrajectoryInstance& inst = tu.instances[w];
-      const auto [is_ref, idx] = meta.roles[w];
-      const uint32_t ref_pos = is_ref ? idx : meta.nrefs[idx].ref_pos;
-      for (const network::EdgeId e : inst.path) {
-        for (const network::RegionId re : grid.RegionsOfEdge(e)) {
-          if (slot_of[re] == kNone) {
-            slot_of[re] = static_cast<uint32_t>(visited.size());
-            visited.push_back(re);
-            last_visitor.push_back(kNone);
-            agg.resize(agg.size() + num_refs);
-          }
-          const uint32_t slot = slot_of[re];
-          if (last_visitor[slot] == w) continue;
-          last_visitor[slot] = w;
-          GroupAgg& a = agg[slot * num_refs + ref_pos];
-          a.present = true;
-          if (is_ref) {
-            a.ref_passes = true;
-          } else {
-            a.p_max = std::max(a.p_max, meta.nrefs[idx].p_quantized);
-            region_nrefs_[re].push_back({static_cast<uint32_t>(j), idx});
+  std::vector<bool> done(trajs.size(), false);
+  for (const std::vector<uint32_t>& listed : partition_trajs_) {
+    for (const uint32_t j : listed) {
+      if (done[j]) continue;
+      done[j] = true;
+      const traj::UncertainTrajectory& tu = *trajs[j];
+      const TrajMeta& meta = cc.meta(j);
+      const size_t num_refs = meta.refs.size();
+      visited.clear();
+      last_visitor.clear();
+      agg.clear();
+      for (uint32_t w = 0; w < tu.instances.size(); ++w) {
+        const traj::TrajectoryInstance& inst = tu.instances[w];
+        const auto [is_ref, idx] = meta.roles[w];
+        const uint32_t ref_pos = is_ref ? idx : meta.nrefs[idx].ref_pos;
+        for (const network::EdgeId e : inst.path) {
+          for (const network::RegionId re : grid.RegionsOfEdge(e)) {
+            if (slot_of[re] == kNone) {
+              slot_of[re] = static_cast<uint32_t>(visited.size());
+              visited.push_back(re);
+              last_visitor.push_back(kNone);
+              agg.resize(agg.size() + num_refs);
+            }
+            const uint32_t slot = slot_of[re];
+            if (last_visitor[slot] == w) continue;
+            last_visitor[slot] = w;
+            GroupAgg& a = agg[slot * num_refs + ref_pos];
+            a.present = true;
+            if (is_ref) {
+              a.ref_passes = true;
+            } else {
+              a.p_max = std::max(a.p_max, meta.nrefs[idx].p_quantized);
+              region_nrefs[re].push_back({j, idx});
+            }
           }
         }
       }
-    }
-    for (uint32_t slot = 0; slot < visited.size(); ++slot) {
-      for (uint32_t r = 0; r < num_refs; ++r) {
-        const GroupAgg& a = agg[slot * num_refs + r];
-        if (a.present) {
-          region_refs_[visited[slot]].push_back(
-              {static_cast<uint32_t>(j), r, a.p_max, a.ref_passes});
+      for (uint32_t slot = 0; slot < visited.size(); ++slot) {
+        for (uint32_t r = 0; r < num_refs; ++r) {
+          const GroupAgg& a = agg[slot * num_refs + r];
+          if (a.present) {
+            region_refs[visited[slot]].push_back({j, r, a.p_max, a.ref_passes});
+          }
         }
+        slot_of[visited[slot]] = kNone;
       }
-      slot_of[visited[slot]] = kNone;
     }
   }
-  OrderByPartition();
+  DeriveLayout(std::move(region_refs), std::move(region_nrefs));
 }
 
 StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
@@ -198,8 +204,8 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
     trajs.resize(n);
     for (auto& j : trajs) j = static_cast<uint32_t>(in.GetVarint());
   }
-  region_refs_.resize(num_regions);
-  for (auto& tuples : region_refs_) {
+  std::vector<std::vector<RefTuple>> region_refs(num_regions);
+  for (auto& tuples : region_refs) {
     const uint64_t n = in.GetVarint();
     if (bad_count(n)) {
       in.Skip(in.remaining() + 1);
@@ -220,8 +226,8 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
       rt.ref_passes = in.GetU8() != 0;
     }
   }
-  region_nrefs_.resize(num_regions);
-  for (auto& tuples : region_nrefs_) {
+  std::vector<std::vector<NrefTuple>> region_nrefs(num_regions);
+  for (auto& tuples : region_nrefs) {
     const uint64_t n = in.GetVarint();
     if (bad_count(n)) {
       in.Skip(in.remaining() + 1);
@@ -241,140 +247,223 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
   if (!in.ok()) {
     temporal_.clear();
     partition_trajs_.clear();
-    region_refs_.clear();
-    region_nrefs_.clear();
+    region_refs.clear();
+    region_nrefs.clear();
   }
-  OrderByPartition();
+  DeriveLayout(std::move(region_refs), std::move(region_nrefs));
 }
 
-void StiuIndex::OrderByPartition() {
-  const size_t partitions = partition_trajs_.size();
-  first_partition_.assign(temporal_.size(), static_cast<uint32_t>(partitions));
-  std::vector<uint32_t> last_partition(temporal_.size(), 0);
-  for (size_t p = 0; p < partitions; ++p) {
+void StiuIndex::DeriveLayout(std::vector<std::vector<RefTuple>> region_refs,
+                             std::vector<std::vector<NrefTuple>> region_nrefs) {
+  const auto partitions = static_cast<uint32_t>(partition_trajs_.size());
+  const size_t n = temporal_.size();
+  first_partition_.assign(n, partitions);
+  std::vector<uint32_t> last_partition(n, 0);
+  for (uint32_t p = 0; p < partitions; ++p) {
     for (const uint32_t j : partition_trajs_[p]) {
-      if (j >= first_partition_.size()) continue;  // names no trajectory
-      first_partition_[j] =
-          std::min(first_partition_[j], static_cast<uint32_t>(p));
-      last_partition[j] = static_cast<uint32_t>(p);
-    }
-  }
-  max_span_ = 0;
-  for (size_t j = 0; j < first_partition_.size(); ++j) {
-    if (first_partition_[j] < partitions) {
-      max_span_ =
-          std::max(max_span_, last_partition[j] - first_partition_[j] + 1);
+      if (j >= n) continue;  // names no trajectory
+      first_partition_[j] = std::min(first_partition_[j], p);
+      last_partition[j] = p;
     }
   }
 
-  // Built lists come out in trajectory-id order, and sections from older
-  // writers were stored that way; stable sorting keeps every trajectory's
-  // tuples in their stored relative order.
+  // Level of each listed trajectory: the finest where its partitions,
+  // first to last, fall into at most kMaxCopies of the level's.
+  std::vector<uint8_t> level(n, 0);
+  size_t levels = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (first_partition_[j] == partitions) continue;
+    uint32_t l = 0;
+    while ((last_partition[j] >> (kLevelShift * l)) -
+               (first_partition_[j] >> (kLevelShift * l)) >=
+           kMaxCopies) {
+      ++l;
+    }
+    level[j] = static_cast<uint8_t>(l);
+    levels = std::max<size_t>(levels, l + 1);
+  }
+  level_first_.assign(levels + 1, 0);
+  for (size_t l = 0; l < levels; ++l) {
+    level_first_[l + 1] =
+        level_first_[l] + ((partitions - 1) >> (kLevelShift * l)) + 1;
+  }
+  const uint32_t unlisted = unlisted_slot();
+  const size_t slots = size_t{unlisted} + 1;
+  home_slot_.assign(n, unlisted);
+  std::vector<uint8_t> copies(n, 1);
+  for (size_t j = 0; j < n; ++j) {
+    if (first_partition_[j] == partitions) continue;
+    const uint32_t shift = kLevelShift * level[j];
+    home_slot_[j] = level_first_[level[j]] + (first_partition_[j] >> shift);
+    copies[j] = static_cast<uint8_t>((last_partition[j] >> shift) -
+                                     (first_partition_[j] >> shift) + 1);
+  }
+
+  // Copies land in cells in list order, so the lists must be in stored
+  // order first. Built lists are; sections from older writers, or crafted
+  // ones, may not be, and stable sorting keeps every trajectory's tuples in
+  // their stored relative order.
   const auto by_key = [this](const auto& a, const auto& b) {
-    return std::pair(BucketOf(a.traj), a.traj) <
-           std::pair(BucketOf(b.traj), b.traj);
+    return KeyOf(a.traj) < KeyOf(b.traj);
   };
   const auto order = [&](auto& tuples) {
     if (!std::is_sorted(tuples.begin(), tuples.end(), by_key)) {
       std::stable_sort(tuples.begin(), tuples.end(), by_key);
     }
   };
-  for (auto& tuples : region_refs_) order(tuples);
-  for (auto& tuples : region_nrefs_) order(tuples);
-  ref_dir_ = BuildDirectory(region_refs_);
-  nref_dir_ = BuildDirectory(region_nrefs_);
-}
+  for (auto& tuples : region_refs) order(tuples);
+  for (auto& tuples : region_nrefs) order(tuples);
 
-size_t StiuIndex::BucketOf(uint32_t j) const {
-  return j < first_partition_.size() ? first_partition_[j]
-                                     : partition_trajs_.size();
-}
-
-template <typename Tuple>
-StiuIndex::BucketDirectory StiuIndex::BuildDirectory(
-    const std::vector<std::vector<Tuple>>& lists) const {
-  // A run starts wherever the owner's bucket changes along the list.
-  const auto for_each_run = [this](const std::vector<Tuple>& tuples,
-                                   const auto& emit) {
-    size_t prev = SIZE_MAX;
-    for (size_t k = 0; k < tuples.size(); ++k) {
-      const size_t b = BucketOf(tuples[k].traj);
-      if (b != prev) emit(b, k);
-      prev = b;
+  // Each tuple goes to every slot its trajectory spans. Regions are walked
+  // in ascending order, so each slot's cells come out by region. The
+  // counting pass sizes every array exactly; the filling pass writes them.
+  const auto for_each_copy = [&](const auto& visit) {
+    for (network::RegionId re = 0; re < region_refs.size(); ++re) {
+      const auto copy = [&](const auto& t) {
+        const uint32_t home = HomeSlot(t.traj);
+        const uint32_t end = home + (t.traj < n ? copies[t.traj] : 1u);
+        for (uint32_t s = home; s < end; ++s) visit(s, re, t);
+      };
+      for (const RefTuple& rt : region_refs[re]) copy(rt);
+      for (const NrefTuple& nt : region_nrefs[re]) copy(nt);
     }
   };
-  BucketDirectory dir;
-  dir.offsets.assign(lists.size() + 1, 0);
-  uint32_t total = 0;
-  for (size_t re = 0; re < lists.size(); ++re) {
-    for_each_run(lists[re], [&total](size_t, size_t) { ++total; });
-    dir.offsets[re + 1] = total;
+  std::vector<uint32_t> ref_next(slots + 1, 0);
+  std::vector<uint32_t> nref_next(slots + 1, 0);
+  slot_cells_.assign(slots + 1, 0);
+  std::vector<network::RegionId> open(slots, network::kInvalidRegion);
+  for_each_copy([&](uint32_t s, network::RegionId re, const auto& t) {
+    ++(kIsRef<decltype(t)> ? ref_next : nref_next)[s + 1];
+    if (open[s] != re) {
+      open[s] = re;
+      ++slot_cells_[s + 1];
+    }
+  });
+  for (size_t s = 0; s < slots; ++s) {
+    ref_next[s + 1] += ref_next[s];
+    nref_next[s + 1] += nref_next[s];
+    slot_cells_[s + 1] += slot_cells_[s];
   }
-  dir.runs.reserve(total);
-  for (const auto& tuples : lists) {
-    for_each_run(tuples, [&dir](size_t b, size_t k) {
-      dir.runs.push_back({static_cast<uint32_t>(b), static_cast<uint32_t>(k)});
-    });
-  }
-  return dir;
+  refs_.resize(ref_next[slots]);
+  nrefs_.resize(nref_next[slots]);
+  cells_.resize(slot_cells_[slots] + 1);
+  cells_.back() = {network::kInvalidRegion, ref_next[slots], nref_next[slots]};
+  std::vector<uint32_t> cell_next(slot_cells_.begin(), slot_cells_.end() - 1);
+  open.assign(slots, network::kInvalidRegion);
+  for_each_copy([&](uint32_t s, network::RegionId re, const auto& t) {
+    if (open[s] != re) {
+      open[s] = re;
+      cells_[cell_next[s]++] = {re, ref_next[s], nref_next[s]};
+    }
+    if constexpr (kIsRef<decltype(t)>) {
+      refs_[ref_next[s]++] = t;
+    } else {
+      nrefs_[nref_next[s]++] = t;
+    }
+  });
+}
+
+std::pair<uint32_t, uint32_t> StiuIndex::KeyOf(uint32_t j) const {
+  return {j < first_partition_.size()
+              ? first_partition_[j]
+              : static_cast<uint32_t>(partition_trajs_.size()),
+          j};
+}
+
+uint32_t StiuIndex::HomeSlot(uint32_t j) const {
+  return j < home_slot_.size() ? home_slot_[j] : unlisted_slot();
+}
+
+size_t StiuIndex::CellOf(size_t slot, network::RegionId re) const {
+  const auto first = cells_.begin() + slot_cells_[slot];
+  const auto last = cells_.begin() + slot_cells_[slot + 1];
+  const auto it = std::ranges::lower_bound(first, last, re, {}, &Cell::region);
+  return it != last && it->region == re
+             ? static_cast<size_t>(it - cells_.begin())
+             : SIZE_MAX;
 }
 
 template <typename Tuple>
-std::span<const Tuple> StiuIndex::InBuckets(const std::vector<Tuple>& tuples,
-                                            const BucketDirectory& dir,
-                                            network::RegionId re, size_t lo,
-                                            size_t hi) {
-  if (hi <= lo) return {};
-  const std::span<const BucketRun> runs(dir.runs.data() + dir.offsets[re],
-                                        dir.runs.data() + dir.offsets[re + 1]);
-  // Index of the first tuple whose bucket is >= b.
-  const auto start = [&](size_t b) -> size_t {
-    const auto it = std::ranges::lower_bound(runs, b, {}, &BucketRun::bucket);
-    return it == runs.end() ? tuples.size() : it->first;
-  };
-  const size_t first = start(lo);
-  return {tuples.data() + first, start(hi) - first};
+std::span<const Tuple> StiuIndex::Slice(const std::vector<Tuple>& tuples,
+                                        uint32_t Cell::*first, size_t lo,
+                                        size_t hi) const {
+  return {tuples.data() + cells_[lo].*first,
+          tuples.data() + cells_[hi].*first};
 }
 
-std::pair<size_t, size_t> StiuIndex::LiveBuckets(traj::Timestamp t) const {
-  if (partition_trajs_.empty()) return {0, 0};
+StiuIndex::TupleRun StiuIndex::TuplesAt(size_t level, traj::Timestamp t,
+                                        network::RegionId first,
+                                        network::RegionId last) const {
+  if (level >= num_levels()) return {};
   const size_t p = traj::DayPartition(t, params_.time_partition_s,
                                       partition_trajs_.size());
-  return {p + 1 > max_span_ ? p + 1 - max_span_ : 0, p + 1};
+  const size_t slot = level_first_[level] + (p >> (kLevelShift * level));
+  const auto begin = cells_.begin() + slot_cells_[slot];
+  const auto end = cells_.begin() + slot_cells_[slot + 1];
+  const auto lo = std::ranges::lower_bound(begin, end, first, {}, &Cell::region);
+  const auto hi = std::ranges::upper_bound(lo, end, last, {}, &Cell::region);
+  const auto c_lo = static_cast<size_t>(lo - cells_.begin());
+  const auto c_hi = static_cast<size_t>(hi - cells_.begin());
+  return {Slice(refs_, &Cell::ref_first, c_lo, c_hi),
+          Slice(nrefs_, &Cell::nref_first, c_lo, c_hi)};
 }
 
-std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesInBuckets(
-    network::RegionId re, size_t lo, size_t hi) const {
-  return InBuckets(region_refs_[re], ref_dir_, re, lo, hi);
+StiuIndex::TupleRun StiuIndex::TuplesOf(network::RegionId re,
+                                        uint32_t j) const {
+  const size_t c = CellOf(HomeSlot(j), re);
+  if (c == SIZE_MAX) return {};
+  const auto run = [&](const auto& tuples, uint32_t Cell::*first) {
+    const auto [lo, hi] = std::ranges::equal_range(
+        Slice(tuples, first, c, c + 1), KeyOf(j), {},
+        [this](const auto& t) { return KeyOf(t.traj); });
+    return std::span(lo, hi);
+  };
+  return {run(refs_, &Cell::ref_first), run(nrefs_, &Cell::nref_first)};
 }
 
-std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesInBuckets(
-    network::RegionId re, size_t lo, size_t hi) const {
-  return InBuckets(region_nrefs_[re], nref_dir_, re, lo, hi);
+template <typename Tuple>
+void StiuIndex::StoredIn(const std::vector<Tuple>& tuples,
+                         uint32_t Cell::*first, std::span<const CellAt> cells,
+                         std::vector<Tuple>& out) const {
+  out.clear();
+  for (const CellAt& at : cells) {
+    for (const Tuple& t : Slice(tuples, first, at.cell, at.cell + 1)) {
+      if (HomeSlot(t.traj) == at.slot) out.push_back(t);
+    }
+  }
+  // Each level's cells are in stored order; levels interleave.
+  const auto by_key = [this](const Tuple& a, const Tuple& b) {
+    return KeyOf(a.traj) < KeyOf(b.traj);
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_key)) {
+    std::stable_sort(out.begin(), out.end(), by_key);
+  }
 }
 
-std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesLiveAt(
-    network::RegionId re, traj::Timestamp t) const {
-  const auto [lo, hi] = LiveBuckets(t);
-  return RefTuplesInBuckets(re, lo, hi);
+std::vector<StiuIndex::CellAt> StiuIndex::CellsOfRegion(
+    network::RegionId re) const {
+  std::vector<CellAt> cells;
+  for (size_t s = 0; s + 1 < slot_cells_.size(); ++s) {
+    const size_t c = CellOf(s, re);
+    if (c != SIZE_MAX) {
+      cells.push_back({static_cast<uint32_t>(c), static_cast<uint32_t>(s)});
+    }
+  }
+  return cells;
 }
 
-std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesLiveAt(
-    network::RegionId re, traj::Timestamp t) const {
-  const auto [lo, hi] = LiveBuckets(t);
-  return NrefTuplesInBuckets(re, lo, hi);
+std::vector<StiuIndex::RefTuple> StiuIndex::RefTuplesIn(
+    network::RegionId re) const {
+  std::vector<RefTuple> out;
+  StoredIn(refs_, &Cell::ref_first, CellsOfRegion(re), out);
+  return out;
 }
 
-std::span<const StiuIndex::RefTuple> StiuIndex::RefTuplesOf(
-    network::RegionId re, uint32_t j) const {
-  const size_t b = BucketOf(j);
-  return RunOf(RefTuplesInBuckets(re, b, b + 1), j);
-}
-
-std::span<const StiuIndex::NrefTuple> StiuIndex::NrefTuplesOf(
-    network::RegionId re, uint32_t j) const {
-  const size_t b = BucketOf(j);
-  return RunOf(NrefTuplesInBuckets(re, b, b + 1), j);
+std::vector<StiuIndex::NrefTuple> StiuIndex::NrefTuplesIn(
+    network::RegionId re) const {
+  std::vector<NrefTuple> out;
+  StoredIn(nrefs_, &Cell::nref_first, CellsOfRegion(re), out);
+  return out;
 }
 
 template <typename Out>
@@ -384,7 +473,7 @@ void StiuIndex::SerializeTo(Out& out) const {
 
   out.PutVarint(temporal_.size());
   out.PutVarint(partition_trajs_.size());
-  out.PutVarint(region_refs_.size());
+  out.PutVarint(grid_.num_regions());
 
   for (const auto& tuples : temporal_) {
     out.PutVarint(tuples.size());
@@ -401,18 +490,43 @@ void StiuIndex::SerializeTo(Out& out) const {
     out.PutVarint(trajs.size());
     for (const uint32_t j : trajs) out.PutVarint(j);
   }
-  for (const auto& tuples : region_refs_) {
-    out.PutVarint(tuples.size());
-    for (const auto& rt : tuples) {
+  // Every region's cells in slot order, grouped by region (a counting
+  // sort), so each region list is gathered from its own cells alone.
+  const size_t regions = grid_.num_regions();
+  std::vector<uint32_t> region_first(regions + 1, 0);
+  for (size_t c = 0; c + 1 < cells_.size(); ++c) {
+    ++region_first[cells_[c].region + 1];
+  }
+  for (size_t re = 0; re < regions; ++re) {
+    region_first[re + 1] += region_first[re];
+  }
+  std::vector<CellAt> by_region(cells_.size() - 1);
+  std::vector<uint32_t> next(region_first.begin(), region_first.end() - 1);
+  for (uint32_t s = 0; s + 1 < slot_cells_.size(); ++s) {
+    for (uint32_t c = slot_cells_[s]; c < slot_cells_[s + 1]; ++c) {
+      by_region[next[cells_[c].region]++] = {c, s};
+    }
+  }
+  const auto cells_of = [&](size_t re) {
+    return std::span<const CellAt>(by_region.data() + region_first[re],
+                                   by_region.data() + region_first[re + 1]);
+  };
+  std::vector<RefTuple> refs;
+  for (size_t re = 0; re < regions; ++re) {
+    StoredIn(refs_, &Cell::ref_first, cells_of(re), refs);
+    out.PutVarint(refs.size());
+    for (const auto& rt : refs) {
       out.PutVarint(rt.traj);
       out.PutVarint(rt.ref_idx);
       out.PutF32(rt.p_max);
       out.PutU8(rt.ref_passes ? 1 : 0);
     }
   }
-  for (const auto& tuples : region_nrefs_) {
-    out.PutVarint(tuples.size());
-    for (const auto& nt : tuples) {
+  std::vector<NrefTuple> nrefs;
+  for (size_t re = 0; re < regions; ++re) {
+    StoredIn(nrefs_, &Cell::nref_first, cells_of(re), nrefs);
+    out.PutVarint(nrefs.size());
+    for (const auto& nt : nrefs) {
       out.PutVarint(nt.traj);
       out.PutVarint(nt.nref_idx);
     }
@@ -446,29 +560,19 @@ size_t StiuIndex::temporal_size_bytes() const {
   size_t bytes = 0;
   for (const auto& v : temporal_) bytes += v.size() * sizeof(TemporalTuple);
   for (const auto& v : partition_trajs_) bytes += v.size() * sizeof(uint32_t);
-  bytes += first_partition_.size() * sizeof(uint32_t);
   return bytes;
 }
 
 size_t StiuIndex::spatial_size_bytes() const {
-  size_t bytes = 0;
-  for (const auto& v : region_refs_) bytes += v.size() * sizeof(RefTuple);
-  for (const auto& v : region_nrefs_) bytes += v.size() * sizeof(NrefTuple);
-  return bytes;
-}
-
-size_t StiuIndex::directory_size_bytes() const {
-  size_t bytes = 0;
-  for (const BucketDirectory* dir : {&ref_dir_, &nref_dir_}) {
-    bytes += dir->runs.size() * sizeof(BucketRun) +
-             dir->offsets.size() * sizeof(uint32_t);
-  }
-  return bytes;
+  return refs_.size() * sizeof(RefTuple) + nrefs_.size() * sizeof(NrefTuple) +
+         cells_.size() * sizeof(Cell) +
+         (first_partition_.size() + home_slot_.size() + level_first_.size() +
+          slot_cells_.size()) *
+             sizeof(uint32_t);
 }
 
 size_t StiuIndex::SizeBytes() const {
-  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes() +
-         directory_size_bytes();
+  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes();
 }
 
 }  // namespace utcq::core

@@ -32,14 +32,18 @@ struct StiuParams {
 /// cells_per_side — nothing in the loaded index depends on the original
 /// uncompressed corpus.
 ///
-/// Layout (DESIGN.md §7): each region's ref and nref tuple lists are kept
-/// partition-major, ordered by (first time partition of the owning
-/// trajectory, trajectory id). Bucket b holds the trajectories whose first
-/// partition is b; bucket num_partitions() is a sentinel for trajectories
-/// in no partition. Both constructors derive the order, so an index loaded
-/// from a section in any tuple order answers identically. A bucket
-/// directory per list kind records each list's non-empty buckets, so a
-/// bucket window's bounds never search the tuples themselves.
+/// Layout (DESIGN.md §7): partition-major. Each trajectory's ref and nref
+/// tuples are copied into every time partition its partition list spans and
+/// grouped by (partition, region), so the tuples of one partition over a run
+/// of consecutive regions are one contiguous slice. A trajectory spanning
+/// more than kMaxCopies partitions is stored at the first coarser level,
+/// whose partitions are kMaxCopies^level partitions wide, where it spans at
+/// most kMaxCopies: the layout holds at most kMaxCopies times the stored
+/// tuples. Trajectories listed in no partition (and tuples naming ids the
+/// index does not cover) are kept once, in a slot no time reads. Both
+/// constructors derive the layout from region lists in the section's shape,
+/// so an index loaded from a section in any tuple order answers
+/// identically, and Serialize writes the section back byte for byte.
 class StiuIndex {
  public:
   /// (t.start, t.no, t.pos) of Section 5.2's temporal part.
@@ -120,99 +124,114 @@ class StiuIndex {
 
   size_t num_partitions() const { return partition_trajs_.size(); }
 
-  /// Largest number of partitions, first to last, any trajectory is listed
-  /// in (0 when none is listed anywhere).
-  uint32_t max_span() const { return max_span_; }
+  /// Copies of one trajectory's tuples the layout holds at most, and the
+  /// factor by which each level's partitions are wider than the last's.
+  static constexpr uint32_t kMaxCopies = 4;
 
-  /// Whole tuple lists of region `re`, in partition-major order.
-  const std::vector<RefTuple>& RefTuplesIn(network::RegionId re) const {
-    return region_refs_[re];
-  }
-  const std::vector<NrefTuple>& NrefTuplesIn(network::RegionId re) const {
-    return region_nrefs_[re];
-  }
+  /// Levels that hold tuples; level l's partitions are kMaxCopies^l
+  /// partitions wide. 0 when no trajectory is listed in any partition.
+  size_t num_levels() const { return level_first_.size() - 1; }
 
-  /// The tuples of region `re` whose bucket lies in [lo, hi): one slice of
-  /// the partition-major list, bounded through the bucket directory.
-  std::span<const RefTuple> RefTuplesInBuckets(network::RegionId re,
-                                               size_t lo, size_t hi) const;
-  std::span<const NrefTuple> NrefTuplesInBuckets(network::RegionId re,
-                                                 size_t lo, size_t hi) const;
+  /// Tuples of one level's partition over a run of regions.
+  struct TupleRun {
+    std::span<const RefTuple> refs;
+    std::span<const NrefTuple> nrefs;
+  };
 
-  /// The slice of region `re`'s list holding every tuple of every
-  /// trajectory in TrajectoriesAt(t): buckets [p - max_span() + 1, p] for
-  /// t's partition p. It may also hold tuples of inactive trajectories.
-  std::span<const RefTuple> RefTuplesLiveAt(network::RegionId re,
-                                            traj::Timestamp t) const;
-  std::span<const NrefTuple> NrefTuplesLiveAt(network::RegionId re,
-                                              traj::Timestamp t) const;
+  /// The tuples of regions [first, last] in the level-`level` partition
+  /// containing `t`: one contiguous slice per kind, by region, then by
+  /// (first partition, trajectory id). Over every level it holds each tuple
+  /// of each trajectory in TrajectoriesAt(t) exactly once, and may hold
+  /// tuples of inactive trajectories.
+  TupleRun TuplesAt(size_t level, traj::Timestamp t, network::RegionId first,
+                    network::RegionId last) const;
 
-  /// Every tuple of trajectory `j` in region `re`, in list order.
-  std::span<const RefTuple> RefTuplesOf(network::RegionId re,
-                                        uint32_t j) const;
-  std::span<const NrefTuple> NrefTuplesOf(network::RegionId re,
-                                          uint32_t j) const;
+  /// Every tuple of trajectory `j` in region `re`, in stored order: its
+  /// run in the cell of its first partition.
+  TupleRun TuplesOf(network::RegionId re, uint32_t j) const;
+
+  /// Region `re`'s tuple lists as Serialize writes them, ordered by (first
+  /// partition, trajectory id), rebuilt from the layout: O(levels x
+  /// partitions x log + tuples), for tools and tests, not queries.
+  std::vector<RefTuple> RefTuplesIn(network::RegionId re) const;
+  std::vector<NrefTuple> NrefTuplesIn(network::RegionId re) const;
+
+  /// Every tuple the layout holds, copies included.
+  std::span<const RefTuple> ref_tuples() const { return refs_; }
+  std::span<const NrefTuple> nref_tuples() const { return nrefs_; }
 
   size_t SizeBytes() const;
   size_t temporal_size_bytes() const;
+  /// Bytes of the layout: tuples, copies included, and cells.
   size_t spatial_size_bytes() const;
-  /// Bytes of the two bucket directories (runs plus region offsets).
-  size_t directory_size_bytes() const;
 
  private:
   template <typename Out>
   void SerializeTo(Out& out) const;
 
-  /// One non-empty bucket of a partition-major list: its id and the index
-  /// of its first tuple.
-  struct BucketRun {
-    uint32_t bucket = 0;
-    uint32_t first = 0;
+  /// The tuples of one (slot, region): they run from this cell's firsts to
+  /// the next cell's. Cells are ordered by (slot, region); one past the
+  /// last cell of every slot is a valid cell (the next slot's first, or the
+  /// end sentinel).
+  struct Cell {
+    network::RegionId region = 0;
+    uint32_t ref_first = 0;
+    uint32_t nref_first = 0;
   };
 
-  /// The non-empty buckets of every region list of one kind, flattened:
-  /// region re's runs are runs[offsets[re], offsets[re + 1]), ascending.
-  /// At most one run per tuple.
-  struct BucketDirectory {
-    std::vector<BucketRun> runs;
-    std::vector<uint32_t> offsets;  // [region + 1]
+  /// A cell and the slot it belongs to.
+  struct CellAt {
+    uint32_t cell = 0;
+    uint32_t slot = 0;
   };
 
-  /// Derives first_partition_ and max_span_ from partition_trajs_,
-  /// reorders every region list partition-major and builds both bucket
-  /// directories.
-  void OrderByPartition();
+  /// Derives the layout from region-major lists in the section's shape and
+  /// frees them: first partitions, levels and home slots from
+  /// partition_trajs_, then one counting and one filling pass.
+  void DeriveLayout(std::vector<std::vector<RefTuple>> region_refs,
+                    std::vector<std::vector<NrefTuple>> region_nrefs);
 
-  /// Bucket of trajectory `j`'s tuples: its first partition, or the
-  /// sentinel num_partitions() (also for ids the index does not cover).
-  size_t BucketOf(uint32_t j) const;
+  /// (first partition, id) of trajectory `j`, the order within every cell
+  /// and stored list; the first partition is num_partitions() for
+  /// trajectories listed nowhere and ids the index does not cover.
+  std::pair<uint32_t, uint32_t> KeyOf(uint32_t j) const;
 
-  /// The directory of `lists`, built in one counting and one filling pass.
+  /// The slot holding trajectory `j`'s stored tuples.
+  uint32_t HomeSlot(uint32_t j) const;
+  /// The slot no time reads: tuples of trajectories listed nowhere.
+  uint32_t unlisted_slot() const { return level_first_.back(); }
+
+  /// Index of slot `slot`'s cell for region `re`, or SIZE_MAX.
+  size_t CellOf(size_t slot, network::RegionId re) const;
+
+  /// The tuples of cells [lo, hi) of one kind.
   template <typename Tuple>
-  BucketDirectory BuildDirectory(
-      const std::vector<std::vector<Tuple>>& lists) const;
+  std::span<const Tuple> Slice(const std::vector<Tuple>& tuples,
+                               uint32_t Cell::*first, size_t lo,
+                               size_t hi) const;
 
-  /// Tuples of `tuples` (region `re`'s list, described by `dir`) in
-  /// buckets [lo, hi).
+  /// Replaces `out` with the stored tuples of `cells` (one region's, in
+  /// slot order), ordered by KeyOf.
   template <typename Tuple>
-  static std::span<const Tuple> InBuckets(const std::vector<Tuple>& tuples,
-                                          const BucketDirectory& dir,
-                                          network::RegionId re, size_t lo,
-                                          size_t hi);
+  void StoredIn(const std::vector<Tuple>& tuples, uint32_t Cell::*first,
+                std::span<const CellAt> cells, std::vector<Tuple>& out) const;
 
-  /// Bucket range [lo, hi) scanned for tuples live at `t`.
-  std::pair<size_t, size_t> LiveBuckets(traj::Timestamp t) const;
+  /// Region `re`'s cells over every slot, in slot order.
+  std::vector<CellAt> CellsOfRegion(network::RegionId re) const;
 
   const network::GridIndex& grid_;
   StiuParams params_;
   std::vector<std::vector<TemporalTuple>> temporal_;   // [traj]
   std::vector<std::vector<uint32_t>> partition_trajs_; // [partition]
-  std::vector<std::vector<RefTuple>> region_refs_;     // [region]
-  std::vector<std::vector<NrefTuple>> region_nrefs_;   // [region]
   std::vector<uint32_t> first_partition_;              // [traj]
-  uint32_t max_span_ = 0;
-  BucketDirectory ref_dir_;
-  BucketDirectory nref_dir_;
+  std::vector<uint32_t> home_slot_;                    // [traj]
+  // Slots number the partitions of every level, level after level, then
+  // the unlisted slot: level l's partition q is slot level_first_[l] + q.
+  std::vector<uint32_t> level_first_{0};               // [level + 1]
+  std::vector<uint32_t> slot_cells_{0, 0};             // [slot + 1]
+  std::vector<Cell> cells_{Cell{}};                    // + end sentinel
+  std::vector<RefTuple> refs_;
+  std::vector<NrefTuple> nrefs_;
 };
 
 }  // namespace utcq::core

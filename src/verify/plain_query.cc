@@ -1,8 +1,8 @@
-#include "core/plain_query.h"
+#include "verify/plain_query.h"
 
 #include "traj/interpolate.h"
 
-namespace utcq::core {
+namespace utcq::verify {
 
 std::vector<traj::WhereHit> PlainQueryEngine::Where(size_t traj_idx,
                                                     traj::Timestamp t,
@@ -55,4 +55,4 @@ traj::RangeResult PlainQueryEngine::Range(const network::Rect& region,
   return result;
 }
 
-}  // namespace utcq::core
+}  // namespace utcq::verify

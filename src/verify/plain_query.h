@@ -1,5 +1,5 @@
-#ifndef UTCQ_CORE_PLAIN_QUERY_H_
-#define UTCQ_CORE_PLAIN_QUERY_H_
+#ifndef UTCQ_VERIFY_PLAIN_QUERY_H_
+#define UTCQ_VERIFY_PLAIN_QUERY_H_
 
 #include <vector>
 
@@ -8,7 +8,7 @@
 #include "traj/query_types.h"
 #include "traj/types.h"
 
-namespace utcq::core {
+namespace utcq::verify {
 
 /// Reference query engine on the *uncompressed* corpus with exact
 /// probabilities. Ground truth for correctness tests and for Fig. 11's
@@ -33,6 +33,6 @@ class PlainQueryEngine {
   const traj::UncertainCorpus& corpus_;
 };
 
-}  // namespace utcq::core
+}  // namespace utcq::verify
 
-#endif  // UTCQ_CORE_PLAIN_QUERY_H_
+#endif  // UTCQ_VERIFY_PLAIN_QUERY_H_

@@ -468,12 +468,19 @@ void RunWorkload(uint64_t seed) {
   }
 
   // --- path 9: a 60 s time partition, so most trajectories span several
-  // partitions and Range's max_span bucket window is exercised at its
-  // edges, through the processor and the serving engine ---
+  // partitions and Range reads their copies in several partition rows (and
+  // at levels above 0 when they span more than four), through the
+  // processor and the serving engine ---
   {
     const core::UtcqSystem fine(w.net, grid, w.corpus, w.params,
                                 core::StiuParams{16, 60});
-    EXPECT_GT(fine.index().max_span(), 1u);
+    size_t listings = 0;
+    for (size_t p = 0; p < fine.index().num_partitions(); ++p) {
+      listings +=
+          fine.index().TrajectoriesAt(static_cast<traj::Timestamp>(p) * 60)
+              .size();
+    }
+    EXPECT_GT(listings, fine.index().num_trajectories());
     RunPath(w.net, oracle, w.queries, PathOf("processor-60s", fine.queries()));
     serve::QueryEngine engine(fine.queries());
     RunPath(w.net, oracle, w.queries, PathOf("engine-60s", engine));

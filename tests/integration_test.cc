@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/plain_query.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "ted/ted_compress.h"

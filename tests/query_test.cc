@@ -1,16 +1,17 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/serial.h"
-#include "core/plain_query.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
@@ -18,6 +19,7 @@
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
+#include "verify/plain_query.h"
 
 namespace utcq::core {
 namespace {
@@ -164,7 +166,7 @@ TEST_P(QueryAgreement, CompressedEnginesMatchGroundTruth) {
   params.eta_p = profile.eta_p;
   const network::GridIndex grid(net, 16);
   const UtcqSystem sys(net, grid, corpus, params, {16, 1200});
-  const PlainQueryEngine plain(net, corpus);
+  const verify::PlainQueryEngine plain(net, corpus);
 
   common::Rng rng(17);
   // Probabilities within eta_p of alpha can legitimately flip between the
@@ -248,7 +250,7 @@ TEST(RangeAgreement, CompressedMatchesPlain) {
   params.default_interval_s = profile.default_interval_s;
   const network::GridIndex grid(net, 16);
   const UtcqSystem sys(net, grid, corpus, params, {16, 1200});
-  const PlainQueryEngine plain(net, corpus);
+  const verify::PlainQueryEngine plain(net, corpus);
 
   common::Rng rng(23);
   const auto bbox = net.bounding_box();
@@ -322,14 +324,33 @@ TEST(QueryStatsAccounting, LemmasActuallyFire) {
             0u);
 }
 
+/// What the brute-force reference reads of an index: its stored region
+/// lists and each trajectory's first and last partition, read back through
+/// RefTuplesIn and TrajectoriesAt.
+struct StoredIndex {
+  explicit StoredIndex(const StiuIndex& index)
+      : membership(test::Membership(index)) {
+    for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
+      refs.push_back(index.RefTuplesIn(re));
+      nrefs.push_back(index.NrefTuplesIn(re));
+    }
+  }
+  std::vector<std::pair<size_t, size_t>> membership;
+  std::vector<std::vector<StiuIndex::RefTuple>> refs;
+  std::vector<std::vector<StiuIndex::NrefTuple>> nrefs;
+};
+
 /// Brute-force Range: candidates from the whole region lists, a sorted and
 /// deduplicated copy of TrajectoriesAt(tq) and sort + unique over packed
 /// member keys, then the Lemma 2-4 walk exactly as the processor runs it
 /// (members in key order, chunks of 8, inline decodes), so every QueryStats
-/// field is comparable. tuples_scanned counts the tuples of the live bucket
-/// window, with buckets read back through TrajectoriesAt.
+/// field is comparable. tuples_scanned counts the tuples the layout must
+/// hold in tq's partition at their trajectory's level: a trajectory listed
+/// from partition f to l sits at the finest level where [f, l] falls into
+/// at most four of the level's partitions, in each of those.
 traj::RangeResult ReferenceRange(const network::RoadNetwork& net,
                                  const StiuIndex& index,
+                                 const StoredIndex& stored,
                                  const UtcqDecoder& decoder,
                                  const network::Rect& region,
                                  traj::Timestamp tq, double alpha,
@@ -343,25 +364,29 @@ traj::RangeResult ReferenceRange(const network::RoadNetwork& net,
   const auto is_active = [&](uint32_t j) {
     return std::binary_search(active.begin(), active.end(), j);
   };
-  const auto first = test::FirstPartitions(index);
-  const size_t p = traj::DayPartition(tq, index.time_partition_s(),
-                                      index.num_partitions());
-  const auto live = [&](uint32_t j) {
-    const size_t b = j < n ? first[j] : index.num_partitions();
-    return b <= p && b + index.max_span() > p;
+  const size_t partitions = index.num_partitions();
+  const size_t p = partitions == 0 ? 0
+                                   : traj::DayPartition(
+                                         tq, index.time_partition_s(),
+                                         partitions);
+  const auto read = [&](uint32_t j) {
+    if (j >= n || stored.membership[j].first >= partitions) return false;
+    const auto [first, last] = stored.membership[j];
+    const size_t shift = 2 * test::LevelOf(first, last);
+    return (first >> shift) <= (p >> shift) && (p >> shift) <= (last >> shift);
   };
 
   std::vector<uint64_t> members;
   for (const network::RegionId re : index.grid().RegionsInRect(region)) {
-    for (const auto& rt : index.RefTuplesIn(re)) {
-      stats->tuples_scanned += live(rt.traj);
+    for (const auto& rt : stored.refs[re]) {
+      stats->tuples_scanned += read(rt.traj);
       if (rt.ref_passes && is_active(rt.traj)) {
         members.push_back((uint64_t{rt.traj} << 33) | (1ull << 32) |
                           rt.ref_idx);
       }
     }
-    for (const auto& nt : index.NrefTuplesIn(re)) {
-      stats->tuples_scanned += live(nt.traj);
+    for (const auto& nt : stored.nrefs[re]) {
+      stats->tuples_scanned += read(nt.traj);
       if (is_active(nt.traj)) {
         members.push_back((uint64_t{nt.traj} << 33) | nt.nref_idx);
       }
@@ -478,10 +503,12 @@ void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
 }
 
 TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
-  // Range's candidate generation (bucket directory, active bitmap,
-  // sort-free dedupe) against the brute-force reference, on built indexes
-  // and on sections whose partition lists repeat ids, list them out of
-  // order and name ids past the corpus.
+  // Range's candidate generation (partition rows at every level, active
+  // bitmap, sort-free dedupe) against the brute-force reference, on built
+  // indexes at 1800, 600 and 60 s partitions (60 s puts trajectories above
+  // level 0) and on sections whose partition lists repeat ids, list them
+  // out of order, name ids past the corpus, leave a trajectory out of
+  // every partition, list one with a gap and one in every partition.
   const uint64_t base = test::BaseSeed(8080);
   for (uint64_t seed = base; seed < base + 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -493,25 +520,66 @@ TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
     params.default_interval_s = profile.default_interval_s;
     params.eta_p = profile.eta_p;
     const network::GridIndex grid(net, 16);
-    for (const int64_t partition_s : {int64_t{1800}, int64_t{60}}) {
+    for (const int64_t partition_s :
+         {int64_t{1800}, int64_t{600}, int64_t{60}}) {
       SCOPED_TRACE("partition " + std::to_string(partition_s));
       const UtcqSystem sys(net, grid, corpus, params,
                            StiuParams{16, partition_s});
-      test::StiuSection crafted = test::StiuSection::Of(sys.index());
       const auto n = static_cast<uint32_t>(corpus.size());
-      for (auto& l : crafted.partitions) {
+      test::StiuSection repeated = test::StiuSection::Of(sys.index());
+      for (auto& l : repeated.partitions) {
         const auto once = l;
         l.insert(l.end(), once.begin(), once.end());
         l.push_back(n);
         l.push_back(n + 40);
         std::sort(l.rbegin(), l.rend());
       }
-      const auto bytes = crafted.Write();
-      common::ByteReader in(bytes);
-      const StiuIndex crafted_index(grid, in, /*legacy_shape=*/false);
-      ASSERT_TRUE(in.ok());
-      const UtcqQueryProcessor crafted_queries(net, sys.compressed(),
-                                               crafted_index);
+      // Trajectory 0 in no partition, 1 in its first partition and again
+      // mid-day only, 2 in every partition.
+      test::StiuSection shaped = test::StiuSection::Of(sys.index());
+      const size_t partitions = shaped.partitions.size();
+      const size_t first_of_1 = test::Membership(sys.index())[1].first;
+      for (auto& l : shaped.partitions) {
+        std::erase_if(l, [](uint32_t j) { return j <= 2; });
+        l.push_back(2);
+        std::sort(l.begin(), l.end());
+      }
+      shaped.partitions[first_of_1].insert(shaped.partitions[first_of_1].begin(),
+                                           1);
+      if (partitions / 2 != first_of_1) {
+        auto& mid = shaped.partitions[partitions / 2];
+        mid.insert(mid.begin(), 1);
+      }
+      const auto load = [&](const test::StiuSection& section) {
+        const auto bytes = section.Write();
+        common::ByteReader in(bytes);
+        auto index = std::make_unique<StiuIndex>(grid, in,
+                                                 /*legacy_shape=*/false);
+        EXPECT_TRUE(in.ok());
+        return index;
+      };
+      const auto repeated_index = load(repeated);
+      const auto shaped_index = load(shaped);
+      const UtcqQueryProcessor repeated_queries(net, sys.compressed(),
+                                                *repeated_index);
+      const UtcqQueryProcessor shaped_queries(net, sys.compressed(),
+                                              *shaped_index);
+      struct Variant {
+        const char* name;
+        const StiuIndex* index;
+        const UtcqQueryProcessor* queries;
+        StoredIndex stored;
+      };
+      const std::vector<Variant> variants = [&] {
+        std::vector<Variant> v;
+        v.push_back({"built", &sys.index(), &sys.queries(),
+                     StoredIndex(sys.index())});
+        v.push_back({"repeated", repeated_index.get(), &repeated_queries,
+                     StoredIndex(*repeated_index)});
+        v.push_back({"shaped", shaped_index.get(), &shaped_queries,
+                     StoredIndex(*shaped_index)});
+        return v;
+      }();
 
       common::Rng rng(seed * 31 + static_cast<uint64_t>(partition_s));
       const auto bbox = net.bounding_box();
@@ -530,21 +598,20 @@ TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
         const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
         const network::Rect re{cx - half, cy - half, cx + half, cy + half};
         const double alpha = rng.Uniform(0.05, 0.9);
-        for (const auto& [index, queries] :
-             {std::pair{&sys.index(), &sys.queries()},
-              std::pair{&crafted_index, &crafted_queries}}) {
-          SCOPED_TRACE("trial " + std::to_string(trial) +
-                       (index == &crafted_index ? " crafted" : " built"));
+        for (const Variant& v : variants) {
+          SCOPED_TRACE("trial " + std::to_string(trial) + " " + v.name);
           QueryStats want_stats;
-          const auto want = ReferenceRange(net, *index, queries->decoder(), re,
-                                           tq, alpha, &want_stats);
+          const auto want =
+              ReferenceRange(net, *v.index, v.stored, v.queries->decoder(), re,
+                             tq, alpha, &want_stats);
           QueryStats got_stats;
-          EXPECT_EQ(queries->Range(re, tq, alpha, &got_stats), want);
+          EXPECT_EQ(v.queries->Range(re, tq, alpha, &got_stats), want);
           ExpectSameStats(got_stats, want_stats);
           hits += want.size();
         }
       }
       EXPECT_GT(hits, 0u);
+      if (partition_s == 60) EXPECT_GT(sys.index().num_levels(), 1u);
     }
   }
 }

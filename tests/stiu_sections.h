@@ -1,13 +1,15 @@
 #ifndef UTCQ_TESTS_STIU_SECTIONS_H_
 #define UTCQ_TESTS_STIU_SECTIONS_H_
 
-// StIU section surgery and the bucket-directory oracle shared by the suites
-// that load crafted or older-writer StIU sections (stiu_test, query_test,
-// archive_test).
+// StIU section surgery and the partition-major layout oracle shared by the
+// suites that load crafted or older-writer StIU sections (stiu_test,
+// query_test, archive_test).
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,84 +171,168 @@ struct StiuSection {
   }
 };
 
-/// Bucket of every trajectory, read back through TrajectoriesAt alone: the
-/// first partition listing it, else the sentinel num_partitions().
-inline std::vector<size_t> FirstPartitions(const core::StiuIndex& index) {
+/// First and last partition listing each trajectory, read back through
+/// TrajectoriesAt alone (first = num_partitions() when listed nowhere), so
+/// the checks below do not trust the index's own bookkeeping.
+inline std::vector<std::pair<size_t, size_t>> Membership(
+    const core::StiuIndex& index) {
   const size_t n = index.num_trajectories();
-  std::vector<size_t> first(n, index.num_partitions());
-  for (size_t p = index.num_partitions(); p-- > 0;) {
+  std::vector<std::pair<size_t, size_t>> span(n, {index.num_partitions(), 0});
+  for (size_t p = 0; p < index.num_partitions(); ++p) {
     const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
     for (const uint32_t j : index.TrajectoriesAt(t)) {
-      if (j < n) first[j] = p;
+      if (j >= n) continue;
+      span[j].first = std::min(span[j].first, p);
+      span[j].second = p;
     }
   }
-  return first;
+  return span;
 }
 
-/// `slices(lo, hi)` (a directory lookup on `tuples`) equals a binary search
-/// over the owners' buckets for every bucket window when there are few
-/// partitions, else for every single bucket (the sentinel included), every
-/// live window [p - max_span + 1, p] and every prefix and suffix.
-template <typename Tuple, typename Slices>
-void ExpectSlicesMatchOracle(const std::vector<Tuple>& tuples,
-                             const std::vector<size_t>& first,
-                             size_t partitions, size_t max_span,
-                             const Slices& slices) {
-  const auto bucket = [&](const Tuple& t) {
-    return t.traj < first.size() ? first[t.traj] : partitions;
-  };
-  ASSERT_TRUE(std::is_sorted(tuples.begin(), tuples.end(),
-                             [&](const Tuple& a, const Tuple& b) {
-                               return bucket(a) < bucket(b);
-                             }));
-  // starts[b]: index of the first tuple whose bucket is >= b.
-  std::vector<size_t> starts(partitions + 2);
-  for (size_t b = 0; b < starts.size(); ++b) {
-    starts[b] = static_cast<size_t>(
-        std::partition_point(tuples.begin(), tuples.end(),
-                             [&](const Tuple& t) { return bucket(t) < b; }) -
-        tuples.begin());
+/// The layout rule, restated: a trajectory listed from partition `first`
+/// to `last` is stored at the finest level l where those partitions fall
+/// into at most kMaxCopies partitions kMaxCopies^l wide, one copy in each.
+inline size_t LevelOf(size_t first, size_t last) {
+  size_t l = 0;
+  while ((last >> (2 * l)) - (first >> (2 * l)) >= 4) ++l;
+  return l;
+}
+
+/// Which trajectories' tuples the level-`level` partition holding
+/// partition `p` must carry.
+inline std::vector<bool> ReadAt(
+    const std::vector<std::pair<size_t, size_t>>& membership,
+    size_t partitions, size_t level, size_t p) {
+  std::vector<bool> read(membership.size(), false);
+  const size_t shift = 2 * level;
+  for (size_t j = 0; j < membership.size(); ++j) {
+    const auto [first, last] = membership[j];
+    read[j] = first < partitions && LevelOf(first, last) == level &&
+              (first >> shift) <= (p >> shift) &&
+              (p >> shift) <= (last >> shift);
   }
-  const size_t end = partitions + 1;  // one past the sentinel
-  const auto expect = [&](size_t lo, size_t hi) {
-    const auto got = slices(lo, hi);
-    const size_t want = hi > lo ? starts[hi] - starts[lo] : 0;
-    ASSERT_EQ(got.size(), want) << "buckets [" << lo << ", " << hi << ")";
-    if (want > 0) {
-      ASSERT_EQ(static_cast<size_t>(got.data() - tuples.data()), starts[lo])
-          << "buckets [" << lo << ", " << hi << ")";
-    }
-  };
-  if (partitions <= 48) {
-    for (size_t lo = 0; lo <= end; ++lo) {
-      for (size_t hi = 0; hi <= end; ++hi) expect(lo, hi);
-    }
-    return;
+  return read;
+}
+
+/// Field-by-field equality of two tuple sequences.
+inline void ExpectSameTuples(std::span<const core::StiuIndex::RefTuple> got,
+                             std::span<const core::StiuIndex::RefTuple> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].traj, want[k].traj) << "position " << k;
+    EXPECT_EQ(got[k].ref_idx, want[k].ref_idx) << "position " << k;
+    EXPECT_EQ(got[k].p_max, want[k].p_max) << "position " << k;
+    EXPECT_EQ(got[k].ref_passes, want[k].ref_passes) << "position " << k;
   }
-  for (size_t b = 0; b < end; ++b) {
-    expect(b, b + 1);
-    expect(b + 1 > max_span ? b + 1 - max_span : 0, b + 1);
-    expect(0, b + 1);
-    expect(b, end);
+}
+inline void ExpectSameTuples(
+    std::span<const core::StiuIndex::NrefTuple> got,
+    std::span<const core::StiuIndex::NrefTuple> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].traj, want[k].traj) << "position " << k;
+    EXPECT_EQ(got[k].nref_idx, want[k].nref_idx) << "position " << k;
   }
 }
 
-/// Every region's ref and nref directory slices match the oracle.
-inline void ExpectDirectoryMatchesOracle(const core::StiuIndex& index) {
-  const auto first = FirstPartitions(index);
+/// The layout against an oracle built from TrajectoriesAt and the stored
+/// region lists alone:
+/// - the stored lists are ordered by (first partition, trajectory id);
+/// - num_levels() is one past the deepest level any trajectory needs;
+/// - TuplesAt(level, t, first, last) is exactly the stored tuples of regions
+///   [first, last] whose trajectory the level's partition around t must
+///   carry, in region then stored order: per region, per grid row and over
+///   the whole grid, at every partition (every 37th past 48 partitions);
+/// - TuplesOf(re, j) is j's stored tuples of region re;
+/// - the layout holds at most kMaxCopies copies of the stored tuples.
+inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
+  const auto membership = Membership(index);
+  const size_t n = index.num_trajectories();
   const size_t partitions = index.num_partitions();
-  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
-    SCOPED_TRACE("region " + std::to_string(re));
-    ExpectSlicesMatchOracle(
-        index.RefTuplesIn(re), first, partitions, index.max_span(),
-        [&](size_t lo, size_t hi) {
-          return index.RefTuplesInBuckets(re, lo, hi);
-        });
-    ExpectSlicesMatchOracle(
-        index.NrefTuplesIn(re), first, partitions, index.max_span(),
-        [&](size_t lo, size_t hi) {
-          return index.NrefTuplesInBuckets(re, lo, hi);
-        });
+  const auto regions = index.grid().num_regions();
+  const auto side = index.grid().cells_per_side();
+  std::vector<std::vector<core::StiuIndex::RefTuple>> refs(regions);
+  std::vector<std::vector<core::StiuIndex::NrefTuple>> nrefs(regions);
+  size_t stored_refs = 0;
+  size_t stored_nrefs = 0;
+  for (network::RegionId re = 0; re < regions; ++re) {
+    refs[re] = index.RefTuplesIn(re);
+    nrefs[re] = index.NrefTuplesIn(re);
+    stored_refs += refs[re].size();
+    stored_nrefs += nrefs[re].size();
+  }
+  const auto key = [&](uint32_t j) {
+    return std::pair(j < n ? membership[j].first : partitions, j);
+  };
+  for (network::RegionId re = 0; re < regions; ++re) {
+    for (size_t k = 1; k < refs[re].size(); ++k) {
+      ASSERT_LE(key(refs[re][k - 1].traj), key(refs[re][k].traj))
+          << "region " << re;
+    }
+    for (size_t k = 1; k < nrefs[re].size(); ++k) {
+      ASSERT_LE(key(nrefs[re][k - 1].traj), key(nrefs[re][k].traj))
+          << "region " << re;
+    }
+  }
+  EXPECT_LE(index.ref_tuples().size(),
+            core::StiuIndex::kMaxCopies * stored_refs);
+  EXPECT_LE(index.nref_tuples().size(),
+            core::StiuIndex::kMaxCopies * stored_nrefs);
+
+  size_t levels = 0;
+  for (const auto& [first, last] : membership) {
+    if (first < partitions) levels = std::max(levels, LevelOf(first, last) + 1);
+  }
+  ASSERT_EQ(index.num_levels(), levels);
+
+  for (size_t p = 0; p < partitions; p += partitions <= 48 ? 1 : 37) {
+    const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
+    for (size_t level = 0; level <= levels; ++level) {
+      SCOPED_TRACE("partition " + std::to_string(p) + " level " +
+                   std::to_string(level));
+      const auto read = ReadAt(membership, partitions, level, p);
+      const auto expect_run = [&](network::RegionId first,
+                                  network::RegionId last) {
+        std::vector<core::StiuIndex::RefTuple> want_refs;
+        std::vector<core::StiuIndex::NrefTuple> want_nrefs;
+        for (network::RegionId re = first; re <= last; ++re) {
+          for (const auto& rt : refs[re]) {
+            if (rt.traj < n && read[rt.traj]) want_refs.push_back(rt);
+          }
+          for (const auto& nt : nrefs[re]) {
+            if (nt.traj < n && read[nt.traj]) want_nrefs.push_back(nt);
+          }
+        }
+        const auto got = index.TuplesAt(level, t, first, last);
+        SCOPED_TRACE("regions " + std::to_string(first) + ".." +
+                     std::to_string(last));
+        ExpectSameTuples(got.refs, want_refs);
+        ExpectSameTuples(got.nrefs, want_nrefs);
+      };
+      for (network::RegionId re = 0; re < regions; ++re) expect_run(re, re);
+      for (network::RegionId row = 0; row < side; ++row) {
+        expect_run(row * side, row * side + side - 1);
+      }
+      expect_run(side / 2, regions - 1);
+    }
+  }
+
+  for (network::RegionId re = 0; re < regions; ++re) {
+    for (uint32_t j = 0; j < n + 2; ++j) {
+      std::vector<core::StiuIndex::RefTuple> want_refs;
+      std::vector<core::StiuIndex::NrefTuple> want_nrefs;
+      for (const auto& rt : refs[re]) {
+        if (rt.traj == j) want_refs.push_back(rt);
+      }
+      for (const auto& nt : nrefs[re]) {
+        if (nt.traj == j) want_nrefs.push_back(nt);
+      }
+      SCOPED_TRACE("region " + std::to_string(re) + " trajectory " +
+                   std::to_string(j));
+      const auto got = index.TuplesOf(re, j);
+      ExpectSameTuples(got.refs, want_refs);
+      ExpectSameTuples(got.nrefs, want_nrefs);
+    }
   }
 }
 

@@ -144,7 +144,7 @@ TEST(StiuIndex, RefTuplesOfATrajectoryAscendInRefIdx) {
   size_t multi = 0;
   for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
     for (uint32_t j = 0; j < fx.corpus.size(); ++j) {
-      const auto run = fx.sys->index().RefTuplesOf(re, j);
+      const auto run = fx.sys->index().TuplesOf(re, j).refs;
       for (size_t k = 1; k < run.size(); ++k) {
         EXPECT_LT(run[k - 1].ref_idx, run[k].ref_idx)
             << "region " << re << " traj " << j;
@@ -176,150 +176,77 @@ TEST(StiuIndex, PaperExampleTuples) {
   EXPECT_TRUE(found);
 }
 
-/// First and last partition each trajectory is listed in, read back through
-/// TrajectoriesAt alone (first = num_partitions() when listed nowhere), so
-/// the checks below do not trust the index's own bucket assignment.
-std::vector<std::pair<size_t, size_t>> Membership(const StiuIndex& index) {
-  std::vector<std::pair<size_t, size_t>> span(
-      index.num_trajectories(), {index.num_partitions(), 0});
-  for (size_t p = 0; p < index.num_partitions(); ++p) {
-    const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
-    for (const uint32_t j : index.TrajectoriesAt(t)) {
-      span[j].first = std::min(span[j].first, p);
-      span[j].second = p;
-    }
-  }
-  return span;
+/// Loads a section, which must parse to its last byte.
+std::unique_ptr<StiuIndex> Load(const network::GridIndex& grid,
+                                const std::vector<uint8_t>& bytes) {
+  common::ByteReader in(bytes);
+  auto index = std::make_unique<StiuIndex>(grid, in, /*legacy_shape=*/false);
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.remaining(), 0u);
+  return index;
 }
 
-/// `tuples` is ordered by (first partition, trajectory id), and for every
-/// partition p `live_at(p)` is exactly the tuples whose first partition
-/// lies in [p - max_span + 1, p].
-template <typename Tuple, typename LiveAt>
-void ExpectPartitionMajor(
-    const std::vector<Tuple>& tuples,
-    const std::vector<std::pair<size_t, size_t>>& membership,
-    size_t partitions, size_t max_span, const LiveAt& live_at) {
-  const auto key = [&](const Tuple& t) {
-    return std::pair(membership[t.traj].first, t.traj);
-  };
-  for (size_t k = 1; k < tuples.size(); ++k) {
-    EXPECT_LE(key(tuples[k - 1]), key(tuples[k])) << "position " << k;
-  }
-  const auto below = [&](size_t b) {
-    return static_cast<size_t>(std::count_if(
-        tuples.begin(), tuples.end(),
-        [&](const Tuple& t) { return membership[t.traj].first < b; }));
-  };
-  for (size_t p = 0; p < partitions; ++p) {
-    const std::span<const Tuple> slice = live_at(p);
-    const size_t lo = p + 1 > max_span ? p + 1 - max_span : 0;
-    EXPECT_EQ(static_cast<size_t>(slice.data() - tuples.data()), below(lo))
-        << "partition " << p;
-    EXPECT_EQ(slice.size(), below(p + 1) - below(lo)) << "partition " << p;
-  }
-}
-
-/// Every tuple of a trajectory in `active` lies inside `slice`, and
-/// `run_of(j)` is exactly j's tuples of the whole list, in list order.
-template <typename Tuple, typename RunOf>
-void ExpectSlicesCover(const std::vector<Tuple>& tuples,
-                       std::span<const Tuple> slice,
-                       const std::vector<uint32_t>& active,
-                       const RunOf& run_of) {
-  const auto is_active = [&](const Tuple& t) {
-    return std::binary_search(active.begin(), active.end(), t.traj);
-  };
-  EXPECT_EQ(std::count_if(slice.begin(), slice.end(), is_active),
-            std::count_if(tuples.begin(), tuples.end(), is_active));
-  for (const uint32_t j : active) {
-    std::vector<const Tuple*> want;
-    for (const Tuple& t : tuples) {
-      if (t.traj == j) want.push_back(&t);
-    }
-    std::vector<const Tuple*> got;
-    for (const Tuple& t : run_of(j)) got.push_back(&t);
-    EXPECT_EQ(got, want) << "trajectory " << j;
-  }
+std::vector<uint8_t> Serialized(const StiuIndex& index) {
+  common::ByteWriter out;
+  index.Serialize(out);
+  return out.Release();
 }
 
 class StiuLayout : public ::testing::TestWithParam<int64_t> {};
 
-TEST_P(StiuLayout, RegionListsArePartitionMajorWithExactLiveWindows) {
+TEST_P(StiuLayout, BuiltLayoutMatchesTheMembershipOracle) {
   const StiuFixture fx(GetParam());
-  const StiuIndex& index = fx.sys->index();
-  const auto membership = Membership(index);
-  const auto time_of = [&](size_t p) {
-    return static_cast<traj::Timestamp>(p) * index.time_partition_s();
-  };
-  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-    SCOPED_TRACE("region " + std::to_string(re));
-    ExpectPartitionMajor(
-        index.RefTuplesIn(re), membership, index.num_partitions(),
-        index.max_span(),
-        [&](size_t p) { return index.RefTuplesLiveAt(re, time_of(p)); });
-    ExpectPartitionMajor(
-        index.NrefTuplesIn(re), membership, index.num_partitions(),
-        index.max_span(),
-        [&](size_t p) { return index.NrefTuplesLiveAt(re, time_of(p)); });
-  }
+  test::ExpectLayoutMatchesOracle(fx.sys->index());
+  // The 60 s layout must put trajectories above level 0.
+  if (GetParam() <= 60) EXPECT_GT(fx.sys->index().num_levels(), 1u);
 }
 
-TEST_P(StiuLayout, LiveSliceHoldsEveryTupleOfEveryActiveTrajectory) {
+TEST_P(StiuLayout, EveryTupleOfEveryActiveTrajectoryIsReadOnce) {
+  // Over all levels, the runs at t hold each stored tuple of each
+  // trajectory in TrajectoriesAt(t) exactly once: counted per region and
+  // trajectory, without the oracle's level rule.
   const StiuFixture fx(GetParam());
   const StiuIndex& index = fx.sys->index();
+  const size_t n = index.num_trajectories();
+  std::vector<std::vector<size_t>> stored(fx.grid->num_regions(),
+                                          std::vector<size_t>(n, 0));
+  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+    for (const auto& rt : index.RefTuplesIn(re)) ++stored[re][rt.traj];
+    for (const auto& nt : index.NrefTuplesIn(re)) ++stored[re][nt.traj];
+  }
+  std::vector<size_t> read(n);
   for (size_t p = 0; p < index.num_partitions(); ++p) {
     const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
     const auto& active = index.TrajectoriesAt(t);
     for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-      SCOPED_TRACE("partition " + std::to_string(p) + " region " +
-                   std::to_string(re));
-      ExpectSlicesCover(index.RefTuplesIn(re), index.RefTuplesLiveAt(re, t),
-                        active,
-                        [&](uint32_t j) { return index.RefTuplesOf(re, j); });
-      ExpectSlicesCover(index.NrefTuplesIn(re), index.NrefTuplesLiveAt(re, t),
-                        active,
-                        [&](uint32_t j) { return index.NrefTuplesOf(re, j); });
+      std::fill(read.begin(), read.end(), 0);
+      for (size_t level = 0; level < index.num_levels(); ++level) {
+        const auto run = index.TuplesAt(level, t, re, re);
+        for (const auto& rt : run.refs) ++read[rt.traj];
+        for (const auto& nt : run.nrefs) ++read[nt.traj];
+      }
+      for (const uint32_t j : active) {
+        EXPECT_EQ(read[j], stored[re][j])
+            << "partition " << p << " region " << re << " trajectory " << j;
+      }
     }
   }
 }
 
-TEST_P(StiuLayout, MaxSpanIsTheWidestMembership) {
-  const StiuFixture fx(GetParam());
-  const StiuIndex& index = fx.sys->index();
-  size_t widest = 0;
-  for (const auto& [first, last] : Membership(index)) {
-    if (first < index.num_partitions()) {
-      widest = std::max(widest, last - first + 1);
-    }
-  }
-  EXPECT_EQ(index.max_span(), widest);
-  // The 60 s layout must exercise a multi-bucket window.
-  if (GetParam() <= 60) EXPECT_GT(index.max_span(), 1u);
-}
-
-TEST_P(StiuLayout, BucketDirectoryMatchesABinarySearchOracle) {
-  // The directory bounds every bucket window of every region list exactly
-  // where a binary search over the owners' buckets would, on the built
-  // index, its reload, an older writer's id-ordered section and crafted
-  // sections.
+TEST_P(StiuLayout, ReloadedAndCraftedSectionsMatchTheOracle) {
+  // The layout matches the oracle on the built index, its reload, an older
+  // writer's id-ordered section and crafted sections: a repeated id, ids
+  // past the index, a trajectory in no partition, a gapped partition list,
+  // one listed in every partition and everything in one partition. A
+  // reload writes the bytes it was derived from, up to list order.
   const StiuFixture fx(GetParam());
   const StiuIndex& built = fx.sys->index();
-  const auto load = [&](const std::vector<uint8_t>& bytes) {
-    common::ByteReader in(bytes);
-    auto index = std::make_unique<StiuIndex>(*fx.grid, in,
-                                             /*legacy_shape=*/false);
-    EXPECT_TRUE(in.ok());
-    EXPECT_EQ(in.remaining(), 0u);
-    return index;
-  };
   const test::StiuSection honest = test::StiuSection::Of(built);
   const auto n = static_cast<uint32_t>(built.num_trajectories());
   const size_t partitions = built.num_partitions();
+  const std::vector<uint8_t> serialized = Serialized(built);
+  ASSERT_EQ(honest.Write(), serialized);
 
-  // Crafted: trajectory 0 in no partition (its tuples sit in the sentinel
-  // bucket), the rest listed twice and out of order with phantom ids, and
-  // tuples naming trajectories past the index in some regions.
   test::StiuSection crafted = honest;
   for (auto& l : crafted.partitions) {
     std::erase(l, 0u);
@@ -334,62 +261,82 @@ TEST_P(StiuLayout, BucketDirectoryMatchesABinarySearchOracle) {
     phantom.traj = n + 1;
     crafted.refs[re].push_back(phantom);
   }
-  // Single bucket: every trajectory listed in partition 0 alone.
+  test::StiuSection gapped = honest;  // trajectory 1: first, then mid-day
+  for (auto& l : gapped.partitions) std::erase(l, 1u);
+  gapped.partitions.front().push_back(1);
+  gapped.partitions[partitions / 2].push_back(1);
+  test::StiuSection everywhere = honest;  // trajectory 2: every partition
+  for (auto& l : everywhere.partitions) {
+    if (std::find(l.begin(), l.end(), 2u) == l.end()) l.push_back(2);
+    std::sort(l.begin(), l.end());
+  }
   test::StiuSection one_bucket = honest;
   for (auto& l : one_bucket.partitions) l.clear();
   for (uint32_t j = 0; j < n; ++j) one_bucket.partitions[0].push_back(j);
 
-  const std::vector<uint8_t> serialized = [&] {
-    common::ByteWriter out;
-    built.Serialize(out);
-    return out.Release();
-  }();
-  ASSERT_EQ(honest.Write(), serialized);
-
-  size_t empty_lists = 0;
-  size_t single_bucket_lists = 0;
   for (const auto& [name, bytes] :
        {std::pair{"reloaded", serialized},
         std::pair{"id-ordered", honest.Write(test::ListOrder::kIdAscending)},
         std::pair{"crafted", crafted.Write(test::ListOrder::kIdDescending)},
+        std::pair{"gapped", gapped.Write()},
+        std::pair{"everywhere", everywhere.Write()},
         std::pair{"one bucket", one_bucket.Write()}}) {
     SCOPED_TRACE(name);
-    const auto index = load(bytes);
-    test::ExpectDirectoryMatchesOracle(*index);
-    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-      const auto& list = index->NrefTuplesIn(re);
-      empty_lists += list.empty();
-      single_bucket_lists +=
-          !list.empty() &&
-          index->NrefTuplesInBuckets(re, 0, 1).size() == list.size();
+    const auto index = Load(*fx.grid, bytes);
+    test::ExpectLayoutMatchesOracle(*index);
+    const auto again = Serialized(*index);
+    EXPECT_EQ(again.size(), bytes.size());
+    EXPECT_EQ(Serialized(*Load(*fx.grid, again)), again);
+    if (std::string(name) == "reloaded" || std::string(name) == "id-ordered") {
+      EXPECT_EQ(again, serialized);
     }
     if (std::string(name) == "crafted") {
-      // The sentinel bucket holds trajectory 0 and the phantom owners.
-      size_t sentinel = 0;
+      // Trajectory 0 and the phantom owners are stored, never read.
+      size_t unread = 0;
       for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-        sentinel +=
-            index->RefTuplesInBuckets(re, partitions, partitions + 1).size();
-        EXPECT_TRUE(index->RefTuplesLiveAt(re, 0).empty() ||
-                    index->RefTuplesLiveAt(re, 0).back().traj < n);
+        for (const auto& rt : index->RefTuplesIn(re)) {
+          unread += rt.traj == 0 || rt.traj >= n;
+        }
       }
-      EXPECT_GT(sentinel, 0u);
+      EXPECT_GT(unread, 0u);
     }
   }
-  test::ExpectDirectoryMatchesOracle(built);
-  EXPECT_GT(empty_lists, 0u);
-  EXPECT_GT(single_bucket_lists, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, StiuLayout,
                          ::testing::Values(int64_t{14400}, int64_t{900},
                                            int64_t{60}));
 
+TEST(StiuIndex, EveryPartitionSectionHoldsAtMostFourCopies) {
+  // A section listing every trajectory in every one of 1 440 partitions
+  // stores each at the coarsest level (two 1 024-partition-wide
+  // partitions): the layout holds at most kMaxCopies copies of the stored
+  // tuples, not one per partition.
+  const StiuFixture fx(60);
+  test::StiuSection every = test::StiuSection::Of(fx.sys->index());
+  const auto n = static_cast<uint32_t>(fx.sys->index().num_trajectories());
+  for (auto& l : every.partitions) {
+    l.clear();
+    for (uint32_t j = 0; j < n; ++j) l.push_back(j);
+  }
+  const auto index = Load(*fx.grid, every.Write());
+  size_t stored = 0;
+  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+    stored += index->RefTuplesIn(re).size() + index->NrefTuplesIn(re).size();
+  }
+  ASSERT_GT(stored, 0u);
+  EXPECT_EQ(index->num_levels(), 6u);
+  EXPECT_LE(index->ref_tuples().size() + index->nref_tuples().size(),
+            StiuIndex::kMaxCopies * stored);
+  test::ExpectLayoutMatchesOracle(*index);
+}
+
 TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
   // Each partition and each region list costs a crafted section one byte,
   // so a small section can name ~1e5 partitions over a 512x512 grid.
-  // Deriving the partition-major layout and the bucket directory must cost
-  // O(bytes), not O(regions x partitions) (5e10 steps here), even when
-  // every tuple sits in a bucket of its own.
+  // Deriving the partition-major layout must cost O(bytes), not O(regions
+  // x partitions) (5e10 steps here), even when every tuple sits in a
+  // partition of its own.
   const auto profile = traj::ChengduProfile();
   const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
   const network::GridIndex grid(net, 512);
@@ -428,20 +375,24 @@ TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(in.remaining(), 0u);
   EXPECT_EQ(index.num_partitions(), kPartitions);
-  EXPECT_EQ(index.max_span(), 1u);
-  EXPECT_TRUE(index.RefTuplesLiveAt(0, 50000).empty());
-  const auto live = index.NrefTuplesLiveAt(region_of(10000), 50000);
+  EXPECT_EQ(index.num_levels(), 1u);
+  const network::RegionId re = region_of(10000);
+  EXPECT_TRUE(index.TuplesAt(0, 50000, 0, 0).refs.empty());
+  const auto live = index.TuplesAt(0, 50000, re, re).nrefs;
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live.front().traj, 10000u);
-  EXPECT_TRUE(index.NrefTuplesLiveAt(region_of(10000), 50001).empty());
-  // One run per tuple at most, plus one offset per region and kind.
-  EXPECT_LE(index.directory_size_bytes(),
-            kTrajs * 8 + 2 * (grid.num_regions() + 1) * sizeof(uint32_t));
+  EXPECT_TRUE(index.TuplesAt(0, 50001, re, re).nrefs.empty());
+  EXPECT_EQ(index.TuplesAt(0, 50000, 0, grid.num_regions() - 1).nrefs.size(),
+            1u);
+  // One copy and one cell per tuple, one offset per partition: the layout
+  // is a small multiple of the section, not regions x partitions.
+  EXPECT_EQ(index.nref_tuples().size(), kTrajs);
+  EXPECT_LE(index.spatial_size_bytes(), 4 * out.bytes().size());
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 TEST(StiuIndex, RangeScansAFractionOfTheRegionLists) {
-  // Range reads only the live partition buckets: across a day of queries
+  // Range reads only tq's partition rows: across a day of queries
   // over the whole map, at least 10x fewer tuples than the full region
   // lists the index used to walk — with identical answers to a scan of
   // the decompressed corpus.

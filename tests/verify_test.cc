@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/plain_query.h"
 #include "core/utcq.h"
 #include "ingest/flusher.h"
 #include "ingest/live_shard.h"
@@ -24,6 +23,7 @@
 #include "ted/ted_query.h"
 #include "test_fixtures.h"
 #include "verify/oracle.h"
+#include "verify/plain_query.h"
 #include "verify/workload.h"
 
 namespace utcq {
@@ -39,7 +39,7 @@ TEST(Oracle, MatchesPlainEngineOnExactData) {
   const auto ex = test::MakePaperExample();
   const traj::UncertainCorpus corpus{ex.tu};
   const verify::Oracle oracle(ex.net, corpus, /*eta_d=*/0.0);
-  const core::PlainQueryEngine plain(ex.net, corpus);
+  const verify::PlainQueryEngine plain(ex.net, corpus);
 
   for (const traj::Timestamp t :
        {ex.tu.times.front(), ex.tu.times.front() + 100, traj::Timestamp{19285},
