@@ -1,8 +1,8 @@
 // Fuzz target: the §6 container decoder and everything a hostile archive
 // can reach behind it — header/section/CRC validation, meta bounds, the
 // SIAR / Exp-Golomb / PDDP bitstream walks, referential expansion and
-// instance reconstruction, and the StIU tuple deserialization. An input
-// that opens must decode without crashing, hanging or reading out of
+// instance reconstruction, and the StIU index derived from all of them. An
+// input that opens must decode without crashing, hanging or reading out of
 // bounds; answers are free to be empty.
 //
 // Build flavors (CMake UTCQ_BUILD_FUZZERS): with Clang this links
@@ -77,7 +77,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     (void)decoder.DecodeRangeInto(j, last / 2, last, &window, &seek);
   }
 
-  // Reload the StIU tuples and push a query through the full stack.
+  // Derive the StIU index and push a query through the full stack. Only
+  // the section's two parameters are read (the tuple lists of a v1-v4
+  // section never are); the derivation decodes every trajectory, so its
+  // work is bounded by the metas and stream bytes, and it rejects an input
+  // whose trajectory decodes to no times, to a count other than n_points,
+  // or to an instance that does not reconstruct.
   if (reader.has_index() && reader.index_cells_per_side() > 0 &&
       reader.index_cells_per_side() <= kMaxIndexCells) {
     const utcq::network::GridIndex grid(Net(), reader.index_cells_per_side());

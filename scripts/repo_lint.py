@@ -46,7 +46,7 @@ compiler nor clang-tidy can express, by scanning first-party sources:
   R9 append-only-section-tags
                              `enum class SectionTag` in
                              src/archive/archive.h keeps every on-disk tag
-                             (1-10) at its value and position; a new tag
+                             (1-11) at its value and position; a new tag
                              only appends, above every earlier value
                              (DESIGN.md §6: tags are never renumbered).
 
@@ -192,7 +192,7 @@ R9_FILE = "src/archive/archive.h"
 R9_FROZEN = [
     ("kParams", 1), ("kTStream", 2), ("kRefStream", 3), ("kNrefStream", 4),
     ("kStructure", 5), ("kMetas", 6), ("kStiu", 7), ("kShardManifest", 8),
-    ("kTSyncIndex", 9), ("kStiuV4", 10),
+    ("kTSyncIndex", 9), ("kStiuV4", 10), ("kStiuParams", 11),
 ]
 R9_ENUM_RE = re.compile(r"\benum\s+class\s+SectionTag\b")
 R9_ENTRY_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,?\s*$")
@@ -378,6 +378,7 @@ SECTION_TAGS_OK = (
     "  kShardManifest = 8,\n"
     "  kTSyncIndex = 9,\n"
     "  kStiuV4 = 10,\n"
+    "  kStiuParams = 11,\n"
     "};\n"
 )
 
@@ -484,9 +485,9 @@ SELF_TEST_CASES = [
      R9_FILE, SECTION_TAGS_OK, []),
     ("a new tag appended above the last is clean",
      R9_FILE, SECTION_TAGS_OK.replace(
-         "};", "  kFuture = 11,  // a later section\n};"), []),
+         "};", "  kFuture = 12,  // a later section\n};"), []),
     ("a renumbered tag trips",
-     R9_FILE, SECTION_TAGS_OK.replace("kStiu = 7,", "kStiu = 11,"),
+     R9_FILE, SECTION_TAGS_OK.replace("kStiu = 7,", "kStiu = 12,"),
      ["append-only-section-tags"]),
     ("a removed tag trips",
      R9_FILE, SECTION_TAGS_OK.replace("  kShardManifest = 8,\n", ""),

@@ -11,6 +11,7 @@
 #endif
 
 #include "common/serial.h"
+#include "core/decoder.h"
 
 namespace utcq::archive {
 
@@ -223,22 +224,22 @@ bool GetTSyncIndex(ByteReader& in, uint32_t* interval,
 }
 
 /// Borrowed inputs of one archive image — the common ground of "save a live
-/// corpus" (spans borrow the BitWriters and the StIU tuples are serialized
-/// straight from the index into the image) and "re-encode a loaded payload"
-/// (the StIU section is its archived bytes).
+/// corpus" (spans borrow the BitWriters, and the StIU section holds the
+/// index's parameters) and "re-encode a loaded payload" (the StIU section is
+/// its archived bytes).
 struct ArchiveRef {
   const core::UtcqParams* params;
   int entry_bits;
   const traj::ComponentSizes* compressed_bits;
   common::BitSpan t, ref, nref, structure;
   const std::vector<core::TrajMeta>* metas;
-  /// StIU section source: the live index when non-null, else `stiu_size`
-  /// archived bytes (no section when both are empty), written under tag 7
-  /// when `stiu_legacy`.
+  /// StIU section source: the live index's parameters (tag 11) when
+  /// non-null, else `stiu_size` archived bytes under `stiu_tag` (no section
+  /// when both are empty).
   const core::StiuIndex* index;
   const uint8_t* stiu;
   size_t stiu_size;
-  bool stiu_legacy;
+  SectionTag stiu_tag;
   /// Version stamped into the header; the sync index (tag 9) is written
   /// iff t_sync_interval > 0, regardless of version, so re-encoding a
   /// loaded payload reproduces the original byte-for-byte.
@@ -268,10 +269,12 @@ void ForEachSectionBody(const ArchiveRef& p, const Visit& visit) {
   }
   visit(SectionTag::kMetas, [&](auto& out) { PutMetas(out, *p.metas); });
   if (p.index != nullptr) {
-    visit(SectionTag::kStiuV4, [&](auto& out) { p.index->Serialize(out); });
+    visit(SectionTag::kStiuParams, [&](auto& out) {
+      out.PutVarint(p.index->params().cells_per_side);
+      out.PutSignedVarint(p.index->params().time_partition_s);
+    });
   } else if (p.stiu_size > 0) {
-    visit(p.stiu_legacy ? SectionTag::kStiu : SectionTag::kStiuV4,
-          [&](auto& out) { out.PutBytes(p.stiu, p.stiu_size); });
+    visit(p.stiu_tag, [&](auto& out) { out.PutBytes(p.stiu, p.stiu_size); });
   }
   if (p.t_sync_interval > 0) {
     visit(SectionTag::kTSyncIndex, [&](auto& out) {
@@ -403,7 +406,7 @@ std::vector<uint8_t> EncodeShardManifest(const ShardManifest& manifest) {
 
   ByteWriter out;
   out.PutBytes(kMagic, sizeof(kMagic));
-  // Manifests use no v4 section, so they keep the v3 stamp (§6: the
+  // Manifests use no v4 or v5 section, so they keep the v3 stamp (§6: the
   // version advances only for files that use the new section).
   out.PutU32(3);
   out.PutVarint(1);  // section count
@@ -491,7 +494,7 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload) {
                            payload.ref.span(), payload.nref.span(),
                            payload.structure.span(), &payload.metas, nullptr,
                            payload.stiu.data(), payload.stiu.size(),
-                           payload.stiu_legacy, payload.format_version,
+                           payload.stiu_tag, payload.format_version,
                            payload.params.t_sync_interval});
 }
 
@@ -553,24 +556,21 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             have_metas = true;
             break;
           case SectionTag::kStiu:
-          case SectionTag::kStiuV4: {
-            // Tag 7 is the pre-v4 tuple shape; an image holds one shape.
-            const bool legacy =
-                static_cast<SectionTag>(tag) == SectionTag::kStiu;
-            if (out->stiu_cells_per_side != 0 && out->stiu_legacy != legacy) {
-              return fail("archive carries both StIU section shapes");
+          case SectionTag::kStiuV4:
+          case SectionTag::kStiuParams: {
+            // Every shape leads with the index parameters; the tuple lists
+            // tags 7 and 10 carry after them are kept only for re-encoding.
+            if (!out->stiu.empty()) {
+              return fail("archive carries more than one StIU section");
             }
-            out->stiu_legacy = legacy;
-            out->stiu.assign(body, body + length);
-            // Peek the cells_per_side the tuples were built over (first
-            // field of the StIU payload) so callers can rebuild a matching
-            // grid.
-            ByteReader peek(body, length);
-            const uint64_t cells = peek.GetVarint();
-            if (!peek.ok() || cells == 0 || cells > kMaxStiuCellsPerSide) {
+            const uint64_t cells = section.GetVarint();
+            const int64_t partition_s = section.GetSignedVarint();
+            if (!section.ok() || cells == 0 || cells > kMaxStiuCellsPerSide) {
               return fail("invalid StIU section");
             }
-            out->stiu_cells_per_side = static_cast<uint32_t>(cells);
+            out->stiu.assign(body, body + length);
+            out->stiu_tag = static_cast<SectionTag>(tag);
+            out->stiu_params = {static_cast<uint32_t>(cells), partition_s};
             break;
           }
           case SectionTag::kTSyncIndex:
@@ -644,21 +644,20 @@ ArchiveWriter::ArchiveWriter(const core::CompressedCorpus& corpus,
     : corpus_(corpus), index_(index) {}
 
 std::vector<uint8_t> ArchiveWriter::Serialize() const {
-  // Streams are borrowed straight from the corpus's BitWriters and the
-  // StIU tuples are serialized from the index into the image: the output
+  // Streams are borrowed straight from the corpus's BitWriters: the output
   // image is the only buffer written.
   //
-  // The version is the oldest that can parse the image: v4 with an index
-  // (tag 10), else v3 with sync points (tag 9), else v2. An image should
+  // The version is the oldest that can parse the image: v5 with an index
+  // (tag 11), else v3 with sync points (tag 9), else v2. An image should
   // not claim a version that locks older readers out.
   const uint32_t interval = corpus_.params().t_sync_interval;
-  const uint32_t version = index_ != nullptr ? 4 : interval > 0 ? 3 : 2;
+  const uint32_t version = index_ != nullptr ? 5 : interval > 0 ? 3 : 2;
   return EncodeArchiveRef(
       {&corpus_.params(), corpus_.entry_bits(), &corpus_.compressed_bits(),
        corpus_.t_stream().span(), corpus_.ref_stream().span(),
        corpus_.nref_stream().span(), corpus_.structure_stream().span(),
-       &corpus_.metas(), index_, nullptr, 0, /*stiu_legacy=*/false, version,
-       interval});
+       &corpus_.metas(), index_, nullptr, 0, SectionTag::kStiuParams,
+       version, interval});
 }
 
 bool ArchiveWriter::Save(const std::string& path, std::string* error) const {
@@ -763,75 +762,41 @@ core::CorpusView ArchiveReader::view() const {
 
 std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
     const network::GridIndex& grid, std::string* error) const {
-  if (!has_index()) {
-    if (error != nullptr) *error = "archive carries no StIU section";
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
     return nullptr;
+  };
+  if (!has_index()) return fail("archive carries no StIU section");
+  if (grid.cells_per_side() != index_cells_per_side()) {
+    return fail("grid resolution does not match the archived StIU parameters");
   }
-  if (payload_.stiu.empty()) {
-    if (error != nullptr) *error = "StIU section already released by TakeIndex";
-    return nullptr;
-  }
-  if (grid.num_regions() != uint64_t{payload_.stiu_cells_per_side} *
-                                payload_.stiu_cells_per_side) {
-    if (error != nullptr) {
-      *error = "grid resolution does not match the archived StIU tuples";
+  // The streams are outside input: a trajectory is appended only once it
+  // decodes to exactly its n_points times and every instance reconstructs,
+  // so the index holds nothing the query path could not decode itself.
+  const core::CorpusView cc = view();
+  const core::UtcqDecoder decoder(grid.network(), cc);
+  auto index = std::make_unique<core::StiuIndex>(grid, payload_.stiu_params);
+  traj::UncertainTrajectory tu;
+  std::vector<core::DecodedInstance> refs;
+  core::DecodedInstance scratch;
+  for (size_t j = 0; j < cc.num_trajectories(); ++j) {
+    const bool instances_ok = decoder.DecodeTrajectoryInto(j, &tu, &refs,
+                                                           &scratch);
+    const char* why = nullptr;
+    if (tu.times.empty()) {
+      why = "decodes to no timestamps";
+    } else if (tu.times.size() != cc.meta(j).n_points) {
+      why = "decodes to a time count other than its n_points";
+    } else if (!instances_ok) {
+      why = "has an instance that does not reconstruct";
     }
-    return nullptr;
-  }
-  ByteReader in(payload_.stiu);
-  auto index =
-      std::make_unique<core::StiuIndex>(grid, in, payload_.stiu_legacy);
-  if (!in.ok()) {
-    if (error != nullptr) *error = "StIU section failed to parse";
-    return nullptr;
-  }
-  // The index must agree with the metas section it was archived with:
-  // queries index temporal_ by trajectory id, and every trajectory has at
-  // least one temporal tuple by construction (times are never empty).
-  if (index->num_trajectories() != payload_.metas.size()) {
-    if (error != nullptr) {
-      *error = "StIU trajectory count disagrees with the metas section";
+    if (why != nullptr) {
+      return fail("StIU derivation: trajectory " + std::to_string(j) + " " +
+                  why);
     }
-    return nullptr;
+    index->Append(tu, cc);
   }
-  for (size_t j = 0; j < index->num_trajectories(); ++j) {
-    if (index->TemporalOf(j).empty()) {
-      if (error != nullptr) {
-        *error = "StIU section has a trajectory with no temporal tuples";
-      }
-      return nullptr;
-    }
-  }
-  // Spatial tuples feed straight into meta(traj).refs[ref_idx] /
-  // .nrefs[nref_idx] on the query path; reject any that point outside the
-  // metas section rather than letting queries index out of bounds.
-  // The layout holds every stored tuple (some more than once).
-  for (const auto& rt : index->ref_tuples()) {
-    if (rt.traj >= payload_.metas.size() ||
-        rt.ref_idx >= payload_.metas[rt.traj].refs.size()) {
-      if (error != nullptr) {
-        *error = "StIU ref tuple points outside the metas section";
-      }
-      return nullptr;
-    }
-  }
-  for (const auto& nt : index->nref_tuples()) {
-    if (nt.traj >= payload_.metas.size() ||
-        nt.nref_idx >= payload_.metas[nt.traj].nrefs.size()) {
-      if (error != nullptr) {
-        *error = "StIU nref tuple points outside the metas section";
-      }
-      return nullptr;
-    }
-  }
-  return index;
-}
-
-std::unique_ptr<core::StiuIndex> ArchiveReader::TakeIndex(
-    const network::GridIndex& grid, std::string* error) {
-  std::unique_ptr<core::StiuIndex> index = LoadIndex(grid, error);
-  // Move-assign an empty vector: `= {}` would clear but keep the capacity.
-  if (index != nullptr) payload_.stiu = std::vector<uint8_t>();
+  index->Finish();
   return index;
 }
 

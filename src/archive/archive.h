@@ -19,9 +19,9 @@ namespace utcq::archive {
 /// On-disk corpus container (DESIGN.md §6): a versioned binary file holding
 /// everything needed to answer where/when/range queries without the original
 /// uncompressed corpus — compression parameters, the four UTCQ bit streams,
-/// per-trajectory metas, and (optionally) the StIU tuple lists. The road
-/// network itself is *not* archived; it is shared corpus-independent state
-/// the caller provides on open.
+/// per-trajectory metas, and (optionally) the StIU parameters the index is
+/// derived with on open. The road network itself is *not* archived; it is
+/// shared corpus-independent state the caller provides on open.
 ///
 /// Layout (all multi-byte integers little-endian; varints are LEB128):
 ///
@@ -40,9 +40,12 @@ inline constexpr char kMagic[8] = {'U', 'T', 'C', 'Q', 'A', 'R', 'C', '\0'};
 /// files still open). Version 3 added the T-stream sync index (tag 9,
 /// DESIGN.md §16) the same way: v1/v2 files still open (their trajectories
 /// simply carry no skip tables), and v3 readers skip nothing new. Version 4
-/// added the slim StIU section (tag 10, the read fields of tag 7 only);
-/// v1-v3 tag-7 sections still parse, their extra fields discarded.
-inline constexpr uint32_t kFormatVersion = 4;
+/// added the slim StIU section (tag 10, the read fields of tag 7 only).
+/// Version 5 stores no StIU tuples: tag 11 holds the index parameters and
+/// the reader derives the index from the streams. A tag-7 or tag-10 section
+/// of a v1-v4 image is kept verbatim for re-encoding, and only its two
+/// leading fields, the same parameters, are read.
+inline constexpr uint32_t kFormatVersion = 5;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append.
@@ -53,10 +56,11 @@ enum class SectionTag : uint64_t {
   kNrefStream = 4,     // referential non-reference payloads
   kStructure = 5,      // per-trajectory role bitmaps
   kMetas = 6,          // TrajMeta records (bit positions into the streams)
-  kStiu = 7,           // StIU tuple lists, pre-v4 shape (read, not written)
+  kStiu = 7,           // StIU tuple lists, pre-v4 shape (legacy, params read)
   kShardManifest = 8,  // shard-set manifest (sole section of manifest files)
   kTSyncIndex = 9,     // per-trajectory T-stream sync tables (v3, optional)
-  kStiuV4 = 10,        // StIU tuple lists, read fields only (v4, optional)
+  kStiuV4 = 10,        // StIU tuple lists, v4 shape (legacy, params read)
+  kStiuParams = 11,    // StIU cells_per_side + time_partition_s (v5, optional)
 };
 
 /// The decoded contents of an archive, owning every buffer a CorpusView
@@ -80,15 +84,14 @@ struct ArchivePayload {
   /// re-encode so round-trips stay byte-identical (a v2 file must not come
   /// back labelled v3). Payloads built in memory carry the current version.
   uint32_t format_version = kFormatVersion;
-  /// Serialized StIU section payload; empty when the archive carries none
-  /// (or ArchiveReader::TakeIndex released it).
+  /// The StIU section's body as read, re-encoded verbatim under `stiu_tag`
+  /// so round trips stay byte-identical: a tag-11 section's parameters, or
+  /// a v1-v4 image's tuple lists. Empty when the archive carries no index.
   std::vector<uint8_t> stiu;
-  /// True when `stiu` came from a tag-7 section (pre-v4 tuple shape); it is
-  /// re-encoded under the same tag.
-  bool stiu_legacy = false;
-  /// Grid resolution the StIU tuples were built over (from the StIU
-  /// section); 0 when no index is archived.
-  uint32_t stiu_cells_per_side = 0;
+  SectionTag stiu_tag = SectionTag::kStiuParams;
+  /// The section's two leading fields, the parameters the index is derived
+  /// with; meaningful only when `stiu` is non-empty.
+  core::StiuParams stiu_params;
 };
 
 /// Description of a multi-shard archive set (DESIGN.md §8): N per-shard
@@ -146,8 +149,8 @@ bool SaveBytesAtomic(const std::vector<uint8_t>& bytes,
 bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out,
                    std::string* error = nullptr);
 
-/// Write-side entry point: captures a compressed corpus (and optionally its
-/// StIU index) and saves it as one self-contained file.
+/// Write-side entry point: captures a compressed corpus (and optionally the
+/// parameters of its StIU index) and saves it as one self-contained file.
 class ArchiveWriter {
  public:
   explicit ArchiveWriter(const core::CompressedCorpus& corpus,
@@ -166,9 +169,9 @@ class ArchiveWriter {
 };
 
 /// Read-side entry point: opens a container, validates it, and exposes the
-/// immutable CorpusView plus the reloaded StIU index. The reader owns every
-/// byte the view borrows, so it must outlive all views, decoders and query
-/// processors derived from it.
+/// immutable CorpusView plus the StIU index derived from it. The reader owns
+/// every byte the view borrows, so it must outlive all views, decoders and
+/// query processors derived from it.
 class ArchiveReader {
  public:
   ArchiveReader() = default;
@@ -188,24 +191,23 @@ class ArchiveReader {
   /// the view of the live CompressedCorpus this archive was saved from.
   core::CorpusView view() const;
 
-  /// True when the archive carries StIU tuples (also after TakeIndex has
-  /// released their bytes).
-  bool has_index() const { return payload_.stiu_cells_per_side != 0; }
+  /// True when the archive carries a StIU section.
+  bool has_index() const { return !payload_.stiu.empty(); }
 
-  /// Grid resolution to rebuild the spatial grid with before LoadIndex.
-  uint32_t index_cells_per_side() const { return payload_.stiu_cells_per_side; }
+  /// Grid resolution to build the spatial grid with before LoadIndex; 0
+  /// when no index is archived.
+  uint32_t index_cells_per_side() const {
+    return has_index() ? payload_.stiu_params.cells_per_side : 0;
+  }
 
-  /// Rebuilds the StIU index from the archived tuples. `grid` must have
-  /// been constructed with index_cells_per_side() cells; returns nullptr
-  /// (with a reason) on mismatch or when no index is archived.
+  /// Derives the StIU index: decodes each trajectory through a UtcqDecoder
+  /// over grid.network() into reused buffers and appends it. `grid` must
+  /// have index_cells_per_side() cells. Returns nullptr (with a reason) on
+  /// a mismatch, when no index is archived, or when a trajectory decodes to
+  /// no timestamps, to a count other than its n_points, or to an instance
+  /// that does not reconstruct.
   std::unique_ptr<core::StiuIndex> LoadIndex(
       const network::GridIndex& grid, std::string* error = nullptr) const;
-
-  /// LoadIndex for readers that need the index only once: on success the
-  /// archived StIU bytes are freed (payload().stiu becomes empty), so the
-  /// tuples are not held twice. Later LoadIndex/TakeIndex calls fail.
-  std::unique_ptr<core::StiuIndex> TakeIndex(const network::GridIndex& grid,
-                                             std::string* error = nullptr);
 
  private:
   bool open_ = false;

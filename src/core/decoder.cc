@@ -366,36 +366,47 @@ traj::DecodedTraj UtcqDecoder::DecodeTraj(size_t j) const {
   return dt;
 }
 
+bool UtcqDecoder::DecodeTrajectoryInto(size_t j, traj::UncertainTrajectory* tu,
+                                       std::vector<DecodedInstance>* refs,
+                                       DecodedInstance* scratch) const {
+  const TrajMeta& meta = cc_.meta(j);
+  DecodeTimesInto(j, &tu->times);
+  tu->instances.resize(meta.roles.size());
+  // Decode references once, then expand their non-references. `refs` only
+  // ever grows, keeping each slot's capacity.
+  if (refs->size() < meta.refs.size()) refs->resize(meta.refs.size());
+  bool ok = true;
+  const auto place = [&](const DecodedInstance& d, uint32_t orig_index) {
+    auto inst = ToInstance(d);
+    if (inst.has_value()) {
+      tu->instances[orig_index] = std::move(*inst);
+    } else {
+      ok = false;
+    }
+  };
+  for (uint32_t r = 0; r < meta.refs.size(); ++r) {
+    DecodeReferenceInto(j, r, &(*refs)[r]);
+    place((*refs)[r], meta.refs[r].orig_index);
+  }
+  for (uint32_t k = 0; k < meta.nrefs.size(); ++k) {
+    DecodeNonReferenceInto(j, k, (*refs)[meta.nrefs[k].ref_pos], scratch);
+    place(*scratch, meta.nrefs[k].orig_index);
+  }
+  return ok;
+}
+
 traj::UncertainCorpus UtcqDecoder::DecompressAll() const {
   traj::UncertainCorpus corpus;
   corpus.reserve(cc_.num_trajectories());
   // Decoded improved-TED forms are transient here (only the reconstructed
   // instances survive), so one set of scratch buffers serves the whole
-  // corpus; `refs` only ever grows, keeping each slot's capacity.
+  // corpus.
   std::vector<DecodedInstance> refs;
   DecodedInstance scratch;
   for (size_t j = 0; j < cc_.num_trajectories(); ++j) {
-    const TrajMeta& meta = cc_.meta(j);
     traj::UncertainTrajectory tu;
     tu.id = j;
-    tu.times = DecodeTimes(j);
-    tu.instances.resize(meta.roles.size());
-    // Decode references once, then expand their non-references.
-    if (refs.size() < meta.refs.size()) refs.resize(meta.refs.size());
-    for (uint32_t r = 0; r < meta.refs.size(); ++r) {
-      DecodeReferenceInto(j, r, &refs[r]);
-      const auto inst = ToInstance(refs[r]);
-      if (inst.has_value()) {
-        tu.instances[meta.refs[r].orig_index] = *inst;
-      }
-    }
-    for (uint32_t k = 0; k < meta.nrefs.size(); ++k) {
-      DecodeNonReferenceInto(j, k, refs[meta.nrefs[k].ref_pos], &scratch);
-      const auto inst = ToInstance(scratch);
-      if (inst.has_value()) {
-        tu.instances[meta.nrefs[k].orig_index] = *inst;
-      }
-    }
+    DecodeTrajectoryInto(j, &tu, &refs, &scratch);
     corpus.push_back(std::move(tu));
   }
   return corpus;

@@ -113,6 +113,14 @@ class UtcqDecoder {
   /// traj::DecodedTraj).
   traj::DecodedTraj DecodeTraj(size_t j) const;
 
+  /// Decodes trajectory `j` in full into `tu`: its times, and every
+  /// instance at its original position. `tu`, `refs` and `scratch` are
+  /// reused buffers. Returns false when an instance fails to reconstruct;
+  /// its slot is left as it was.
+  bool DecodeTrajectoryInto(size_t j, traj::UncertainTrajectory* tu,
+                            std::vector<DecodedInstance>* refs,
+                            DecodedInstance* scratch) const;
+
   /// Full corpus decompression (round-trip tests).
   traj::UncertainCorpus DecompressAll() const;
 

@@ -351,12 +351,11 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
 
   // Active trajectories at tq as a bitmap with a per-word popcount prefix:
   // is_active is one bit test, and rank() numbers the active trajectories
-  // densely in id order. Partition lists from crafted sections may repeat
-  // an id (harmless here) or name ids the index does not cover (dropped).
+  // densely in id order.
   const size_t n = index_.num_trajectories();
   std::vector<uint64_t> active((n + 63) / 64, 0);
   for (const uint32_t j : index_.TrajectoriesAt(tq)) {
-    if (j < n) active[j >> 6] |= uint64_t{1} << (j & 63);
+    active[j >> 6] |= uint64_t{1} << (j & 63);
   }
   std::vector<uint32_t> rank_base(active.size());
   uint32_t num_active = 0;
@@ -365,7 +364,7 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
     num_active += static_cast<uint32_t>(std::popcount(active[w]));
   }
   const auto is_active = [&](uint32_t j) {
-    return j < n && ((active[j >> 6] >> (j & 63)) & 1) != 0;
+    return ((active[j >> 6] >> (j & 63)) & 1) != 0;
   };
   const auto rank = [&](uint32_t j) {
     const uint64_t below = active[j >> 6] & ((uint64_t{1} << (j & 63)) - 1);

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "common/serial.h"
 #include "core/corpus_view.h"
 #include "network/grid_index.h"
 #include "traj/types.h"
@@ -19,31 +17,26 @@ struct StiuParams {
 };
 
 /// Spatio-temporal Information based Uncertain Trajectory Index
-/// (Section 5.2). Built during compression: temporal tuples point into the
-/// SIAR-coded T stream so where/range queries decode only the deltas after
-/// the partition start; spatial tuples name the instances that pass a
-/// region plus the p_max aggregate Lemmas 1-4 prune with. The paper's
-/// entry-point fields (fv, d, rv, ma) are not kept: nothing here decodes
-/// an instance from a region's entry point (DESIGN.md §7).
+/// (Section 5.2): temporal tuples point into the SIAR-coded T stream so
+/// where/range queries decode only the deltas after the partition start;
+/// spatial tuples name the instances that pass a region plus the p_max
+/// aggregate Lemmas 1-4 prune with. The paper's entry-point fields (fv, d,
+/// rv, ma) are not kept: nothing here decodes an instance from a region's
+/// entry point (DESIGN.md §7).
 ///
-/// The index is persistable: Serialize writes every tuple list to a byte
-/// stream (the archive's StIU section) and the deserializing constructor
-/// rebuilds an identical index against a grid reconstructed from the stored
-/// cells_per_side — nothing in the loaded index depends on the original
-/// uncompressed corpus.
+/// One builder serves compression and open: Append each trajectory in id
+/// order, from the uncompressed corpus at build time or decoded from an
+/// archive on open, then Finish. Archives store only the parameters
+/// (DESIGN.md §6), so the index is derived from the streams it indexes.
 ///
 /// Layout (DESIGN.md §7): partition-major. Each trajectory's ref and nref
 /// tuples are copied into every time partition its partition list spans and
 /// grouped by (partition, region), so the tuples of one partition over a run
-/// of consecutive regions are one contiguous slice. A trajectory spanning
-/// more than kMaxCopies partitions is stored at the first coarser level,
-/// whose partitions are kMaxCopies^level partitions wide, where it spans at
-/// most kMaxCopies: the layout holds at most kMaxCopies times the stored
-/// tuples. Trajectories listed in no partition (and tuples naming ids the
-/// index does not cover) are kept once, in a slot no time reads. Both
-/// constructors derive the layout from region lists in the section's shape,
-/// so an index loaded from a section in any tuple order answers
-/// identically, and Serialize writes the section back byte for byte.
+/// of consecutive regions are one contiguous slice, in trajectory-id order
+/// within a region. A trajectory spanning more than kMaxCopies partitions is
+/// stored at the first coarser level, whose partitions are kMaxCopies^level
+/// partitions wide, where it spans at most kMaxCopies: the layout holds at
+/// most kMaxCopies times the tuples of the region lists.
 class StiuIndex {
  public:
   /// (t.start, t.no, t.pos) of Section 5.2's temporal part.
@@ -51,6 +44,7 @@ class StiuIndex {
     traj::Timestamp t_start = 0;
     uint32_t t_no = 0;
     uint64_t t_pos = 0;  // absolute bit position of the (t_no+1)-th delta
+    bool operator==(const TemporalTuple&) const = default;
   };
 
   /// Tuple of a reference group w.r.t. a region (first form: the reference
@@ -61,23 +55,20 @@ class StiuIndex {
     uint32_t ref_idx = 0;
     float p_max = 0.0f;  // max non-reference probability in the region
     bool ref_passes = false;
+    bool operator==(const RefTuple&) const = default;
   };
 
   /// Tuple of a non-reference w.r.t. a region. 8 bytes.
   struct NrefTuple {
     uint32_t traj = 0;
     uint32_t nref_idx = 0;
+    bool operator==(const NrefTuple&) const = default;
   };
 
-  /// Builds the index during compression (needs the uncompressed corpus for
-  /// the region visits). Trajectory j of the index is *trajs[j], borrowed
-  /// for the constructor's duration, so a shard indexes its members in
-  /// place without copying them. Each (region, trajectory) run of ref
-  /// tuples is ascending in ref_idx.
-  StiuIndex(const network::GridIndex& grid,
-            std::span<const traj::UncertainTrajectory* const> trajs,
-            const CorpusView& cc, StiuParams params);
-  /// Same, over every trajectory of `corpus` in order.
+  /// An empty index over `grid` (whose cells_per_side it records): Append
+  /// every trajectory, then Finish before any query.
+  StiuIndex(const network::GridIndex& grid, StiuParams params);
+  /// Appends every trajectory of `corpus` in order, then Finishes.
   StiuIndex(const network::GridIndex& grid,
             const traj::UncertainCorpus& corpus, const CorpusView& cc,
             StiuParams params);
@@ -87,20 +78,18 @@ class StiuIndex {
             const std::vector<std::vector<NrefFactorLayout>>& layouts,
             StiuParams params);
 
-  /// Rebuilds an index from a Serialize()d byte stream (the archive's StIU
-  /// section). `grid` must have been constructed with the cells_per_side
-  /// recorded alongside the section; region-count mismatches latch
-  /// `in.ok()` false and leave the index empty. `legacy_shape` reads the
-  /// pre-v4 (tag 7) tuple shape, whose eight extra fields are parsed and
-  /// discarded.
-  StiuIndex(const network::GridIndex& grid, common::ByteReader& in,
-            bool legacy_shape);
+  /// Adds trajectory num_trajectories() of `cc`, whose times and instances
+  /// (at their original positions) are `tu`. Each (region, trajectory) run
+  /// of ref tuples is ascending in ref_idx.
+  void Append(const traj::UncertainTrajectory& tu, const CorpusView& cc);
+  /// Derives the partition-major layout from the appended region lists and
+  /// frees them: levels and home slots from the partition lists, then one
+  /// counting and one filling pass.
+  void Finish();
 
-  /// Writes params and every tuple list in the v4 (tag 10) shape; the
-  /// inverse of the reading constructor with legacy_shape = false.
-  void Serialize(common::ByteWriter& out) const;
-  /// Counts the bytes Serialize would write, without writing them.
-  void Serialize(common::ByteCounter& out) const;
+  /// Array-for-array equality: parameters, temporal tuples, partition
+  /// lists, levels, home slots, cells and both tuple arrays.
+  bool operator==(const StiuIndex& other) const;
 
   const network::GridIndex& grid() const { return grid_; }
   const StiuParams& params() const { return params_; }
@@ -129,7 +118,7 @@ class StiuIndex {
   static constexpr uint32_t kMaxCopies = 4;
 
   /// Levels that hold tuples; level l's partitions are kMaxCopies^l
-  /// partitions wide. 0 when no trajectory is listed in any partition.
+  /// partitions wide. 0 when the index covers no trajectory.
   size_t num_levels() const { return level_first_.size() - 1; }
 
   /// Tuples of one level's partition over a run of regions.
@@ -140,19 +129,19 @@ class StiuIndex {
 
   /// The tuples of regions [first, last] in the level-`level` partition
   /// containing `t`: one contiguous slice per kind, by region, then by
-  /// (first partition, trajectory id). Over every level it holds each tuple
-  /// of each trajectory in TrajectoriesAt(t) exactly once, and may hold
-  /// tuples of inactive trajectories.
+  /// trajectory id. Over every level it holds each tuple of each trajectory
+  /// in TrajectoriesAt(t) exactly once, and may hold tuples of inactive
+  /// trajectories.
   TupleRun TuplesAt(size_t level, traj::Timestamp t, network::RegionId first,
                     network::RegionId last) const;
 
-  /// Every tuple of trajectory `j` in region `re`, in stored order: its
-  /// run in the cell of its first partition.
+  /// Every tuple of trajectory `j` < num_trajectories() in region `re`, in
+  /// appended order: its run in the cell of its home slot.
   TupleRun TuplesOf(network::RegionId re, uint32_t j) const;
 
-  /// Region `re`'s tuple lists as Serialize writes them, ordered by (first
-  /// partition, trajectory id), rebuilt from the layout: O(levels x
-  /// partitions x log + tuples), for tools and tests, not queries.
+  /// Region `re`'s tuples, each once: gathered from every slot's cell of
+  /// `re`, in slot then id order. O(slots x log + tuples), for tools and
+  /// tests, not queries.
   std::vector<RefTuple> RefTuplesIn(network::RegionId re) const;
   std::vector<NrefTuple> NrefTuplesIn(network::RegionId re) const;
 
@@ -166,9 +155,6 @@ class StiuIndex {
   size_t spatial_size_bytes() const;
 
  private:
-  template <typename Out>
-  void SerializeTo(Out& out) const;
-
   /// The tuples of one (slot, region): they run from this cell's firsts to
   /// the next cell's. Cells are ordered by (slot, region); one past the
   /// last cell of every slot is a valid cell (the next slot's first, or the
@@ -177,29 +163,8 @@ class StiuIndex {
     network::RegionId region = 0;
     uint32_t ref_first = 0;
     uint32_t nref_first = 0;
+    bool operator==(const Cell&) const = default;
   };
-
-  /// A cell and the slot it belongs to.
-  struct CellAt {
-    uint32_t cell = 0;
-    uint32_t slot = 0;
-  };
-
-  /// Derives the layout from region-major lists in the section's shape and
-  /// frees them: first partitions, levels and home slots from
-  /// partition_trajs_, then one counting and one filling pass.
-  void DeriveLayout(std::vector<std::vector<RefTuple>> region_refs,
-                    std::vector<std::vector<NrefTuple>> region_nrefs);
-
-  /// (first partition, id) of trajectory `j`, the order within every cell
-  /// and stored list; the first partition is num_partitions() for
-  /// trajectories listed nowhere and ids the index does not cover.
-  std::pair<uint32_t, uint32_t> KeyOf(uint32_t j) const;
-
-  /// The slot holding trajectory `j`'s stored tuples.
-  uint32_t HomeSlot(uint32_t j) const;
-  /// The slot no time reads: tuples of trajectories listed nowhere.
-  uint32_t unlisted_slot() const { return level_first_.back(); }
 
   /// Index of slot `slot`'s cell for region `re`, or SIZE_MAX.
   size_t CellOf(size_t slot, network::RegionId re) const;
@@ -210,25 +175,39 @@ class StiuIndex {
                                uint32_t Cell::*first, size_t lo,
                                size_t hi) const;
 
-  /// Replaces `out` with the stored tuples of `cells` (one region's, in
-  /// slot order), ordered by KeyOf.
+  /// Region `re`'s tuples of one kind, each from its home slot's cell.
   template <typename Tuple>
-  void StoredIn(const std::vector<Tuple>& tuples, uint32_t Cell::*first,
-                std::span<const CellAt> cells, std::vector<Tuple>& out) const;
-
-  /// Region `re`'s cells over every slot, in slot order.
-  std::vector<CellAt> CellsOfRegion(network::RegionId re) const;
+  std::vector<Tuple> Gather(const std::vector<Tuple>& tuples,
+                            uint32_t Cell::*first, network::RegionId re) const;
 
   const network::GridIndex& grid_;
   StiuParams params_;
   std::vector<std::vector<TemporalTuple>> temporal_;   // [traj]
   std::vector<std::vector<uint32_t>> partition_trajs_; // [partition]
-  std::vector<uint32_t> first_partition_;              // [traj]
+  // Region-major lists Append fills in id order and Finish turns into the
+  // layout, and Append's reused per-trajectory scratch: the regions the
+  // trajectory visits in first-visit order (a visit is a slot), each
+  // region's slot, the last instance that visited each slot, and one
+  // aggregate per (slot, ref).
+  struct Scratch {
+    struct GroupAgg {
+      float p_max = 0.0f;  // over non-references only
+      bool ref_passes = false;
+      bool present = false;
+    };
+    std::vector<network::RegionId> visited;
+    std::vector<uint32_t> slot_of;  // [region]
+    std::vector<uint32_t> last_visitor;
+    std::vector<GroupAgg> agg;
+  };
+  std::vector<std::vector<RefTuple>> region_refs_;     // [region]
+  std::vector<std::vector<NrefTuple>> region_nrefs_;   // [region]
+  Scratch scratch_;
   std::vector<uint32_t> home_slot_;                    // [traj]
-  // Slots number the partitions of every level, level after level, then
-  // the unlisted slot: level l's partition q is slot level_first_[l] + q.
+  // Slots number the partitions of every level, level after level: level
+  // l's partition q is slot level_first_[l] + q.
   std::vector<uint32_t> level_first_{0};               // [level + 1]
-  std::vector<uint32_t> slot_cells_{0, 0};             // [slot + 1]
+  std::vector<uint32_t> slot_cells_{0};                // [slot + 1]
   std::vector<Cell> cells_{Cell{}};                    // + end sentinel
   std::vector<RefTuple> refs_;
   std::vector<NrefTuple> nrefs_;

@@ -23,6 +23,7 @@ class GridIndex {
  public:
   GridIndex(const RoadNetwork& network, uint32_t cells_per_side);
 
+  const RoadNetwork& network() const { return network_; }
   uint32_t cells_per_side() const { return cells_per_side_; }
   uint32_t num_regions() const { return cells_per_side_ * cells_per_side_; }
 

@@ -152,17 +152,18 @@ ShardedBuild ShardedCompressor::Compress(
   // persistent shared pool — the same workers that serve query fan-out —
   // so repeated builds pay no thread start-up.
   common::ParallelFor(n, opts_.num_threads, [&](size_t s) {
-    std::vector<const traj::UncertainTrajectory*> trajs;
-    trajs.reserve(build.plan.members[s].size());
-    for (const uint32_t j : build.plan.members[s]) trajs.push_back(&corpus[j]);
     const core::UtcqCompressor compressor(net_, params_);
     auto shard = std::make_unique<CompressedShard>();
     shard->corpus = compressor.Begin();
-    for (const traj::UncertainTrajectory* tu : trajs) {
-      compressor.AppendTrajectory(*tu, &shard->corpus);
+    for (const uint32_t j : build.plan.members[s]) {
+      compressor.AppendTrajectory(corpus[j], &shard->corpus);
     }
-    shard->index = std::make_unique<core::StiuIndex>(
-        grid_, trajs, shard->corpus, index_params_);
+    shard->index = std::make_unique<core::StiuIndex>(grid_, index_params_);
+    const core::CorpusView cc = shard->corpus.view();
+    for (const uint32_t j : build.plan.members[s]) {
+      shard->index->Append(corpus[j], cc);
+    }
+    shard->index->Finish();
     build.shards[s] = std::move(shard);
   });
   return build;
@@ -218,19 +219,21 @@ bool ShardedCorpus::Open(const network::RoadNetwork& net,
     }
   }
 
-  // Indexes are built concurrently too. TakeIndex frees each shard's StIU
-  // section bytes once its index exists: nothing reads them again.
+  // Indexes are derived concurrently too, each from its shard's streams,
+  // and are complete when Open returns.
   auto grid = std::make_unique<network::GridIndex>(net, cells);
   common::ParallelFor(n, 0, [&](size_t s) {
     Shard& shard = *shards[s];
-    shard.index = shard.reader.TakeIndex(*grid, &errors[s]);
+    shard.index = shard.reader.LoadIndex(*grid, &errors[s]);
     if (shard.index != nullptr) {
       shard.queries = std::make_unique<core::UtcqQueryProcessor>(
           net, shard.reader.view(), *shard.index);
     }
   });
   for (size_t s = 0; s < n; ++s) {
-    if (shards[s]->index == nullptr) return fail(errors[s]);
+    if (shards[s]->index == nullptr) {
+      return fail("shard " + manifest.shards[s].file + ": " + errors[s]);
+    }
   }
 
   // Routing table: every global index must be claimed exactly once across

@@ -3,6 +3,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,76 +201,89 @@ TEST(Archive, LoadedQueriesMatchLiveQueries) {
 }
 
 TEST(Archive, ReloadedStiuTuplesMatch) {
+  // The index derived on open is the compress-time index, array for array.
   ArchiveFixture fx;
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
   const network::GridIndex grid(fx.net, reader.index_cells_per_side());
-  const auto index = reader.LoadIndex(grid);
-  ASSERT_NE(index, nullptr);
-
-  const core::StiuIndex& live = fx.sys->index();
-  EXPECT_EQ(index->time_partition_s(), live.time_partition_s());
-  for (size_t j = 0; j < fx.corpus.size(); ++j) {
-    const auto& a = live.TemporalOf(j);
-    const auto& b = index->TemporalOf(j);
-    ASSERT_EQ(a.size(), b.size()) << "traj " << j;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].t_start, b[k].t_start);
-      EXPECT_EQ(a[k].t_no, b[k].t_no);
-      EXPECT_EQ(a[k].t_pos, b[k].t_pos);
-    }
-  }
-  for (network::RegionId re = 0; re < grid.num_regions(); ++re) {
-    const auto& ra = live.RefTuplesIn(re);
-    const auto& rb = index->RefTuplesIn(re);
-    ASSERT_EQ(ra.size(), rb.size()) << "region " << re;
-    for (size_t k = 0; k < ra.size(); ++k) {
-      EXPECT_EQ(ra[k].traj, rb[k].traj);
-      EXPECT_EQ(ra[k].ref_idx, rb[k].ref_idx);
-      EXPECT_EQ(ra[k].p_max, rb[k].p_max);
-      EXPECT_EQ(ra[k].ref_passes, rb[k].ref_passes);
-    }
-    const auto& na = live.NrefTuplesIn(re);
-    const auto& nb = index->NrefTuplesIn(re);
-    ASSERT_EQ(na.size(), nb.size()) << "region " << re;
-    for (size_t k = 0; k < na.size(); ++k) {
-      EXPECT_EQ(na[k].traj, nb[k].traj);
-      EXPECT_EQ(na[k].nref_idx, nb[k].nref_idx);
-    }
-  }
+  std::string error;
+  const auto index = reader.LoadIndex(grid, &error);
+  ASSERT_NE(index, nullptr) << error;
+  test::ExpectSameIndex(*index, fx.sys->index());
 }
 
-TEST(Archive, TakeIndexFreesTheSectionBytesAndKeepsHasIndex) {
+TEST(Archive, V5ImagesStoreOnlyTheIndexParameters) {
+  // The StIU section of a v5 image is its two parameters; LoadIndex needs
+  // the section and a grid of the archived resolution, and derives the
+  // same index every time it is called.
   ArchiveFixture fx;
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  const network::GridIndex grid(fx.net, reader.index_cells_per_side());
-  const auto loaded = reader.LoadIndex(grid);
-  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(reader.payload().stiu_tag, SectionTag::kStiuParams);
+  EXPECT_EQ(reader.payload().stiu, (std::vector<uint8_t>{16, 0x88, 0x0E}));
+  EXPECT_EQ(reader.index_cells_per_side(), 16u);
+  EXPECT_EQ(reader.payload().stiu_params.time_partition_s, 900);
 
   std::string error;
-  const auto taken = reader.TakeIndex(grid, &error);
-  ASSERT_NE(taken, nullptr) << error;
-  common::ByteWriter a;
-  common::ByteWriter b;
-  loaded->Serialize(a);
-  taken->Serialize(b);
-  EXPECT_TRUE(std::ranges::equal(a.bytes(), b.bytes()));
+  const network::GridIndex grid(fx.net, 16);
+  const auto first = reader.LoadIndex(grid, &error);
+  const auto second = reader.LoadIndex(grid, &error);
+  ASSERT_NE(first, nullptr) << error;
+  ASSERT_NE(second, nullptr) << error;
+  EXPECT_TRUE(*first == *second);
 
-  EXPECT_TRUE(reader.payload().stiu.empty());
-  EXPECT_EQ(reader.payload().stiu.capacity(), 0u);
-  EXPECT_TRUE(reader.has_index());
-  EXPECT_EQ(reader.LoadIndex(grid, &error), nullptr);
-  EXPECT_NE(error.find("released"), std::string::npos) << error;
-  EXPECT_EQ(reader.TakeIndex(grid, &error), nullptr);
+  const network::GridIndex coarse(fx.net, 8);
+  EXPECT_EQ(reader.LoadIndex(coarse, &error), nullptr);
+  EXPECT_NE(error.find("grid resolution"), std::string::npos) << error;
 
   ArchiveReader bare;
   ASSERT_TRUE(bare.OpenBytes(ArchiveWriter(fx.sys->compressed()).Serialize()));
   EXPECT_FALSE(bare.has_index());
-  EXPECT_EQ(bare.TakeIndex(grid, &error), nullptr);
+  EXPECT_EQ(bare.index_cells_per_side(), 0u);
+  EXPECT_EQ(bare.LoadIndex(grid, &error), nullptr);
   EXPECT_NE(error.find("no StIU section"), std::string::npos) << error;
+}
+
+TEST(Archive, LoadIndexRejectsTrajectoriesThatDoNotDecode) {
+  // The streams are outside input: a trajectory that decodes to no times,
+  // to a count other than its n_points, or to an instance that does not
+  // reconstruct fails LoadIndex with a reason naming it.
+  ArchiveFixture fx;
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  std::string error;
+  const auto load = [&](const ArchivePayload& payload,
+                        const network::GridIndex& grid) {
+    ArchiveReader hostile;
+    EXPECT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
+    return hostile.LoadIndex(grid, &error);
+  };
+
+  // Trajectory 0's T header claims more deltas than the stream holds.
+  ArchivePayload no_times = reader.payload();
+  ASSERT_EQ(no_times.metas[0].t_pos, 0u);
+  std::fill_n(no_times.t.bytes.begin(), 10, uint8_t{0xFF});
+  EXPECT_EQ(load(no_times, *fx.grid), nullptr);
+  EXPECT_NE(error.find("trajectory 0 decodes to no timestamps"),
+            std::string::npos)
+      << error;
+
+  ArchivePayload miscounted = reader.payload();
+  miscounted.metas[3].n_points += 1;
+  EXPECT_EQ(load(miscounted, *fx.grid), nullptr);
+  EXPECT_NE(error.find("trajectory 3 decodes to a time count"),
+            std::string::npos)
+      << error;
+
+  // Against a smaller network the archived vertex ids do not exist.
+  const network::RoadNetwork small =
+      test::MakeSmallCity(traj::ChengduProfile(), 4);
+  const network::GridIndex small_grid(small, 16);
+  EXPECT_EQ(load(reader.payload(), small_grid), nullptr);
+  EXPECT_NE(error.find("does not reconstruct"), std::string::npos) << error;
 }
 
 TEST(Archive, ArchiveWithoutIndexStillDecodes) {
@@ -340,54 +354,6 @@ TEST(Archive, RejectsTruncationBadMagicAndBitRot) {
   EXPECT_TRUE(reader.is_open());
 }
 
-TEST(Archive, RejectsHostileStiuSections) {
-  // CRC-valid archives whose StIU section lies about its shape must fail
-  // LoadIndex cleanly instead of OOMing or leaving an index that queries
-  // out of bounds, under tag 10 and under the legacy tag 7 alike.
-  ArchiveFixture fx;
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "tag 7" : "tag 10");
-    ArchivePayload payload = reader.payload();
-    payload.stiu_legacy = legacy;
-    std::string error;
-
-    // Claims zero trajectories while the metas section has 50.
-    {
-      common::ByteWriter stiu;
-      stiu.PutVarint(16);                      // cells_per_side
-      stiu.PutSignedVarint(900);               // time_partition_s
-      stiu.PutVarint(0);                       // num_trajs
-      stiu.PutVarint(0);                       // num_partitions
-      stiu.PutVarint(fx.grid->num_regions());  // num_regions
-      for (uint32_t re = 0; re < 2 * fx.grid->num_regions(); ++re) {
-        stiu.PutVarint(0);  // empty ref + nref tuple lists
-      }
-      payload.stiu = stiu.Release();
-      ArchiveReader hostile;
-      ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-      EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
-      EXPECT_NE(error.find("trajectory count"), std::string::npos) << error;
-    }
-
-    // Claims an absurd trajectory count (would OOM a naive resize).
-    {
-      common::ByteWriter stiu;
-      stiu.PutVarint(16);
-      stiu.PutSignedVarint(900);
-      stiu.PutVarint(uint64_t{1} << 60);  // num_trajs
-      stiu.PutVarint(0);
-      stiu.PutVarint(fx.grid->num_regions());
-      payload.stiu = stiu.Release();
-      ArchiveReader hostile;
-      ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-      EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
-    }
-  }
-}
-
 TEST(Archive, RejectsMetasWithDuplicateOrigIndex) {
   // Two metas claiming the same instance slot would leave another slot at
   // the default role and decode nrefs[0] out of bounds; the reader must
@@ -410,102 +376,6 @@ TEST(Archive, RejectsMetasWithDuplicateOrigIndex) {
   ArchiveReader hostile;
   EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
   EXPECT_NE(error.find("metas"), std::string::npos) << error;
-}
-
-TEST(Archive, RejectsStiuTuplePointingOutsideMetas) {
-  ArchiveFixture fx;
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "tag 7" : "tag 10");
-    ArchivePayload payload = reader.payload();
-    payload.stiu_legacy = legacy;
-
-    // A structurally valid StIU section (right trajectory count, every
-    // trajectory covered) whose one spatial tuple names a ref index that
-    // does not exist in the metas.
-    common::ByteWriter stiu;
-    stiu.PutVarint(16);                      // cells_per_side
-    stiu.PutSignedVarint(900);               // time_partition_s
-    stiu.PutVarint(payload.metas.size());    // num_trajs
-    stiu.PutVarint(0);                       // num_partitions
-    stiu.PutVarint(fx.grid->num_regions());  // num_regions
-    for (size_t j = 0; j < payload.metas.size(); ++j) {
-      stiu.PutVarint(1);  // one temporal tuple
-      stiu.PutVarint(0);  // t_start delta
-      stiu.PutVarint(0);  // t_no
-      stiu.PutVarint(0);  // t_pos
-    }
-    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
-      if (re == 0) {
-        stiu.PutVarint(1);  // one hostile ref tuple
-        stiu.PutVarint(0);  // traj
-        stiu.PutVarint(1u << 20);  // ref_idx: far outside metas[0].refs
-        if (legacy) {
-          stiu.PutU32(0);     // fv_id
-          stiu.PutVarint(0);  // fv_no
-          stiu.PutVarint(0);  // d_no
-          stiu.PutVarint(0);  // d_pos
-          stiu.PutF32(0.5f);  // p_total
-        }
-        stiu.PutF32(0.5f);  // p_max
-        stiu.PutU8(1);      // ref_passes
-      } else {
-        stiu.PutVarint(0);
-      }
-    }
-    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
-      stiu.PutVarint(0);  // no nref tuples
-    }
-    payload.stiu = stiu.Release();
-
-    std::string error;
-    ArchiveReader hostile;
-    ASSERT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-    EXPECT_EQ(hostile.LoadIndex(*fx.grid, &error), nullptr);
-    EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
-  }
-}
-
-using test::ListOrder;
-
-/// Re-emits `index` as a StIU section with `partitions` as the partition
-/// lists and every region list in `order`.
-std::vector<uint8_t> WriteStiu(const core::StiuIndex& index,
-                               const std::vector<std::vector<uint32_t>>& partitions,
-                               ListOrder order) {
-  test::StiuSection section = test::StiuSection::Of(index);
-  section.partitions = partitions;
-  return section.Write(order);
-}
-
-/// An archive of `fx` whose StIU section is replaced by `stiu`, reopened.
-struct Reopened {
-  ArchiveReader reader;
-  std::unique_ptr<network::GridIndex> grid;
-  std::unique_ptr<core::StiuIndex> index;
-  std::unique_ptr<core::UtcqQueryProcessor> queries;
-};
-
-std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
-                                         std::vector<uint8_t> stiu) {
-  ArchiveReader writer_side;
-  EXPECT_TRUE(writer_side.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  ArchivePayload payload = writer_side.payload();
-  payload.stiu = std::move(stiu);
-  auto r = std::make_unique<Reopened>();
-  std::string error;
-  EXPECT_TRUE(r->reader.OpenBytes(EncodeArchive(payload), &error)) << error;
-  r->grid = std::make_unique<network::GridIndex>(
-      fx.net, r->reader.index_cells_per_side());
-  r->index = r->reader.LoadIndex(*r->grid, &error);
-  EXPECT_NE(r->index, nullptr) << error;
-  if (r->index == nullptr) return nullptr;
-  r->queries = std::make_unique<core::UtcqQueryProcessor>(
-      fx.net, r->reader.view(), *r->index);
-  return r;
 }
 
 /// Query rectangles around a few trajectories' starts plus the whole map.
@@ -577,105 +447,99 @@ void ExpectSameAnswers(const ArchiveFixture& fx,
   EXPECT_GT(range_hits, 0u);
 }
 
-TEST(Archive, StiuSectionsInOtherTupleOrdersReloadIdentically) {
-  // Sections written before the region lists went partition-major store
-  // them in trajectory-id order; a crafted one may use any order. Same
-  // tuples, same byte count; the reader re-derives the layout, so the lists
-  // and every answer come out equal.
-  ArchiveFixture fx;
-  const core::StiuIndex& live = fx.sys->index();
+/// The fixture's image as written by an older writer: version
+/// `version`, its StIU section `stiu` under `tag`, reopened with its index
+/// derived.
+struct Reopened {
   ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &live).Serialize()));
-  const auto partitions = test::StiuSection::Of(live).partitions;
-  ASSERT_EQ(WriteStiu(live, partitions, ListOrder::kAsIndexed),
-            reader.payload().stiu)
-      << "WriteStiu must mirror StiuIndex::Serialize";
+  std::unique_ptr<core::StiuIndex> index;
+  std::unique_ptr<core::UtcqQueryProcessor> queries;
+};
 
-  for (const ListOrder order :
-       {ListOrder::kIdAscending, ListOrder::kIdDescending}) {
-    SCOPED_TRACE(order == ListOrder::kIdAscending ? "ascending" : "descending");
-    const auto stiu = WriteStiu(live, partitions, order);
-    EXPECT_EQ(stiu.size(), reader.payload().stiu.size());
-    EXPECT_NE(stiu, reader.payload().stiu) << "orders never differed";
-
-    const auto reopened = ReopenWithStiu(fx, stiu);
-    ASSERT_NE(reopened, nullptr);
-    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-      const auto& ra = live.RefTuplesIn(re);
-      const auto& rb = reopened->index->RefTuplesIn(re);
-      ASSERT_EQ(ra.size(), rb.size()) << "region " << re;
-      for (size_t k = 0; k < ra.size(); ++k) {
-        EXPECT_EQ(ra[k].traj, rb[k].traj);
-        EXPECT_EQ(ra[k].ref_idx, rb[k].ref_idx);
-      }
-      const auto& na = live.NrefTuplesIn(re);
-      const auto& nb = reopened->index->NrefTuplesIn(re);
-      ASSERT_EQ(na.size(), nb.size()) << "region " << re;
-      for (size_t k = 0; k < na.size(); ++k) {
-        EXPECT_EQ(na[k].traj, nb[k].traj);
-        EXPECT_EQ(na[k].nref_idx, nb[k].nref_idx);
-      }
-    }
-    test::ExpectLayoutMatchesOracle(*reopened->index);
-    ExpectSameAnswers(fx, *reopened->queries);
-  }
+std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
+                                         uint32_t version, SectionTag tag,
+                                         std::vector<uint8_t> stiu) {
+  ArchiveReader writer_side;
+  EXPECT_TRUE(writer_side.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ArchivePayload payload = writer_side.payload();
+  payload.format_version = version;
+  payload.stiu_tag = tag;
+  payload.stiu = std::move(stiu);
+  const std::vector<uint8_t> image = EncodeArchive(payload);
+  auto r = std::make_unique<Reopened>();
+  std::string error;
+  EXPECT_TRUE(r->reader.OpenBytes(image, &error)) << error;
+  EXPECT_EQ(EncodeArchive(r->reader.payload()), image);
+  EXPECT_EQ(r->reader.index_cells_per_side(), 16u);
+  r->index = r->reader.LoadIndex(*fx.grid, &error);
+  EXPECT_NE(r->index, nullptr) << error;
+  if (r->index == nullptr) return nullptr;
+  r->queries = std::make_unique<core::UtcqQueryProcessor>(
+      fx.net, r->reader.view(), *r->index);
+  return r;
 }
 
-TEST(Archive, CraftedPartitionListsStillAnswerLikeTheOracle) {
-  // Partition lists are a superset filter: a section may list a trajectory
-  // in extra, non-contiguous partitions, name ids no trajectory has, or
-  // list everything everywhere (every trajectory at the coarsest level),
-  // and list ids out of order and more than once. None of these may change
-  // an answer or break the layout's oracle.
+TEST(Archive, HostileTupleSectionsCannotChangeAnswers) {
+  // A v3 (tag 7) or v4 (tag 10) section whose parameters are valid opens
+  // whatever its tuple lists claim: zero or 2^60 trajectories, counts past
+  // the payload, ids past the corpus, a ref index outside the metas,
+  // unsorted lists, scattered or everywhere partition lists. Nothing reads
+  // the lists, so the derived index is the compress-time one and every
+  // answer matches the live processor and the oracle.
   ArchiveFixture fx;
   const core::StiuIndex& live = fx.sys->index();
-  const auto honest = test::StiuSection::Of(live).partitions;
-  const size_t n = honest.size();
-  const auto num_trajs = static_cast<uint32_t>(live.num_trajectories());
-  const auto normalized = [](std::vector<std::vector<uint32_t>> lists) {
-    for (auto& l : lists) {
-      std::sort(l.begin(), l.end());
-      l.erase(std::unique(l.begin(), l.end()), l.end());
-    }
-    return lists;
+  const test::StiuSection honest = test::StiuSection::Of(live);
+  const auto n = static_cast<uint32_t>(live.num_trajectories());
+  const auto header = [&](uint64_t trajs, uint64_t partitions) {
+    common::ByteWriter out;
+    out.PutVarint(16);   // cells_per_side
+    out.PutSignedVarint(900);  // time_partition_s
+    out.PutVarint(trajs);
+    out.PutVarint(partitions);
+    out.PutVarint(fx.grid->num_regions());
+    return out;
   };
+  std::vector<std::pair<std::string, test::StiuSection>> sections;
+  test::StiuSection lying = honest;  // ids past the corpus, unsorted
+  for (auto& l : lying.partitions) {
+    l.push_back(n + 7);
+    std::reverse(l.begin(), l.end());
+  }
+  for (auto& l : lying.refs) {
+    if (!l.empty()) l.push_back({.traj = n + 1, .ref_idx = 1u << 20});
+    std::reverse(l.begin(), l.end());
+  }
+  for (auto& l : lying.nrefs) std::reverse(l.begin(), l.end());
+  sections.emplace_back("lying lists", lying);
+  test::StiuSection everywhere = honest;  // everything in every partition
+  for (auto& l : everywhere.partitions) {
+    l.clear();
+    for (uint32_t j = 0; j < n; ++j) l.push_back(j);
+  }
+  sections.emplace_back("everywhere", everywhere);
 
-  auto scattered = honest;  // every trajectory also half a day away
-  for (size_t p = 0; p < n; ++p) {
-    for (const uint32_t j : honest[p]) scattered[(p + n / 2) % n].push_back(j);
-  }
-  auto phantom = honest;  // ids past the corpus in every partition
-  for (auto& l : phantom) {
-    l.push_back(num_trajs);
-    l.push_back(num_trajs + 7);
-  }
-  std::vector<std::vector<uint32_t>> everywhere(n);
-  for (auto& l : everywhere) {
-    for (uint32_t j = 0; j < num_trajs; ++j) l.push_back(j);
-  }
-  auto repeated = scattered;  // descending, every id twice, phantoms inside
-  for (auto& l : repeated) {
-    l.push_back(num_trajs + 3);
-    const auto once = l;
-    l.insert(l.end(), once.begin(), once.end());
-    std::sort(l.rbegin(), l.rend());
-  }
-
-  for (const auto& [name, lists] :
-       {std::pair{"scattered", normalized(scattered)},
-        std::pair{"phantom", normalized(phantom)},
-        std::pair{"everywhere", everywhere},
-        std::pair{"repeated", repeated}}) {
-    SCOPED_TRACE(name);
-    const auto reopened =
-        ReopenWithStiu(fx, WriteStiu(live, lists, ListOrder::kAsIndexed));
-    ASSERT_NE(reopened, nullptr);
-    if (std::string(name) == "everywhere") {
-      EXPECT_GT(reopened->index->num_levels(), live.num_levels());
+  for (const auto& [version, tag] :
+       {std::pair{3u, SectionTag::kStiu}, std::pair{4u, SectionTag::kStiuV4}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const bool legacy = tag == SectionTag::kStiu;
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> blobs;
+    blobs.emplace_back("zero trajectories", header(0, 0).Release());
+    blobs.emplace_back("2^60 trajectories",
+                       header(uint64_t{1} << 60, 0).Release());
+    common::ByteWriter past = header(n, 96);
+    past.PutVarint(uint64_t{1} << 40);  // temporal count past the payload
+    blobs.emplace_back("counts past the payload", past.Release());
+    for (const auto& [name, section] : sections) {
+      blobs.emplace_back(name, legacy ? section.WriteLegacy() : section.Write());
     }
-    test::ExpectLayoutMatchesOracle(*reopened->index);
-    ExpectSameAnswers(fx, *reopened->queries);
+    for (const auto& [name, blob] : blobs) {
+      SCOPED_TRACE(name);
+      const auto reopened = ReopenWithStiu(fx, version, tag, blob);
+      ASSERT_NE(reopened, nullptr);
+      test::ExpectSameIndex(*reopened->index, live);
+      ExpectSameAnswers(fx, *reopened->queries);
+    }
   }
 }
 
@@ -691,13 +555,14 @@ uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
 }
 
 /// A payload built field by field: every section kind, multi-byte and
-/// negative varints, sync tables and a crafted StIU section, as a v3 image
-/// with a tag-7 section (`legacy`) or as a v4 image with a tag-10 one.
-/// Every float is a literal (no floating-point arithmetic), so the image is
-/// the same under any compiler.
-ArchivePayload GoldenPayload(bool legacy) {
+/// negative varints, sync tables and a StIU section, as a v3 image with a
+/// crafted tag-7 tuple section, a v4 image with the same tuples as tag 10,
+/// or a v5 image with tag 11's parameters alone. Every float is a literal
+/// (no floating-point arithmetic), so the image is the same under any
+/// compiler.
+ArchivePayload GoldenPayload(uint32_t version) {
   ArchivePayload p;
-  p.format_version = legacy ? 3 : 4;
+  p.format_version = version;
   p.params.eta_d = 0.0078125;
   p.params.eta_p = 0.001953125;
   p.params.num_pivots = 2;
@@ -777,9 +642,16 @@ ArchivePayload GoldenPayload(bool legacy) {
   n0.ma_pos = uint64_t{1} << 33;
   stiu.refs = {{r0}, {}, {r0, r1}, {}};
   stiu.nrefs = {{}, {n0}, {}, {n0, n0}};
-  p.stiu = legacy ? stiu.WriteLegacy() : stiu.Write();
-  p.stiu_legacy = legacy;
-  p.stiu_cells_per_side = 2;
+  common::ByteWriter params;
+  params.PutVarint(stiu.cells_per_side);
+  params.PutSignedVarint(stiu.time_partition_s);
+  p.stiu = version == 3   ? stiu.WriteLegacy()
+           : version == 4 ? stiu.Write()
+                          : params.Release();
+  p.stiu_tag = version == 3   ? SectionTag::kStiu
+               : version == 4 ? SectionTag::kStiuV4
+                              : SectionTag::kStiuParams;
+  p.stiu_params = {2, 43200};
   return p;
 }
 
@@ -787,7 +659,7 @@ ArchivePayload GoldenPayload(bool legacy) {
 // rewritten around exact-size images: any change to these bytes is a
 // format change. The image is v3 with a tag-7 StIU section.
 TEST(Archive, GoldenImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(true));
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(3));
   ArchivePayload loaded;
   std::string error;
   ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
@@ -803,17 +675,38 @@ TEST(Archive, GoldenImageBytesArePinned) {
 // The same payload as a v4 image: a tag-10 StIU section, recorded when
 // tag 10 was added.
 TEST(Archive, GoldenV4ImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(false));
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(4));
   ArchivePayload loaded;
   std::string error;
   ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
       << error;
-  EXPECT_FALSE(loaded.stiu_legacy);
+  EXPECT_EQ(loaded.stiu_tag, SectionTag::kStiuV4);
+  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
+  EXPECT_EQ(loaded.stiu_params.time_partition_s, 43200);
   const std::vector<uint8_t> again = EncodeArchive(loaded);
   EXPECT_EQ(again, image);
   EXPECT_EQ(again[8], 4u);
   EXPECT_EQ(again.size(), 947u);
   EXPECT_EQ(Fnv1a64(again), 0xA08079A96D4434F7ull);
+  EXPECT_EQ(again.capacity(), again.size());
+}
+
+// The same payload as a v5 image: a tag-11 section holding only the index
+// parameters, recorded when tag 11 was added.
+TEST(Archive, GoldenV5ImageBytesArePinned) {
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(5));
+  ArchivePayload loaded;
+  std::string error;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
+      << error;
+  EXPECT_EQ(loaded.stiu_tag, SectionTag::kStiuParams);
+  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
+  EXPECT_EQ(loaded.stiu_params.time_partition_s, 43200);
+  const std::vector<uint8_t> again = EncodeArchive(loaded);
+  EXPECT_EQ(again, image);
+  EXPECT_EQ(again[8], 5u);
+  EXPECT_EQ(again.size(), 872u);
+  EXPECT_EQ(Fnv1a64(again), 0xE70E34E111315A84ull);
   EXPECT_EQ(again.capacity(), again.size());
 }
 
@@ -850,22 +743,13 @@ std::vector<uint8_t> WithExtraSection(std::vector<uint8_t> image, uint64_t tag,
   return image;
 }
 
-TEST(Archive, V3Tag7ImageOpensAndAnswersLikeV4AndTheOracle) {
-  // A v3 image of a generated corpus, its StIU section in the tag-7 shape
-  // that v1-v3 writers emitted (the dropped fields filled with values no
-  // query may read), opens, re-encodes byte for byte, reloads the tuples
-  // of the v4 image and answers every query like the live index (which the
-  // v4 image reloads, LoadedQueriesMatchLiveQueries) and the oracle.
+TEST(Archive, OlderWritersImagesOpenAndAnswerLikeTheOracle) {
+  // v3 and v4 images of a generated corpus, their StIU tuples in the tag-7
+  // shape v1-v3 writers stored (the dropped fields filled with values no
+  // query may read) or in v4's tag-10 shape, open, re-encode byte for byte,
+  // derive the compress-time index and answer every query like the live
+  // index and the oracle.
   ArchiveFixture fx;
-  std::string error;
-  ArchiveReader v4;
-  ASSERT_TRUE(v4.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize(),
-      &error))
-      << error;
-  EXPECT_EQ(v4.payload().format_version, 4u);
-  EXPECT_FALSE(v4.payload().stiu_legacy);
-
   test::StiuSection section = test::StiuSection::Of(fx.sys->index());
   for (auto& list : section.refs) {
     for (auto& rt : list) {
@@ -883,33 +767,21 @@ TEST(Archive, V3Tag7ImageOpensAndAnswersLikeV4AndTheOracle) {
       nt.ma_pos = uint64_t{1} << 40;
     }
   }
-  ArchivePayload legacy = v4.payload();
-  legacy.format_version = 3;
-  legacy.stiu = section.WriteLegacy();
-  legacy.stiu_legacy = true;
-  const std::vector<uint8_t> v3 = EncodeArchive(legacy);
-  EXPECT_EQ(v3[8], 3u);
-
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(v3, &error)) << error;
-  EXPECT_TRUE(reader.payload().stiu_legacy);
-  EXPECT_EQ(EncodeArchive(reader.payload()), v3);
-
-  const network::GridIndex grid(fx.net, reader.index_cells_per_side());
-  const auto old_index = reader.LoadIndex(grid, &error);
-  ASSERT_NE(old_index, nullptr) << error;
-  common::ByteWriter reserialized;
-  old_index->Serialize(reserialized);
-  EXPECT_TRUE(std::ranges::equal(reserialized.bytes(), v4.payload().stiu));
-
-  const core::UtcqQueryProcessor old_queries(fx.net, reader.view(),
-                                             *old_index);
-  ExpectSameAnswers(fx, old_queries);
+  for (const auto& [version, tag, blob] :
+       {std::tuple{3u, SectionTag::kStiu, section.WriteLegacy()},
+        std::tuple{4u, SectionTag::kStiuV4, section.Write()}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const auto reopened = ReopenWithStiu(fx, version, tag, blob);
+    ASSERT_NE(reopened, nullptr);
+    EXPECT_EQ(reopened->reader.payload().format_version, version);
+    test::ExpectSameIndex(*reopened->index, fx.sys->index());
+    ExpectSameAnswers(fx, *reopened->queries);
+  }
 }
 
-TEST(Archive, RejectsImagesCarryingBothStiuShapes) {
-  // One image holds one StIU section shape: a tag-7 section spliced into a
-  // v4 image, or a tag-10 section into a v3 one, is invalid.
+TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
+  // One image holds one StIU section: a second one of any shape, spliced
+  // into a v3 or a v5 image, is invalid.
   ArchiveFixture fx;
   const test::StiuSection section = test::StiuSection::Of(fx.sys->index());
   const auto body_of = [](const std::vector<uint8_t>& bytes) {
@@ -917,27 +789,30 @@ TEST(Archive, RejectsImagesCarryingBothStiuShapes) {
     body.PutBytes(bytes.data(), bytes.size());
     return body;
   };
-  const std::vector<uint8_t> v4 =
+  const std::vector<uint8_t> v5 =
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
   ArchiveReader reader;
   std::string error;
-  ASSERT_TRUE(reader.OpenBytes(v4, &error)) << error;
+  ASSERT_TRUE(reader.OpenBytes(v5, &error)) << error;
+  const std::vector<uint8_t> params = reader.payload().stiu;
   ArchivePayload legacy = reader.payload();
   legacy.format_version = 3;
   legacy.stiu = section.WriteLegacy();
-  legacy.stiu_legacy = true;
+  legacy.stiu_tag = SectionTag::kStiu;
   const std::vector<uint8_t> v3 = EncodeArchive(legacy);
   ASSERT_TRUE(reader.OpenBytes(v3, &error)) << error;
 
   for (const auto& [name, image] :
-       {std::pair{"tag 7 after tag 10",
-                  WithExtraSection(v4, 7, body_of(section.WriteLegacy()))},
+       {std::pair{"tag 7 after tag 11",
+                  WithExtraSection(v5, 7, body_of(section.WriteLegacy()))},
+        std::pair{"tag 11 after tag 11",
+                  WithExtraSection(v5, 11, body_of(params))},
         std::pair{"tag 10 after tag 7",
                   WithExtraSection(v3, 10, body_of(section.Write()))}}) {
     SCOPED_TRACE(name);
     ArchiveReader hostile;
     EXPECT_FALSE(hostile.OpenBytes(image, &error));
-    EXPECT_NE(error.find("both StIU section shapes"), std::string::npos)
+    EXPECT_NE(error.find("more than one StIU section"), std::string::npos)
         << error;
   }
 }
@@ -945,13 +820,13 @@ TEST(Archive, RejectsImagesCarryingBothStiuShapes) {
 TEST(Archive, V3RoundTripPreservesSyncTables) {
   // The default UtcqParams emit sync points (t_sync_interval = 32), so the
   // fixture's index-free archive is stamped format v3; with an index
-  // (tag 10) it is v4.
+  // (tag 11) it is v5.
   ArchiveFixture fx;
   EXPECT_EQ(ArchiveWriter(fx.sys->compressed()).Serialize()[8],
             3u);  // version little-endian low byte
   EXPECT_EQ(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
                 .Serialize()[8],
-            4u);
+            5u);
 
   // A dense interval guarantees the fixture's short trajectories actually
   // carry sync points, so the table round-trip is exercised non-vacuously.
@@ -962,7 +837,7 @@ TEST(Archive, V3RoundTripPreservesSyncTables) {
                               core::StiuParams{16, 900});
   const std::vector<uint8_t> bytes =
       ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize();
-  EXPECT_EQ(bytes[8], 4u);
+  EXPECT_EQ(bytes[8], 5u);
 
   ArchiveReader reader;
   std::string error;
@@ -997,7 +872,7 @@ TEST(Archive, SyncFreeCorpusWritesV2ThatRoundTripsBitExact) {
   // With sync emission disabled and no index the writer must stamp format
   // v2 and emit no kTSyncIndex section at all — pre-v3 readers stay
   // compatible, and the §6 single-serialization rule holds across the
-  // downgrade. An index (tag 10) alone makes the image v4.
+  // downgrade. An index (tag 11) alone makes the image v5.
   ArchiveFixture fx;
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
@@ -1005,7 +880,7 @@ TEST(Archive, SyncFreeCorpusWritesV2ThatRoundTripsBitExact) {
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
   EXPECT_EQ(ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize()[8],
-            4u);
+            5u);
   const std::vector<uint8_t> bytes =
       ArchiveWriter(sys2.compressed()).Serialize();
   EXPECT_EQ(bytes[8], 2u);

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive/archive.h"
 #include "core/utcq.h"
 #include "ingest/flusher.h"
 #include "ingest/live_shard.h"
@@ -38,6 +39,7 @@
 #include "ted/ted_index.h"
 #include "ted/ted_query.h"
 #include "answer_checks.h"
+#include "stiu_sections.h"
 #include "test_fixtures.h"
 #include "verify/oracle.h"
 #include "verify/workload.h"
@@ -484,6 +486,23 @@ void RunWorkload(uint64_t seed) {
     RunPath(w.net, oracle, w.queries, PathOf("processor-60s", fine.queries()));
     serve::QueryEngine engine(fine.queries());
     RunPath(w.net, oracle, w.queries, PathOf("engine-60s", engine));
+  }
+
+  // --- the index an archive derives on open is the compress-time index,
+  // array for array, at 1800, 600 and 60 s partitions (60 s puts
+  // trajectories above level 0) ---
+  for (const int64_t partition_s : {int64_t{1800}, int64_t{600}, int64_t{60}}) {
+    SCOPED_TRACE("derived index, partition " + std::to_string(partition_s));
+    const core::StiuIndex built(grid, w.corpus, sys.compressed(),
+                                core::StiuParams{16, partition_s});
+    archive::ArchiveReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.OpenBytes(
+        archive::ArchiveWriter(sys.compressed(), &built).Serialize(), &error))
+        << error;
+    const auto derived = reader.LoadIndex(grid, &error);
+    ASSERT_NE(derived, nullptr) << error;
+    test::ExpectSameIndex(*derived, built);
   }
 
   for (const std::string& f : files) std::remove(f.c_str());

@@ -374,15 +374,16 @@ TEST(Sharded, CompressedBytesArePinned) {
     size_t size[4];
     uint32_t crc[4];
   };
-  // Recorded with the v4 StIU section (tag 10); every other section is
-  // byte-identical to the v3 images these digests replaced.
+  // Recorded with the v5 StIU section (tag 11, parameters only); every
+  // other section is byte-identical to the v4 images these digests
+  // replaced.
   const Golden goldens[] = {
       {1,
-       {17952, 15704, 27930, 23099},
-       {1241826682u, 3272225017u, 781930948u, 963125804u}},
+       {6373, 6260, 9890, 7790},
+       {3414987363u, 3278630838u, 2900658037u, 1255915390u}},
       {2,
-       {17914, 15720, 27897, 23096},
-       {385494901u, 2726916021u, 3117828092u, 2962020861u}},
+       {6358, 6265, 9881, 7784},
+       {3204047809u, 914919063u, 1381120950u, 1857557889u}},
   };
   for (const Golden& golden : goldens) {
     core::UtcqParams params;
@@ -537,6 +538,19 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
   rewrite(1, image(1, build.shards[1]->index.get()));
   rewrite(3, image(3, build.shards[3]->index.get()));
   EXPECT_TRUE(sharded.Open(fx.net, manifest, &error)) << error;
+
+  // A shard whose streams do not decode to its metas fails the index
+  // derivation, which names the shard and the trajectory.
+  archive::ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(image(2, build.shards[2]->index.get()), &error))
+      << error;
+  archive::ArchivePayload miscounted = reader.payload();
+  miscounted.metas[0].n_points += 1;
+  rewrite(2, archive::EncodeArchive(miscounted));
+  EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
+  EXPECT_EQ(error,
+            "shard set_open.utcq.shard-002: StIU derivation: trajectory 0 "
+            "decodes to a time count other than its n_points");
   ShardFixture::Cleanup(files);
 }
 

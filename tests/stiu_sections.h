@@ -1,14 +1,15 @@
 #ifndef UTCQ_TESTS_STIU_SECTIONS_H_
 #define UTCQ_TESTS_STIU_SECTIONS_H_
 
-// StIU section surgery and the partition-major layout oracle shared by the
-// suites that load crafted or older-writer StIU sections (stiu_test,
-// query_test, archive_test).
+// Older writers' StIU sections, the partition-major layout oracle and the
+// index equality check shared by the StIU suites (stiu_test, query_test,
+// archive_test, differential_test).
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,13 +19,6 @@
 #include "core/stiu_index.h"
 
 namespace utcq::test {
-
-/// Region-list order a re-emitted StIU section is written in.
-enum class ListOrder {
-  kAsIndexed,     // the index's own (partition-major) order
-  kIdAscending,   // the order writers used before lists went partition-major
-  kIdDescending,  // an order no writer emits
-};
 
 /// A ref tuple in the pre-v4 (tag 7) shape: the four fields the index
 /// keeps plus the five it no longer computes. Test-only: it lets a suite
@@ -50,12 +44,11 @@ struct LegacyNrefTuple {
   uint64_t ma_pos = 0;
 };
 
-/// Every list of a StIU section, read back from a loaded index through its
-/// public accessors. Tests mutate the lists and Write() them back out in the
-/// layout StiuIndex::Serialize emits (tag 10), or WriteLegacy() them in the
-/// layout v1-v3 writers emitted (tag 7), which is how crafted sections and
-/// older writers' sections are built. Tuples carry the legacy fields, which
-/// Of() leaves at their defaults and Write() drops.
+/// Every list of a StIU tuple section, read back from an index through its
+/// public accessors. Write() emits the lists in the shape v4 writers stored
+/// (tag 10) and WriteLegacy() in the shape v1-v3 writers stored (tag 7), so
+/// suites can build older writers' images, honest or hostile. Tuples carry
+/// the legacy fields, which Of() leaves at their defaults and Write() drops.
 struct StiuSection {
   uint32_t cells_per_side = 0;
   int64_t time_partition_s = 1;
@@ -91,32 +84,16 @@ struct StiuSection {
     return s;
   }
 
-  /// The tag-10 section bytes, every region list stable-sorted into `order`
-  /// (each trajectory's tuples keep their relative order).
-  std::vector<uint8_t> Write(ListOrder order = ListOrder::kAsIndexed) const {
-    return WriteShape(order, /*legacy=*/false);
-  }
+  /// The tag-10 section bytes.
+  std::vector<uint8_t> Write() const { return WriteShape(/*legacy=*/false); }
 
   /// The same lists as a tag-7 section, legacy fields included.
-  std::vector<uint8_t> WriteLegacy(
-      ListOrder order = ListOrder::kAsIndexed) const {
-    return WriteShape(order, /*legacy=*/true);
+  std::vector<uint8_t> WriteLegacy() const {
+    return WriteShape(/*legacy=*/true);
   }
 
  private:
-  std::vector<uint8_t> WriteShape(ListOrder order, bool legacy) const {
-    const auto ordered = [order](auto tuples) {
-      std::stable_sort(tuples.begin(), tuples.end(),
-                       [order](const auto& a, const auto& b) {
-                         switch (order) {
-                           case ListOrder::kIdAscending: return a.traj < b.traj;
-                           case ListOrder::kIdDescending: return a.traj > b.traj;
-                           case ListOrder::kAsIndexed: break;
-                         }
-                         return false;
-                       });
-      return tuples;
-    };
+  std::vector<uint8_t> WriteShape(bool legacy) const {
     common::ByteWriter out;
     out.PutVarint(cells_per_side);
     out.PutSignedVarint(time_partition_s);
@@ -137,8 +114,7 @@ struct StiuSection {
       out.PutVarint(trajs.size());
       for (const uint32_t j : trajs) out.PutVarint(j);
     }
-    for (const auto& list : refs) {
-      const auto tuples = ordered(list);
+    for (const auto& tuples : refs) {
       out.PutVarint(tuples.size());
       for (const auto& rt : tuples) {
         out.PutVarint(rt.traj);
@@ -154,8 +130,7 @@ struct StiuSection {
         out.PutU8(rt.ref_passes ? 1 : 0);
       }
     }
-    for (const auto& list : nrefs) {
-      const auto tuples = ordered(list);
+    for (const auto& tuples : nrefs) {
       out.PutVarint(tuples.size());
       for (const auto& nt : tuples) {
         out.PutVarint(nt.traj);
@@ -172,8 +147,8 @@ struct StiuSection {
 };
 
 /// First and last partition listing each trajectory, read back through
-/// TrajectoriesAt alone (first = num_partitions() when listed nowhere), so
-/// the checks below do not trust the index's own bookkeeping.
+/// TrajectoriesAt alone, so the checks below do not trust the index's own
+/// bookkeeping.
 inline std::vector<std::pair<size_t, size_t>> Membership(
     const core::StiuIndex& index) {
   const size_t n = index.num_trajectories();
@@ -181,7 +156,6 @@ inline std::vector<std::pair<size_t, size_t>> Membership(
   for (size_t p = 0; p < index.num_partitions(); ++p) {
     const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
     for (const uint32_t j : index.TrajectoriesAt(t)) {
-      if (j >= n) continue;
       span[j].first = std::min(span[j].first, p);
       span[j].second = p;
     }
@@ -235,16 +209,29 @@ inline void ExpectSameTuples(
   }
 }
 
-/// The layout against an oracle built from TrajectoriesAt and the stored
-/// region lists alone:
-/// - the stored lists are ordered by (first partition, trajectory id);
+/// Region `re`'s tuples of both kinds in id order (each trajectory's in the
+/// order it was appended), from the RefTuplesIn / NrefTuplesIn gathers.
+inline std::pair<std::vector<core::StiuIndex::RefTuple>,
+                 std::vector<core::StiuIndex::NrefTuple>>
+RegionLists(const core::StiuIndex& index, network::RegionId re) {
+  auto refs = index.RefTuplesIn(re);
+  auto nrefs = index.NrefTuplesIn(re);
+  const auto by_id = [](const auto& a, const auto& b) { return a.traj < b.traj; };
+  std::stable_sort(refs.begin(), refs.end(), by_id);
+  std::stable_sort(nrefs.begin(), nrefs.end(), by_id);
+  return {std::move(refs), std::move(nrefs)};
+}
+
+/// The layout against an oracle built from TrajectoriesAt and the region
+/// lists alone:
+/// - every trajectory is listed in at least one partition;
 /// - num_levels() is one past the deepest level any trajectory needs;
-/// - TuplesAt(level, t, first, last) is exactly the stored tuples of regions
+/// - TuplesAt(level, t, first, last) is exactly the tuples of regions
 ///   [first, last] whose trajectory the level's partition around t must
-///   carry, in region then stored order: per region, per grid row and over
-///   the whole grid, at every partition (every 37th past 48 partitions);
-/// - TuplesOf(re, j) is j's stored tuples of region re;
-/// - the layout holds at most kMaxCopies copies of the stored tuples.
+///   carry, by region then id: per region, per grid row and over the whole
+///   grid, at every partition (every 37th past 48 partitions);
+/// - TuplesOf(re, j) is j's tuples of region re;
+/// - the layout holds at most kMaxCopies copies of the region lists.
 inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
   const auto membership = Membership(index);
   const size_t n = index.num_trajectories();
@@ -256,23 +243,12 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
   size_t stored_refs = 0;
   size_t stored_nrefs = 0;
   for (network::RegionId re = 0; re < regions; ++re) {
-    refs[re] = index.RefTuplesIn(re);
-    nrefs[re] = index.NrefTuplesIn(re);
+    std::tie(refs[re], nrefs[re]) = RegionLists(index, re);
     stored_refs += refs[re].size();
     stored_nrefs += nrefs[re].size();
   }
-  const auto key = [&](uint32_t j) {
-    return std::pair(j < n ? membership[j].first : partitions, j);
-  };
-  for (network::RegionId re = 0; re < regions; ++re) {
-    for (size_t k = 1; k < refs[re].size(); ++k) {
-      ASSERT_LE(key(refs[re][k - 1].traj), key(refs[re][k].traj))
-          << "region " << re;
-    }
-    for (size_t k = 1; k < nrefs[re].size(); ++k) {
-      ASSERT_LE(key(nrefs[re][k - 1].traj), key(nrefs[re][k].traj))
-          << "region " << re;
-    }
+  for (size_t j = 0; j < n; ++j) {
+    ASSERT_LT(membership[j].first, partitions) << "trajectory " << j;
   }
   EXPECT_LE(index.ref_tuples().size(),
             core::StiuIndex::kMaxCopies * stored_refs);
@@ -281,7 +257,7 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
 
   size_t levels = 0;
   for (const auto& [first, last] : membership) {
-    if (first < partitions) levels = std::max(levels, LevelOf(first, last) + 1);
+    levels = std::max(levels, LevelOf(first, last) + 1);
   }
   ASSERT_EQ(index.num_levels(), levels);
 
@@ -297,10 +273,10 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
         std::vector<core::StiuIndex::NrefTuple> want_nrefs;
         for (network::RegionId re = first; re <= last; ++re) {
           for (const auto& rt : refs[re]) {
-            if (rt.traj < n && read[rt.traj]) want_refs.push_back(rt);
+            if (read[rt.traj]) want_refs.push_back(rt);
           }
           for (const auto& nt : nrefs[re]) {
-            if (nt.traj < n && read[nt.traj]) want_nrefs.push_back(nt);
+            if (read[nt.traj]) want_nrefs.push_back(nt);
           }
         }
         const auto got = index.TuplesAt(level, t, first, last);
@@ -318,7 +294,7 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
   }
 
   for (network::RegionId re = 0; re < regions; ++re) {
-    for (uint32_t j = 0; j < n + 2; ++j) {
+    for (uint32_t j = 0; j < n; ++j) {
       std::vector<core::StiuIndex::RefTuple> want_refs;
       std::vector<core::StiuIndex::NrefTuple> want_nrefs;
       for (const auto& rt : refs[re]) {
@@ -334,6 +310,27 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
       ExpectSameTuples(got.nrefs, want_nrefs);
     }
   }
+}
+
+/// Two indexes equal array for array (StiuIndex::operator==), with the
+/// first difference in the public views named when they do not.
+inline void ExpectSameIndex(const core::StiuIndex& got,
+                            const core::StiuIndex& want) {
+  ASSERT_EQ(got.num_trajectories(), want.num_trajectories());
+  EXPECT_EQ(got.time_partition_s(), want.time_partition_s());
+  ASSERT_EQ(got.num_partitions(), want.num_partitions());
+  for (size_t j = 0; j < want.num_trajectories(); ++j) {
+    ASSERT_EQ(got.TemporalOf(j), want.TemporalOf(j)) << "trajectory " << j;
+  }
+  for (size_t p = 0; p < want.num_partitions(); ++p) {
+    const auto t = static_cast<traj::Timestamp>(p) * want.time_partition_s();
+    ASSERT_EQ(got.TrajectoriesAt(t), want.TrajectoriesAt(t))
+        << "partition " << p;
+  }
+  ASSERT_EQ(got.num_levels(), want.num_levels());
+  ExpectSameTuples(got.ref_tuples(), want.ref_tuples());
+  ExpectSameTuples(got.nref_tuples(), want.nref_tuples());
+  EXPECT_TRUE(got == want) << "home slots or cells differ";
 }
 
 }  // namespace utcq::test

@@ -1,15 +1,13 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "archive/archive.h"
 #include "common/rng.h"
-#include "common/serial.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
@@ -176,22 +174,6 @@ TEST(StiuIndex, PaperExampleTuples) {
   EXPECT_TRUE(found);
 }
 
-/// Loads a section, which must parse to its last byte.
-std::unique_ptr<StiuIndex> Load(const network::GridIndex& grid,
-                                const std::vector<uint8_t>& bytes) {
-  common::ByteReader in(bytes);
-  auto index = std::make_unique<StiuIndex>(grid, in, /*legacy_shape=*/false);
-  EXPECT_TRUE(in.ok());
-  EXPECT_EQ(in.remaining(), 0u);
-  return index;
-}
-
-std::vector<uint8_t> Serialized(const StiuIndex& index) {
-  common::ByteWriter out;
-  index.Serialize(out);
-  return out.Release();
-}
-
 class StiuLayout : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(StiuLayout, BuiltLayoutMatchesTheMembershipOracle) {
@@ -233,161 +215,104 @@ TEST_P(StiuLayout, EveryTupleOfEveryActiveTrajectoryIsReadOnce) {
   }
 }
 
-TEST_P(StiuLayout, ReloadedAndCraftedSectionsMatchTheOracle) {
-  // The layout matches the oracle on the built index, its reload, an older
-  // writer's id-ordered section and crafted sections: a repeated id, ids
-  // past the index, a trajectory in no partition, a gapped partition list,
-  // one listed in every partition and everything in one partition. A
-  // reload writes the bytes it was derived from, up to list order.
+TEST_P(StiuLayout, DerivedOnOpenEqualsTheBuiltIndex) {
+  // The index an archive derives on open is the compress-time index, array
+  // for array, and matches the layout oracle.
   const StiuFixture fx(GetParam());
-  const StiuIndex& built = fx.sys->index();
-  const test::StiuSection honest = test::StiuSection::Of(built);
-  const auto n = static_cast<uint32_t>(built.num_trajectories());
-  const size_t partitions = built.num_partitions();
-  const std::vector<uint8_t> serialized = Serialized(built);
-  ASSERT_EQ(honest.Write(), serialized);
-
-  test::StiuSection crafted = honest;
-  for (auto& l : crafted.partitions) {
-    std::erase(l, 0u);
-    const auto once = l;
-    l.insert(l.end(), once.begin(), once.end());
-    l.push_back(n + 5);
-    std::sort(l.rbegin(), l.rend());
-  }
-  for (size_t re = 0; re < crafted.refs.size(); re += 3) {
-    if (crafted.refs[re].empty()) continue;
-    test::LegacyRefTuple phantom = crafted.refs[re].front();
-    phantom.traj = n + 1;
-    crafted.refs[re].push_back(phantom);
-  }
-  test::StiuSection gapped = honest;  // trajectory 1: first, then mid-day
-  for (auto& l : gapped.partitions) std::erase(l, 1u);
-  gapped.partitions.front().push_back(1);
-  gapped.partitions[partitions / 2].push_back(1);
-  test::StiuSection everywhere = honest;  // trajectory 2: every partition
-  for (auto& l : everywhere.partitions) {
-    if (std::find(l.begin(), l.end(), 2u) == l.end()) l.push_back(2);
-    std::sort(l.begin(), l.end());
-  }
-  test::StiuSection one_bucket = honest;
-  for (auto& l : one_bucket.partitions) l.clear();
-  for (uint32_t j = 0; j < n; ++j) one_bucket.partitions[0].push_back(j);
-
-  for (const auto& [name, bytes] :
-       {std::pair{"reloaded", serialized},
-        std::pair{"id-ordered", honest.Write(test::ListOrder::kIdAscending)},
-        std::pair{"crafted", crafted.Write(test::ListOrder::kIdDescending)},
-        std::pair{"gapped", gapped.Write()},
-        std::pair{"everywhere", everywhere.Write()},
-        std::pair{"one bucket", one_bucket.Write()}}) {
-    SCOPED_TRACE(name);
-    const auto index = Load(*fx.grid, bytes);
-    test::ExpectLayoutMatchesOracle(*index);
-    const auto again = Serialized(*index);
-    EXPECT_EQ(again.size(), bytes.size());
-    EXPECT_EQ(Serialized(*Load(*fx.grid, again)), again);
-    if (std::string(name) == "reloaded" || std::string(name) == "id-ordered") {
-      EXPECT_EQ(again, serialized);
-    }
-    if (std::string(name) == "crafted") {
-      // Trajectory 0 and the phantom owners are stored, never read.
-      size_t unread = 0;
-      for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-        for (const auto& rt : index->RefTuplesIn(re)) {
-          unread += rt.traj == 0 || rt.traj >= n;
-        }
-      }
-      EXPECT_GT(unread, 0u);
-    }
-  }
+  archive::ArchiveReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.OpenBytes(
+      archive::ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
+          .Serialize(),
+      &error))
+      << error;
+  const auto derived = reader.LoadIndex(*fx.grid, &error);
+  ASSERT_NE(derived, nullptr) << error;
+  test::ExpectSameIndex(*derived, fx.sys->index());
+  test::ExpectLayoutMatchesOracle(*derived);
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, StiuLayout,
                          ::testing::Values(int64_t{14400}, int64_t{900},
                                            int64_t{60}));
 
-TEST(StiuIndex, EveryPartitionSectionHoldsAtMostFourCopies) {
-  // A section listing every trajectory in every one of 1 440 partitions
-  // stores each at the coarsest level (two 1 024-partition-wide
-  // partitions): the layout holds at most kMaxCopies copies of the stored
-  // tuples, not one per partition.
-  const StiuFixture fx(60);
-  test::StiuSection every = test::StiuSection::Of(fx.sys->index());
-  const auto n = static_cast<uint32_t>(fx.sys->index().num_trajectories());
-  for (auto& l : every.partitions) {
-    l.clear();
-    for (uint32_t j = 0; j < n; ++j) l.push_back(j);
-  }
-  const auto index = Load(*fx.grid, every.Write());
-  size_t stored = 0;
-  for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-    stored += index->RefTuplesIn(re).size() + index->NrefTuplesIn(re).size();
-  }
-  ASSERT_GT(stored, 0u);
-  EXPECT_EQ(index->num_levels(), 6u);
-  EXPECT_LE(index->ref_tuples().size() + index->nref_tuples().size(),
-            StiuIndex::kMaxCopies * stored);
-  test::ExpectLayoutMatchesOracle(*index);
-}
-
-TEST(StiuIndex, FinePartitionsOverManyRegionsLoadInLinearTime) {
-  // Each partition and each region list costs a crafted section one byte,
-  // so a small section can name ~1e5 partitions over a 512x512 grid.
-  // Deriving the partition-major layout must cost O(bytes), not O(regions
-  // x partitions) (5e10 steps here), even when every tuple sits in a
-  // partition of its own.
-  const auto profile = traj::ChengduProfile();
-  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
-  const network::GridIndex grid(net, 512);
-  constexpr uint64_t kPartitions = 100000;
-  constexpr uint32_t kTrajs = kPartitions / 5;  // j listed in partition 5j
-  const auto region_of = [&](uint32_t j) {
-    return static_cast<network::RegionId>((uint64_t{j} * 7919) %
-                                          grid.num_regions());
-  };
-  std::vector<std::vector<uint32_t>> nref_owners(grid.num_regions());
-  for (uint32_t j = 0; j < kTrajs; ++j) nref_owners[region_of(j)].push_back(j);
-  common::ByteWriter out;
-  out.PutVarint(512);  // cells_per_side
-  out.PutSignedVarint(1);  // time_partition_s
-  out.PutVarint(kTrajs);
-  out.PutVarint(kPartitions);
-  out.PutVarint(grid.num_regions());
-  for (uint32_t j = 0; j < kTrajs; ++j) out.PutVarint(0);  // no temporal
-  for (uint64_t p = 0; p < kPartitions; ++p) {
-    out.PutVarint(p % 5 == 0 ? 1 : 0);
-    if (p % 5 == 0) out.PutVarint(p / 5);
-  }
-  for (size_t re = 0; re < grid.num_regions(); ++re) out.PutVarint(0);
-  for (const auto& owners : nref_owners) {
-    out.PutVarint(owners.size());
-    for (const uint32_t j : owners) {
-      out.PutVarint(j);  // traj
-      out.PutVarint(0);  // nref_idx
+/// `corpus` with every trajectory's samples spread evenly over [start,
+/// end]: the same paths, listed in every partition the span covers.
+traj::UncertainCorpus Stretched(traj::UncertainCorpus corpus,
+                                traj::Timestamp start, traj::Timestamp end) {
+  for (traj::UncertainTrajectory& tu : corpus) {
+    const auto n = static_cast<traj::Timestamp>(tu.times.size());
+    for (traj::Timestamp i = 0; i < n; ++i) {
+      tu.times[i] = start + (end - start) * i / std::max<traj::Timestamp>(n - 1, 1);
     }
   }
+  return corpus;
+}
+
+TEST(StiuIndex, DayLongTrajectoriesHoldAtMostFourCopies) {
+  // Trajectories listed in every one of 1 440 partitions sit at the
+  // coarsest level (two 1 024-partition-wide partitions): the layout holds
+  // at most kMaxCopies copies of the region lists, not one per partition.
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  const auto corpus = Stretched(test::MakeSmallCorpus(net, profile, 606, 30),
+                                0, traj::kSecondsPerDay - 1);
+  const network::GridIndex grid(net, 16);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  const UtcqSystem sys(net, grid, corpus, params, StiuParams{16, 60});
+  const StiuIndex& index = sys.index();
+  ASSERT_EQ(index.num_partitions(), 1440u);
+  size_t stored = 0;
+  for (network::RegionId re = 0; re < grid.num_regions(); ++re) {
+    stored += index.RefTuplesIn(re).size() + index.NrefTuplesIn(re).size();
+  }
+  ASSERT_GT(stored, 0u);
+  EXPECT_EQ(index.num_levels(), 6u);
+  EXPECT_LE(index.ref_tuples().size() + index.nref_tuples().size(),
+            StiuIndex::kMaxCopies * stored);
+  test::ExpectLayoutMatchesOracle(index);
+}
+
+TEST(StiuIndex, FinePartitionsOverManyRegionsBuildInLinearTime) {
+  // One-second partitions (86 400 of them) over a 512x512 grid: building
+  // the partition-major layout must cost O(tuples + partitions), not
+  // O(regions x partitions) (2e10 steps here).
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  const auto corpus = test::MakeSmallCorpus(net, profile, 606, 40);
+  const network::GridIndex grid(net, 512);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  const CompressedCorpus cc = UtcqCompressor(net, params).Compress(corpus);
+  // One partition for the whole day stores each tuple once.
+  const StiuIndex whole_day(grid, corpus, cc, StiuParams{512, 86400});
+  const size_t stored =
+      whole_day.ref_tuples().size() + whole_day.nref_tuples().size();
+  ASSERT_GT(stored, 0u);
 
   const auto start = std::chrono::steady_clock::now();
-  common::ByteReader in(out.bytes());
-  const StiuIndex index(grid, in, /*legacy_shape=*/false);
+  const StiuIndex index(grid, corpus, cc, StiuParams{512, 1});
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(in.ok());
-  EXPECT_EQ(in.remaining(), 0u);
-  EXPECT_EQ(index.num_partitions(), kPartitions);
-  EXPECT_EQ(index.num_levels(), 1u);
-  const network::RegionId re = region_of(10000);
-  EXPECT_TRUE(index.TuplesAt(0, 50000, 0, 0).refs.empty());
-  const auto live = index.TuplesAt(0, 50000, re, re).nrefs;
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live.front().traj, 10000u);
-  EXPECT_TRUE(index.TuplesAt(0, 50001, re, re).nrefs.empty());
-  EXPECT_EQ(index.TuplesAt(0, 50000, 0, grid.num_regions() - 1).nrefs.size(),
-            1u);
-  // One copy and one cell per tuple, one offset per partition: the layout
-  // is a small multiple of the section, not regions x partitions.
-  EXPECT_EQ(index.nref_tuples().size(), kTrajs);
-  EXPECT_LE(index.spatial_size_bytes(), 4 * out.bytes().size());
+  EXPECT_EQ(index.num_partitions(), 86400u);
+  EXPECT_GT(index.num_levels(), 1u);
+  EXPECT_LE(index.ref_tuples().size() + index.nref_tuples().size(),
+            StiuIndex::kMaxCopies * stored);
+  // Over every level, the rows at a trajectory's first sample hold each of
+  // its tuples exactly once.
+  const auto& tu = corpus[7];
+  size_t read = 0;
+  for (size_t level = 0; level < index.num_levels(); ++level) {
+    const auto run =
+        index.TuplesAt(level, tu.times.front(), 0, grid.num_regions() - 1);
+    for (const auto& rt : run.refs) read += rt.traj == 7;
+    for (const auto& nt : run.nrefs) read += nt.traj == 7;
+  }
+  size_t own = 0;
+  for (const auto& rt : whole_day.ref_tuples()) own += rt.traj == 7;
+  for (const auto& nt : whole_day.nref_tuples()) own += nt.traj == 7;
+  EXPECT_GT(own, 0u);
+  EXPECT_EQ(read, own);
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
