@@ -235,9 +235,9 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     for (const auto& rt : refs) {
       bool merged = false;
       for (auto& g : groups) {
-        if (g.ref_idx == rt.ref_idx) {
+        if (g.ref_idx() == rt.ref_idx()) {
           g.p_max = std::max(g.p_max, rt.p_max);
-          g.ref_passes = g.ref_passes || rt.ref_passes;
+          g.ref |= rt.ref;  // same ref_idx: ORs in ref_passes
           merged = true;
           break;
         }
@@ -270,7 +270,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     const bool need_nrefs = rt->p_max >= alpha;
     if (!need_nrefs && stats != nullptr) ++stats->pruned_lemma1;
     const bool need_ref_eval =
-        rt->ref_passes && meta.refs[rt->ref_idx].p_quantized >= alpha;
+        rt->ref_passes() && meta.refs[rt->ref_idx()].p_quantized >= alpha;
     if (!need_nrefs && !need_ref_eval) continue;  // Lemma 1 full skip
 
     // The reference's decoded form is only needed on the inline path (its
@@ -279,7 +279,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     if (dt == nullptr) {
       ref.emplace();
       const uint64_t bits =
-          decoder_.DecodeReferenceInto(traj_idx, rt->ref_idx, &*ref);
+          decoder_.DecodeReferenceInto(traj_idx, rt->ref_idx(), &*ref);
       if (stats != nullptr) {
         ++stats->instances_decoded;
         stats->stream_bits_read += bits;
@@ -292,13 +292,13 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     if (need_ref_eval) {
       std::optional<TrajectoryInstance> inst_storage;
       const TrajectoryInstance* inst =
-          traj::SlotOrDecode(dt, &traj::DecodedTraj::ref_insts, rt->ref_idx,
+          traj::SlotOrDecode(dt, &traj::DecodedTraj::ref_insts, rt->ref_idx(),
                              inst_storage,
                              [&] { return decoder_.ToInstance(*ref); });
       if (inst != nullptr) {
         for (const Timestamp t : traj::TimesAtPosition(
                  net_, *inst, ensure_times(), edge, rd, tol)) {
-          hits.push_back({meta.refs[rt->ref_idx].orig_index,
+          hits.push_back({meta.refs[rt->ref_idx()].orig_index,
                           inst->probability, t});
         }
       }
@@ -307,7 +307,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     // Only the Rrs members that pass these regions (their tuples name them).
     for (const uint32_t nref_idx : nref_candidates) {
       const NrefMeta& nm = meta.nrefs[nref_idx];
-      if (nm.ref_pos != rt->ref_idx || nm.p_quantized < alpha) continue;
+      if (nm.ref_pos != rt->ref_idx() || nm.p_quantized < alpha) continue;
       std::optional<TrajectoryInstance> inst_storage;
       const TrajectoryInstance* inst = traj::SlotOrDecode(
           dt, &traj::DecodedTraj::nref_insts, nref_idx, inst_storage, [&] {
@@ -373,8 +373,10 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
 
   // Candidate instances from the spatial tuples over retotal (a superset
   // of RE — Lemma 4's region). Per level, only tq's partition is read: one
-  // contiguous run per grid row of retotal (consecutive region ids).
-  // is_active still decides membership. An active trajectory's first tuple
+  // contiguous run per grid row of retotal (consecutive region ids). A
+  // tuple whose window misses tq names an instance that cannot be in its
+  // region at tq, so it is skipped first; is_active then decides
+  // membership. An active trajectory's first tuple
   // allocates its seen flags — one per non-reference, then one per
   // reference — and only then is its meta read, so the flags dedupe
   // instances seen from several regions.
@@ -396,6 +398,8 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
     }
     return s;
   };
+  uint64_t tuples_scanned = 0;
+  uint64_t window_rejected = 0;
   for (size_t row = 0; row < retotal.size();) {
     size_t row_end = row + 1;
     while (row_end < retotal.size() &&
@@ -405,17 +409,30 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
     for (size_t level = 0; level < index_.num_levels(); ++level) {
       const auto [refs, nrefs] = index_.TuplesAt(level, tq, retotal[row],
                                                  retotal[row_end - 1]);
-      if (stats != nullptr) stats->tuples_scanned += refs.size() + nrefs.size();
+      tuples_scanned += refs.size() + nrefs.size();
       for (const auto& rt : refs) {
-        if (!rt.ref_passes || !is_active(rt.traj)) continue;
-        seen[flags_of(rt.traj).refs + rt.ref_idx] = 1;
+        if (!rt.ref_passes()) continue;
+        if (!rt.window.Holds(tq)) {
+          ++window_rejected;
+          continue;
+        }
+        if (!is_active(rt.traj)) continue;
+        seen[flags_of(rt.traj).refs + rt.ref_idx()] = 1;
       }
       for (const auto& nt : nrefs) {
+        if (!nt.window.Holds(tq)) {
+          ++window_rejected;
+          continue;
+        }
         if (!is_active(nt.traj)) continue;
         seen[flags_of(nt.traj).nrefs + nt.nref_idx] = 1;
       }
     }
     row = row_end;
+  }
+  if (stats != nullptr) {
+    stats->tuples_scanned += tuples_scanned;
+    stats->window_rejected += window_rejected;
   }
 
   // Members as packed keys (traj | is_ref | idx), trajectory by trajectory

@@ -31,6 +31,9 @@ struct QueryStats {
   /// inactive trajectories' included; for When, the trajectory's runs.
   /// Whether the index prunes at all, against the full region-list total.
   uint64_t tuples_scanned = 0;
+  /// Range: tuples of those read (ref tuples whose reference passes, and
+  /// nref tuples) skipped because their time window misses tq.
+  uint64_t window_rejected = 0;
 };
 
 /// Lemma 2 classification of a travelled subpath against a query region.

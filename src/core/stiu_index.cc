@@ -23,6 +23,42 @@ template <typename T>
 constexpr bool kIsRef =
     std::is_same_v<std::remove_cvref_t<T>, StiuIndex::RefTuple>;
 
+using TimeWindow = StiuIndex::TimeWindow;
+
+/// The window of each edge of `inst`'s path. Bracket b (locations b and
+/// b+1, or location 0 alone) places the instance on edges path_index[b] - 1
+/// .. path_index[b+1] between t_b and t_(b+1): the -1 because
+/// PositionAtPathOffset puts a point at a shared vertex on the earlier edge.
+/// An edge's window is the hull of the brackets whose span holds it, and an
+/// edge no span holds gets Empty(). Times outside the day or running
+/// backwards (`in_day` false), a location count other than the time count,
+/// and a path_index that decreases or leaves the path make every window
+/// unbounded.
+void EdgeWindows(const std::vector<traj::Timestamp>& times, bool in_day,
+                 const traj::TrajectoryInstance& inst,
+                 std::vector<TimeWindow>* out) {
+  const auto& locs = inst.locations;
+  bool ordered = in_day && locs.size() == times.size();
+  for (size_t i = 0; ordered && i < locs.size(); ++i) {
+    ordered = locs[i].path_index < inst.path.size() &&
+              (i == 0 || locs[i - 1].path_index <= locs[i].path_index);
+  }
+  if (!ordered) {
+    out->assign(inst.path.size(), TimeWindow{});
+    return;
+  }
+  out->assign(inst.path.size(), TimeWindow::Empty());
+  const size_t n = times.size();
+  for (size_t b = 0; b < std::max<size_t>(n, 2) - 1; ++b) {
+    const size_t e = std::min(b + 1, n - 1);
+    const TimeWindow window = TimeWindow::Of(times[b], times[e]);
+    const uint32_t first = locs[b].path_index - (locs[b].path_index > 0);
+    for (uint32_t k = first; k <= locs[e].path_index; ++k) {
+      (*out)[k] = (*out)[k].Hull(window);
+    }
+  }
+}
+
 }  // namespace
 
 StiuIndex::StiuIndex(const network::GridIndex& grid, StiuParams params)
@@ -86,7 +122,8 @@ void StiuIndex::Append(const traj::UncertainTrajectory& tu,
 
   // ---- spatial tuples ----
   // One NrefTuple per (region, non-reference) visit; one RefTuple per
-  // (region, reference group) that any member visits.
+  // (region, reference group) that any member visits. Each tuple's window
+  // is the hull of its instance's edge windows in the region.
   constexpr uint32_t kNone = UINT32_MAX;
   Scratch& sc = scratch_;
   sc.slot_of.resize(grid_.num_regions(), kNone);
@@ -94,11 +131,16 @@ void StiuIndex::Append(const traj::UncertainTrajectory& tu,
   sc.last_visitor.clear();
   sc.agg.clear();
   const size_t num_refs = meta.refs.size();
+  const bool in_day = std::ranges::is_sorted(tu.times) &&
+                      tu.times.front() >= 0 &&
+                      tu.times.back() < traj::kSecondsPerDay;
   for (uint32_t w = 0; w < tu.instances.size(); ++w) {
     const auto [is_ref, idx] = meta.roles[w];
     const uint32_t ref_pos = is_ref ? idx : meta.nrefs[idx].ref_pos;
-    for (const network::EdgeId e : tu.instances[w].path) {
-      for (const network::RegionId re : grid_.RegionsOfEdge(e)) {
+    const traj::TrajectoryInstance& inst = tu.instances[w];
+    EdgeWindows(tu.times, in_day, inst, &sc.edge_window);
+    for (size_t k = 0; k < inst.path.size(); ++k) {
+      for (const network::RegionId re : grid_.RegionsOfEdge(inst.path[k])) {
         if (sc.slot_of[re] == kNone) {
           sc.slot_of[re] = static_cast<uint32_t>(sc.visited.size());
           sc.visited.push_back(re);
@@ -106,16 +148,22 @@ void StiuIndex::Append(const traj::UncertainTrajectory& tu,
           sc.agg.resize(sc.agg.size() + num_refs);
         }
         const uint32_t slot = sc.slot_of[re];
-        if (sc.last_visitor[slot] == w) continue;
-        sc.last_visitor[slot] = w;
         Scratch::GroupAgg& a = sc.agg[slot * num_refs + ref_pos];
-        a.present = true;
-        if (is_ref) {
-          a.ref_passes = true;
-        } else {
-          a.p_max = std::max(a.p_max, meta.nrefs[idx].p_quantized);
-          region_nrefs_[re].push_back({j, idx});
+        if (sc.last_visitor[slot] != w) {
+          sc.last_visitor[slot] = w;
+          a.present = true;
+          if (is_ref) {
+            a.ref_passes = true;
+          } else {
+            a.p_max = std::max(a.p_max, meta.nrefs[idx].p_quantized);
+            region_nrefs_[re].push_back({j, idx, TimeWindow::Empty()});
+          }
         }
+        // w is the slot's last visitor, so a non-reference's tuple is the
+        // region list's last.
+        TimeWindow& window =
+            is_ref ? a.window : region_nrefs_[re].back().window;
+        window = window.Hull(sc.edge_window[k]);
       }
     }
   }
@@ -124,7 +172,8 @@ void StiuIndex::Append(const traj::UncertainTrajectory& tu,
       const Scratch::GroupAgg& a = sc.agg[slot * num_refs + ref];
       if (a.present) {
         region_refs_[sc.visited[slot]].push_back(
-            {j, ref, a.p_max, a.ref_passes});
+            {j, ref | (a.ref_passes ? RefTuple::kRefPasses : 0), a.p_max,
+             a.window});
       }
     }
     sc.slot_of[sc.visited[slot]] = kNone;
@@ -172,15 +221,29 @@ void StiuIndex::Finish() {
                                      (first_partition[j] >> shift) + 1);
   }
 
-  // Each tuple goes to every slot its trajectory spans. Regions are walked
-  // in ascending order and each region list is in id order, so each slot's
-  // cells come out by region, then id. The counting pass sizes every array
-  // exactly; the filling pass writes them.
+  // Each tuple goes to its trajectory's home slot, and to each further slot
+  // it spans whose time span its window meets (a level's last slot runs on
+  // past the day, as DayPartition clamps). Regions are walked in ascending
+  // order and each region list is in id order, so each slot's cells come
+  // out by region, then id. The counting pass sizes every array exactly;
+  // the filling pass writes them.
+  const int64_t partition_s = params_.time_partition_s;
+  const auto keeps = [&](uint32_t s, uint32_t j, TimeWindow window) {
+    if (s == home_slot_[j]) return true;
+    const uint32_t shift = kLevelShift * level[j];
+    const int64_t q = s - level_first_[level[j]];
+    const bool last = s + 1 == level_first_[level[j] + 1];
+    const int64_t to =
+        last ? INT64_MAX : ((q + 1) << shift) * partition_s - 1;
+    return window.Meets((q << shift) * partition_s, to);
+  };
   const auto for_each_copy = [&](const auto& visit) {
     for (network::RegionId re = 0; re < region_refs_.size(); ++re) {
       const auto copy = [&](const auto& t) {
         const uint32_t home = home_slot_[t.traj];
-        for (uint32_t s = home; s < home + copies[t.traj]; ++s) visit(s, re, t);
+        for (uint32_t s = home; s < home + copies[t.traj]; ++s) {
+          if (keeps(s, t.traj, t.window)) visit(s, re, t);
+        }
       };
       for (const RefTuple& rt : region_refs_[re]) copy(rt);
       for (const NrefTuple& nt : region_nrefs_[re]) copy(nt);

@@ -1,6 +1,7 @@
 #ifndef UTCQ_CORE_STIU_INDEX_H_
 #define UTCQ_CORE_STIU_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -30,13 +31,15 @@ struct StiuParams {
 /// (DESIGN.md §6), so the index is derived from the streams it indexes.
 ///
 /// Layout (DESIGN.md §7): partition-major. Each trajectory's ref and nref
-/// tuples are copied into every time partition its partition list spans and
+/// tuples are copied into the time partitions its partition list spans and
 /// grouped by (partition, region), so the tuples of one partition over a run
 /// of consecutive regions are one contiguous slice, in trajectory-id order
 /// within a region. A trajectory spanning more than kMaxCopies partitions is
 /// stored at the first coarser level, whose partitions are kMaxCopies^level
-/// partitions wide, where it spans at most kMaxCopies: the layout holds at
-/// most kMaxCopies times the tuples of the region lists.
+/// partitions wide, where it spans at most kMaxCopies. A tuple is kept in
+/// its trajectory's first (home) partition and in each further one its time
+/// window meets: the layout holds at most kMaxCopies times the tuples of
+/// the region lists.
 class StiuIndex {
  public:
   /// (t.start, t.no, t.pos) of Section 5.2's temporal part.
@@ -47,21 +50,55 @@ class StiuIndex {
     bool operator==(const TemporalTuple&) const = default;
   };
 
+  /// Closed window of day time holding every instant at which a tuple's
+  /// instance can be inside the tuple's region (DESIGN.md §7), in 2 s
+  /// units: the low end floored, the high end ceiled. lo 0 is unbounded
+  /// below and hi kOpen unbounded above; the default is unbounded, and
+  /// Empty() holds no instant.
+  struct TimeWindow {
+    static constexpr uint16_t kOpen = UINT16_MAX;
+    uint16_t lo = 0;
+    uint16_t hi = kOpen;
+
+    static constexpr TimeWindow Empty() { return {kOpen, 0}; }
+    /// The window of [from, to], 0 <= from <= to < kSecondsPerDay.
+    static constexpr TimeWindow Of(traj::Timestamp from, traj::Timestamp to) {
+      return {static_cast<uint16_t>(from / 2),
+              static_cast<uint16_t>((to + 1) / 2)};
+    }
+    /// The smallest window holding both.
+    TimeWindow Hull(TimeWindow o) const {
+      return {std::min(lo, o.lo), std::max(hi, o.hi)};
+    }
+    /// Whether the window holds an instant of [from, to].
+    bool Meets(traj::Timestamp from, traj::Timestamp to) const {
+      return (lo == 0 || to >= 2 * traj::Timestamp{lo}) &&
+             (hi == kOpen || from <= 2 * traj::Timestamp{hi});
+    }
+    bool Holds(traj::Timestamp t) const { return Meets(t, t); }
+    bool operator==(const TimeWindow&) const = default;
+  };
+
   /// Tuple of a reference group w.r.t. a region (first form: the reference
-  /// passes the region; second form, ref_passes = false: only members of
-  /// its Rrs do — the paper's fv.id = infinity case). 16 bytes.
+  /// passes the region; second form, ref_passes() false: only members of
+  /// its Rrs do — the paper's fv.id = infinity case). `window` is the
+  /// reference's own, Empty() in the second form. 16 bytes.
   struct RefTuple {
+    static constexpr uint32_t kRefPasses = 1u << 31;
     uint32_t traj = 0;
-    uint32_t ref_idx = 0;
+    uint32_t ref = 0;    // ref_idx, with kRefPasses set when it passes
     float p_max = 0.0f;  // max non-reference probability in the region
-    bool ref_passes = false;
+    TimeWindow window = TimeWindow::Empty();
+    uint32_t ref_idx() const { return ref & ~kRefPasses; }
+    bool ref_passes() const { return (ref & kRefPasses) != 0; }
     bool operator==(const RefTuple&) const = default;
   };
 
-  /// Tuple of a non-reference w.r.t. a region. 8 bytes.
+  /// Tuple of a non-reference w.r.t. a region. 12 bytes.
   struct NrefTuple {
     uint32_t traj = 0;
     uint32_t nref_idx = 0;
+    TimeWindow window;
     bool operator==(const NrefTuple&) const = default;
   };
 
@@ -80,7 +117,8 @@ class StiuIndex {
 
   /// Adds trajectory num_trajectories() of `cc`, whose times and instances
   /// (at their original positions) are `tu`. Each (region, trajectory) run
-  /// of ref tuples is ascending in ref_idx.
+  /// of ref tuples is ascending in ref_idx. Windows come from the times and
+  /// each location's path_index.
   void Append(const traj::UncertainTrajectory& tu, const CorpusView& cc);
   /// Derives the partition-major layout from the appended region lists and
   /// frees them: levels and home slots from the partition lists, then one
@@ -129,9 +167,10 @@ class StiuIndex {
 
   /// The tuples of regions [first, last] in the level-`level` partition
   /// containing `t`: one contiguous slice per kind, by region, then by
-  /// trajectory id. Over every level it holds each tuple of each trajectory
-  /// in TrajectoriesAt(t) exactly once, and may hold tuples of inactive
-  /// trajectories.
+  /// trajectory id. Over every level it holds, each at most once, every
+  /// tuple of each trajectory in TrajectoriesAt(t) whose window may hold t,
+  /// plus the copies in their trajectory's home partition; it may hold
+  /// tuples of inactive trajectories.
   TupleRun TuplesAt(size_t level, traj::Timestamp t, network::RegionId first,
                     network::RegionId last) const;
 
@@ -188,13 +227,16 @@ class StiuIndex {
   // layout, and Append's reused per-trajectory scratch: the regions the
   // trajectory visits in first-visit order (a visit is a slot), each
   // region's slot, the last instance that visited each slot, and one
-  // aggregate per (slot, ref).
+  // aggregate per (slot, ref), and the window of each edge of the
+  // instance being walked.
   struct Scratch {
     struct GroupAgg {
       float p_max = 0.0f;  // over non-references only
+      TimeWindow window = TimeWindow::Empty();  // the reference's own
       bool ref_passes = false;
       bool present = false;
     };
+    std::vector<TimeWindow> edge_window;  // [path index]
     std::vector<network::RegionId> visited;
     std::vector<uint32_t> slot_of;  // [region]
     std::vector<uint32_t> last_visitor;

@@ -44,7 +44,7 @@ namespace utcq::net {
 struct ServerOptions {
   /// 0 binds an ephemeral port; read the real one from port() after
   /// Start(). Listens on 127.0.0.1 only — this tier has no auth story yet
-  /// (ROADMAP item 1 follow-on).
+  /// (ROADMAP "Parked", item 7).
   uint16_t port = 0;
   int listen_backlog = 64;
   /// Connections beyond this are answered with kOverloaded and closed.

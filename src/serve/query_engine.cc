@@ -104,6 +104,8 @@ QueryEngine::QueryEngine(const TierSource* tier,
   latency_range_ = &reg.GetHistogram("serve.engine.latency_ns.range");
   range_tuples_scanned_ =
       &reg.GetHistogram("serve.engine.range_tuples_scanned");
+  range_window_rejected_ =
+      &reg.GetHistogram("serve.engine.range_window_rejected");
   range_candidates_ = &reg.GetHistogram("serve.engine.range_candidates");
   decode_bytes_ = &reg.GetHistogram("serve.engine.decode_bytes");
   batch_size_ = &reg.GetHistogram("serve.engine.batch_size");
@@ -340,6 +342,7 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
   }
   if (!cached) RecordPartial(qs, agg);
   range_tuples_scanned_->Record(qs.tuples_scanned);
+  range_window_rejected_->Record(qs.window_rejected);
   range_candidates_->Record(qs.candidates);
   return out;
 }

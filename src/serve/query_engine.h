@@ -260,9 +260,11 @@ class QueryEngine {
   obs::Histogram* latency_where_ = nullptr;
   obs::Histogram* latency_when_ = nullptr;
   obs::Histogram* latency_range_ = nullptr;
-  /// Per Range: StIU tuples candidate generation read, and candidate
-  /// trajectories (QueryStats::tuples_scanned / candidates).
+  /// Per Range: StIU tuples candidate generation read, those of them whose
+  /// time window missed tq, and candidate trajectories
+  /// (QueryStats::tuples_scanned / window_rejected / candidates).
   obs::Histogram* range_tuples_scanned_ = nullptr;
+  obs::Histogram* range_window_rejected_ = nullptr;
   obs::Histogram* range_candidates_ = nullptr;
   obs::Histogram* decode_bytes_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;

@@ -31,6 +31,7 @@ void Accumulate(core::QueryStats* into, const core::QueryStats& from) {
   into->stream_bits_read += from.stream_bits_read;
   into->sync_seeks += from.sync_seeks;
   into->tuples_scanned += from.tuples_scanned;
+  into->window_rejected += from.window_rejected;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -325,28 +326,95 @@ TEST(QueryStatsAccounting, LemmasActuallyFire) {
 
 /// What the brute-force reference reads of an index: its region lists and
 /// each trajectory's first and last partition, read back through
-/// RefTuplesIn, NrefTuplesIn and TrajectoriesAt.
+/// RefTuplesIn, NrefTuplesIn and TrajectoriesAt. Tuple windows are not read
+/// from the index but restated from the raw corpus: per (trajectory,
+/// instance, region), the hull of [t_b, t_(b+1)] over the brackets b
+/// (location 0 alone for a single location) whose edges path_index[b] - 1
+/// .. path_index[b+1] include one of the region's, unbounded when times
+/// leave the day or run backwards, the location count is not the time
+/// count, or a path_index decreases or leaves the path.
 struct StoredIndex {
-  explicit StoredIndex(const StiuIndex& index)
+  StoredIndex(const StiuIndex& index, const traj::UncertainCorpus& corpus)
       : membership(test::Membership(index)) {
     for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
       refs.push_back(index.RefTuplesIn(re));
       nrefs.push_back(index.NrefTuplesIn(re));
     }
+    for (uint32_t j = 0; j < corpus.size(); ++j) {
+      const auto& times = corpus[j].times;
+      const size_t n = times.size();
+      for (uint32_t w = 0; w < corpus[j].instances.size(); ++w) {
+        const auto& inst = corpus[j].instances[w];
+        const auto& locs = inst.locations;
+        bool bounded = times.front() >= 0 &&
+                       times.back() < traj::kSecondsPerDay &&
+                       locs.size() == n;
+        for (size_t i = 0; bounded && i < n; ++i) {
+          bounded = locs[i].path_index < inst.path.size() &&
+                    (i == 0 || (times[i - 1] <= times[i] &&
+                                locs[i - 1].path_index <= locs[i].path_index));
+        }
+        std::map<network::RegionId, std::pair<traj::Timestamp, traj::Timestamp>>
+            hull;
+        for (size_t k = 0; k < inst.path.size(); ++k) {
+          for (const auto re : index.grid().RegionsOfEdge(inst.path[k])) {
+            auto& [lo, hi] = hull.try_emplace(re, INT64_MAX, INT64_MIN)
+                                 .first->second;
+            if (!bounded) {
+              lo = INT64_MIN;
+              hi = INT64_MAX;
+              continue;
+            }
+            for (size_t b = 0; b == 0 || b + 1 < n; ++b) {
+              const size_t e = n == 1 ? 0 : b + 1;
+              if (k + 1 < locs[b].path_index || k > locs[e].path_index) {
+                continue;
+              }
+              lo = std::min(lo, times[b]);
+              hi = std::max(hi, times[e]);
+            }
+          }
+        }
+        for (const auto& [re, span] : hull) {
+          StiuIndex::TimeWindow& window = windows[{j, w, re}];
+          if (span.first == INT64_MIN) {
+            window = {0, 0xFFFF};
+          } else if (span.first > span.second) {
+            window = {0xFFFF, 0};
+          } else {
+            window = {static_cast<uint16_t>(span.first / 2),
+                      static_cast<uint16_t>((span.second + 1) / 2)};
+          }
+        }
+      }
+    }
+  }
+  /// Window of instance `w` (original position) of trajectory `j` in
+  /// region `re`; empty when the instance does not pass it.
+  StiuIndex::TimeWindow WindowOf(uint32_t j, uint32_t w,
+                                 network::RegionId re) const {
+    const auto it = windows.find({j, w, re});
+    return it != windows.end() ? it->second : StiuIndex::TimeWindow{0xFFFF, 0};
   }
   std::vector<std::pair<size_t, size_t>> membership;
   std::vector<std::vector<StiuIndex::RefTuple>> refs;
   std::vector<std::vector<StiuIndex::NrefTuple>> nrefs;
+  std::map<std::tuple<uint32_t, uint32_t, network::RegionId>,
+           StiuIndex::TimeWindow>
+      windows;
 };
 
 /// Brute-force Range: candidates from the whole region lists, a sorted and
-/// deduplicated copy of TrajectoriesAt(tq) and sort + unique over packed
-/// member keys, then the Lemma 2-4 walk exactly as the processor runs it
-/// (members in key order, chunks of 8, inline decodes), so every QueryStats
-/// field is comparable. tuples_scanned counts the tuples the layout must
-/// hold in tq's partition at their trajectory's level: a trajectory listed
-/// from partition f to l sits at the finest level where [f, l] falls into
-/// at most four of the level's partitions, in each of those.
+/// deduplicated copy of TrajectoriesAt(tq), the raw-corpus windows and
+/// sort + unique over packed member keys, then the Lemma 2-4 walk exactly
+/// as the processor runs it (members in key order, chunks of 8, inline
+/// decodes), so every QueryStats field is comparable. tuples_scanned counts
+/// the tuples the layout must hold in tq's partition (test::Carries): a
+/// trajectory listed from partition f to l sits at the finest level where
+/// [f, l] falls into at most four of the level's partitions, and a tuple
+/// is in the one holding f and in each other whose time span its window
+/// meets. window_rejected counts those of them Range reads whose window
+/// misses tq.
 traj::RangeResult ReferenceRange(const network::RoadNetwork& net,
                                  const StiuIndex& index,
                                  const StoredIndex& stored,
@@ -363,26 +431,40 @@ traj::RangeResult ReferenceRange(const network::RoadNetwork& net,
   };
   const size_t p = traj::DayPartition(tq, index.time_partition_s(),
                                       index.num_partitions());
-  const auto read = [&](uint32_t j) {
+  const auto scanned = [&](uint32_t j, StiuIndex::TimeWindow window) {
     const auto [first, last] = stored.membership[j];
-    const size_t shift = 2 * test::LevelOf(first, last);
-    return (first >> shift) <= (p >> shift) && (p >> shift) <= (last >> shift);
+    return test::Carries(stored.membership[j], index.num_partitions(),
+                         index.time_partition_s(), test::LevelOf(first, last),
+                         p, window);
   };
-
+  // A tuple Range reads: counted, and a member if its window holds tq and
+  // its trajectory is active.
   std::vector<uint64_t> members;
+  const auto read = [&](uint32_t j, StiuIndex::TimeWindow window,
+                        uint64_t key) {
+    const bool in_row = scanned(j, window);
+    if (!test::WindowMeets(window, tq, tq)) {
+      stats->window_rejected += in_row;
+    } else if (is_active(j)) {
+      members.push_back(key);
+    }
+  };
   for (const network::RegionId re : index.grid().RegionsInRect(region)) {
     for (const auto& rt : stored.refs[re]) {
-      stats->tuples_scanned += read(rt.traj);
-      if (rt.ref_passes && is_active(rt.traj)) {
-        members.push_back((uint64_t{rt.traj} << 33) | (1ull << 32) |
-                          rt.ref_idx);
+      const uint32_t w = cc.meta(rt.traj).refs[rt.ref_idx()].orig_index;
+      const auto window = rt.ref_passes() ? stored.WindowOf(rt.traj, w, re)
+                                          : StiuIndex::TimeWindow{0xFFFF, 0};
+      stats->tuples_scanned += scanned(rt.traj, window);
+      if (rt.ref_passes()) {
+        read(rt.traj, window,
+             (uint64_t{rt.traj} << 33) | (1ull << 32) | rt.ref_idx());
       }
     }
     for (const auto& nt : stored.nrefs[re]) {
-      stats->tuples_scanned += read(nt.traj);
-      if (is_active(nt.traj)) {
-        members.push_back((uint64_t{nt.traj} << 33) | nt.nref_idx);
-      }
+      const uint32_t w = cc.meta(nt.traj).nrefs[nt.nref_idx].orig_index;
+      const auto window = stored.WindowOf(nt.traj, w, re);
+      stats->tuples_scanned += scanned(nt.traj, window);
+      read(nt.traj, window, (uint64_t{nt.traj} << 33) | nt.nref_idx);
     }
   }
   std::sort(members.begin(), members.end());
@@ -493,11 +575,13 @@ void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
   EXPECT_EQ(got.stream_bits_read, want.stream_bits_read);
   EXPECT_EQ(got.sync_seeks, want.sync_seeks);
   EXPECT_EQ(got.tuples_scanned, want.tuples_scanned);
+  EXPECT_EQ(got.window_rejected, want.window_rejected);
 }
 
 TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
-  // Range's candidate generation (partition rows at every level, active
-  // bitmap, sort-free dedupe) against the brute-force reference, on built
+  // Range's candidate generation (partition rows at every level, window
+  // test, active bitmap, sort-free dedupe) against the brute-force
+  // reference with windows from the raw corpus, on built
   // indexes at 1800, 600 and 60 s partitions (60 s puts trajectories above
   // level 0).
   const uint64_t base = test::BaseSeed(8080);
@@ -516,11 +600,12 @@ TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
       SCOPED_TRACE("partition " + std::to_string(partition_s));
       const UtcqSystem sys(net, grid, corpus, params,
                            StiuParams{16, partition_s});
-      const StoredIndex stored(sys.index());
+      const StoredIndex stored(sys.index(), corpus);
 
       common::Rng rng(seed * 31 + static_cast<uint64_t>(partition_s));
       const auto bbox = net.bounding_box();
       size_t hits = 0;
+      uint64_t rejected = 0;
       for (int trial = 0; trial < 40; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         const auto& tu =
@@ -544,8 +629,10 @@ TEST(RangeCandidates, MatchABruteForceReferenceStatForStat) {
         EXPECT_EQ(sys.queries().Range(re, tq, alpha, &got_stats), want);
         ExpectSameStats(got_stats, want_stats);
         hits += want.size();
+        rejected += want_stats.window_rejected;
       }
       EXPECT_GT(hits, 0u);
+      EXPECT_GT(rejected, 0u);
       if (partition_s == 60) EXPECT_GT(sys.index().num_levels(), 1u);
     }
   }

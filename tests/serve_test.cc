@@ -894,9 +894,10 @@ TEST(QueryEngine, SharedRegistryExportsTheEngineCountersExactly) {
 }
 
 TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
-  // serve.engine.range_tuples_scanned / range_candidates record one sample
-  // per Range, and their sums equal the QueryStats ShardedCorpus::Range
-  // reports for the same requests — cached, batched and partial alike.
+  // serve.engine.range_tuples_scanned / range_window_rejected /
+  // range_candidates record one sample per Range, and their sums equal the
+  // QueryStats ShardedCorpus::Range reports for the same requests — cached,
+  // batched and partial alike.
   ServeFixture& f = Fixture();
   const SavedSet set(f, f.corpus, "range_stats_set.utcq");
   ASSERT_TRUE(set.sharded->is_open());
@@ -912,6 +913,7 @@ TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
     sharded.Range(req.region, req.t, req.alpha, &want);
   }
   EXPECT_GT(want.tuples_scanned, 0u);
+  EXPECT_GT(want.window_rejected, 0u);
   EXPECT_GT(want.candidates, 0u);
 
   for (const auto& [name, budget, batched] :
@@ -938,9 +940,12 @@ TEST(QueryEngine, RangeInstrumentsReconcileWithShardedQueryStats) {
       return obs::HistogramSnapshot{};
     };
     const auto scanned = histogram("serve.engine.range_tuples_scanned");
+    const auto rejected = histogram("serve.engine.range_window_rejected");
     const auto candidates = histogram("serve.engine.range_candidates");
     EXPECT_EQ(scanned.count, ranges.size());
     EXPECT_EQ(scanned.sum, want.tuples_scanned);
+    EXPECT_EQ(rejected.count, ranges.size());
+    EXPECT_EQ(rejected.sum, want.window_rejected);
     EXPECT_EQ(candidates.count, ranges.size());
     EXPECT_EQ(candidates.sum, want.candidates);
   }

@@ -72,8 +72,8 @@ struct StiuSection {
       auto& refs = s.refs.emplace_back();
       for (const auto& rt : index.RefTuplesIn(re)) {
         refs.push_back({.traj = rt.traj,
-                        .ref_idx = rt.ref_idx,
-                        .ref_passes = rt.ref_passes,
+                        .ref_idx = rt.ref_idx(),
+                        .ref_passes = rt.ref_passes(),
                         .p_max = rt.p_max});
       }
       auto& nrefs = s.nrefs.emplace_back();
@@ -172,20 +172,41 @@ inline size_t LevelOf(size_t first, size_t last) {
   return l;
 }
 
-/// Which trajectories' tuples the level-`level` partition holding
-/// partition `p` must carry.
-inline std::vector<bool> ReadAt(
-    const std::vector<std::pair<size_t, size_t>>& membership,
-    size_t partitions, size_t level, size_t p) {
-  std::vector<bool> read(membership.size(), false);
+/// Whether a tuple window holds an instant of [from, to], restated from
+/// its encoding: 2 s units, lo 0 unbounded below, hi 0xFFFF unbounded
+/// above.
+inline bool WindowMeets(core::StiuIndex::TimeWindow w, traj::Timestamp from,
+                        traj::Timestamp to) {
+  const traj::Timestamp lo = w.lo == 0 ? INT64_MIN : 2 * traj::Timestamp{w.lo};
+  const traj::Timestamp hi =
+      w.hi == 0xFFFF ? INT64_MAX : 2 * traj::Timestamp{w.hi};
+  return lo <= to && from <= hi;
+}
+
+/// The copy rule: whether the level-`level` partition holding partition
+/// `p` must carry a tuple with window `w` of a trajectory listed from
+/// partition `first` to `last`. It must when the trajectory sits at that
+/// level, its partitions there span p's, and p's is its home, the one
+/// holding `first`, or has a time span the window meets; the level's first
+/// and last partitions run on past the day, as DayPartition clamps.
+inline bool Carries(std::pair<size_t, size_t> membership, size_t partitions,
+                    int64_t partition_s, size_t level, size_t p,
+                    core::StiuIndex::TimeWindow w) {
+  const auto [first, last] = membership;
   const size_t shift = 2 * level;
-  for (size_t j = 0; j < membership.size(); ++j) {
-    const auto [first, last] = membership[j];
-    read[j] = first < partitions && LevelOf(first, last) == level &&
-              (first >> shift) <= (p >> shift) &&
-              (p >> shift) <= (last >> shift);
+  const size_t q = p >> shift;
+  if (first >= partitions || LevelOf(first, last) != level ||
+      q < (first >> shift) || q > (last >> shift)) {
+    return false;
   }
-  return read;
+  if (q == (first >> shift)) return true;
+  const traj::Timestamp from =
+      static_cast<traj::Timestamp>(q << shift) * partition_s;
+  const traj::Timestamp to =
+      q == ((partitions - 1) >> shift)
+          ? INT64_MAX
+          : static_cast<traj::Timestamp>((q + 1) << shift) * partition_s - 1;
+  return WindowMeets(w, from, to);
 }
 
 /// Field-by-field equality of two tuple sequences.
@@ -194,9 +215,10 @@ inline void ExpectSameTuples(std::span<const core::StiuIndex::RefTuple> got,
   ASSERT_EQ(got.size(), want.size());
   for (size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k].traj, want[k].traj) << "position " << k;
-    EXPECT_EQ(got[k].ref_idx, want[k].ref_idx) << "position " << k;
+    EXPECT_EQ(got[k].ref_idx(), want[k].ref_idx()) << "position " << k;
     EXPECT_EQ(got[k].p_max, want[k].p_max) << "position " << k;
-    EXPECT_EQ(got[k].ref_passes, want[k].ref_passes) << "position " << k;
+    EXPECT_EQ(got[k].ref_passes(), want[k].ref_passes()) << "position " << k;
+    EXPECT_EQ(got[k].window, want[k].window) << "position " << k;
   }
 }
 inline void ExpectSameTuples(
@@ -206,6 +228,7 @@ inline void ExpectSameTuples(
   for (size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k].traj, want[k].traj) << "position " << k;
     EXPECT_EQ(got[k].nref_idx, want[k].nref_idx) << "position " << k;
+    EXPECT_EQ(got[k].window, want[k].window) << "position " << k;
   }
 }
 
@@ -227,9 +250,9 @@ RegionLists(const core::StiuIndex& index, network::RegionId re) {
 /// - every trajectory is listed in at least one partition;
 /// - num_levels() is one past the deepest level any trajectory needs;
 /// - TuplesAt(level, t, first, last) is exactly the tuples of regions
-///   [first, last] whose trajectory the level's partition around t must
-///   carry, by region then id: per region, per grid row and over the whole
-///   grid, at every partition (every 37th past 48 partitions);
+///   [first, last] the level's partition around t must carry (Carries), by
+///   region then id: per region, per grid row and over the whole grid, at
+///   every partition (every 37th past 48 partitions);
 /// - TuplesOf(re, j) is j's tuples of region re;
 /// - the layout holds at most kMaxCopies copies of the region lists.
 inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
@@ -266,17 +289,20 @@ inline void ExpectLayoutMatchesOracle(const core::StiuIndex& index) {
     for (size_t level = 0; level <= levels; ++level) {
       SCOPED_TRACE("partition " + std::to_string(p) + " level " +
                    std::to_string(level));
-      const auto read = ReadAt(membership, partitions, level, p);
+      const auto carries = [&](const auto& tuple) {
+        return Carries(membership[tuple.traj], partitions,
+                       index.time_partition_s(), level, p, tuple.window);
+      };
       const auto expect_run = [&](network::RegionId first,
                                   network::RegionId last) {
         std::vector<core::StiuIndex::RefTuple> want_refs;
         std::vector<core::StiuIndex::NrefTuple> want_nrefs;
         for (network::RegionId re = first; re <= last; ++re) {
           for (const auto& rt : refs[re]) {
-            if (read[rt.traj]) want_refs.push_back(rt);
+            if (carries(rt)) want_refs.push_back(rt);
           }
           for (const auto& nt : nrefs[re]) {
-            if (read[nt.traj]) want_nrefs.push_back(nt);
+            if (carries(nt)) want_nrefs.push_back(nt);
           }
         }
         const auto got = index.TuplesAt(level, t, first, last);

@@ -9,6 +9,7 @@
 #include "archive/archive.h"
 #include "common/rng.h"
 #include "core/utcq.h"
+#include "ingest/live_shard.h"
 #include "network/generator.h"
 #include "paper_example.h"
 #include "stiu_sections.h"
@@ -25,7 +26,7 @@ namespace {
 
 // Tuples hold only the fields queries read.
 static_assert(sizeof(StiuIndex::RefTuple) == 16);
-static_assert(sizeof(StiuIndex::NrefTuple) == 8);
+static_assert(sizeof(StiuIndex::NrefTuple) == 12);
 
 struct StiuFixture {
   explicit StiuFixture(int64_t partition_s = 900, size_t count = 60) {
@@ -110,8 +111,8 @@ TEST(StiuIndex, SpatialTuplesAreComplete) {
           bool found = false;
           if (is_ref) {
             for (const auto& rt : fx.sys->index().RefTuplesIn(re)) {
-              found = found || (rt.traj == j && rt.ref_idx == idx &&
-                                rt.ref_passes);
+              found = found || (rt.traj == j && rt.ref_idx() == idx &&
+                                rt.ref_passes());
             }
           } else {
             for (const auto& nt : fx.sys->index().NrefTuplesIn(re)) {
@@ -144,7 +145,7 @@ TEST(StiuIndex, RefTuplesOfATrajectoryAscendInRefIdx) {
     for (uint32_t j = 0; j < fx.corpus.size(); ++j) {
       const auto run = fx.sys->index().TuplesOf(re, j).refs;
       for (size_t k = 1; k < run.size(); ++k) {
-        EXPECT_LT(run[k - 1].ref_idx, run[k].ref_idx)
+        EXPECT_LT(run[k - 1].ref_idx(), run[k].ref_idx())
             << "region " << re << " traj " << j;
       }
       multi += run.size() > 1;
@@ -167,7 +168,7 @@ TEST(StiuIndex, PaperExampleTuples) {
                                  ex.net.vertex(ex.v[1]).y + 1);
   bool found = false;
   for (const auto& rt : sys.index().RefTuplesIn(re0)) {
-    if (rt.traj != 0 || !rt.ref_passes) continue;
+    if (rt.traj != 0 || !rt.ref_passes()) continue;
     found = true;
     EXPECT_NEAR(rt.p_max, 0.2, 0.01);  // max non-reference probability
   }
@@ -183,36 +184,67 @@ TEST_P(StiuLayout, BuiltLayoutMatchesTheMembershipOracle) {
   if (GetParam() <= 60) EXPECT_GT(fx.sys->index().num_levels(), 1u);
 }
 
-TEST_P(StiuLayout, EveryTupleOfEveryActiveTrajectoryIsReadOnce) {
-  // Over all levels, the runs at t hold each stored tuple of each
-  // trajectory in TrajectoriesAt(t) exactly once: counted per region and
-  // trajectory, without the oracle's level rule.
+/// A tuple's identity: (traj, is_ref, idx), packed.
+uint64_t KeyOf(const StiuIndex::RefTuple& rt) {
+  return (uint64_t{rt.traj} << 33) | (uint64_t{1} << 32) | rt.ref_idx();
+}
+uint64_t KeyOf(const StiuIndex::NrefTuple& nt) {
+  return (uint64_t{nt.traj} << 33) | nt.nref_idx;
+}
+
+TEST_P(StiuLayout, EveryTupleWhoseWindowHoldsTIsReadOnce) {
+  // Over all levels, the runs at t hold stored tuples only, each at most
+  // once, and every tuple of an active trajectory whose window holds t:
+  // checked per region at the start and the middle of every partition,
+  // without the oracle's level or copy rule.
   const StiuFixture fx(GetParam());
   const StiuIndex& index = fx.sys->index();
   const size_t n = index.num_trajectories();
-  std::vector<std::vector<size_t>> stored(fx.grid->num_regions(),
-                                          std::vector<size_t>(n, 0));
+  std::vector<std::vector<std::pair<uint64_t, StiuIndex::TimeWindow>>> stored(
+      fx.grid->num_regions());
   for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-    for (const auto& rt : index.RefTuplesIn(re)) ++stored[re][rt.traj];
-    for (const auto& nt : index.NrefTuplesIn(re)) ++stored[re][nt.traj];
+    for (const auto& rt : index.RefTuplesIn(re)) {
+      stored[re].emplace_back(KeyOf(rt), rt.window);
+    }
+    for (const auto& nt : index.NrefTuplesIn(re)) {
+      stored[re].emplace_back(KeyOf(nt), nt.window);
+    }
+    std::ranges::sort(stored[re], {}, [](const auto& kw) { return kw.first; });
   }
-  std::vector<size_t> read(n);
+  std::vector<bool> active(n);
+  size_t held = 0;
   for (size_t p = 0; p < index.num_partitions(); ++p) {
-    const auto t = static_cast<traj::Timestamp>(p) * index.time_partition_s();
-    const auto& active = index.TrajectoriesAt(t);
-    for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
-      std::fill(read.begin(), read.end(), 0);
-      for (size_t level = 0; level < index.num_levels(); ++level) {
-        const auto run = index.TuplesAt(level, t, re, re);
-        for (const auto& rt : run.refs) ++read[rt.traj];
-        for (const auto& nt : run.nrefs) ++read[nt.traj];
-      }
-      for (const uint32_t j : active) {
-        EXPECT_EQ(read[j], stored[re][j])
-            << "partition " << p << " region " << re << " trajectory " << j;
+    const auto start =
+        static_cast<traj::Timestamp>(p) * index.time_partition_s();
+    for (const traj::Timestamp t :
+         {start, start + index.time_partition_s() / 2}) {
+      std::fill(active.begin(), active.end(), false);
+      for (const uint32_t j : index.TrajectoriesAt(t)) active[j] = true;
+      for (network::RegionId re = 0; re < fx.grid->num_regions(); ++re) {
+        std::vector<uint64_t> read;
+        for (size_t level = 0; level < index.num_levels(); ++level) {
+          const auto run = index.TuplesAt(level, t, re, re);
+          for (const auto& rt : run.refs) read.push_back(KeyOf(rt));
+          for (const auto& nt : run.nrefs) read.push_back(KeyOf(nt));
+        }
+        std::ranges::sort(read);
+        SCOPED_TRACE("t " + std::to_string(t) + " region " +
+                     std::to_string(re));
+        EXPECT_EQ(std::ranges::adjacent_find(read), read.end());
+        for (const uint64_t key : read) {
+          EXPECT_TRUE(std::ranges::binary_search(
+              stored[re], key, {}, [](const auto& kw) { return kw.first; }))
+              << "key " << key;
+        }
+        for (const auto& [key, window] : stored[re]) {
+          if (!active[key >> 33] || !test::WindowMeets(window, t, t)) continue;
+          ++held;
+          EXPECT_TRUE(std::ranges::binary_search(read, key)) << "key " << key;
+        }
       }
     }
   }
+  EXPECT_GT(held, 0u);
 }
 
 TEST_P(StiuLayout, DerivedOnOpenEqualsTheBuiltIndex) {
@@ -400,6 +432,320 @@ TEST(StiuIndex, OutOfDayTimestampsStayRangeCandidates) {
       EXPECT_TRUE(std::binary_search(ted_got.begin(), ted_got.end(), j))
           << "TED, trajectory " << j << " tq " << tq;
     }
+  }
+}
+
+/// Whether the index holds a tuple naming the instance at original
+/// position `w` of trajectory `j` in one of `rect`'s regions, whatever its
+/// window: whether Range without the window test would make it a member.
+bool NamedIn(const StiuIndex& index, const TrajMeta& meta, uint32_t j,
+             uint32_t w, const network::Rect& rect) {
+  const auto [is_ref, idx] = meta.roles[w];
+  for (const network::RegionId re : index.grid().RegionsInRect(rect)) {
+    const auto [refs, nrefs] = index.TuplesOf(re, j);
+    for (const auto& rt : refs) {
+      if (is_ref && rt.ref_idx() == idx && rt.ref_passes()) return true;
+    }
+    for (const auto& nt : nrefs) {
+      if (!is_ref && nt.nref_idx == idx) return true;
+    }
+  }
+  return false;
+}
+
+/// Whether a run Range reads at tq over `rect`'s regions holds a tuple of
+/// the instance at original position `w` of trajectory `j` whose window
+/// holds tq.
+bool ReadWithWindowHolding(const StiuIndex& index, const TrajMeta& meta,
+                           uint32_t j, uint32_t w, const network::Rect& rect,
+                           traj::Timestamp tq) {
+  const auto [is_ref, idx] = meta.roles[w];
+  for (const network::RegionId re : index.grid().RegionsInRect(rect)) {
+    for (size_t level = 0; level < index.num_levels(); ++level) {
+      const auto run = index.TuplesAt(level, tq, re, re);
+      for (const auto& rt : run.refs) {
+        if (is_ref && rt.traj == j && rt.ref_idx() == idx &&
+            rt.ref_passes() && test::WindowMeets(rt.window, tq, tq)) {
+          return true;
+        }
+      }
+      for (const auto& nt : run.nrefs) {
+        if (!is_ref && nt.traj == j && nt.nref_idx == idx &&
+            test::WindowMeets(nt.window, tq, tq)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(StiuWindows, EveryOraclePlacementIsReadWithAWindowHoldingTq) {
+  // Soundness of Range's window test: wherever the oracle places an
+  // instance inside a query rectangle at tq, and a tuple names it in one of
+  // the rectangle's regions, a run Range reads at tq over those regions
+  // holds a tuple of that instance whose window holds tq. tq falls on
+  // samples, between them, on repeated samples, at the first and last
+  // sample and outside the span; trajectories 0-4 have one location, and
+  // five more a repeated timestamp. (A point-sized rectangle can fall in a
+  // grid cell the edge only clips at a corner, which GridIndex's edge
+  // sampling misses; no tuple names the instance there, window or not.)
+  const uint64_t base = test::BaseSeed(4242);
+  for (uint64_t seed = base; seed < base + 2; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto profile = seed % 2 == 0 ? traj::HangzhouProfile()
+                                       : traj::ChengduProfile();
+    const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+    traj::UncertainCorpus corpus =
+        test::MakeSmallCorpus(net, profile, seed, 40);
+    for (size_t j = 0; j < 5; ++j) {
+      corpus[j].times.resize(1);
+      for (auto& inst : corpus[j].instances) {
+        inst.path.resize(inst.locations.front().path_index + 1);
+        inst.locations.resize(1);
+      }
+    }
+    size_t repeated = 0;
+    for (size_t j = 5; j < corpus.size() && repeated < 5; ++j) {
+      auto& times = corpus[j].times;
+      if (times.size() < 3) continue;
+      times[1] = times[2];
+      ++repeated;
+    }
+    ASSERT_EQ(repeated, 5u);
+    const network::GridIndex grid(net, 16);
+    UtcqParams params;
+    params.default_interval_s = profile.default_interval_s;
+    params.eta_p = profile.eta_p;
+    for (const int64_t partition_s :
+         {int64_t{1800}, int64_t{600}, int64_t{60}}) {
+      SCOPED_TRACE("partition " + std::to_string(partition_s));
+      const UtcqSystem sys(net, grid, corpus, params,
+                           StiuParams{16, partition_s});
+      const auto decoded = sys.decoder().DecompressAll();
+      const verify::Oracle oracle(net, decoded, params.eta_d);
+      common::Rng rng(seed * 7 + static_cast<uint64_t>(partition_s));
+      size_t placed = 0;
+      for (uint32_t j = 0; j < corpus.size(); ++j) {
+        const auto& times = corpus[j].times;
+        ASSERT_EQ(decoded[j].times, times);
+        std::vector<traj::Timestamp> tqs = {times.front() - 1,
+                                            times.back() + 1};
+        for (size_t k = 0; k < times.size(); ++k) {
+          tqs.push_back(times[k]);
+          if (k + 1 < times.size()) {
+            tqs.push_back(rng.UniformInt(times[k], times[k + 1]));
+          }
+        }
+        for (const traj::Timestamp tq : tqs) {
+          for (const traj::WhereHit& hit : oracle.Where(j, tq, 0.0)) {
+            const network::Vertex xy =
+                net.PointOnEdge(hit.position.edge, hit.position.ndist);
+            // Every fourth rectangle is the point itself; Range is checked
+            // against the oracle on some of the others.
+            const double reach = placed % 4 == 1 ? 0.0 : 300.0;
+            const network::Rect rect{xy.x - rng.Uniform(0.0, reach),
+                                     xy.y - rng.Uniform(0.0, reach),
+                                     xy.x + rng.Uniform(0.0, reach),
+                                     xy.y + rng.Uniform(0.0, reach)};
+            ASSERT_TRUE(rect.Contains(xy.x, xy.y));
+            const TrajMeta& meta = sys.compressed().meta(j);
+            if (!NamedIn(sys.index(), meta, j, hit.instance, rect)) continue;
+            EXPECT_TRUE(ReadWithWindowHolding(sys.index(), meta, j,
+                                              hit.instance, rect, tq))
+                << "trajectory " << j << " instance " << hit.instance
+                << " tq " << tq;
+            if (placed++ % 64 == 0) {
+              const double alpha = rng.Uniform(0.05, 0.9);
+              EXPECT_EQ(sys.queries().Range(rect, tq, alpha),
+                        oracle.Range(rect, tq, alpha))
+                  << "tq " << tq;
+            }
+          }
+        }
+      }
+      EXPECT_GT(placed, 1000u);
+    }
+  }
+}
+
+/// Windows of the tuples that name instance `w` (original position) of
+/// trajectory `j` in their region: ref tuples whose reference passes, and
+/// nref tuples.
+std::vector<StiuIndex::TimeWindow> WindowsOf(const StiuIndex& index,
+                                             const TrajMeta& meta, uint32_t j,
+                                             uint32_t w) {
+  const auto [is_ref, idx] = meta.roles[w];
+  std::vector<StiuIndex::TimeWindow> out;
+  for (network::RegionId re = 0; re < index.grid().num_regions(); ++re) {
+    for (const auto& rt : index.RefTuplesIn(re)) {
+      if (is_ref && rt.traj == j && rt.ref_idx() == idx && rt.ref_passes()) {
+        out.push_back(rt.window);
+      }
+    }
+    for (const auto& nt : index.NrefTuplesIn(re)) {
+      if (!is_ref && nt.traj == j && nt.nref_idx == idx) {
+        out.push_back(nt.window);
+      }
+    }
+  }
+  return out;
+}
+
+/// Every tuple naming instance `w` of trajectory `j` has the unbounded
+/// window, and there is at least one.
+void ExpectUnbounded(const StiuIndex& index, const TrajMeta& meta, uint32_t j,
+                     uint32_t w) {
+  const auto windows = WindowsOf(index, meta, j, w);
+  EXPECT_FALSE(windows.empty()) << "trajectory " << j << " instance " << w;
+  for (const auto& window : windows) {
+    EXPECT_EQ(window, StiuIndex::TimeWindow{})
+        << "trajectory " << j << " instance " << w;
+  }
+}
+
+/// Range through `queries` answers like `oracle` over the whole map and
+/// random rectangles, at the first, a middle and the last sample of every
+/// trajectory of `corpus` and at random times over two days; some answer
+/// holds a hit.
+void ExpectRangeLikeOracle(const network::RoadNetwork& net,
+                           const UtcqQueryProcessor& queries,
+                           const verify::Oracle& oracle,
+                           const traj::UncertainCorpus& corpus,
+                           uint64_t seed) {
+  common::Rng rng(seed);
+  const auto bbox = net.bounding_box();
+  std::vector<traj::Timestamp> tqs;
+  for (const auto& tu : corpus) {
+    tqs.push_back(tu.times.front());
+    tqs.push_back(tu.times[tu.times.size() / 2]);
+    tqs.push_back(tu.times.back());
+  }
+  for (int k = 0; k < 20; ++k) {
+    tqs.push_back(rng.UniformInt(0, 2 * traj::kSecondsPerDay));
+  }
+  size_t hits = 0;
+  for (const traj::Timestamp tq : tqs) {
+    for (int k = 0; k < 4; ++k) {
+      const double half = k == 0 ? 1e9 : rng.Uniform(150.0, 900.0);
+      const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
+      const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
+      const network::Rect rect{cx - half, cy - half, cx + half, cy + half};
+      const double alpha = k == 0 ? 0.05 : rng.Uniform(0.05, 0.9);
+      const auto want = oracle.Range(rect, tq, alpha);
+      EXPECT_EQ(queries.Range(rect, tq, alpha), want)
+          << "tq " << tq << " rectangle " << k;
+      hits += want.size();
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(StiuWindows, OutOfDayTimesThroughALiveShardAreUnbounded) {
+  // Ingest does not bound time: trajectories crossing or wholly past
+  // midnight reach the live shard's index with unbounded windows, and
+  // Range over the snapshot answers like the oracle.
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  traj::UncertainCorpus corpus = test::MakeSmallCorpus(net, profile, 909, 12);
+  const auto shift_to = [](traj::UncertainTrajectory& tu,
+                           traj::Timestamp start) {
+    const traj::Timestamp delta = start - tu.times.front();
+    for (auto& t : tu.times) t += delta;
+  };
+  shift_to(corpus[0], traj::kSecondsPerDay - 30);    // crosses midnight
+  shift_to(corpus[1], traj::kSecondsPerDay + 5000);  // wholly after it
+  const network::GridIndex grid(net, 16);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  ingest::LiveShard live(net, grid, params, StiuParams{16, 900});
+  for (const auto& tu : corpus) live.Append(tu);
+  const auto snap = live.Snapshot();
+  ASSERT_NE(snap, nullptr);
+  const TrajMeta* meta[] = {&snap->corpus().meta(0), &snap->corpus().meta(1)};
+  for (uint32_t j : {0u, 1u}) {
+    for (uint32_t w = 0; w < corpus[j].instances.size(); ++w) {
+      ExpectUnbounded(snap->index(), *meta[j], j, w);
+    }
+  }
+  // An in-day trajectory keeps bounded windows.
+  EXPECT_NE(WindowsOf(snap->index(), snap->corpus().meta(2), 2, 0).front(),
+            StiuIndex::TimeWindow{});
+
+  const auto decoded = snap->queries().decoder().DecompressAll();
+  ASSERT_EQ(decoded[1].times, corpus[1].times);
+  const verify::Oracle oracle(net, decoded, params.eta_d);
+  ExpectRangeLikeOracle(net, snap->queries(), oracle, corpus, 11);
+}
+
+TEST(StiuWindows, BackwardTimesAreUnbounded) {
+  // Times that run backwards (a hostile archive can hold them) give the
+  // whole trajectory unbounded windows; Range answers like the oracle.
+  const auto profile = traj::ChengduProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  traj::UncertainCorpus corpus = test::MakeSmallCorpus(net, profile, 313, 12);
+  for (const size_t j : {0, 1}) {
+    auto& times = corpus[j].times;
+    ASSERT_GE(times.size(), 4u);
+    std::swap(times[1], times[2]);
+  }
+  const network::GridIndex grid(net, 16);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  // One partition: each trajectory has one temporal tuple, so the engines'
+  // bracket scan and the oracle's agree on non-monotone times.
+  const UtcqSystem sys(net, grid, corpus, params,
+                       StiuParams{16, traj::kSecondsPerDay});
+  for (uint32_t j : {0u, 1u}) {
+    for (uint32_t w = 0; w < corpus[j].instances.size(); ++w) {
+      ExpectUnbounded(sys.index(), sys.compressed().meta(j), j, w);
+    }
+  }
+  const auto decoded = sys.decoder().DecompressAll();
+  ASSERT_EQ(decoded[0].times, corpus[0].times);
+  const verify::Oracle oracle(net, decoded, params.eta_d);
+  ExpectRangeLikeOracle(net, sys.queries(), oracle, corpus, 12);
+}
+
+TEST(StiuWindows, MisshapenInstancesAreUnbounded) {
+  // An instance whose location count is not the time count, or whose
+  // path_index decreases, gets unbounded windows: the index is built from
+  // such shapes, the streams from the honest corpus, and Range answers
+  // like the oracle over the streams.
+  const auto profile = traj::HangzhouProfile();
+  const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
+  const traj::UncertainCorpus corpus =
+      test::MakeSmallCorpus(net, profile, 717, 16);
+  const network::GridIndex grid(net, 16);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  params.eta_p = profile.eta_p;
+  const CompressedCorpus cc = UtcqCompressor(net, params).Compress(corpus);
+  for (const bool short_count : {true, false}) {
+    SCOPED_TRACE(short_count ? "location count" : "decreasing path_index");
+    traj::UncertainCorpus shaped = corpus;
+    std::vector<std::pair<uint32_t, uint32_t>> changed;
+    for (uint32_t j = 0; j < shaped.size(); j += 3) {
+      for (uint32_t w = 0; w < shaped[j].instances.size(); w += 2) {
+        auto& locs = shaped[j].instances[w].locations;
+        if (short_count) {
+          locs.pop_back();
+        } else if (locs.front().path_index != locs.back().path_index) {
+          std::swap(locs.front().path_index, locs.back().path_index);
+        } else {
+          continue;
+        }
+        changed.emplace_back(j, w);
+      }
+    }
+    ASSERT_GT(changed.size(), 10u);
+    const StiuIndex index(grid, shaped, cc, StiuParams{16, 900});
+    for (const auto& [j, w] : changed) {
+      ExpectUnbounded(index, cc.meta(j), j, w);
+    }
+    const UtcqQueryProcessor queries(net, cc, index);
+    const verify::Oracle oracle(net, corpus, params.eta_d);
+    ExpectRangeLikeOracle(net, queries, oracle, corpus, 13);
   }
 }
 
