@@ -20,6 +20,7 @@
 #include "common/exp_golomb.h"
 #include "common/pddp.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/encoder.h"
 #include "core/query.h"
 #include "core/stiu_index.h"
@@ -47,6 +48,24 @@ bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
 
 std::vector<uint8_t> StreamBytes(const utcq::common::BitWriter& w) {
   return w.bytes();
+}
+
+/// `image` with `manifest`'s section (tag 8) appended before the footer:
+/// the section count (one byte in these images) is bumped and the CRC
+/// restamped.
+std::vector<uint8_t> WithManifestSection(
+    std::vector<uint8_t> image, const utcq::archive::ShardManifest& manifest) {
+  // A manifest container is header, count 1, tag 8, then the section's
+  // length and body: append those last three.
+  const std::vector<uint8_t> container =
+      utcq::archive::EncodeShardManifest(manifest);
+  image.insert(image.end() - 4, container.begin() + 13, container.end() - 4);
+  image[12] += 1;
+  const uint32_t crc = utcq::common::Crc32(image.data(), image.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return image;
 }
 
 }  // namespace
@@ -104,23 +123,38 @@ int main(int argc, char** argv) {
   ok &= WriteFile((out / "archive" / "empty.utcqarc").string(),
                   utcq::archive::ArchiveWriter(empty).Serialize());
 
-  // Format-version coverage: a v3 archive with dense sync tables (K=2, so
-  // even the short seed trajectories carry kTSyncIndex entries and the
-  // fuzzer starts at the tag-9 parse + seek paths), and a sync-free v2.
+  // Sync-interval coverage (every writer image is v6): dense sync points
+  // (K=2 in tag 12, so even the short seed trajectories derive sync tables
+  // and the fuzzer starts at the seek paths), and no tag 12 at all.
   {
     utcq::core::UtcqParams dense = params;
     dense.t_sync_interval = 2;
     const utcq::core::UtcqCompressor dense_comp(net, dense);
     ok &= WriteFile(
-        (out / "archive" / "v3_dense_sync.utcqarc").string(),
+        (out / "archive" / "v6_dense_sync.utcqarc").string(),
         utcq::archive::ArchiveWriter(dense_comp.Compress(corpus)).Serialize());
 
     utcq::core::UtcqParams plain = params;
     plain.t_sync_interval = 0;
     const utcq::core::UtcqCompressor plain_comp(net, plain);
     ok &= WriteFile(
-        (out / "archive" / "v2_no_sync.utcqarc").string(),
+        (out / "archive" / "v6_no_sync.utcqarc").string(),
         utcq::archive::ArchiveWriter(plain_comp.Compress(corpus)).Serialize());
+  }
+
+  // The indexed image carrying a one-shard manifest section, which the
+  // archive target opens as that set's shard: the fuzzer starts at the
+  // trajectory-count check against the manifest.
+  {
+    utcq::archive::ShardManifest m;
+    utcq::archive::ShardManifest::Shard s0;
+    s0.file = "seed.utcq.shard-000";
+    s0.members = {0, 1, 2, 3, 4, 5};
+    m.shards = {s0};
+    ok &= WriteFile(
+        (out / "archive" / "v6_with_manifest_section.utcqarc").string(),
+        WithManifestSection(utcq::archive::ArchiveWriter(cc, &index).Serialize(),
+                            m));
   }
 
   // --- manifests: a hash-sharded set and an append-log set ---

@@ -193,6 +193,7 @@ R9_FROZEN = [
     ("kParams", 1), ("kTStream", 2), ("kRefStream", 3), ("kNrefStream", 4),
     ("kStructure", 5), ("kMetas", 6), ("kStiu", 7), ("kShardManifest", 8),
     ("kTSyncIndex", 9), ("kStiuV4", 10), ("kStiuParams", 11),
+    ("kSyncInterval", 12),
 ]
 R9_ENUM_RE = re.compile(r"\benum\s+class\s+SectionTag\b")
 R9_ENTRY_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,?\s*$")
@@ -379,6 +380,7 @@ SECTION_TAGS_OK = (
     "  kTSyncIndex = 9,\n"
     "  kStiuV4 = 10,\n"
     "  kStiuParams = 11,\n"
+    "  kSyncInterval = 12,\n"
     "};\n"
 )
 
@@ -485,9 +487,13 @@ SELF_TEST_CASES = [
      R9_FILE, SECTION_TAGS_OK, []),
     ("a new tag appended above the last is clean",
      R9_FILE, SECTION_TAGS_OK.replace(
-         "};", "  kFuture = 12,  // a later section\n};"), []),
+         "};", "  kFuture = 13,  // a later section\n};"), []),
     ("a renumbered tag trips",
      R9_FILE, SECTION_TAGS_OK.replace("kStiu = 7,", "kStiu = 12,"),
+     ["append-only-section-tags"]),
+    ("renumbering the sync-interval tag trips",
+     R9_FILE, SECTION_TAGS_OK.replace("kSyncInterval = 12,",
+                                      "kSyncInterval = 13,"),
      ["append-only-section-tags"]),
     ("a removed tag trips",
      R9_FILE, SECTION_TAGS_OK.replace("  kShardManifest = 8,\n", ""),

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <span>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -75,174 +76,25 @@ bool GetParams(ByteReader& in, ArchivePayload* p) {
          p->entry_bits >= 0 && p->entry_bits <= 32;
 }
 
-template <typename Out>
-void PutMetas(Out& out, const std::vector<core::TrajMeta>& metas) {
-  out.PutVarint(metas.size());
-  for (const core::TrajMeta& m : metas) {
-    out.PutVarint(m.t_pos);
-    out.PutVarint(m.n_points);
-    out.PutSignedVarint(m.t_first);
-    out.PutSignedVarint(m.t_last);
-    out.PutVarint(m.refs.size());
-    for (const core::RefMeta& rm : m.refs) {
-      out.PutVarint(rm.orig_index);
-      out.PutVarint(rm.offset);
-      out.PutVarint(rm.e_len);
-      out.PutVarint(rm.d_pos);
-      out.PutF32(rm.p_quantized);
-    }
-    out.PutVarint(m.nrefs.size());
-    for (const core::NrefMeta& nm : m.nrefs) {
-      out.PutVarint(nm.orig_index);
-      out.PutVarint(nm.ref_pos);
-      out.PutVarint(nm.offset);
-      out.PutVarint(nm.e_len);
-      out.PutF32(nm.p_quantized);
-    }
-    // Roles are fully determined by the (orig_index -> ref/nref) maps above;
-    // re-derived on load instead of stored.
-  }
-}
-
-bool GetMetas(ByteReader& in, std::vector<core::TrajMeta>* metas) {
-  const uint64_t n = in.GetVarint();
-  // Each trajectory costs at least a few bytes; a count exceeding the
-  // remaining payload means a corrupt length that would OOM resize().
-  if (n > in.remaining()) return false;
-  metas->resize(n);
-  for (core::TrajMeta& m : *metas) {
-    m.t_pos = in.GetVarint();
-    m.n_points = static_cast<uint32_t>(in.GetVarint());
-    m.t_first = in.GetSignedVarint();
-    m.t_last = in.GetSignedVarint();
-    const uint64_t n_refs = in.GetVarint();
-    if (n_refs > in.remaining()) return false;
-    m.refs.resize(n_refs);
-    for (core::RefMeta& rm : m.refs) {
-      rm.orig_index = static_cast<uint32_t>(in.GetVarint());
-      rm.offset = in.GetVarint();
-      rm.e_len = static_cast<uint32_t>(in.GetVarint());
-      rm.d_pos = in.GetVarint();
-      rm.p_quantized = in.GetF32();
-    }
-    const uint64_t n_nrefs = in.GetVarint();
-    if (n_nrefs > in.remaining()) return false;
-    m.nrefs.resize(n_nrefs);
-    for (core::NrefMeta& nm : m.nrefs) {
-      nm.orig_index = static_cast<uint32_t>(in.GetVarint());
-      nm.ref_pos = static_cast<uint32_t>(in.GetVarint());
-      nm.offset = in.GetVarint();
-      nm.e_len = static_cast<uint32_t>(in.GetVarint());
-      nm.p_quantized = in.GetF32();
-    }
-    // Rebuild the role table. Every instance slot must be claimed exactly
-    // once: a duplicate orig_index would leave another slot at the default
-    // {false, 0}, which decodes nrefs[0] out of bounds later.
-    m.roles.assign(m.refs.size() + m.nrefs.size(), {false, 0});
-    std::vector<uint8_t> claimed(m.roles.size(), 0);
-    for (uint32_t r = 0; r < m.refs.size(); ++r) {
-      if (m.refs[r].orig_index >= m.roles.size()) return false;
-      if (claimed[m.refs[r].orig_index]++ != 0) return false;
-      m.roles[m.refs[r].orig_index] = {true, r};
-    }
-    for (uint32_t k = 0; k < m.nrefs.size(); ++k) {
-      if (m.nrefs[k].orig_index >= m.roles.size()) return false;
-      if (m.nrefs[k].ref_pos >= m.refs.size()) return false;
-      if (claimed[m.nrefs[k].orig_index]++ != 0) return false;
-      m.roles[m.nrefs[k].orig_index] = {false, k};
-    }
-  }
-  return in.ok();
-}
-
-template <typename Out>
-void PutTSyncIndex(Out& out, uint32_t interval,
-                   const std::vector<core::TrajMeta>& metas) {
-  out.PutVarint(interval);
-  out.PutVarint(metas.size());
-  for (const core::TrajMeta& m : metas) {
-    out.PutVarint(m.t_syncs.size());
-    // Entries and bit offsets are strictly ascending within a table (each
-    // sync sits >= K entries and >= K delta codes past the previous one),
-    // so delta coding keeps a sync at ~3 bytes.
-    uint32_t prev_entry = 0;
-    traj::Timestamp prev_t = 0;
-    uint64_t prev_bit = 0;
-    for (const core::TSync& s : m.t_syncs) {
-      out.PutVarint(s.entry - prev_entry);
-      out.PutSignedVarint(s.t - prev_t);
-      out.PutVarint(s.bit - prev_bit);
-      prev_entry = s.entry;
-      prev_t = s.t;
-      prev_bit = s.bit;
-    }
-  }
-}
-
-/// Parses the tag-9 payload into per-trajectory tables. Structural checks
-/// only (counts bounded by the payload, interval >= 1, strictly ascending
-/// entries and bit offsets, no wraparound); the cross-section checks
-/// against metas and the T stream run after the walk, since tag 9 may
-/// precede both in a crafted file.
-bool GetTSyncIndex(ByteReader& in, uint32_t* interval,
-                   std::vector<std::vector<core::TSync>>* tables) {
-  const uint64_t k = in.GetVarint();
-  // Interval 0 means "no sync points", which is expressed by omitting the
-  // section entirely; a present table claiming 0 is crafted.
-  if (k == 0 || k > UINT32_MAX) return false;
-  *interval = static_cast<uint32_t>(k);
-  const uint64_t n = in.GetVarint();
-  if (n > in.remaining()) return false;  // >= 1 byte (count) per trajectory
-  tables->resize(n);
-  for (std::vector<core::TSync>& table : *tables) {
-    const uint64_t count = in.GetVarint();
-    if (count > in.remaining()) return false;  // >= 3 bytes per sync
-    table.resize(count);
-    uint32_t prev_entry = 0;
-    traj::Timestamp prev_t = 0;
-    uint64_t prev_bit = 0;
-    for (size_t i = 0; i < table.size(); ++i) {
-      const uint64_t de = in.GetVarint();
-      // A zero delta is a duplicate (or, for the first sync, entry 0 —
-      // the block start needs no sync); a huge one wraps prev + de back
-      // below prev and smuggles a non-monotone table past the check.
-      if (de == 0 || de > UINT32_MAX - prev_entry) return false;
-      const int64_t dt = in.GetSignedVarint();
-      const uint64_t db = in.GetVarint();
-      if (i != 0 && db == 0) return false;  // each sync is >= 1 code later
-      if (db > UINT64_MAX - prev_bit) return false;
-      table[i].entry = prev_entry + static_cast<uint32_t>(de);
-      table[i].t = static_cast<traj::Timestamp>(
-          static_cast<uint64_t>(prev_t) + static_cast<uint64_t>(dt));
-      table[i].bit = prev_bit + db;
-      prev_entry = table[i].entry;
-      prev_t = table[i].t;
-      prev_bit = table[i].bit;
-    }
-  }
-  return in.ok();
-}
-
 /// Borrowed inputs of one archive image — the common ground of "save a live
 /// corpus" (spans borrow the BitWriters, and the StIU section holds the
-/// index's parameters) and "re-encode a loaded payload" (the StIU section is
-/// its archived bytes).
+/// index's parameters) and "re-encode a loaded payload" (the StIU and
+/// legacy sections are its archived bytes).
 struct ArchiveRef {
   const core::UtcqParams* params;
   int entry_bits;
   const traj::ComponentSizes* compressed_bits;
   common::BitSpan t, ref, nref, structure;
-  const std::vector<core::TrajMeta>* metas;
   /// StIU section source: the live index's parameters (tag 11) when
-  /// non-null, else `stiu_size` archived bytes under `stiu_tag` (no section
+  /// non-null, else `stiu` archived bytes under `stiu_tag` (no section
   /// when both are empty).
   const core::StiuIndex* index;
-  const uint8_t* stiu;
-  size_t stiu_size;
+  std::span<const uint8_t> stiu;
   SectionTag stiu_tag;
-  /// Version stamped into the header; the sync index (tag 9) is written
-  /// iff t_sync_interval > 0, regardless of version, so re-encoding a
-  /// loaded payload reproduces the original byte-for-byte.
+  /// A loaded v1-v5 image's tag-6 and tag-9 bodies (empty otherwise).
+  /// K goes to tag 12 iff it is non-zero and there is no tag-9 body, so
+  /// re-encoding a loaded payload reproduces the original byte-for-byte.
+  std::span<const uint8_t> legacy_metas, legacy_syncs;
   uint32_t format_version;
   uint32_t t_sync_interval;
 };
@@ -267,19 +119,24 @@ void ForEachSectionBody(const ArchiveRef& p, const Visit& visit) {
       out.PutBytes(span->data, span->size_bytes());
     });
   }
-  visit(SectionTag::kMetas, [&](auto& out) { PutMetas(out, *p.metas); });
+  const auto verbatim = [&visit](SectionTag tag,
+                                 std::span<const uint8_t> body) {
+    visit(tag, [body](auto& out) { out.PutBytes(body.data(), body.size()); });
+  };
+  if (!p.legacy_metas.empty()) verbatim(SectionTag::kMetas, p.legacy_metas);
   if (p.index != nullptr) {
     visit(SectionTag::kStiuParams, [&](auto& out) {
       out.PutVarint(p.index->params().cells_per_side);
       out.PutSignedVarint(p.index->params().time_partition_s);
     });
-  } else if (p.stiu_size > 0) {
-    visit(p.stiu_tag, [&](auto& out) { out.PutBytes(p.stiu, p.stiu_size); });
+  } else if (!p.stiu.empty()) {
+    verbatim(p.stiu_tag, p.stiu);
   }
-  if (p.t_sync_interval > 0) {
-    visit(SectionTag::kTSyncIndex, [&](auto& out) {
-      PutTSyncIndex(out, p.t_sync_interval, *p.metas);
-    });
+  if (!p.legacy_syncs.empty()) {
+    verbatim(SectionTag::kTSyncIndex, p.legacy_syncs);
+  } else if (p.t_sync_interval > 0) {
+    visit(SectionTag::kSyncInterval,
+          [&](auto& out) { out.PutVarint(p.t_sync_interval); });
   }
 }
 
@@ -406,7 +263,7 @@ std::vector<uint8_t> EncodeShardManifest(const ShardManifest& manifest) {
 
   ByteWriter out;
   out.PutBytes(kMagic, sizeof(kMagic));
-  // Manifests use no v4 or v5 section, so they keep the v3 stamp (§6: the
+  // Manifests use no v4-v6 section, so they keep the v3 stamp (§6: the
   // version advances only for files that use the new section).
   out.PutU32(3);
   out.PutVarint(1);  // section count
@@ -492,9 +349,9 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload) {
   return EncodeArchiveRef({&payload.params, payload.entry_bits,
                            &payload.compressed_bits, payload.t.span(),
                            payload.ref.span(), payload.nref.span(),
-                           payload.structure.span(), &payload.metas, nullptr,
-                           payload.stiu.data(), payload.stiu.size(),
-                           payload.stiu_tag, payload.format_version,
+                           payload.structure.span(), nullptr, payload.stiu,
+                           payload.stiu_tag, payload.legacy_metas,
+                           payload.legacy_syncs, payload.format_version,
                            payload.params.t_sync_interval});
 }
 
@@ -506,16 +363,13 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
   };
 
   *out = ArchivePayload{};
-  // Pre-v3 semantics until a sync index proves otherwise: the in-memory
-  // default K would otherwise leak into payloads loaded from v1/v2 files
-  // (and re-encode them with a sync section the original never had).
+  // No sync points until a section names K: the in-memory default would
+  // otherwise leak into payloads loaded from v1/v2 files (and re-encode
+  // them with a section the original never had).
   out->params.t_sync_interval = 0;
   bool have_params = false;
-  bool have_metas = false;
   bool have_streams[4] = {false, false, false, false};
-  bool have_syncs = false;
-  uint32_t sync_interval = 0;
-  std::vector<std::vector<core::TSync>> sync_tables;
+  bool have_interval = false;
   const bool walked = ForEachSection(
       data, size, /*min_version=*/1, "archive", error,
       [&](uint64_t tag, const uint8_t* body, uint64_t length) {
@@ -550,10 +404,7 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             have_streams[3] = true;
             break;
           case SectionTag::kMetas:
-            if (!GetMetas(section, &out->metas)) {
-              return fail("invalid metas section");
-            }
-            have_metas = true;
+            out->legacy_metas.assign(body, body + length);
             break;
           case SectionTag::kStiu:
           case SectionTag::kStiuV4:
@@ -574,68 +425,39 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             break;
           }
           case SectionTag::kTSyncIndex:
-            if (!GetTSyncIndex(section, &sync_interval, &sync_tables)) {
-              return fail("invalid sync-index section");
+          case SectionTag::kSyncInterval: {
+            // Both lead with K; the tables a tag-9 section carries after it
+            // are kept only for re-encoding. K = 0 is expressed by omitting
+            // the section, so a present K of 0 is crafted.
+            if (have_interval) {
+              return fail("archive carries more than one sync-interval section");
             }
-            have_syncs = true;
+            const uint64_t k = section.GetVarint();
+            if (!section.ok() || k == 0 || k > UINT32_MAX) {
+              return fail("invalid sync-interval section");
+            }
+            out->params.t_sync_interval = static_cast<uint32_t>(k);
+            if (static_cast<SectionTag>(tag) == SectionTag::kTSyncIndex) {
+              out->legacy_syncs.assign(body, body + length);
+            } else if (section.remaining() != 0) {
+              return fail("invalid sync-interval section");
+            }
+            have_interval = true;
             break;
+          }
           default:
             break;  // unknown section: skip (forward compatibility)
         }
         return true;
       });
   if (!walked) return false;
-  if (!have_params || !have_metas || !have_streams[0] || !have_streams[1] ||
+  if (!have_params || !have_streams[0] || !have_streams[1] ||
       !have_streams[2] || !have_streams[3]) {
     return fail("archive missing a required section");
   }
   // The envelope was validated by the walk; keep the stored version so a
   // re-encode stamps the same header the file arrived with.
   out->format_version = ByteReader(data + sizeof(kMagic), 4).GetU32();
-
-  // Cross-section sanity: every meta bit position must land inside its
-  // stream, or later partial decodes would read out of bounds.
-  for (const core::TrajMeta& m : out->metas) {
-    if (m.t_pos > out->t.size_bits) return fail("meta t_pos out of range");
-    // n_points drives decode-side allocations; a trajectory with n points
-    // stores n-1 SIAR deltas of >= 1 bit each in the T stream.
-    if (m.n_points > out->t.size_bits + 1) {
-      return fail("meta n_points exceeds the T stream");
-    }
-    for (const core::RefMeta& rm : m.refs) {
-      if (rm.offset > out->ref.size_bits || rm.d_pos > out->ref.size_bits) {
-        return fail("ref meta offset out of range");
-      }
-    }
-    for (const core::NrefMeta& nm : m.nrefs) {
-      if (nm.offset > out->nref.size_bits) {
-        return fail("nref meta offset out of range");
-      }
-    }
-  }
-
-  // Merge the sync index into the metas (tag 9 may have preceded tag 6 in
-  // a crafted file, so the cross-section checks run only now): each table
-  // belongs to the same-position trajectory, every entry must leave at
-  // least one more entry to scan toward, and every bit offset must leave
-  // at least one delta code in the T stream.
-  if (have_syncs) {
-    if (sync_tables.size() != out->metas.size()) {
-      return fail("sync-index trajectory count disagrees with the metas");
-    }
-    for (size_t j = 0; j < sync_tables.size(); ++j) {
-      for (const core::TSync& s : sync_tables[j]) {
-        if (s.entry + 1 >= out->metas[j].n_points) {
-          return fail("sync-index entry out of range");
-        }
-        if (s.bit >= out->t.size_bits) {
-          return fail("sync-index bit offset past the T stream");
-        }
-      }
-      out->metas[j].t_syncs = std::move(sync_tables[j]);
-    }
-    out->params.t_sync_interval = sync_interval;
-  }
   return true;
 }
 
@@ -645,19 +467,14 @@ ArchiveWriter::ArchiveWriter(const core::CompressedCorpus& corpus,
 
 std::vector<uint8_t> ArchiveWriter::Serialize() const {
   // Streams are borrowed straight from the corpus's BitWriters: the output
-  // image is the only buffer written.
-  //
-  // The version is the oldest that can parse the image: v5 with an index
-  // (tag 11), else v3 with sync points (tag 9), else v2. An image should
-  // not claim a version that locks older readers out.
-  const uint32_t interval = corpus_.params().t_sync_interval;
-  const uint32_t version = index_ != nullptr ? 5 : interval > 0 ? 3 : 2;
+  // image is the only buffer written. Every image is v6: without tag 6 no
+  // older reader can open it.
   return EncodeArchiveRef(
       {&corpus_.params(), corpus_.entry_bits(), &corpus_.compressed_bits(),
        corpus_.t_stream().span(), corpus_.ref_stream().span(),
        corpus_.nref_stream().span(), corpus_.structure_stream().span(),
-       &corpus_.metas(), index_, nullptr, 0, SectionTag::kStiuParams,
-       version, interval});
+       index_, {}, SectionTag::kStiuParams, {}, {}, kFormatVersion,
+       corpus_.params().t_sync_interval});
 }
 
 bool ArchiveWriter::Save(const std::string& path, std::string* error) const {
@@ -743,12 +560,92 @@ bool ArchiveReader::Open(const std::string& path, std::string* error) {
 
 bool ArchiveReader::OpenBytes(std::vector<uint8_t> bytes, std::string* error) {
   open_ = false;
-  payload_ = ArchivePayload{};
-  ArchivePayload parsed;
-  if (!DecodeArchive(bytes.data(), bytes.size(), &parsed, error)) {
+  ArchivePayload payload;
+  if (!DecodeArchive(bytes.data(), bytes.size(), &payload, error)) {
+    payload_ = ArchivePayload{};
+    metas_.clear();
     return false;
   }
-  payload_ = std::move(parsed);
+  return OpenPayload(std::move(payload), nullptr, nullptr, std::nullopt,
+                     error);
+}
+
+namespace {
+
+/// Why `grid` cannot derive the index of `payload`, or nullptr.
+const char* IndexMismatch(const ArchivePayload& payload,
+                          const network::GridIndex& grid) {
+  if (payload.stiu.empty()) return "archive carries no StIU section";
+  if (grid.cells_per_side() != payload.stiu_params.cells_per_side) {
+    return "grid resolution does not match the archived StIU parameters";
+  }
+  return nullptr;
+}
+
+/// The one walk over an archive's streams (DESIGN.md §6): derives `*metas`
+/// and, with a non-null `index`, reconstructs each trajectory's instances
+/// over the index grid's network and appends it, then finishes the index.
+bool WalkStreams(const ArchivePayload& p, std::vector<core::TrajMeta>* metas,
+                 core::StiuIndex* index, std::string* error) {
+  const core::CorpusView streams(p.params, p.entry_bits, p.t.span(),
+                                 p.ref.span(), p.nref.span(),
+                                 p.structure.span(), nullptr, 0);
+  if (index == nullptr) return core::DeriveMetas(streams, metas, error);
+  const core::UtcqDecoder decoder(index->grid().network(), streams);
+  // One reused trajectory: reconstruction refills its instances in place.
+  traj::UncertainTrajectory tu;
+  std::vector<uint8_t> flags;
+  const auto append = [&](std::vector<traj::Timestamp>& times,
+                          std::span<const core::DecodedInstance> instances) {
+    tu.times.swap(times);
+    tu.instances.resize(instances.size());
+    for (size_t w = 0; w < instances.size(); ++w) {
+      if (!decoder.ToInstanceInto(instances[w], &tu.instances[w], &flags)) {
+        if (error != nullptr) {
+          *error = "trajectory " + std::to_string(metas->size() - 1) +
+                   ": instance " + std::to_string(w) +
+                   " does not reconstruct";
+        }
+        return false;
+      }
+    }
+    index->Append(tu, streams.WithMetas(metas->data(), metas->size()));
+    return true;
+  };
+  if (!core::DeriveMetas(streams, metas, error, append)) return false;
+  index->Finish();
+  return true;
+}
+
+}  // namespace
+
+bool ArchiveReader::OpenPayload(ArchivePayload payload,
+                                const network::GridIndex* grid,
+                                std::unique_ptr<core::StiuIndex>* index,
+                                std::optional<size_t> expected,
+                                std::string* error) {
+  open_ = false;
+  payload_ = std::move(payload);
+  metas_.clear();
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    payload_ = ArchivePayload{};
+    metas_.clear();
+    return false;
+  };
+  std::unique_ptr<core::StiuIndex> derived;
+  if (grid != nullptr && has_index()) {
+    if (const char* why = IndexMismatch(payload_, *grid)) return fail(why);
+    derived = std::make_unique<core::StiuIndex>(*grid, payload_.stiu_params);
+  }
+  std::string why;
+  if (!WalkStreams(payload_, &metas_, derived.get(), &why)) return fail(why);
+  if (expected.has_value() && *expected != metas_.size()) {
+    return fail("derived " + std::to_string(metas_.size()) +
+                " trajectories where the manifest lists " +
+                std::to_string(*expected));
+  }
+  if (index != nullptr) *index = std::move(derived);
   open_ = true;
   return true;
 }
@@ -757,7 +654,7 @@ core::CorpusView ArchiveReader::view() const {
   return core::CorpusView(payload_.params, payload_.entry_bits,
                           payload_.t.span(), payload_.ref.span(),
                           payload_.nref.span(), payload_.structure.span(),
-                          payload_.metas.data(), payload_.metas.size());
+                          metas_.data(), metas_.size());
 }
 
 std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
@@ -766,37 +663,11 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
     if (error != nullptr) *error = why;
     return nullptr;
   };
-  if (!has_index()) return fail("archive carries no StIU section");
-  if (grid.cells_per_side() != index_cells_per_side()) {
-    return fail("grid resolution does not match the archived StIU parameters");
-  }
-  // The streams are outside input: a trajectory is appended only once it
-  // decodes to exactly its n_points times and every instance reconstructs,
-  // so the index holds nothing the query path could not decode itself.
-  const core::CorpusView cc = view();
-  const core::UtcqDecoder decoder(grid.network(), cc);
+  if (const char* why = IndexMismatch(payload_, grid)) return fail(why);
   auto index = std::make_unique<core::StiuIndex>(grid, payload_.stiu_params);
-  traj::UncertainTrajectory tu;
-  std::vector<core::DecodedInstance> refs;
-  core::DecodedInstance scratch;
-  for (size_t j = 0; j < cc.num_trajectories(); ++j) {
-    const bool instances_ok = decoder.DecodeTrajectoryInto(j, &tu, &refs,
-                                                           &scratch);
-    const char* why = nullptr;
-    if (tu.times.empty()) {
-      why = "decodes to no timestamps";
-    } else if (tu.times.size() != cc.meta(j).n_points) {
-      why = "decodes to a time count other than its n_points";
-    } else if (!instances_ok) {
-      why = "has an instance that does not reconstruct";
-    }
-    if (why != nullptr) {
-      return fail("StIU derivation: trajectory " + std::to_string(j) + " " +
-                  why);
-    }
-    index->Append(tu, cc);
-  }
-  index->Finish();
+  std::vector<core::TrajMeta> metas;
+  std::string why;
+  if (!WalkStreams(payload_, &metas, index.get(), &why)) return fail(why);
   return index;
 }
 

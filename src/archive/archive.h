@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,9 @@ namespace utcq::archive {
 /// On-disk corpus container (DESIGN.md §6): a versioned binary file holding
 /// everything needed to answer where/when/range queries without the original
 /// uncompressed corpus — compression parameters, the four UTCQ bit streams,
-/// per-trajectory metas, and (optionally) the StIU parameters the index is
-/// derived with on open. The road network itself is *not* archived; it is
+/// the T-stream sync interval and (optionally) the StIU parameters. The
+/// per-trajectory metas, sync tables and StIU index are derived from the
+/// streams on open. The road network itself is *not* archived; it is
 /// shared corpus-independent state the caller provides on open.
 ///
 /// Layout (all multi-byte integers little-endian; varints are LEB128):
@@ -38,14 +40,15 @@ inline constexpr char kMagic[8] = {'U', 'T', 'C', 'Q', 'A', 'R', 'C', '\0'};
 /// Version 2 added the shard-manifest tag (§6 append-only rule: new tag,
 /// version bump; the payload shapes of tags 1-7 are unchanged, so version-1
 /// files still open). Version 3 added the T-stream sync index (tag 9,
-/// DESIGN.md §16) the same way: v1/v2 files still open (their trajectories
-/// simply carry no skip tables), and v3 readers skip nothing new. Version 4
-/// added the slim StIU section (tag 10, the read fields of tag 7 only).
-/// Version 5 stores no StIU tuples: tag 11 holds the index parameters and
-/// the reader derives the index from the streams. A tag-7 or tag-10 section
-/// of a v1-v4 image is kept verbatim for re-encoding, and only its two
-/// leading fields, the same parameters, are read.
-inline constexpr uint32_t kFormatVersion = 5;
+/// DESIGN.md §16) the same way. Version 4 added the slim StIU section
+/// (tag 10, the read fields of tag 7 only). Version 5 stores no StIU tuples:
+/// tag 11 holds the index parameters and the reader derives the index from
+/// the streams. Version 6 stores no metas (tag 6) and no sync tables
+/// (tag 9): tag 12 holds the sync interval, and the reader derives both
+/// from the streams. A tag-6, -7, -9 or -10 section of an older image is
+/// kept verbatim for re-encoding; only the leading parameters of tags 7, 9
+/// and 10 are read.
+inline constexpr uint32_t kFormatVersion = 6;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append.
@@ -55,18 +58,20 @@ enum class SectionTag : uint64_t {
   kRefStream = 3,      // reference payloads
   kNrefStream = 4,     // referential non-reference payloads
   kStructure = 5,      // per-trajectory role bitmaps
-  kMetas = 6,          // TrajMeta records (bit positions into the streams)
+  kMetas = 6,          // TrajMeta records (legacy, kept verbatim)
   kStiu = 7,           // StIU tuple lists, pre-v4 shape (legacy, params read)
   kShardManifest = 8,  // shard-set manifest (sole section of manifest files)
-  kTSyncIndex = 9,     // per-trajectory T-stream sync tables (v3, optional)
+  kTSyncIndex = 9,     // T-stream sync tables (legacy, interval read)
   kStiuV4 = 10,        // StIU tuple lists, v4 shape (legacy, params read)
   kStiuParams = 11,    // StIU cells_per_side + time_partition_s (v5, optional)
+  kSyncInterval = 12,  // T-stream sync interval K (v6, omitted when K = 0)
 };
 
-/// The decoded contents of an archive, owning every buffer a CorpusView
+/// The decoded contents of an archive, owning every stream a CorpusView
 /// needs. This is the neutral middle ground the writer serializes *from*
 /// and the reader deserializes *into* — re-encoding a loaded payload is
 /// byte-identical to the original file, which the round-trip tests pin down.
+/// It holds what the file stores; the metas are derived by ArchiveReader.
 struct ArchivePayload {
   struct Stream {
     std::vector<uint8_t> bytes;
@@ -75,14 +80,15 @@ struct ArchivePayload {
     common::BitSpan span() const { return {bytes.data(), size_bits}; }
   };
 
+  /// params.t_sync_interval is the archived K: tag 12's, a v3-v5 image's
+  /// tag-9 header, or 0 when the image has neither.
   core::UtcqParams params;
   int entry_bits = 4;
   traj::ComponentSizes compressed_bits;
   Stream t, ref, nref, structure;
-  std::vector<core::TrajMeta> metas;
   /// Container version this payload was decoded from, stamped back on
   /// re-encode so round-trips stay byte-identical (a v2 file must not come
-  /// back labelled v3). Payloads built in memory carry the current version.
+  /// back labelled v6). Payloads built in memory carry the current version.
   uint32_t format_version = kFormatVersion;
   /// The StIU section's body as read, re-encoded verbatim under `stiu_tag`
   /// so round trips stay byte-identical: a tag-11 section's parameters, or
@@ -92,6 +98,11 @@ struct ArchivePayload {
   /// The section's two leading fields, the parameters the index is derived
   /// with; meaningful only when `stiu` is non-empty.
   core::StiuParams stiu_params;
+  /// A v1-v5 image's tag-6 (metas) and tag-9 (sync tables) bodies, kept
+  /// verbatim for re-encoding and never read. When `legacy_syncs` is
+  /// non-empty, K is written there rather than as tag 12.
+  std::vector<uint8_t> legacy_metas;
+  std::vector<uint8_t> legacy_syncs;
 };
 
 /// Description of a multi-shard archive set (DESIGN.md §8): N per-shard
@@ -125,7 +136,8 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload);
 
 /// Parses and validates a container. Returns false (with a reason in
 /// `*error`) on bad magic, unsupported version, truncation, checksum
-/// mismatch, or a structurally invalid required section.
+/// mismatch, or a structurally invalid required section. The streams are
+/// not walked: ArchiveReader derives the metas from them.
 bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
                    std::string* error);
 
@@ -168,24 +180,40 @@ class ArchiveWriter {
   const core::StiuIndex* index_;
 };
 
-/// Read-side entry point: opens a container, validates it, and exposes the
-/// immutable CorpusView plus the StIU index derived from it. The reader owns
-/// every byte the view borrows, so it must outlive all views, decoders and
-/// query processors derived from it.
+/// Read-side entry point: opens a container, validates it, and derives
+/// what it does not store — every TrajMeta and sync table, and optionally
+/// the StIU index — in one walk over its streams (DESIGN.md §6). The reader
+/// owns every byte the view borrows, so it must outlive all views, decoders
+/// and query processors derived from it.
 class ArchiveReader {
  public:
   ArchiveReader() = default;
 
-  /// Reads and validates the file. On failure returns false, describes the
-  /// problem in `*error`, and leaves the reader empty.
+  /// Reads the file and opens it as OpenBytes does.
   bool Open(const std::string& path, std::string* error = nullptr);
 
-  /// Same, over an in-memory image (takes ownership of the bytes).
+  /// Checks the container (DecodeArchive) and derives the metas. On
+  /// failure returns false, describes the problem in `*error`, and leaves
+  /// the reader empty.
   bool OpenBytes(std::vector<uint8_t> bytes, std::string* error = nullptr);
+
+  /// Opens a payload DecodeArchive produced, in one walk over its streams
+  /// that derives every TrajMeta. With a non-null `grid` (of
+  /// index_cells_per_side() cells, outliving the index) on an archive that
+  /// carries a StIU section, the same walk derives the index into `*index`,
+  /// reconstructing each instance over grid->network(). `expected`, when
+  /// set, is the trajectory count a shard manifest lists for this archive.
+  /// Fails, naming the trajectory, when a stream does not walk, an instance
+  /// does not reconstruct, or the count differs from `expected`.
+  bool OpenPayload(ArchivePayload payload, const network::GridIndex* grid,
+                   std::unique_ptr<core::StiuIndex>* index,
+                   std::optional<size_t> expected, std::string* error);
 
   bool is_open() const { return open_; }
   const core::UtcqParams& params() const { return payload_.params; }
   const ArchivePayload& payload() const { return payload_; }
+  /// The metas derived on open, one per trajectory.
+  const std::vector<core::TrajMeta>& metas() const { return metas_; }
 
   /// Immutable read-side over the loaded streams; identical in behaviour to
   /// the view of the live CompressedCorpus this archive was saved from.
@@ -200,18 +228,18 @@ class ArchiveReader {
     return has_index() ? payload_.stiu_params.cells_per_side : 0;
   }
 
-  /// Derives the StIU index: decodes each trajectory through a UtcqDecoder
-  /// over grid.network() into reused buffers and appends it. `grid` must
-  /// have index_cells_per_side() cells. Returns nullptr (with a reason) on
-  /// a mismatch, when no index is archived, or when a trajectory decodes to
-  /// no timestamps, to a count other than its n_points, or to an instance
-  /// that does not reconstruct.
+  /// Derives the StIU index of an open archive by walking its streams
+  /// again (OpenPayload with a grid does it in the opening walk). `grid`
+  /// must have index_cells_per_side() cells. Returns nullptr (with a
+  /// reason) on a mismatch, when no index is archived, or when an instance
+  /// does not reconstruct over grid.network().
   std::unique_ptr<core::StiuIndex> LoadIndex(
       const network::GridIndex& grid, std::string* error = nullptr) const;
 
  private:
   bool open_ = false;
   ArchivePayload payload_;
+  std::vector<core::TrajMeta> metas_;
 };
 
 }  // namespace utcq::archive

@@ -23,9 +23,9 @@ struct UtcqParams {
   /// Sync-point interval K for the T stream (DESIGN.md §16): every K
   /// decoded entries the encoder records a restart state in
   /// TrajMeta::t_syncs so BracketTime can seek instead of scanning from
-  /// the trajectory's first delta. 0 disables sync points (pre-v3
-  /// archives). Not part of the kParams archive payload — persisted in
-  /// the v3 sync-index section alongside the tables it describes.
+  /// the trajectory's first delta. 0 disables sync points. Not part of the
+  /// kParams archive payload: v6 archives store it in its own section
+  /// (tag 12) and derive the tables from the T stream on open.
   uint32_t t_sync_interval = 32;
 };
 
@@ -36,6 +36,7 @@ struct RefMeta {
   uint32_t e_len = 0;
   uint64_t d_pos = 0;       // absolute bit position of the first D code
   float p_quantized = 0.0f;
+  bool operator==(const RefMeta&) const = default;
 };
 
 /// Bit positions of one compressed non-reference.
@@ -45,6 +46,7 @@ struct NrefMeta {
   uint64_t offset = 0;   // start of this non-reference in nref_stream
   uint32_t e_len = 0;
   float p_quantized = 0.0f;
+  bool operator==(const NrefMeta&) const = default;
 };
 
 /// One T-stream sync point (DESIGN.md §16): the decoder restart state
@@ -57,6 +59,7 @@ struct TSync {
   uint32_t entry = 0;     // index of the last decoded entry (>= 1)
   traj::Timestamp t = 0;  // times[entry]
   uint64_t bit = 0;       // absolute bit position of delta entry+1
+  bool operator==(const TSync&) const = default;
 };
 
 struct TrajMeta {
@@ -69,10 +72,10 @@ struct TrajMeta {
   /// Per original instance: (is_reference, index into refs / nrefs).
   std::vector<std::pair<bool, uint32_t>> roles;
   /// T-stream skip table, ascending by entry (and by bit). Empty when the
-  /// corpus was built with t_sync_interval == 0 or loaded from a pre-v3
-  /// archive. Persisted in the archive's sync-index section, not in
-  /// kMetas (§6 append-only rule: tag-6 payload shape is frozen).
+  /// corpus was built with t_sync_interval == 0. Archives store no table:
+  /// the reader rebuilds it by the encoder's rule (DESIGN.md §16).
   std::vector<TSync> t_syncs;
+  bool operator==(const TrajMeta&) const = default;
 };
 
 /// Empty shim for bench/e2e/replay.cc; ROADMAP item 6 deletes it.

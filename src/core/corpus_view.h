@@ -56,6 +56,15 @@ class CorpusView {
   size_t num_trajectories() const { return num_trajectories_; }
   const TrajMeta& meta(size_t j) const { return metas_[j]; }
 
+  /// The same streams over other metas (a walk deriving them appends as it
+  /// goes), without rebuilding the codecs.
+  CorpusView WithMetas(const TrajMeta* metas, size_t num_trajectories) const {
+    CorpusView v = *this;
+    v.metas_ = metas;
+    v.num_trajectories_ = num_trajectories;
+    return v;
+  }
+
   /// Total compressed payload in bits (all four streams).
   uint64_t total_bits() const {
     return t_.size_bits + ref_.size_bits + nref_.size_bits +

@@ -1,7 +1,10 @@
 #ifndef UTCQ_CORE_DECODER_H_
 #define UTCQ_CORE_DECODER_H_
 
+#include <functional>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/corpus_view.h"
@@ -51,7 +54,7 @@ class UtcqDecoder {
   /// (t_no, t_start, t_pos), finds i with t_i <= t <= t_{i+1}. Returns
   /// (i, t_i, t_{i+1}); nullopt when t falls outside the remaining span.
   ///
-  /// When the trajectory carries a sync table (format v3), the scan start
+  /// When the trajectory carries a sync table (DESIGN.md §16), the scan start
   /// is upgraded to the latest sync point with entry > t_no and t strictly
   /// below the query time, so the walk reads at most ~K deltas instead of
   /// everything after the temporal tuple. The strict `sync.t < t`
@@ -99,13 +102,13 @@ class UtcqDecoder {
                                   const DecodedInstance& ref,
                                   DecodedInstance* d) const;
 
-  /// Decodes the instance at original position `w` of trajectory `j`
-  /// (resolving its reference first when needed).
-  DecodedInstance DecodeByOriginal(size_t j, uint32_t w) const;
-
   /// Rebuilds a TrajectoryInstance (path + locations) from a decoded form.
   std::optional<traj::TrajectoryInstance> ToInstance(
       const DecodedInstance& d) const;
+  /// ToInstance into `out`, with `flags` as scratch, both reused across
+  /// calls; false when the decoded form does not reconstruct.
+  bool ToInstanceInto(const DecodedInstance& d, traj::TrajectoryInstance* out,
+                      std::vector<uint8_t>* flags) const;
 
   /// Decodes trajectory `j` in full — shared times plus every reference and
   /// non-reference expanded to an instance — into the alpha-independent
@@ -113,15 +116,8 @@ class UtcqDecoder {
   /// traj::DecodedTraj).
   traj::DecodedTraj DecodeTraj(size_t j) const;
 
-  /// Decodes trajectory `j` in full into `tu`: its times, and every
-  /// instance at its original position. `tu`, `refs` and `scratch` are
-  /// reused buffers. Returns false when an instance fails to reconstruct;
-  /// its slot is left as it was.
-  bool DecodeTrajectoryInto(size_t j, traj::UncertainTrajectory* tu,
-                            std::vector<DecodedInstance>* refs,
-                            DecodedInstance* scratch) const;
-
-  /// Full corpus decompression (round-trip tests).
+  /// Full corpus decompression (round-trip tests), through DeriveMetas's
+  /// walk over the streams.
   traj::UncertainCorpus DecompressAll() const;
 
   const CorpusView& view() const { return cc_; }
@@ -130,6 +126,27 @@ class UtcqDecoder {
   const network::RoadNetwork& net_;
   CorpusView cc_;
 };
+
+/// What DeriveMetas hands its visitor per trajectory, right after appending
+/// the trajectory's meta: its times (the visitor may swap them out; the
+/// walk refills the buffer) and its instances in improved-TED form at their
+/// original positions. Returning false stops the walk; the visitor sets
+/// the reason.
+using DerivedTrajVisitor =
+    std::function<bool(std::vector<traj::Timestamp>& times,
+                       std::span<const DecodedInstance> instances)>;
+
+/// Rebuilds every TrajMeta of the corpus whose streams `cc` views (its own
+/// metas are not read) exactly as the encoder recorded them, in one
+/// sequential walk over the T, structure, ref and nref streams (DESIGN.md
+/// §6): each block starts where the previous one ends, and the sync tables
+/// follow the encoder's rule for cc.params().t_sync_interval. Returns false
+/// with a reason in `*error`, naming the trajectory, when a block runs past
+/// its stream or does not decode, a non-reference names a missing
+/// reference, or a stream holds bits past its last block.
+bool DeriveMetas(const CorpusView& cc, std::vector<TrajMeta>* metas,
+                 std::string* error,
+                 const DerivedTrajVisitor& visit = nullptr);
 
 }  // namespace utcq::core
 

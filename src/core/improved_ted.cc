@@ -17,16 +17,15 @@ InstanceRepr BuildInstanceRepr(const network::RoadNetwork& net,
   return repr;
 }
 
-std::vector<uint8_t> UntrimTimeFlags(const std::vector<uint8_t>& trimmed,
-                                     size_t entry_count) {
-  std::vector<uint8_t> full;
-  if (entry_count == 0) return full;
-  full.reserve(entry_count);
-  full.push_back(1);
-  if (entry_count == 1) return full;
-  full.insert(full.end(), trimmed.begin(), trimmed.end());
-  full.push_back(1);
-  return full;
+void UntrimTimeFlags(const std::vector<uint8_t>& trimmed, size_t entry_count,
+                     std::vector<uint8_t>* full) {
+  full->clear();
+  if (entry_count == 0) return;
+  full->reserve(entry_count);
+  full->push_back(1);
+  if (entry_count == 1) return;
+  full->insert(full->end(), trimmed.begin(), trimmed.end());
+  full->push_back(1);
 }
 
 std::vector<int64_t> SiarDeltas(const std::vector<traj::Timestamp>& times,

@@ -24,11 +24,11 @@ struct InstanceRepr {
 InstanceRepr BuildInstanceRepr(const network::RoadNetwork& net,
                                const traj::TrajectoryInstance& inst);
 
-/// Restores the full time-flag bit-string from its trimmed form.
-/// `entry_count` is |E(.)|; when it is 1 the single (shared first/last) bit
-/// is 1, when 0 the result is empty.
-std::vector<uint8_t> UntrimTimeFlags(const std::vector<uint8_t>& trimmed,
-                                     size_t entry_count);
+/// Restores the full time-flag bit-string from its trimmed form into
+/// `full` (cleared, capacity kept). `entry_count` is |E(.)|; when it is 1
+/// the single (shared first/last) bit is 1, when 0 the result is empty.
+void UntrimTimeFlags(const std::vector<uint8_t>& trimmed, size_t entry_count,
+                     std::vector<uint8_t>* full);
 
 /// Sample Interval Adaptive Representation (SIAR) of a shared time sequence:
 /// deltas[i] = (t_{i+1} - t_i) - Ts. Lossless given t0 and Ts.

@@ -1,8 +1,9 @@
 #include "network/grid_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
+
+#include "network/geometry.h"
 
 namespace utcq::network {
 
@@ -18,27 +19,21 @@ GridIndex::GridIndex(const RoadNetwork& network, uint32_t cells_per_side)
 
   region_edges_.resize(num_regions());
   edge_regions_.resize(network.num_edges());
+  // An edge is listed in every cell of its bounding box whose rectangle
+  // the segment meets, and in its endpoints' cells (which a rounded
+  // RegionRect at the grid's far border might not contain).
   for (EdgeId e = 0; e < network.num_edges(); ++e) {
     const Edge& ed = network.edge(e);
     const Vertex& a = network.vertex(ed.from);
     const Vertex& b = network.vertex(ed.to);
-    // Sample densely enough that no crossed cell is skipped.
-    const double step = std::min(cell_w_, cell_h_) / 2.0;
-    const int samples =
-        std::max(2, static_cast<int>(std::ceil(ed.length / step)) + 1);
-    RegionId last = kInvalidRegion;
-    for (int i = 0; i < samples; ++i) {
-      const double f = static_cast<double>(i) / (samples - 1);
-      const RegionId re = RegionOf(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f);
-      if (re != last) {
-        // Deduplicate revisits (straight edges never revisit a cell, but be
-        // safe for future curved geometry).
-        if (std::find(edge_regions_[e].begin(), edge_regions_[e].end(), re) ==
-            edge_regions_[e].end()) {
-          edge_regions_[e].push_back(re);
-          region_edges_[re].push_back(e);
-        }
-        last = re;
+    const RegionId ends[] = {RegionOf(a.x, a.y), RegionOf(b.x, b.y)};
+    const Rect box{std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x),
+                   std::max(a.y, b.y)};
+    for (const RegionId re : RegionsInRect(box)) {
+      if (re == ends[0] || re == ends[1] ||
+          SegmentIntersectsRect(a.x, a.y, b.x, b.y, RegionRect(re))) {
+        edge_regions_[e].push_back(re);
+        region_edges_[re].push_back(e);
       }
     }
   }

@@ -189,50 +189,52 @@ bool ShardedCorpus::Open(const network::RoadNetwork& net,
   const std::string dir = SplitDirBase(manifest_path).first;
   const size_t n = manifest.shards.size();
 
-  // Shard files are read and decoded concurrently; each task writes only
-  // its own slots. The checks then run in shard order, so a bad set fails
-  // with the same (first) error a one-by-one open would report.
-  std::vector<std::unique_ptr<Shard>> shards(n);
+  // Shard files are read and their containers checked concurrently; each
+  // task writes only its own slots. The checks then run in shard order, so
+  // a bad set fails with the same (first) error a one-by-one open would
+  // report.
+  std::vector<archive::ArchivePayload> payloads(n);
   std::vector<std::string> errors(n);
+  std::vector<uint8_t> decoded(n, 0);
   common::ParallelFor(n, 0, [&](size_t s) {
-    auto shard = std::make_unique<Shard>();
-    if (shard->reader.Open(dir + manifest.shards[s].file, &errors[s])) {
-      shards[s] = std::move(shard);
-    }
+    std::vector<uint8_t> file;
+    decoded[s] = archive::ReadFileBytes(dir + manifest.shards[s].file, &file,
+                                        &errors[s]) &&
+                 archive::DecodeArchive(file.data(), file.size(),
+                                        &payloads[s], &errors[s]);
   });
   uint32_t cells = 0;
   for (size_t s = 0; s < n; ++s) {
     const archive::ShardManifest::Shard& entry = manifest.shards[s];
-    if (shards[s] == nullptr) return fail(errors[s]);
-    const archive::ArchiveReader& reader = shards[s]->reader;
-    if (!reader.has_index()) {
+    if (!decoded[s]) return fail(errors[s]);
+    if (payloads[s].stiu.empty()) {
       return fail("shard " + entry.file + " carries no StIU index");
     }
-    if (reader.payload().metas.size() != entry.members.size()) {
-      return fail("shard " + entry.file +
-                  " trajectory count disagrees with the manifest");
-    }
     if (cells == 0) {
-      cells = reader.index_cells_per_side();
-    } else if (reader.index_cells_per_side() != cells) {
+      cells = payloads[s].stiu_params.cells_per_side;
+    } else if (payloads[s].stiu_params.cells_per_side != cells) {
       return fail("shard " + entry.file +
                   " was indexed over a different grid resolution");
     }
   }
 
-  // Indexes are derived concurrently too, each from its shard's streams,
-  // and are complete when Open returns.
+  // One walk per shard, concurrently, derives its metas and its index
+  // (DESIGN.md §6); both are complete when Open returns.
   auto grid = std::make_unique<network::GridIndex>(net, cells);
+  std::vector<std::unique_ptr<Shard>> shards(n);
   common::ParallelFor(n, 0, [&](size_t s) {
-    Shard& shard = *shards[s];
-    shard.index = shard.reader.LoadIndex(*grid, &errors[s]);
-    if (shard.index != nullptr) {
-      shard.queries = std::make_unique<core::UtcqQueryProcessor>(
-          net, shard.reader.view(), *shard.index);
+    auto shard = std::make_unique<Shard>();
+    if (shard->reader.OpenPayload(std::move(payloads[s]), grid.get(),
+                                  &shard->index,
+                                  manifest.shards[s].members.size(),
+                                  &errors[s])) {
+      shard->queries = std::make_unique<core::UtcqQueryProcessor>(
+          net, shard->reader.view(), *shard->index);
+      shards[s] = std::move(shard);
     }
   });
   for (size_t s = 0; s < n; ++s) {
-    if (shards[s]->index == nullptr) {
+    if (shards[s] == nullptr) {
       return fail("shard " + manifest.shards[s].file + ": " + errors[s]);
     }
   }

@@ -185,11 +185,26 @@ std::optional<TrajectoryInstance> ReconstructInstance(
     const RoadNetwork& net, network::VertexId sv,
     const std::vector<uint32_t>& entries, const std::vector<uint8_t>& tflag,
     const std::vector<double>& rds, double probability) {
-  if (entries.size() != tflag.size()) return std::nullopt;
+  TrajectoryInstance inst;
+  if (!ReconstructInstanceInto(net, sv, entries, tflag, rds, probability,
+                               &inst)) {
+    return std::nullopt;
+  }
+  return inst;
+}
+
+bool ReconstructInstanceInto(const RoadNetwork& net, network::VertexId sv,
+                             const std::vector<uint32_t>& entries,
+                             const std::vector<uint8_t>& tflag,
+                             const std::vector<double>& rds,
+                             double probability, TrajectoryInstance* out) {
+  if (entries.size() != tflag.size()) return false;
   // The start vertex arrives as a raw 32-bit field from a possibly
   // untrusted stream; everything after it is derived from real edges.
-  if (sv >= net.num_vertices()) return std::nullopt;
-  TrajectoryInstance inst;
+  if (sv >= net.num_vertices()) return false;
+  TrajectoryInstance& inst = *out;
+  inst.path.clear();
+  inst.locations.clear();
   inst.probability = probability;
   network::VertexId cursor = sv;
   size_t loc = 0;
@@ -197,20 +212,20 @@ std::optional<TrajectoryInstance> ReconstructInstance(
     const uint32_t no = entries[i];
     if (no != 0) {
       const EdgeId e = net.OutEdge(cursor, no);
-      if (e == network::kInvalidEdge) return std::nullopt;
+      if (e == network::kInvalidEdge) return false;
       inst.path.push_back(e);
       cursor = net.edge(e).to;
     } else if (inst.path.empty()) {
-      return std::nullopt;  // a repeat marker cannot open the sequence
+      return false;  // a repeat marker cannot open the sequence
     }
     if (tflag[i] != 0) {
-      if (loc >= rds.size()) return std::nullopt;
+      if (loc >= rds.size()) return false;
       inst.locations.push_back(
           {static_cast<uint32_t>(inst.path.size() - 1), rds[loc]});
       ++loc;
     }
   }
-  if (loc != rds.size()) return std::nullopt;
+  if (loc != rds.size()) return false;
   // Lossy D coding is not strictly monotone; restore same-edge ordering so
   // interpolation invariants hold (perturbation stays within the bound).
   for (size_t i = 1; i < inst.locations.size(); ++i) {
@@ -220,7 +235,7 @@ std::optional<TrajectoryInstance> ReconstructInstance(
       cur.rd = prev.rd;
     }
   }
-  return inst;
+  return true;
 }
 
 }  // namespace utcq::traj

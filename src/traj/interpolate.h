@@ -85,6 +85,17 @@ std::optional<TrajectoryInstance> ReconstructInstance(
     const std::vector<uint32_t>& entries, const std::vector<uint8_t>& tflag,
     const std::vector<double>& rds, double probability);
 
+/// ReconstructInstance into `out`, whose vectors are cleared and refilled
+/// (capacity kept), so a loop reconstructing many instances into one stops
+/// allocating. Returns false, leaving `out` unspecified, where
+/// ReconstructInstance returns nullopt.
+bool ReconstructInstanceInto(const network::RoadNetwork& net,
+                             network::VertexId sv,
+                             const std::vector<uint32_t>& entries,
+                             const std::vector<uint8_t>& tflag,
+                             const std::vector<double>& rds,
+                             double probability, TrajectoryInstance* out);
+
 }  // namespace utcq::traj
 
 #endif  // UTCQ_TRAJ_INTERPOLATE_H_

@@ -93,21 +93,12 @@ TEST(Archive, FileRoundTripPreservesEveryStreamAndMeta) {
     EXPECT_EQ(payload.ref.bytes, cc.ref_stream().bytes());
     EXPECT_EQ(payload.nref.bytes, cc.nref_stream().bytes());
     EXPECT_EQ(payload.structure.bytes, cc.structure_stream().bytes());
-    ASSERT_EQ(payload.metas.size(), cc.num_trajectories());
-    for (size_t j = 0; j < payload.metas.size(); ++j) {
-      const core::TrajMeta& a = payload.metas[j];
-      const core::TrajMeta& b = cc.meta(j);
-      EXPECT_EQ(a.t_pos, b.t_pos);
-      EXPECT_EQ(a.n_points, b.n_points);
-      ASSERT_EQ(a.refs.size(), b.refs.size());
-      ASSERT_EQ(a.nrefs.size(), b.nrefs.size());
-      if (disable_referential) EXPECT_TRUE(a.nrefs.empty());
-      EXPECT_EQ(a.roles, b.roles);
-      for (size_t r = 0; r < a.refs.size(); ++r) {
-        EXPECT_EQ(a.refs[r].offset, b.refs[r].offset);
-        EXPECT_EQ(a.refs[r].d_pos, b.refs[r].d_pos);
-        EXPECT_EQ(a.refs[r].p_quantized, b.refs[r].p_quantized);
-      }
+    // The metas are derived from the streams, field for field the
+    // compressor's.
+    ASSERT_EQ(reader.metas().size(), cc.num_trajectories());
+    for (size_t j = 0; j < cc.num_trajectories(); ++j) {
+      EXPECT_EQ(reader.metas()[j], cc.meta(j)) << "trajectory " << j;
+      if (disable_referential) EXPECT_TRUE(reader.metas()[j].nrefs.empty());
     }
   }
 }
@@ -201,30 +192,64 @@ TEST(Archive, LoadedQueriesMatchLiveQueries) {
 }
 
 TEST(Archive, ReloadedStiuTuplesMatch) {
-  // The index derived on open is the compress-time index, array for array.
+  // The index derived on open is the compress-time index, array for array,
+  // whether the opening walk derives it or LoadIndex walks again.
   ArchiveFixture fx;
+  const std::vector<uint8_t> image =
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
   ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ASSERT_TRUE(reader.OpenBytes(image));
   const network::GridIndex grid(fx.net, reader.index_cells_per_side());
   std::string error;
   const auto index = reader.LoadIndex(grid, &error);
   ASSERT_NE(index, nullptr) << error;
   test::ExpectSameIndex(*index, fx.sys->index());
+
+  ArchivePayload payload;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &payload, &error));
+  ArchiveReader fused;
+  std::unique_ptr<core::StiuIndex> derived;
+  ASSERT_TRUE(fused.OpenPayload(std::move(payload), &grid, &derived,
+                                fx.corpus.size(), &error))
+      << error;
+  ASSERT_NE(derived, nullptr);
+  test::ExpectSameIndex(*derived, fx.sys->index());
+  EXPECT_EQ(fused.metas(), reader.metas());
 }
 
-TEST(Archive, V5ImagesStoreOnlyTheIndexParameters) {
-  // The StIU section of a v5 image is its two parameters; LoadIndex needs
-  // the section and a grid of the archived resolution, and derives the
+/// The section tags of a container image, in file order.
+std::vector<uint64_t> SectionTags(const std::vector<uint8_t>& image) {
+  common::ByteReader in(image.data(), image.size() - 4);
+  in.Skip(sizeof(kMagic) + 4);
+  std::vector<uint64_t> tags(in.GetVarint());
+  for (uint64_t& tag : tags) {
+    tag = in.GetVarint();
+    in.Skip(in.GetVarint());
+  }
+  EXPECT_TRUE(in.ok());
+  return tags;
+}
+
+TEST(Archive, V6ImagesStoreOnlyTheStreamsAndParameters) {
+  // A v6 image holds the params, the four streams, the StIU parameters
+  // (tag 11) and K (tag 12): no metas, no sync tables. LoadIndex needs the
+  // StIU section and a grid of the archived resolution, and derives the
   // same index every time it is called.
   ArchiveFixture fx;
+  const std::vector<uint8_t> image =
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  EXPECT_EQ(image[8], 6u);
+  EXPECT_EQ(SectionTags(image),
+            (std::vector<uint64_t>{1, 2, 3, 4, 5, 11, 12}));
   ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ASSERT_TRUE(reader.OpenBytes(image));
   EXPECT_EQ(reader.payload().stiu_tag, SectionTag::kStiuParams);
   EXPECT_EQ(reader.payload().stiu, (std::vector<uint8_t>{16, 0x88, 0x0E}));
   EXPECT_EQ(reader.index_cells_per_side(), 16u);
   EXPECT_EQ(reader.payload().stiu_params.time_partition_s, 900);
+  EXPECT_EQ(reader.params().t_sync_interval, 32u);
+  EXPECT_TRUE(reader.payload().legacy_metas.empty());
+  EXPECT_TRUE(reader.payload().legacy_syncs.empty());
 
   std::string error;
   const network::GridIndex grid(fx.net, 16);
@@ -239,51 +264,52 @@ TEST(Archive, V5ImagesStoreOnlyTheIndexParameters) {
   EXPECT_NE(error.find("grid resolution"), std::string::npos) << error;
 
   ArchiveReader bare;
-  ASSERT_TRUE(bare.OpenBytes(ArchiveWriter(fx.sys->compressed()).Serialize()));
+  const std::vector<uint8_t> no_index =
+      ArchiveWriter(fx.sys->compressed()).Serialize();
+  EXPECT_EQ(no_index[8], 6u);
+  EXPECT_EQ(SectionTags(no_index), (std::vector<uint64_t>{1, 2, 3, 4, 5, 12}));
+  ASSERT_TRUE(bare.OpenBytes(no_index));
   EXPECT_FALSE(bare.has_index());
   EXPECT_EQ(bare.index_cells_per_side(), 0u);
   EXPECT_EQ(bare.LoadIndex(grid, &error), nullptr);
   EXPECT_NE(error.find("no StIU section"), std::string::npos) << error;
 }
 
-TEST(Archive, LoadIndexRejectsTrajectoriesThatDoNotDecode) {
-  // The streams are outside input: a trajectory that decodes to no times,
-  // to a count other than its n_points, or to an instance that does not
-  // reconstruct fails LoadIndex with a reason naming it.
+TEST(Archive, OpenRejectsInstancesThatDoNotReconstruct) {
+  // The walk that derives the index reconstructs every instance over the
+  // grid's network: against a smaller network the archived vertex ids do
+  // not exist, and the open fails naming the trajectory. Without a grid
+  // nothing is reconstructed and the same image opens.
   ArchiveFixture fx;
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  std::string error;
-  const auto load = [&](const ArchivePayload& payload,
-                        const network::GridIndex& grid) {
-    ArchiveReader hostile;
-    EXPECT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
-    return hostile.LoadIndex(grid, &error);
-  };
-
-  // Trajectory 0's T header claims more deltas than the stream holds.
-  ArchivePayload no_times = reader.payload();
-  ASSERT_EQ(no_times.metas[0].t_pos, 0u);
-  std::fill_n(no_times.t.bytes.begin(), 10, uint8_t{0xFF});
-  EXPECT_EQ(load(no_times, *fx.grid), nullptr);
-  EXPECT_NE(error.find("trajectory 0 decodes to no timestamps"),
-            std::string::npos)
-      << error;
-
-  ArchivePayload miscounted = reader.payload();
-  miscounted.metas[3].n_points += 1;
-  EXPECT_EQ(load(miscounted, *fx.grid), nullptr);
-  EXPECT_NE(error.find("trajectory 3 decodes to a time count"),
-            std::string::npos)
-      << error;
-
-  // Against a smaller network the archived vertex ids do not exist.
+  const std::vector<uint8_t> image =
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
   const network::RoadNetwork small =
       test::MakeSmallCity(traj::ChengduProfile(), 4);
   const network::GridIndex small_grid(small, 16);
-  EXPECT_EQ(load(reader.payload(), small_grid), nullptr);
+  std::string error;
+  ArchivePayload payload;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &payload, &error));
+  ArchiveReader reader;
+  std::unique_ptr<core::StiuIndex> index;
+  EXPECT_FALSE(reader.OpenPayload(payload, &small_grid, &index, std::nullopt,
+                                  &error));
+  EXPECT_FALSE(reader.is_open());
+  EXPECT_EQ(index, nullptr);
   EXPECT_NE(error.find("does not reconstruct"), std::string::npos) << error;
+  EXPECT_EQ(error.rfind("trajectory ", 0), 0u) << error;
+
+  ASSERT_TRUE(reader.OpenBytes(image, &error)) << error;
+  EXPECT_EQ(reader.LoadIndex(small_grid, &error), nullptr);
+  EXPECT_NE(error.find("does not reconstruct"), std::string::npos) << error;
+
+  // The count a manifest lists must be the derived one.
+  const network::GridIndex grid(fx.net, 16);
+  EXPECT_FALSE(reader.OpenPayload(payload, &grid, &index,
+                                  fx.corpus.size() + 1, &error));
+  EXPECT_NE(error.find("manifest lists"), std::string::npos) << error;
+  EXPECT_TRUE(reader.OpenPayload(payload, &grid, &index, fx.corpus.size(),
+                                 &error))
+      << error;
 }
 
 TEST(Archive, ArchiveWithoutIndexStillDecodes) {
@@ -354,28 +380,98 @@ TEST(Archive, RejectsTruncationBadMagicAndBitRot) {
   EXPECT_TRUE(reader.is_open());
 }
 
-TEST(Archive, RejectsMetasWithDuplicateOrigIndex) {
-  // Two metas claiming the same instance slot would leave another slot at
-  // the default role and decode nrefs[0] out of bounds; the reader must
-  // reject the section instead.
+TEST(Archive, RejectsStreamsThatDoNotWalk) {
+  // The walk that derives the metas checks the streams against each other:
+  // every block must decode inside its stream, and every stream must end
+  // exactly where its last block does. Each mutation below is CRC-valid.
   ArchiveFixture fx;
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  ArchivePayload payload = reader.payload();
-  core::TrajMeta* victim = nullptr;
-  for (auto& m : payload.metas) {
-    if (!m.refs.empty() && !m.nrefs.empty()) {
-      victim = &m;
-      break;
-    }
-  }
-  ASSERT_NE(victim, nullptr);
-  victim->nrefs[0].orig_index = victim->refs[0].orig_index;
+  ArchivePayload base;
   std::string error;
-  ArchiveReader hostile;
-  EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
-  EXPECT_NE(error.find("metas"), std::string::npos) << error;
+  const std::vector<uint8_t> image =
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &base, &error));
+  const size_t last = fx.corpus.size() - 1;
+  const auto grow = [](ArchivePayload::Stream* s, uint64_t bits) {
+    s->size_bits += bits;
+    s->bytes.resize((s->size_bits + 7) / 8, 0);
+  };
+  const auto shrink = [](ArchivePayload::Stream* s, uint64_t bits) {
+    s->size_bits -= bits;
+    s->bytes.resize((s->size_bits + 7) / 8);
+  };
+  const auto expect_rejected = [&](const ArchivePayload& payload,
+                                   const std::string& why) {
+    ArchiveReader hostile;
+    EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
+    EXPECT_FALSE(hostile.is_open());
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  {
+    SCOPED_TRACE("T header claims more deltas than the stream holds");
+    ArchivePayload p = base;
+    std::fill_n(p.t.bytes.begin(), 10, uint8_t{0xFF});
+    expect_rejected(p, "trajectory 0: T block runs past the end");
+  }
+  {
+    SCOPED_TRACE("T stream cut inside the last block");
+    ArchivePayload p = base;
+    shrink(&p.t, 3);
+    expect_rejected(p, "trajectory " + std::to_string(last) +
+                           ": T block runs past the end");
+  }
+  {
+    SCOPED_TRACE("trailing T bits");
+    ArchivePayload p = base;
+    grow(&p.t, 5);
+    expect_rejected(p, "trajectory " + std::to_string(last + 1) +
+                           ": T stream holds bits past the last structure "
+                           "record");
+  }
+  {
+    SCOPED_TRACE("structure stream cut");
+    ArchivePayload p = base;
+    shrink(&p.structure, 1);
+    expect_rejected(p, "trajectory " + std::to_string(last) +
+                           ": structure record runs past the end");
+  }
+  {
+    SCOPED_TRACE("ref blocks past the structure stream's instance counts");
+    ArchivePayload p = base;
+    grow(&p.ref, 9);
+    expect_rejected(p, "ref stream holds 9 bits past the blocks of its " +
+                           std::to_string(fx.corpus.size()) +
+                           " trajectories");
+  }
+  {
+    SCOPED_TRACE("trailing nref bits");
+    ArchivePayload p = base;
+    grow(&p.nref, 1);
+    expect_rejected(p, "nref stream holds 1 bits past the blocks");
+  }
+  {
+    SCOPED_TRACE("ref decoder overflow");
+    ArchivePayload p = base;
+    shrink(&p.ref, 2);
+    expect_rejected(p, "trajectory " + std::to_string(last) +
+                           ": reference");
+    EXPECT_NE(error.find("overflows the ref stream"), std::string::npos)
+        << error;
+  }
+  {
+    SCOPED_TRACE("nref decoder overflow");
+    size_t with_nref = last;
+    while (fx.sys->compressed().meta(with_nref).nrefs.empty()) --with_nref;
+    ArchivePayload p = base;
+    shrink(&p.nref, p.nref.size_bits -
+                        fx.sys->compressed().meta(with_nref).nrefs[0].offset -
+                        3);
+    expect_rejected(p, "trajectory " + std::to_string(with_nref) +
+                           ": non-reference 0 overflows the nref stream");
+  }
+  // The unmutated payload re-encodes and opens: the rejections above came
+  // from the mutations, not the harness.
+  ArchiveReader ok;
+  EXPECT_TRUE(ok.OpenBytes(EncodeArchive(base), &error)) << error;
 }
 
 /// Query rectangles around a few trajectories' starts plus the whole map.
@@ -447,6 +543,77 @@ void ExpectSameAnswers(const ArchiveFixture& fx,
   EXPECT_GT(range_hits, 0u);
 }
 
+/// The tag-6 body a v1-v5 writer stored: every TrajMeta, roles left out.
+std::vector<uint8_t> LegacyMetasBody(const std::vector<core::TrajMeta>& metas) {
+  common::ByteWriter out;
+  out.PutVarint(metas.size());
+  for (const core::TrajMeta& m : metas) {
+    out.PutVarint(m.t_pos);
+    out.PutVarint(m.n_points);
+    out.PutSignedVarint(m.t_first);
+    out.PutSignedVarint(m.t_last);
+    out.PutVarint(m.refs.size());
+    for (const core::RefMeta& rm : m.refs) {
+      out.PutVarint(rm.orig_index);
+      out.PutVarint(rm.offset);
+      out.PutVarint(rm.e_len);
+      out.PutVarint(rm.d_pos);
+      out.PutF32(rm.p_quantized);
+    }
+    out.PutVarint(m.nrefs.size());
+    for (const core::NrefMeta& nm : m.nrefs) {
+      out.PutVarint(nm.orig_index);
+      out.PutVarint(nm.ref_pos);
+      out.PutVarint(nm.offset);
+      out.PutVarint(nm.e_len);
+      out.PutF32(nm.p_quantized);
+    }
+  }
+  return out.Release();
+}
+
+/// The tag-9 body a v3-v5 writer stored: K, then each trajectory's sync
+/// table, delta coded.
+std::vector<uint8_t> LegacySyncsBody(uint32_t interval,
+                                     const std::vector<core::TrajMeta>& metas) {
+  common::ByteWriter out;
+  out.PutVarint(interval);
+  out.PutVarint(metas.size());
+  for (const core::TrajMeta& m : metas) {
+    out.PutVarint(m.t_syncs.size());
+    uint32_t prev_entry = 0;
+    traj::Timestamp prev_t = 0;
+    uint64_t prev_bit = 0;
+    for (const core::TSync& sync : m.t_syncs) {
+      out.PutVarint(sync.entry - prev_entry);
+      out.PutSignedVarint(sync.t - prev_t);
+      out.PutVarint(sync.bit - prev_bit);
+      prev_entry = sync.entry;
+      prev_t = sync.t;
+      prev_bit = sync.bit;
+    }
+  }
+  return out.Release();
+}
+
+/// `cc`'s image as a v1-v5 writer stored it: version `version`, its metas
+/// in tag 6 and, when K > 0, its sync tables in tag 9.
+ArchivePayload LegacyPayload(const core::CompressedCorpus& cc,
+                             const core::StiuIndex* index, uint32_t version) {
+  ArchivePayload payload;
+  const std::vector<uint8_t> image = ArchiveWriter(cc, index).Serialize();
+  std::string error;
+  EXPECT_TRUE(DecodeArchive(image.data(), image.size(), &payload, &error))
+      << error;
+  payload.format_version = version;
+  payload.legacy_metas = LegacyMetasBody(cc.metas());
+  if (cc.params().t_sync_interval > 0) {
+    payload.legacy_syncs =
+        LegacySyncsBody(cc.params().t_sync_interval, cc.metas());
+  }
+  return payload;
+}
+
 /// The fixture's image as written by an older writer: version
 /// `version`, its StIU section `stiu` under `tag`, reopened with its index
 /// derived.
@@ -459,11 +626,8 @@ struct Reopened {
 std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
                                          uint32_t version, SectionTag tag,
                                          std::vector<uint8_t> stiu) {
-  ArchiveReader writer_side;
-  EXPECT_TRUE(writer_side.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
-  ArchivePayload payload = writer_side.payload();
-  payload.format_version = version;
+  ArchivePayload payload =
+      LegacyPayload(fx.sys->compressed(), &fx.sys->index(), version);
   payload.stiu_tag = tag;
   payload.stiu = std::move(stiu);
   const std::vector<uint8_t> image = EncodeArchive(payload);
@@ -471,6 +635,9 @@ std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
   std::string error;
   EXPECT_TRUE(r->reader.OpenBytes(image, &error)) << error;
   EXPECT_EQ(EncodeArchive(r->reader.payload()), image);
+  EXPECT_EQ(SectionTags(image),
+            (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, uint64_t(tag), 9}));
+  EXPECT_EQ(r->reader.metas(), fx.sys->compressed().metas());
   EXPECT_EQ(r->reader.index_cells_per_side(), 16u);
   r->index = r->reader.LoadIndex(*fx.grid, &error);
   EXPECT_NE(r->index, nullptr) << error;
@@ -557,9 +724,12 @@ uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
 /// A payload built field by field: every section kind, multi-byte and
 /// negative varints, sync tables and a StIU section, as a v3 image with a
 /// crafted tag-7 tuple section, a v4 image with the same tuples as tag 10,
-/// or a v5 image with tag 11's parameters alone. Every float is a literal
-/// (no floating-point arithmetic), so the image is the same under any
-/// compiler.
+/// or a v5 image with tag 11's parameters alone, each with the metas and
+/// sync tables older writers stored in tags 6 and 9; or as a v6 image,
+/// which holds tag 11 and K (tag 12) instead. Every float is a literal (no
+/// floating-point arithmetic), so the image is the same under any
+/// compiler. The streams are not a corpus: DecodeArchive does not walk
+/// them.
 ArchivePayload GoldenPayload(uint32_t version) {
   ArchivePayload p;
   p.format_version = version;
@@ -605,7 +775,10 @@ ArchivePayload GoldenPayload(uint32_t version) {
              {1, 0, 1193, 2, 0.1875f},
              {2, 0, 77, 0, 0.0f}};
   c.t_syncs = {{128, 1000, 2000}};
-  p.metas = {a, b, c};
+  if (version < 6) {
+    p.legacy_metas = LegacyMetasBody({a, b, c});
+    p.legacy_syncs = LegacySyncsBody(p.params.t_sync_interval, {a, b, c});
+  }
 
   test::StiuSection stiu;
   stiu.cells_per_side = 2;
@@ -710,6 +883,26 @@ TEST(Archive, GoldenV5ImageBytesArePinned) {
   EXPECT_EQ(again.capacity(), again.size());
 }
 
+// The same payload as a v6 image: no tag 6 or 9, and tag 12 holding K,
+// recorded when tag 12 was added.
+TEST(Archive, GoldenV6ImageBytesArePinned) {
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(6));
+  ArchivePayload loaded;
+  std::string error;
+  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
+      << error;
+  EXPECT_EQ(SectionTags(image),
+            (std::vector<uint64_t>{1, 2, 3, 4, 5, 11, 12}));
+  EXPECT_EQ(loaded.params.t_sync_interval, 4u);
+  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
+  const std::vector<uint8_t> again = EncodeArchive(loaded);
+  EXPECT_EQ(again, image);
+  EXPECT_EQ(again[8], 6u);
+  EXPECT_EQ(again.size(), 748u);
+  EXPECT_EQ(Fnv1a64(again), 0x4A5196822807C090ull);
+  EXPECT_EQ(again.capacity(), again.size());
+}
+
 TEST(Archive, OpenMissingFileFails) {
   ArchiveReader reader;
   std::string error;
@@ -781,7 +974,7 @@ TEST(Archive, OlderWritersImagesOpenAndAnswerLikeTheOracle) {
 
 TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
   // One image holds one StIU section: a second one of any shape, spliced
-  // into a v3 or a v5 image, is invalid.
+  // into a v3 or a v6 image, is invalid.
   ArchiveFixture fx;
   const test::StiuSection section = test::StiuSection::Of(fx.sys->index());
   const auto body_of = [](const std::vector<uint8_t>& bytes) {
@@ -789,11 +982,11 @@ TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
     body.PutBytes(bytes.data(), bytes.size());
     return body;
   };
-  const std::vector<uint8_t> v5 =
+  const std::vector<uint8_t> v6 =
       ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
   ArchiveReader reader;
   std::string error;
-  ASSERT_TRUE(reader.OpenBytes(v5, &error)) << error;
+  ASSERT_TRUE(reader.OpenBytes(v6, &error)) << error;
   const std::vector<uint8_t> params = reader.payload().stiu;
   ArchivePayload legacy = reader.payload();
   legacy.format_version = 3;
@@ -804,9 +997,9 @@ TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
 
   for (const auto& [name, image] :
        {std::pair{"tag 7 after tag 11",
-                  WithExtraSection(v5, 7, body_of(section.WriteLegacy()))},
+                  WithExtraSection(v6, 7, body_of(section.WriteLegacy()))},
         std::pair{"tag 11 after tag 11",
-                  WithExtraSection(v5, 11, body_of(params))},
+                  WithExtraSection(v6, 11, body_of(params))},
         std::pair{"tag 10 after tag 7",
                   WithExtraSection(v3, 10, body_of(section.Write()))}}) {
     SCOPED_TRACE(name);
@@ -817,228 +1010,156 @@ TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
   }
 }
 
-TEST(Archive, V3RoundTripPreservesSyncTables) {
-  // The default UtcqParams emit sync points (t_sync_interval = 32), so the
-  // fixture's index-free archive is stamped format v3; with an index
-  // (tag 11) it is v5.
+TEST(Archive, SyncTablesAreDerivedByTheEncodersRule) {
+  // A v6 image stores K (tag 12), not the tables: the reader rebuilds each
+  // table from the T stream, sync for sync the compressor's. A dense
+  // interval guarantees the fixture's short trajectories carry sync points.
   ArchiveFixture fx;
-  EXPECT_EQ(ArchiveWriter(fx.sys->compressed()).Serialize()[8],
-            3u);  // version little-endian low byte
-  EXPECT_EQ(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
-                .Serialize()[8],
-            5u);
-
-  // A dense interval guarantees the fixture's short trajectories actually
-  // carry sync points, so the table round-trip is exercised non-vacuously.
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
   params.t_sync_interval = 4;
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
+  const core::CompressedCorpus& cc = sys2.compressed();
   const std::vector<uint8_t> bytes =
-      ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize();
-  EXPECT_EQ(bytes[8], 5u);
+      ArchiveWriter(cc, &sys2.index()).Serialize();
+  EXPECT_EQ(bytes[8], 6u);
 
   ArchiveReader reader;
   std::string error;
   ASSERT_TRUE(reader.OpenBytes(bytes, &error)) << error;
-  const ArchivePayload& payload = reader.payload();
-  EXPECT_EQ(payload.format_version, kFormatVersion);
-  EXPECT_EQ(payload.params.t_sync_interval, 4u);
-
-  // The loaded tables must match the live corpus sync for sync.
-  const core::CompressedCorpus& cc = sys2.compressed();
+  EXPECT_EQ(reader.payload().format_version, kFormatVersion);
+  EXPECT_EQ(reader.params().t_sync_interval, 4u);
+  EXPECT_EQ(reader.metas(), cc.metas());
   size_t total_syncs = 0;
-  ASSERT_EQ(payload.metas.size(), cc.num_trajectories());
-  for (size_t j = 0; j < payload.metas.size(); ++j) {
-    const auto& loaded = payload.metas[j].t_syncs;
-    const auto& live = cc.meta(j).t_syncs;
-    ASSERT_EQ(loaded.size(), live.size());
-    for (size_t s = 0; s < loaded.size(); ++s) {
-      EXPECT_EQ(loaded[s].entry, live[s].entry);
-      EXPECT_EQ(loaded[s].t, live[s].t);
-      EXPECT_EQ(loaded[s].bit, live[s].bit);
-    }
-    total_syncs += loaded.size();
-  }
+  for (const core::TrajMeta& m : cc.metas()) total_syncs += m.t_syncs.size();
   EXPECT_GT(total_syncs, 0u);
+  EXPECT_EQ(EncodeArchive(reader.payload()), bytes);
 
-  // Re-encoding the loaded payload reproduces the image byte for byte,
-  // sync tables included.
-  EXPECT_EQ(EncodeArchive(payload), bytes);
+  // A v5 image of the same corpus stored the tables in tag 9 and the metas
+  // in tag 6: it opens to the same metas and re-encodes byte for byte.
+  const std::vector<uint8_t> v5 =
+      EncodeArchive(LegacyPayload(cc, &sys2.index(), 5));
+  ArchiveReader legacy;
+  ASSERT_TRUE(legacy.OpenBytes(v5, &error)) << error;
+  EXPECT_EQ(legacy.params().t_sync_interval, 4u);
+  EXPECT_EQ(legacy.metas(), cc.metas());
+  EXPECT_EQ(EncodeArchive(legacy.payload()), v5);
 }
 
-TEST(Archive, SyncFreeCorpusWritesV2ThatRoundTripsBitExact) {
-  // With sync emission disabled and no index the writer must stamp format
-  // v2 and emit no kTSyncIndex section at all — pre-v3 readers stay
-  // compatible, and the §6 single-serialization rule holds across the
-  // downgrade. An index (tag 11) alone makes the image v5.
+TEST(Archive, SyncFreeCorpusWritesNoIntervalSection) {
+  // With sync emission disabled the image carries no tag 12 (nor tag 9),
+  // the reader derives no tables, and brackets come out as with them (the
+  // seek path simply never upgrades its scan start). A v2 image, which had
+  // tag 6 but no tag 9, opens the same way and re-encodes as v2.
   ArchiveFixture fx;
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
   params.t_sync_interval = 0;
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
-  EXPECT_EQ(ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize()[8],
-            5u);
   const std::vector<uint8_t> bytes =
       ArchiveWriter(sys2.compressed()).Serialize();
-  EXPECT_EQ(bytes[8], 2u);
+  EXPECT_EQ(bytes[8], 6u);
+  EXPECT_EQ(SectionTags(bytes), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
 
-  ArchiveReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.OpenBytes(bytes, &error)) << error;
-  EXPECT_EQ(reader.payload().format_version, 2u);
-  EXPECT_EQ(reader.payload().params.t_sync_interval, 0u);
-  for (const core::TrajMeta& m : reader.payload().metas) {
-    EXPECT_TRUE(m.t_syncs.empty());
-  }
+  const std::vector<uint8_t> v2 =
+      EncodeArchive(LegacyPayload(sys2.compressed(), nullptr, 2));
+  EXPECT_EQ(SectionTags(v2), (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
+  for (const auto& image : {bytes, v2}) {
+    ArchiveReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.OpenBytes(image, &error)) << error;
+    EXPECT_EQ(reader.payload().format_version, image[8]);
+    EXPECT_EQ(reader.params().t_sync_interval, 0u);
+    EXPECT_EQ(reader.metas(), sys2.compressed().metas());
+    EXPECT_EQ(EncodeArchive(reader.payload()), image);
 
-  // Re-encoding the loaded v2 payload reproduces the v2 image exactly —
-  // format_version is preserved, not silently upgraded to v3.
-  EXPECT_EQ(EncodeArchive(reader.payload()), bytes);
-
-  // And the sync-free archive answers brackets identically (the seek path
-  // simply never upgrades its scan start).
-  const core::UtcqDecoder plain(fx.net, reader.view());
-  const core::UtcqDecoder synced(fx.net, fx.sys->compressed());
-  for (size_t j = 0; j < 5; ++j) {
-    const auto times = synced.DecodeTimes(j);
-    ASSERT_FALSE(times.empty());
-    const traj::Timestamp probe = times[times.size() / 2];
-    const auto a = plain.BracketTime(j, probe, 0, times.front(),
-                                     reader.payload().metas[j].t_pos);
-    const auto b = synced.BracketTime(j, probe, 0, times.front(),
-                                      fx.sys->compressed().meta(j).t_pos);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a.has_value()) {
-      EXPECT_EQ(a->index, b->index);
-      EXPECT_EQ(a->t0, b->t0);
-      EXPECT_EQ(a->t1, b->t1);
+    const core::UtcqDecoder plain(fx.net, reader.view());
+    const core::UtcqDecoder synced(fx.net, fx.sys->compressed());
+    for (size_t j = 0; j < 5; ++j) {
+      const auto times = synced.DecodeTimes(j);
+      ASSERT_FALSE(times.empty());
+      const traj::Timestamp probe = times[times.size() / 2];
+      const auto a = plain.BracketTime(j, probe, 0, times.front(),
+                                       reader.metas()[j].t_pos);
+      const auto b = synced.BracketTime(j, probe, 0, times.front(),
+                                        fx.sys->compressed().meta(j).t_pos);
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (a.has_value()) {
+        EXPECT_EQ(a->index, b->index);
+        EXPECT_EQ(a->t0, b->t0);
+        EXPECT_EQ(a->t1, b->t1);
+      }
     }
   }
 }
 
-TEST(Archive, RejectsCraftedSyncTables) {
-  // CRC-valid v3 archives whose skip tables lie — about entry order, entry
-  // range, or bit offsets — must be rejected at open (§6 discipline): a
-  // trusted hostile table would aim the seek path at arbitrary bit
-  // positions.  K=2 guarantees multi-sync tables to mutate.
+TEST(Archive, LegacySyncTablesAreNeverRead) {
+  // Of a v3-v5 tag-9 section only K is read: tables that lie about entry
+  // order, entry range or bit offsets, or whose trajectory count disagrees
+  // with the streams, change nothing, because the tables are derived. A K
+  // of zero, a second interval section, or a tag-12 body with trailing
+  // bytes is rejected.
   ArchiveFixture fx;
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
   params.t_sync_interval = 2;
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
+  const core::CompressedCorpus& cc = sys2.compressed();
+  const ArchivePayload base = LegacyPayload(cc, &sys2.index(), 5);
+  std::vector<core::TrajMeta> lying = cc.metas();
+  for (core::TrajMeta& m : lying) {
+    for (core::TSync& sync : m.t_syncs) {
+      sync.entry = m.n_points + 3;
+      sync.bit = cc.t_stream().size_bits() * 2;
+    }
+  }
+  lying.resize(3);
+  ArchivePayload payload = base;
+  payload.legacy_syncs = LegacySyncsBody(2, lying);
   ArchiveReader reader;
   std::string error;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize(), &error))
+  ASSERT_TRUE(reader.OpenBytes(EncodeArchive(payload), &error)) << error;
+  EXPECT_EQ(reader.metas(), cc.metas());
+  EXPECT_EQ(EncodeArchive(reader.payload()), EncodeArchive(payload));
+
+  const auto body_of = [](std::initializer_list<uint64_t> varints) {
+    common::ByteWriter body;
+    for (const uint64_t v : varints) body.PutVarint(v);
+    return body;
+  };
+  payload.legacy_syncs = LegacySyncsBody(0, cc.metas());
+  const std::vector<uint8_t> v6 =
+      ArchiveWriter(cc, &sys2.index()).Serialize();
+  ArchivePayload sync_free = base;
+  sync_free.legacy_syncs.clear();
+  sync_free.params.t_sync_interval = 0;
+  const std::vector<uint8_t> no_interval = EncodeArchive(sync_free);
+  for (const auto& [name, image] :
+       {std::pair{"tag 9 with K = 0", EncodeArchive(payload)},
+        std::pair{"tag 12 with K = 0",
+                  WithExtraSection(no_interval, 12, body_of({0}))},
+        std::pair{"tag 12 with a trailing byte",
+                  WithExtraSection(no_interval, 12, body_of({2, 0}))},
+        std::pair{"tag 12 after tag 12",
+                  WithExtraSection(v6, 12, body_of({2}))},
+        std::pair{"tag 9 after tag 12",
+                  WithExtraSection(v6, 9, body_of({2, 0}))}}) {
+    SCOPED_TRACE(name);
+    ArchiveReader hostile;
+    EXPECT_FALSE(hostile.OpenBytes(image, &error));
+    EXPECT_NE(error.find("sync-interval section"), std::string::npos) << error;
+  }
+
+  // A spliced tag 12 of K = 2 is the interval the tables follow.
+  ArchiveReader fine;
+  ASSERT_TRUE(fine.OpenBytes(WithExtraSection(no_interval, 12, body_of({2})),
+                             &error))
       << error;
-
-  core::TrajMeta* victim = nullptr;
-  size_t victim_j = 0;
-  ArchivePayload base = reader.payload();
-  for (size_t j = 0; j < base.metas.size(); ++j) {
-    if (base.metas[j].t_syncs.size() >= 2) {
-      victim = &base.metas[j];
-      victim_j = j;
-      break;
-    }
-  }
-  ASSERT_NE(victim, nullptr);
-
-  // Non-monotone entry indices: the delta coding makes a repeated entry a
-  // zero delta, which the section parser refuses.
-  {
-    ArchivePayload payload = base;
-    auto& syncs = payload.metas[victim_j].t_syncs;
-    syncs[1].entry = syncs[0].entry;
-    ArchiveReader hostile;
-    EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
-    EXPECT_NE(error.find("sync-index"), std::string::npos) << error;
-  }
-
-  // Entry index at/after the last decodable bracket start.
-  {
-    ArchivePayload payload = base;
-    auto& syncs = payload.metas[victim_j].t_syncs;
-    syncs.back().entry = payload.metas[victim_j].n_points;
-    ArchiveReader hostile;
-    EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
-    EXPECT_NE(error.find("sync-index"), std::string::npos) << error;
-  }
-
-  // Bit offset past the end of the T stream.
-  {
-    ArchivePayload payload = base;
-    auto& syncs = payload.metas[victim_j].t_syncs;
-    syncs.back().bit = payload.t.size_bits;
-    ArchiveReader hostile;
-    EXPECT_FALSE(hostile.OpenBytes(EncodeArchive(payload), &error));
-    EXPECT_NE(error.find("sync-index"), std::string::npos) << error;
-  }
-
-  // The unmutated payload still re-encodes and opens — the rejections
-  // above came from the mutations, not the harness.
-  ArchiveReader ok;
-  EXPECT_TRUE(ok.OpenBytes(EncodeArchive(base), &error)) << error;
-}
-
-TEST(Archive, RejectsHandBuiltSyncSections) {
-  // Tag-9 shapes the writer can never produce: a zero sync interval, and a
-  // table set whose trajectory count disagrees with the metas. Both are
-  // spliced into a sync-free image so the crafted section is the only
-  // kTSyncIndex present.
-  ArchiveFixture fx;
-  core::UtcqParams params;
-  params.default_interval_s = traj::ChengduProfile().default_interval_s;
-  params.t_sync_interval = 0;
-  const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
-                              core::StiuParams{16, 900});
-  const std::vector<uint8_t> v2 =
-      ArchiveWriter(sys2.compressed(), &sys2.index()).Serialize();
-  constexpr uint64_t kTag = 9;  // SectionTag::kTSyncIndex
-  std::string error;
-
-  // Sync interval zero.
-  {
-    common::ByteWriter body;
-    body.PutVarint(0);  // interval — must be >= 1
-    body.PutVarint(sys2.compressed().num_trajectories());
-    for (size_t j = 0; j < sys2.compressed().num_trajectories(); ++j) {
-      body.PutVarint(0);  // no syncs for this trajectory
-    }
-    ArchiveReader hostile;
-    EXPECT_FALSE(hostile.OpenBytes(WithExtraSection(v2, kTag, body), &error));
-    EXPECT_NE(error.find("sync-index"), std::string::npos) << error;
-  }
-
-  // Trajectory count disagrees with the metas section.
-  {
-    common::ByteWriter body;
-    body.PutVarint(2);  // interval
-    body.PutVarint(1);  // one table; metas carry 50 trajectories
-    body.PutVarint(0);
-    ArchiveReader hostile;
-    EXPECT_FALSE(hostile.OpenBytes(WithExtraSection(v2, kTag, body), &error));
-    EXPECT_NE(error.find("sync-index"), std::string::npos) << error;
-  }
-
-  // A structurally valid spliced table is accepted — the helper builds
-  // openable images, so the rejections above are the section's doing.
-  {
-    common::ByteWriter body;
-    body.PutVarint(2);
-    body.PutVarint(sys2.compressed().num_trajectories());
-    for (size_t j = 0; j < sys2.compressed().num_trajectories(); ++j) {
-      body.PutVarint(0);
-    }
-    ArchiveReader fine;
-    EXPECT_TRUE(fine.OpenBytes(WithExtraSection(v2, kTag, body), &error))
-        << error;
-    EXPECT_EQ(fine.payload().params.t_sync_interval, 2u);
-  }
+  EXPECT_EQ(fine.params().t_sync_interval, 2u);
+  EXPECT_EQ(fine.metas(), cc.metas());
 }
 
 }  // namespace

@@ -505,6 +505,38 @@ void RunWorkload(uint64_t seed) {
     test::ExpectSameIndex(*derived, built);
   }
 
+  // --- an archive derives its metas and sync tables on open: field for
+  // field the compressor's, at K = 0 and 32, in the same walk that derives
+  // the index; the reopened processor answers like the oracle ---
+  for (const uint32_t k : {0u, 32u}) {
+    SCOPED_TRACE("derived metas, K " + std::to_string(k));
+    core::UtcqParams params = w.params;
+    params.t_sync_interval = k;
+    const core::UtcqSystem ksys(w.net, grid, w.corpus, params, index_params);
+    const std::vector<uint8_t> image =
+        archive::ArchiveWriter(ksys.compressed(), &ksys.index()).Serialize();
+    archive::ArchivePayload payload;
+    std::string error;
+    ASSERT_TRUE(archive::DecodeArchive(image.data(), image.size(), &payload,
+                                       &error))
+        << error;
+    archive::ArchiveReader reader;
+    std::unique_ptr<core::StiuIndex> index;
+    ASSERT_TRUE(reader.OpenPayload(std::move(payload), &grid, &index,
+                                   w.corpus.size(), &error))
+        << error;
+    EXPECT_EQ(reader.params().t_sync_interval, k);
+    ASSERT_EQ(reader.metas().size(), w.corpus.size());
+    for (size_t j = 0; j < w.corpus.size(); ++j) {
+      ASSERT_EQ(reader.metas()[j], ksys.compressed().meta(j))
+          << "trajectory " << j;
+    }
+    test::ExpectSameIndex(*index, ksys.index());
+    const core::UtcqQueryProcessor reopened(w.net, reader.view(), *index);
+    RunPath(w.net, oracle, w.queries,
+            PathOf("reopened-k" + std::to_string(k), reopened));
+  }
+
   for (const std::string& f : files) std::remove(f.c_str());
 }
 

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -6,6 +10,7 @@
 #include "network/geometry.h"
 #include "network/grid_index.h"
 #include "network/road_network.h"
+#include "test_fixtures.h"
 
 namespace utcq::network {
 namespace {
@@ -138,6 +143,56 @@ TEST(GridIndex, EdgeSpansMultipleRegions) {
   for (const auto re : regions) {
     const auto& edges = grid.EdgesInRegion(re);
     EXPECT_NE(std::find(edges.begin(), edges.end(), e), edges.end());
+  }
+}
+
+TEST(GridIndex, EdgeClippingACellCornerIsListedThere) {
+  // The segment x + y = 51 clips cell (1, 1) = [25, 50]^2 over one unit
+  // near its corner, between points sampled a cell apart.
+  RoadNetwork net;
+  net.AddVertex(0, 0);
+  net.AddVertex(100, 100);
+  net.AddEdge(0, 1);
+  net.AddVertex(0, 51);
+  net.AddVertex(40, 11);
+  const auto e = net.AddEdge(2, 3);
+  const GridIndex grid(net, 4);
+  const auto& regions = grid.RegionsOfEdge(e);
+  EXPECT_NE(std::find(regions.begin(), regions.end(), 5u), regions.end());
+  const auto& edges = grid.EdgesInRegion(5);
+  EXPECT_NE(std::find(edges.begin(), edges.end(), e), edges.end());
+}
+
+TEST(GridIndex, EveryCellAnEdgeMeetsListsIt) {
+  // Brute force over every (edge, cell) pair of both test cities: an edge
+  // is listed in exactly the cells whose rectangle its segment meets, plus
+  // its endpoints' cells.
+  for (const auto& profile :
+       {traj::ChengduProfile(), traj::HangzhouProfile()}) {
+    SCOPED_TRACE(profile.name);
+    const RoadNetwork net = test::MakeSmallCity(profile, 14);
+    for (const uint32_t cells : {8u, 16u, 32u}) {
+      SCOPED_TRACE("cells " + std::to_string(cells));
+      const GridIndex grid(net, cells);
+      for (EdgeId e = 0; e < net.num_edges(); ++e) {
+        const Vertex& a = net.vertex(net.edge(e).from);
+        const Vertex& b = net.vertex(net.edge(e).to);
+        std::vector<RegionId> want;
+        for (RegionId re = 0; re < grid.num_regions(); ++re) {
+          if (SegmentIntersectsRect(a.x, a.y, b.x, b.y, grid.RegionRect(re)) ||
+              re == grid.RegionOf(a.x, a.y) || re == grid.RegionOf(b.x, b.y)) {
+            want.push_back(re);
+          }
+        }
+        std::vector<RegionId> got = grid.RegionsOfEdge(e);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "edge " << e;
+        for (const RegionId re : want) {
+          const auto& edges = grid.EdgesInRegion(re);
+          ASSERT_NE(std::find(edges.begin(), edges.end(), e), edges.end());
+        }
+      }
+    }
   }
 }
 

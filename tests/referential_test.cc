@@ -30,11 +30,16 @@ TEST(ImprovedTed, PaperTable3Representation) {
 }
 
 TEST(ImprovedTed, UntrimRestoresSentinelBits) {
-  EXPECT_EQ(UntrimTimeFlags({0, 1, 0}, 5),
-            (std::vector<uint8_t>{1, 0, 1, 0, 1}));
-  EXPECT_EQ(UntrimTimeFlags({}, 2), (std::vector<uint8_t>{1, 1}));
-  EXPECT_EQ(UntrimTimeFlags({}, 1), (std::vector<uint8_t>{1}));
-  EXPECT_TRUE(UntrimTimeFlags({}, 0).empty());
+  // The output buffer starts non-empty: it is cleared, not appended to.
+  const auto untrim = [](const std::vector<uint8_t>& trimmed, size_t n) {
+    std::vector<uint8_t> full = {7, 7};
+    UntrimTimeFlags(trimmed, n, &full);
+    return full;
+  };
+  EXPECT_EQ(untrim({0, 1, 0}, 5), (std::vector<uint8_t>{1, 0, 1, 0, 1}));
+  EXPECT_EQ(untrim({}, 2), (std::vector<uint8_t>{1, 1}));
+  EXPECT_EQ(untrim({}, 1), (std::vector<uint8_t>{1}));
+  EXPECT_TRUE(untrim({}, 0).empty());
 }
 
 TEST(Siar, PaperExampleDeltas) {

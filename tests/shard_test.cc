@@ -374,16 +374,16 @@ TEST(Sharded, CompressedBytesArePinned) {
     size_t size[4];
     uint32_t crc[4];
   };
-  // Recorded with the v5 StIU section (tag 11, parameters only); every
-  // other section is byte-identical to the v4 images these digests
+  // Recorded with the v6 images (no tag 6 or 9; K in tag 12); sections
+  // 1-5 and 11 are byte-identical to the v5 images these digests
   // replaced.
   const Golden goldens[] = {
       {1,
-       {6373, 6260, 9890, 7790},
-       {3414987363u, 3278630838u, 2900658037u, 1255915390u}},
+       {3532, 3312, 5581, 4549},
+       {3250338702u, 1124746240u, 3705199810u, 1203084960u}},
       {2,
-       {6358, 6265, 9881, 7784},
-       {3204047809u, 914919063u, 1381120950u, 1857557889u}},
+       {3520, 3316, 5573, 4544},
+       {4156797178u, 3810397520u, 2635808811u, 437308356u}},
   };
   for (const Golden& golden : goldens) {
     core::UtcqParams params;
@@ -539,18 +539,28 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
   rewrite(3, image(3, build.shards[3]->index.get()));
   EXPECT_TRUE(sharded.Open(fx.net, manifest, &error)) << error;
 
-  // A shard whose streams do not decode to its metas fails the index
-  // derivation, which names the shard and the trajectory.
-  archive::ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(image(2, build.shards[2]->index.get()), &error))
+  // A shard whose streams do not walk fails the open, which names the
+  // shard and the trajectory.
+  archive::ArchivePayload cut;
+  const std::vector<uint8_t> good = image(2, build.shards[2]->index.get());
+  ASSERT_TRUE(archive::DecodeArchive(good.data(), good.size(), &cut, &error))
       << error;
-  archive::ArchivePayload miscounted = reader.payload();
-  miscounted.metas[0].n_points += 1;
-  rewrite(2, archive::EncodeArchive(miscounted));
+  cut.t.size_bits -= 3;
+  rewrite(2, archive::EncodeArchive(cut));
   EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
-  EXPECT_EQ(error,
-            "shard set_open.utcq.shard-002: StIU derivation: trajectory 0 "
-            "decodes to a time count other than its n_points");
+  EXPECT_EQ(error, "shard set_open.utcq.shard-002: trajectory " +
+                       std::to_string(build.plan.members[2].size() - 1) +
+                       ": T block runs past the end of the T stream");
+
+  // A shard whose derived trajectory count is not its manifest's: shard
+  // 3's archive under shard 2's name.
+  ASSERT_NE(build.plan.members[2].size(), build.plan.members[3].size());
+  rewrite(2, image(3, build.shards[3]->index.get()));
+  EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
+  EXPECT_EQ(error, "shard set_open.utcq.shard-002: derived " +
+                       std::to_string(build.plan.members[3].size()) +
+                       " trajectories where the manifest lists " +
+                       std::to_string(build.plan.members[2].size()));
   ShardFixture::Cleanup(files);
 }
 
