@@ -79,7 +79,7 @@ int main() {
     std::printf("%s\n", core::FormatReport("compress", sys.report()).c_str());
 
     std::string error;
-    if (!archive::ArchiveWriter(sys.compressed(), &sys.index())
+    if (!archive::ArchiveWriter(sys.compressed(), sys.index().params())
              .Save(path, &error)) {
       std::fprintf(stderr, "save failed: %s\n", error.c_str());
       return 1;

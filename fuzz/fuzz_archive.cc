@@ -6,6 +6,8 @@
 // hanging or reading out of bounds; answers are free to be empty. An input
 // that also carries a shard-manifest section (tag 8) opens as that set's
 // first shard would: its derived trajectory count must be the listed one.
+// Every accepted input, of any version, must re-encode to a v6 image that
+// decodes and re-encodes to itself; anything else traps.
 //
 // Build flavors (CMake UTCQ_BUILD_FUZZERS): with Clang this links
 // libFuzzer; elsewhere fuzz/standalone_main.cc replays corpus files.
@@ -21,6 +23,7 @@
 
 #include "archive/archive.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/decoder.h"
 #include "core/query.h"
 #include "core/stiu_index.h"
@@ -56,6 +59,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string error;
   if (!utcq::archive::DecodeArchive(data, size, &payload, &error)) return 0;
 
+  // Writers emit only v6: the re-encode of any accepted image is a v6
+  // image, and re-encoding that is the identity.
+  const std::vector<uint8_t> v6 = utcq::archive::EncodeArchive(payload);
+  utcq::archive::ArchivePayload again;
+  if (!utcq::archive::DecodeArchive(v6.data(), v6.size(), &again, &error) ||
+      utcq::archive::EncodeArchive(again) != v6 ||
+      utcq::common::ByteReader(v6.data() + sizeof(utcq::archive::kMagic), 4)
+              .GetU32() != utcq::archive::kFormatVersion) {
+    __builtin_trap();
+  }
+
   // Open as the shard-set reader does: one walk derives the metas and,
   // over a grid of the archived resolution, the StIU index. Only the StIU
   // section's two parameters are read (the tuple lists of a v1-v4 section
@@ -66,9 +80,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       !manifest.shards.empty()) {
     expected = manifest.shards[0].members.size();
   }
-  const uint32_t cells = payload.stiu.empty()
-                             ? 0
-                             : payload.stiu_params.cells_per_side;
+  const uint32_t cells =
+      payload.stiu.has_value() ? payload.stiu->cells_per_side : 0;
   std::unique_ptr<utcq::network::GridIndex> grid;
   if (cells > 0 && cells <= kMaxIndexCells) {
     grid = std::make_unique<utcq::network::GridIndex>(Net(), cells);
@@ -82,11 +95,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // The archive passed validation: everything reachable from it must now
   // be total. Decode a bounded number of trajectories in full, then drive
-  // the seek entry points over the derived sync tables.
+  // the seek entry point over the derived sync tables.
   const utcq::core::CorpusView view = reader.view();
   const utcq::core::UtcqDecoder decoder(Net(), view);
   const size_t n = std::min(view.num_trajectories(), kMaxTrajDecodes);
-  std::vector<utcq::traj::Timestamp> window;
   utcq::core::UtcqDecoder::SeekStats seek;
   for (size_t j = 0; j < n; ++j) {
     const auto times = decoder.DecodeTimes(j);
@@ -95,8 +107,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       (void)decoder.BracketTime(j, times[times.size() / 2], 0, times.front(),
                                 view.meta(j).t_pos, &seek);
     }
-    const auto last = static_cast<uint32_t>(view.meta(j).n_points);
-    (void)decoder.DecodeRangeInto(j, last / 2, last, &window, &seek);
   }
 
   // Push queries through the full stack over the derived index.

@@ -109,13 +109,12 @@ int main(int argc, char** argv) {
 
   // --- archives: with index, without index, and empty ---
   ok &= WriteFile((out / "archive" / "with_index.utcqarc").string(),
-                  utcq::archive::ArchiveWriter(cc, &index).Serialize());
+                  utcq::archive::ArchiveWriter(cc, index.params()).Serialize());
   // 60 s partitions: the seed trajectories span more partitions than a
-  // level-0 copy may, so the section loads into coarser StIU levels too.
-  const utcq::core::StiuIndex index_60s(grid, corpus, cc.view(),
-                                        utcq::core::StiuParams{16, 60});
+  // level-0 copy may, so the derived index fills coarser StIU levels too.
   ok &= WriteFile((out / "archive" / "with_index_60s.utcqarc").string(),
-                  utcq::archive::ArchiveWriter(cc, &index_60s).Serialize());
+                  utcq::archive::ArchiveWriter(
+                      cc, utcq::core::StiuParams{16, 60}).Serialize());
   ok &= WriteFile((out / "archive" / "no_index.utcqarc").string(),
                   utcq::archive::ArchiveWriter(cc).Serialize());
   const utcq::core::CompressedCorpus empty =
@@ -153,8 +152,8 @@ int main(int argc, char** argv) {
     m.shards = {s0};
     ok &= WriteFile(
         (out / "archive" / "v6_with_manifest_section.utcqarc").string(),
-        WithManifestSection(utcq::archive::ArchiveWriter(cc, &index).Serialize(),
-                            m));
+        WithManifestSection(
+            utcq::archive::ArchiveWriter(cc, index.params()).Serialize(), m));
   }
 
   // --- manifests: a hash-sharded set and an append-log set ---

@@ -76,27 +76,14 @@ bool GetParams(ByteReader& in, ArchivePayload* p) {
          p->entry_bits >= 0 && p->entry_bits <= 32;
 }
 
-/// Borrowed inputs of one archive image — the common ground of "save a live
-/// corpus" (spans borrow the BitWriters, and the StIU section holds the
-/// index's parameters) and "re-encode a loaded payload" (the StIU and
-/// legacy sections are its archived bytes).
+/// Borrowed inputs of one v6 image — the common ground of "save a live
+/// corpus" (spans borrow the BitWriters) and "re-encode a loaded payload".
 struct ArchiveRef {
   const core::UtcqParams* params;
   int entry_bits;
   const traj::ComponentSizes* compressed_bits;
   common::BitSpan t, ref, nref, structure;
-  /// StIU section source: the live index's parameters (tag 11) when
-  /// non-null, else `stiu` archived bytes under `stiu_tag` (no section
-  /// when both are empty).
-  const core::StiuIndex* index;
-  std::span<const uint8_t> stiu;
-  SectionTag stiu_tag;
-  /// A loaded v1-v5 image's tag-6 and tag-9 bodies (empty otherwise).
-  /// K goes to tag 12 iff it is non-zero and there is no tag-9 body, so
-  /// re-encoding a loaded payload reproduces the original byte-for-byte.
-  std::span<const uint8_t> legacy_metas, legacy_syncs;
-  uint32_t format_version;
-  uint32_t t_sync_interval;
+  std::optional<core::StiuParams> stiu;
 };
 
 /// Calls visit(tag, put) for every section of the image in file order;
@@ -112,31 +99,21 @@ void ForEachSectionBody(const ArchiveRef& p, const Visit& visit) {
       {SectionTag::kNrefStream, &p.nref},
       {SectionTag::kStructure, &p.structure},
   };
-  for (const auto& stream : streams) {
-    const common::BitSpan* span = stream.second;
-    visit(stream.first, [span](auto& out) {
+  for (const auto& [tag, span] : streams) {
+    visit(tag, [span](auto& out) {
       out.PutVarint(span->size_bits);
       out.PutBytes(span->data, span->size_bytes());
     });
   }
-  const auto verbatim = [&visit](SectionTag tag,
-                                 std::span<const uint8_t> body) {
-    visit(tag, [body](auto& out) { out.PutBytes(body.data(), body.size()); });
-  };
-  if (!p.legacy_metas.empty()) verbatim(SectionTag::kMetas, p.legacy_metas);
-  if (p.index != nullptr) {
+  if (p.stiu.has_value()) {
     visit(SectionTag::kStiuParams, [&](auto& out) {
-      out.PutVarint(p.index->params().cells_per_side);
-      out.PutSignedVarint(p.index->params().time_partition_s);
+      out.PutVarint(p.stiu->cells_per_side);
+      out.PutSignedVarint(p.stiu->time_partition_s);
     });
-  } else if (!p.stiu.empty()) {
-    verbatim(p.stiu_tag, p.stiu);
   }
-  if (!p.legacy_syncs.empty()) {
-    verbatim(SectionTag::kTSyncIndex, p.legacy_syncs);
-  } else if (p.t_sync_interval > 0) {
+  if (p.params->t_sync_interval > 0) {
     visit(SectionTag::kSyncInterval,
-          [&](auto& out) { out.PutVarint(p.t_sync_interval); });
+          [&](auto& out) { out.PutVarint(p.params->t_sync_interval); });
   }
 }
 
@@ -159,7 +136,7 @@ std::vector<uint8_t> EncodeArchiveRef(const ArchiveRef& p) {
               ByteWriter::VarintLength(lengths.size()) + sections_size +
               sizeof(uint32_t));
   out.PutBytes(kMagic, sizeof(kMagic));
-  out.PutU32(p.format_version);
+  out.PutU32(kFormatVersion);
   out.PutVarint(lengths.size());
   size_t section = 0;
   ForEachSectionBody(p, [&](SectionTag tag, const auto& put) {
@@ -349,10 +326,7 @@ std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload) {
   return EncodeArchiveRef({&payload.params, payload.entry_bits,
                            &payload.compressed_bits, payload.t.span(),
                            payload.ref.span(), payload.nref.span(),
-                           payload.structure.span(), nullptr, payload.stiu,
-                           payload.stiu_tag, payload.legacy_metas,
-                           payload.legacy_syncs, payload.format_version,
-                           payload.params.t_sync_interval});
+                           payload.structure.span(), payload.stiu});
 }
 
 bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
@@ -364,8 +338,7 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
 
   *out = ArchivePayload{};
   // No sync points until a section names K: the in-memory default would
-  // otherwise leak into payloads loaded from v1/v2 files (and re-encode
-  // them with a section the original never had).
+  // otherwise leak into payloads loaded from v1/v2 files.
   out->params.t_sync_interval = 0;
   bool have_params = false;
   bool have_streams[4] = {false, false, false, false};
@@ -403,15 +376,12 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             }
             have_streams[3] = true;
             break;
-          case SectionTag::kMetas:
-            out->legacy_metas.assign(body, body + length);
-            break;
           case SectionTag::kStiu:
           case SectionTag::kStiuV4:
           case SectionTag::kStiuParams: {
             // Every shape leads with the index parameters; the tuple lists
-            // tags 7 and 10 carry after them are kept only for re-encoding.
-            if (!out->stiu.empty()) {
+            // tags 7 and 10 carry after them are never read.
+            if (out->stiu.has_value()) {
               return fail("archive carries more than one StIU section");
             }
             const uint64_t cells = section.GetVarint();
@@ -419,16 +389,15 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
             if (!section.ok() || cells == 0 || cells > kMaxStiuCellsPerSide) {
               return fail("invalid StIU section");
             }
-            out->stiu.assign(body, body + length);
-            out->stiu_tag = static_cast<SectionTag>(tag);
-            out->stiu_params = {static_cast<uint32_t>(cells), partition_s};
+            out->stiu = core::StiuParams{static_cast<uint32_t>(cells),
+                                         partition_s};
             break;
           }
           case SectionTag::kTSyncIndex:
           case SectionTag::kSyncInterval: {
             // Both lead with K; the tables a tag-9 section carries after it
-            // are kept only for re-encoding. K = 0 is expressed by omitting
-            // the section, so a present K of 0 is crafted.
+            // are never read. K = 0 is expressed by omitting the section, so
+            // a present K of 0 is crafted.
             if (have_interval) {
               return fail("archive carries more than one sync-interval section");
             }
@@ -437,16 +406,16 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
               return fail("invalid sync-interval section");
             }
             out->params.t_sync_interval = static_cast<uint32_t>(k);
-            if (static_cast<SectionTag>(tag) == SectionTag::kTSyncIndex) {
-              out->legacy_syncs.assign(body, body + length);
-            } else if (section.remaining() != 0) {
+            if (static_cast<SectionTag>(tag) == SectionTag::kSyncInterval &&
+                section.remaining() != 0) {
               return fail("invalid sync-interval section");
             }
             have_interval = true;
             break;
           }
           default:
-            break;  // unknown section: skip (forward compatibility)
+            // Unknown (forward compatibility) or legacy tag 6: skip.
+            break;
         }
         return true;
       });
@@ -455,26 +424,21 @@ bool DecodeArchive(const uint8_t* data, size_t size, ArchivePayload* out,
       !have_streams[2] || !have_streams[3]) {
     return fail("archive missing a required section");
   }
-  // The envelope was validated by the walk; keep the stored version so a
-  // re-encode stamps the same header the file arrived with.
-  out->format_version = ByteReader(data + sizeof(kMagic), 4).GetU32();
   return true;
 }
 
 ArchiveWriter::ArchiveWriter(const core::CompressedCorpus& corpus,
-                             const core::StiuIndex* index)
-    : corpus_(corpus), index_(index) {}
+                             std::optional<core::StiuParams> stiu)
+    : corpus_(corpus), stiu_(stiu) {}
 
 std::vector<uint8_t> ArchiveWriter::Serialize() const {
   // Streams are borrowed straight from the corpus's BitWriters: the output
-  // image is the only buffer written. Every image is v6: without tag 6 no
-  // older reader can open it.
+  // image is the only buffer written.
   return EncodeArchiveRef(
       {&corpus_.params(), corpus_.entry_bits(), &corpus_.compressed_bits(),
        corpus_.t_stream().span(), corpus_.ref_stream().span(),
        corpus_.nref_stream().span(), corpus_.structure_stream().span(),
-       index_, {}, SectionTag::kStiuParams, {}, {}, kFormatVersion,
-       corpus_.params().t_sync_interval});
+       stiu_});
 }
 
 bool ArchiveWriter::Save(const std::string& path, std::string* error) const {
@@ -575,8 +539,8 @@ namespace {
 /// Why `grid` cannot derive the index of `payload`, or nullptr.
 const char* IndexMismatch(const ArchivePayload& payload,
                           const network::GridIndex& grid) {
-  if (payload.stiu.empty()) return "archive carries no StIU section";
-  if (grid.cells_per_side() != payload.stiu_params.cells_per_side) {
+  if (!payload.stiu.has_value()) return "archive carries no StIU section";
+  if (grid.cells_per_side() != payload.stiu->cells_per_side) {
     return "grid resolution does not match the archived StIU parameters";
   }
   return nullptr;
@@ -636,7 +600,7 @@ bool ArchiveReader::OpenPayload(ArchivePayload payload,
   std::unique_ptr<core::StiuIndex> derived;
   if (grid != nullptr && has_index()) {
     if (const char* why = IndexMismatch(payload_, *grid)) return fail(why);
-    derived = std::make_unique<core::StiuIndex>(*grid, payload_.stiu_params);
+    derived = std::make_unique<core::StiuIndex>(*grid, *payload_.stiu);
   }
   std::string why;
   if (!WalkStreams(payload_, &metas_, derived.get(), &why)) return fail(why);
@@ -664,7 +628,7 @@ std::unique_ptr<core::StiuIndex> ArchiveReader::LoadIndex(
     return nullptr;
   };
   if (const char* why = IndexMismatch(payload_, grid)) return fail(why);
-  auto index = std::make_unique<core::StiuIndex>(grid, payload_.stiu_params);
+  auto index = std::make_unique<core::StiuIndex>(grid, *payload_.stiu);
   std::vector<core::TrajMeta> metas;
   std::string why;
   if (!WalkStreams(payload_, &metas, index.get(), &why)) return fail(why);

@@ -45,9 +45,10 @@ inline constexpr char kMagic[8] = {'U', 'T', 'C', 'Q', 'A', 'R', 'C', '\0'};
 /// tag 11 holds the index parameters and the reader derives the index from
 /// the streams. Version 6 stores no metas (tag 6) and no sync tables
 /// (tag 9): tag 12 holds the sync interval, and the reader derives both
-/// from the streams. A tag-6, -7, -9 or -10 section of an older image is
-/// kept verbatim for re-encoding; only the leading parameters of tags 7, 9
-/// and 10 are read.
+/// from the streams. Every version opens; writers emit only version 6, so
+/// an older image re-encodes to the v6 image of the same corpus. Of an
+/// older image's legacy sections only the leading parameters of tags 7, 9
+/// and 10 are read; tag 6 is skipped like an unknown tag.
 inline constexpr uint32_t kFormatVersion = 6;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
@@ -58,7 +59,7 @@ enum class SectionTag : uint64_t {
   kRefStream = 3,      // reference payloads
   kNrefStream = 4,     // referential non-reference payloads
   kStructure = 5,      // per-trajectory role bitmaps
-  kMetas = 6,          // TrajMeta records (legacy, kept verbatim)
+  kMetas = 6,          // TrajMeta records (legacy, skipped)
   kStiu = 7,           // StIU tuple lists, pre-v4 shape (legacy, params read)
   kShardManifest = 8,  // shard-set manifest (sole section of manifest files)
   kTSyncIndex = 9,     // T-stream sync tables (legacy, interval read)
@@ -68,10 +69,10 @@ enum class SectionTag : uint64_t {
 };
 
 /// The decoded contents of an archive, owning every stream a CorpusView
-/// needs. This is the neutral middle ground the writer serializes *from*
-/// and the reader deserializes *into* — re-encoding a loaded payload is
-/// byte-identical to the original file, which the round-trip tests pin down.
-/// It holds what the file stores; the metas are derived by ArchiveReader.
+/// needs: exactly what a v6 image stores. This is the neutral middle ground
+/// the writer serializes *from* and the reader deserializes *into*; a v6
+/// image re-encodes byte for byte, and an older one to its v6 equivalent.
+/// The metas are derived by ArchiveReader.
 struct ArchivePayload {
   struct Stream {
     std::vector<uint8_t> bytes;
@@ -86,23 +87,10 @@ struct ArchivePayload {
   int entry_bits = 4;
   traj::ComponentSizes compressed_bits;
   Stream t, ref, nref, structure;
-  /// Container version this payload was decoded from, stamped back on
-  /// re-encode so round-trips stay byte-identical (a v2 file must not come
-  /// back labelled v6). Payloads built in memory carry the current version.
-  uint32_t format_version = kFormatVersion;
-  /// The StIU section's body as read, re-encoded verbatim under `stiu_tag`
-  /// so round trips stay byte-identical: a tag-11 section's parameters, or
-  /// a v1-v4 image's tuple lists. Empty when the archive carries no index.
-  std::vector<uint8_t> stiu;
-  SectionTag stiu_tag = SectionTag::kStiuParams;
-  /// The section's two leading fields, the parameters the index is derived
-  /// with; meaningful only when `stiu` is non-empty.
-  core::StiuParams stiu_params;
-  /// A v1-v5 image's tag-6 (metas) and tag-9 (sync tables) bodies, kept
-  /// verbatim for re-encoding and never read. When `legacy_syncs` is
-  /// non-empty, K is written there rather than as tag 12.
-  std::vector<uint8_t> legacy_metas;
-  std::vector<uint8_t> legacy_syncs;
+  /// The parameters the StIU index is derived with: tag 11's, or the two
+  /// leading fields of a v1-v4 tag-7/10 section. Unset when the archive
+  /// carries no index.
+  std::optional<core::StiuParams> stiu;
 };
 
 /// Description of a multi-shard archive set (DESIGN.md §8): N per-shard
@@ -131,7 +119,7 @@ struct ShardManifest {
 };
 
 /// Serializes a payload into the container format (header + sections +
-/// checksum footer).
+/// checksum footer), always as a version-6 image.
 std::vector<uint8_t> EncodeArchive(const ArchivePayload& payload);
 
 /// Parses and validates a container. Returns false (with a reason in
@@ -162,11 +150,11 @@ bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out,
                    std::string* error = nullptr);
 
 /// Write-side entry point: captures a compressed corpus (and optionally the
-/// parameters of its StIU index) and saves it as one self-contained file.
+/// parameters of its StIU index) and saves it as one self-contained v6 file.
 class ArchiveWriter {
  public:
   explicit ArchiveWriter(const core::CompressedCorpus& corpus,
-                         const core::StiuIndex* index = nullptr);
+                         std::optional<core::StiuParams> stiu = std::nullopt);
 
   /// Serializes to bytes without touching the filesystem (tests, custom
   /// transports).
@@ -177,7 +165,7 @@ class ArchiveWriter {
 
  private:
   const core::CompressedCorpus& corpus_;
-  const core::StiuIndex* index_;
+  std::optional<core::StiuParams> stiu_;
 };
 
 /// Read-side entry point: opens a container, validates it, and derives
@@ -220,12 +208,12 @@ class ArchiveReader {
   core::CorpusView view() const;
 
   /// True when the archive carries a StIU section.
-  bool has_index() const { return !payload_.stiu.empty(); }
+  bool has_index() const { return payload_.stiu.has_value(); }
 
   /// Grid resolution to build the spatial grid with before LoadIndex; 0
   /// when no index is archived.
   uint32_t index_cells_per_side() const {
-    return has_index() ? payload_.stiu_params.cells_per_side : 0;
+    return has_index() ? payload_.stiu->cells_per_side : 0;
   }
 
   /// Derives the StIU index of an open archive by walking its streams

@@ -259,62 +259,6 @@ std::optional<UtcqDecoder::TimeBracket> UtcqDecoder::BracketTime(
   return std::nullopt;  // t beyond the last timestamp
 }
 
-uint64_t UtcqDecoder::DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
-                                      std::vector<traj::Timestamp>* out,
-                                      SeekStats* seek) const {
-  out->clear();
-  const TrajMeta& meta = cc_.meta(j);
-  if (meta.n_points == 0 || first >= meta.n_points || first > last) return 0;
-  if (last >= meta.n_points) last = meta.n_points - 1;
-
-  BitReader r = cc_.t_reader();
-
-  // Start state: the latest sync at or before `first`, else the block
-  // header (count varint + 17-bit t0).
-  uint32_t entry = 0;
-  traj::Timestamp t = 0;
-  uint64_t start_bit = meta.t_pos;
-  bool from_sync = false;
-  for (auto it = meta.t_syncs.rbegin(); it != meta.t_syncs.rend(); ++it) {
-    if (it->entry <= first) {
-      entry = it->entry;
-      t = it->t;
-      start_bit = it->bit;
-      from_sync = true;
-      break;
-    }
-  }
-  r.Seek(start_bit);
-  if (from_sync) {
-    if (seek != nullptr) ++seek->sync_seeks;
-  } else {
-    const uint64_t n = common::GetVarint(r);
-    if (n != meta.n_points) return 0;  // stream/meta disagree: corrupt
-    t = static_cast<traj::Timestamp>(r.GetBits(17));
-  }
-
-  const int64_t interval = cc_.params().default_interval_s;
-  if (entry >= first) out->push_back(t);  // entry == first by construction
-  int64_t deltas[128];
-  while (entry < last) {
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(last - entry, std::size(deltas)));
-    const size_t got = strategies::DecodeIeg(r, deltas, want);
-    for (size_t i = 0; i < got; ++i) {
-      t += interval + deltas[i];
-      ++entry;
-      if (entry >= first) out->push_back(t);
-    }
-    if (got < want) {  // overflow latched mid-stream: reject, as DecodeTimes
-      out->clear();
-      return 0;
-    }
-  }
-  const uint64_t bits = r.position() - start_bit;
-  if (seek != nullptr) seek->bits_read += bits;
-  return bits;
-}
-
 std::optional<UtcqDecoder::TimeBracket> UtcqDecoder::BracketInTimes(
     const std::vector<traj::Timestamp>& times, uint32_t n_points,
     traj::Timestamp t, uint32_t t_no, traj::Timestamp t_start) {

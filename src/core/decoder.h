@@ -73,17 +73,6 @@ class UtcqDecoder {
                                          uint64_t t_pos,
                                          SeekStats* seek = nullptr) const;
 
-  /// Decodes times[first .. last] (inclusive; clamped to the trajectory's
-  /// n_points) into `out` (cleared, capacity kept), seeking through the
-  /// sync table to the latest sync at or before `first` instead of
-  /// expanding from the block start. Allocation-free beyond `out`'s
-  /// growth; deltas decode through the batched strategies::DecodeIeg.
-  /// Returns the stream bits consumed; on a corrupt stream `out` is left
-  /// empty.
-  uint64_t DecodeRangeInto(size_t j, uint32_t first, uint32_t last,
-                           std::vector<traj::Timestamp>* out,
-                           SeekStats* seek = nullptr) const;
-
   /// BracketTime over an already-expanded time sequence: same scan, same
   /// results, no bitstream walk. `times` must be trajectory j's full
   /// DecodeTimes output (n_points entries) for the brackets to agree.

@@ -49,6 +49,12 @@ SubpathRelation ClassifySubpath(const network::RoadNetwork& net,
   if (inst.path.empty() || from >= inst.path.size() || to < from) {
     return SubpathRelation::kDisjoint;
   }
+  // A zero-area RE (a point or a line) meets a position on an edge only up
+  // to rounding, so the exact segment tests cannot settle it: leave it to
+  // the interpolated point test, the same test the oracle makes.
+  if (re.width() <= 0.0 || re.height() <= 0.0) {
+    return SubpathRelation::kPartial;
+  }
   bool all_inside = true;
   bool any_intersect = false;
   for (uint32_t k = from; k <= to && k < inst.path.size(); ++k) {

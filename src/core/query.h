@@ -43,6 +43,7 @@ enum class SubpathRelation { kInside, kDisjoint, kPartial };
 /// against `re`, using the full bracketing edges as a conservative superset.
 /// Degenerate instances (empty path, or a location pointing past the path)
 /// classify as kDisjoint: a subpath that touches no edge overlaps nothing.
+/// Against a zero-area `re` every other subpath is kPartial.
 SubpathRelation ClassifySubpath(const network::RoadNetwork& net,
                                 const traj::TrajectoryInstance& inst, size_t i,
                                 const network::Rect& re);

@@ -372,10 +372,11 @@ std::vector<StiuIndex::NrefTuple> StiuIndex::NrefTuplesIn(
 const StiuIndex::TemporalTuple& StiuIndex::TemporalTupleFor(
     size_t j, traj::Timestamp t) const {
   const auto& tuples = temporal_[j];
-  // Latest tuple with t_start <= t.
-  auto it = std::upper_bound(
-      tuples.begin(), tuples.end(), t,
-      [](traj::Timestamp v, const TemporalTuple& tup) { return v < tup.t_start; });
+  // Latest tuple with t_start < t: the first with t_start >= t, less one.
+  auto it = std::lower_bound(tuples.begin(), tuples.end(), t,
+                             [](const TemporalTuple& tup, traj::Timestamp v) {
+                               return tup.t_start < v;
+                             });
   if (it != tuples.begin()) --it;
   return *it;
 }

@@ -142,7 +142,9 @@ class StiuIndex {
   }
 
   /// Best tuple to start a partial T decode for time `t` (the latest tuple
-  /// with t_start <= t), or the first tuple when t precedes them all.
+  /// with t_start strictly before t), or the first tuple when none precedes
+  /// t. Strictness keeps the bracket the full scan's when t is a tuple's
+  /// sample time: the scan brackets it at the previous entry.
   const TemporalTuple& TemporalTupleFor(size_t j, traj::Timestamp t) const;
 
   /// Trajectories whose time span intersects the partition containing `t`

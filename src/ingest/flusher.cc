@@ -104,7 +104,7 @@ bool Flusher::FlushInternal(
   const uint32_t gen = static_cast<uint32_t>(manifest_.shards.size());
   // Step 1: the generation's archive, atomically, *before* any publication.
   // A leftover file from a crashed previous attempt is simply overwritten.
-  const archive::ArchiveWriter writer(live.corpus(), &live.index());
+  const archive::ArchiveWriter writer(live.corpus(), live.index().params());
   if (!writer.Save(shard::ShardArchivePath(manifest_path_, gen), error)) {
     return false;
   }

@@ -92,18 +92,6 @@ class Flusher {
   using CrashHook = std::function<bool(FlushStep)>;
   void set_crash_hook(CrashHook hook) { hook_ = std::move(hook); }
 
-  /// Back-compat single-point hook: fires at kAfterArchiveWrite only (the
-  /// original archive-written/manifest-not-swapped crash window).
-  void set_pre_publish_hook(std::function<bool()> hook) {
-    if (!hook) {
-      hook_ = nullptr;
-      return;
-    }
-    hook_ = [hook = std::move(hook)](FlushStep step) {
-      return step != FlushStep::kAfterArchiveWrite || hook();
-    };
-  }
-
   const std::string& manifest_path() const { return manifest_path_; }
   size_t num_generations() const { return manifest_.shards.size(); }
   /// Trajectories in the published sealed set.

@@ -87,11 +87,6 @@ class StreamingService final : public serve::TierSource {
   /// success when the live shard is empty. Serialized against itself;
   /// ingestion and queries keep running throughout.
   bool Flush(std::string* error = nullptr);
-  /// Crash-injection for tests; see Flusher::set_pre_publish_hook.
-  void set_flush_hook(std::function<bool()> hook) {
-    common::MutexLock flush_lock(flush_mu_);
-    flusher_.set_pre_publish_hook(std::move(hook));
-  }
   /// Full crash matrix (every FlushStep); see Flusher::set_crash_hook.
   void set_flush_crash_hook(Flusher::CrashHook hook) {
     common::MutexLock flush_lock(flush_mu_);

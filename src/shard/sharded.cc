@@ -111,7 +111,7 @@ bool ShardedBuild::Save(const std::string& manifest_path,
   std::vector<uint8_t> saved(shards.size(), 0);
   common::ParallelFor(shards.size(), 0, [&](size_t s) {
     const archive::ArchiveWriter writer(shards[s]->corpus,
-                                        shards[s]->index.get());
+                                        shards[s]->index->params());
     saved[s] = writer.Save(dir + manifest.shards[s].file, &errors[s]);
   });
   for (size_t s = 0; s < shards.size(); ++s) {
@@ -207,12 +207,12 @@ bool ShardedCorpus::Open(const network::RoadNetwork& net,
   for (size_t s = 0; s < n; ++s) {
     const archive::ShardManifest::Shard& entry = manifest.shards[s];
     if (!decoded[s]) return fail(errors[s]);
-    if (payloads[s].stiu.empty()) {
+    if (!payloads[s].stiu.has_value()) {
       return fail("shard " + entry.file + " carries no StIU index");
     }
     if (cells == 0) {
-      cells = payloads[s].stiu_params.cells_per_side;
-    } else if (payloads[s].stiu_params.cells_per_side != cells) {
+      cells = payloads[s].stiu->cells_per_side;
+    } else if (payloads[s].stiu->cells_per_side != cells) {
       return fail("shard " + entry.file +
                   " was indexed over a different grid resolution");
     }

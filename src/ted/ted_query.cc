@@ -1,7 +1,6 @@
 #include "ted/ted_query.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -12,67 +11,19 @@ using traj::NetworkPosition;
 using traj::Timestamp;
 using traj::TrajectoryInstance;
 
-namespace {
-
-/// Trusts a handle only when its shape matches the trajectory's meta (the
-/// baseline stores every instance in ref_insts; see traj::DecodedTraj).
-const traj::DecodedTraj* UsableHandle(const TedTrajMeta& meta,
-                                      const traj::DecodedTraj* dt) {
-  if (dt == nullptr) return nullptr;
-  if (dt->times.size() != meta.n_points ||
-      dt->ref_insts.size() != meta.instances.size() ||
-      !dt->nref_insts.empty()) {
-    return nullptr;
-  }
-  return dt;
-}
-
-}  // namespace
-
-traj::DecodedTraj TedQueryProcessor::DecodeTraj(size_t traj_idx) const {
-  const TedTrajMeta& meta = compressed_.meta(traj_idx);
-  traj::DecodedTraj dt;
-  dt.times = compressed_.DecodeTimes(traj_idx);
-  dt.ref_insts.resize(meta.instances.size());
-  for (size_t w = 0; w < meta.instances.size(); ++w) {
-    dt.ref_insts[w] = compressed_.DecodeInstance(net_, traj_idx, w);
-  }
-  return dt;
-}
-
 std::vector<traj::WhereHit> TedQueryProcessor::Where(size_t traj_idx,
                                                      Timestamp t,
                                                      double alpha) const {
-  return WhereImpl(traj_idx, t, alpha, nullptr);
-}
-
-std::vector<traj::WhereHit> TedQueryProcessor::Where(
-    size_t traj_idx, Timestamp t, double alpha,
-    const traj::DecodedTraj& dt) const {
-  return WhereImpl(traj_idx, t, alpha, &dt);
-}
-
-std::vector<traj::WhereHit> TedQueryProcessor::WhereImpl(
-    size_t traj_idx, Timestamp t, double alpha,
-    const traj::DecodedTraj* dt) const {
   std::vector<traj::WhereHit> hits;
   if (traj_idx >= compressed_.num_trajectories()) return hits;
   const TedTrajMeta& meta = compressed_.meta(traj_idx);
-  dt = UsableHandle(meta, dt);
   if (t < meta.t_first || t > meta.t_last) return hits;
-  const std::vector<Timestamp> times_storage =
-      dt != nullptr ? std::vector<Timestamp>()
-                    : compressed_.DecodeTimes(traj_idx);
-  const std::vector<Timestamp>& times =
-      dt != nullptr ? dt->times : times_storage;
+  const std::vector<Timestamp> times = compressed_.DecodeTimes(traj_idx);
   for (size_t w = 0; w < meta.instances.size(); ++w) {
     if (meta.instances[w].p_quantized < alpha) continue;
-    std::optional<TrajectoryInstance> inst_storage;
-    const TrajectoryInstance* inst = traj::SlotOrDecode(
-        dt, &traj::DecodedTraj::ref_insts, static_cast<uint32_t>(w),
-        inst_storage,
-        [&] { return compressed_.DecodeInstance(net_, traj_idx, w); });
-    if (inst == nullptr) continue;
+    const std::optional<TrajectoryInstance> inst =
+        compressed_.DecodeInstance(net_, traj_idx, w);
+    if (!inst.has_value()) continue;
     const auto pos = traj::PositionAtTime(net_, *inst, times, t);
     if (pos.has_value()) {
       hits.push_back({static_cast<uint32_t>(w), inst->probability, *pos});
@@ -85,38 +36,18 @@ std::vector<traj::WhenHit> TedQueryProcessor::When(size_t traj_idx,
                                                    network::EdgeId edge,
                                                    double rd,
                                                    double alpha) const {
-  return WhenImpl(traj_idx, edge, rd, alpha, nullptr);
-}
-
-std::vector<traj::WhenHit> TedQueryProcessor::When(
-    size_t traj_idx, network::EdgeId edge, double rd, double alpha,
-    const traj::DecodedTraj& dt) const {
-  return WhenImpl(traj_idx, edge, rd, alpha, &dt);
-}
-
-std::vector<traj::WhenHit> TedQueryProcessor::WhenImpl(
-    size_t traj_idx, network::EdgeId edge, double rd, double alpha,
-    const traj::DecodedTraj* dt) const {
   std::vector<traj::WhenHit> hits;
   if (traj_idx >= compressed_.num_trajectories()) return hits;
   const TedTrajMeta& meta = compressed_.meta(traj_idx);
-  dt = UsableHandle(meta, dt);
-  const std::vector<Timestamp> times_storage =
-      dt != nullptr ? std::vector<Timestamp>()
-                    : compressed_.DecodeTimes(traj_idx);
-  const std::vector<Timestamp>& times =
-      dt != nullptr ? dt->times : times_storage;
+  const std::vector<Timestamp> times = compressed_.DecodeTimes(traj_idx);
   // Widen the sampled span by the D quantization error (see core query).
   const double tol =
       2.0 * compressed_.eta_d() * net_.edge(edge).length + 1e-6;
   for (size_t w = 0; w < meta.instances.size(); ++w) {
     if (meta.instances[w].p_quantized < alpha) continue;
-    std::optional<TrajectoryInstance> inst_storage;
-    const TrajectoryInstance* inst = traj::SlotOrDecode(
-        dt, &traj::DecodedTraj::ref_insts, static_cast<uint32_t>(w),
-        inst_storage,
-        [&] { return compressed_.DecodeInstance(net_, traj_idx, w); });
-    if (inst == nullptr) continue;
+    const std::optional<TrajectoryInstance> inst =
+        compressed_.DecodeInstance(net_, traj_idx, w);
+    if (!inst.has_value()) continue;
     for (const Timestamp t :
          traj::TimesAtPosition(net_, *inst, times, edge, rd, tol)) {
       hits.push_back({static_cast<uint32_t>(w), inst->probability, t});
@@ -127,18 +58,6 @@ std::vector<traj::WhenHit> TedQueryProcessor::WhenImpl(
 
 traj::RangeResult TedQueryProcessor::Range(const Rect& region, Timestamp tq,
                                            double alpha) const {
-  return RangeImpl(region, tq, alpha, nullptr);
-}
-
-traj::RangeResult TedQueryProcessor::Range(
-    const Rect& region, Timestamp tq, double alpha,
-    const traj::DecodedProvider& provider) const {
-  return RangeImpl(region, tq, alpha, &provider);
-}
-
-traj::RangeResult TedQueryProcessor::RangeImpl(
-    const Rect& region, Timestamp tq, double alpha,
-    const traj::DecodedProvider* provider) const {
   traj::RangeResult result;
 
   // Candidate trajectories: active at tq and passing a region cell that
@@ -158,21 +77,12 @@ traj::RangeResult TedQueryProcessor::RangeImpl(
   for (const uint32_t j : ordered) {
     const TedTrajMeta& meta = compressed_.meta(j);
     if (tq < meta.t_first || tq > meta.t_last) continue;
-    std::shared_ptr<const traj::DecodedTraj> pinned;
-    if (provider != nullptr && *provider) pinned = (*provider)(j);
-    const traj::DecodedTraj* dt = UsableHandle(meta, pinned.get());
-    const std::vector<Timestamp> times_storage =
-        dt != nullptr ? std::vector<Timestamp>() : compressed_.DecodeTimes(j);
-    const std::vector<Timestamp>& times =
-        dt != nullptr ? dt->times : times_storage;
+    const std::vector<Timestamp> times = compressed_.DecodeTimes(j);
     double overlap_p = 0.0;
     for (size_t w = 0; w < meta.instances.size(); ++w) {
-      std::optional<TrajectoryInstance> inst_storage;
-      const TrajectoryInstance* inst = traj::SlotOrDecode(
-          dt, &traj::DecodedTraj::ref_insts, static_cast<uint32_t>(w),
-          inst_storage,
-          [&] { return compressed_.DecodeInstance(net_, j, w); });
-      if (inst == nullptr) continue;
+      const std::optional<TrajectoryInstance> inst =
+          compressed_.DecodeInstance(net_, j, w);
+      if (!inst.has_value()) continue;
       const auto pos = traj::PositionAtTime(net_, *inst, times, tq);
       if (!pos.has_value()) continue;
       const network::Vertex xy = net_.PointOnEdge(pos->edge, pos->ndist);

@@ -7,7 +7,6 @@
 #include "network/geometry.h"
 #include "ted/ted_compress.h"
 #include "ted/ted_index.h"
-#include "traj/decoded.h"
 #include "traj/query_types.h"
 
 namespace utcq::ted {
@@ -36,36 +35,7 @@ class TedQueryProcessor {
   traj::RangeResult Range(const network::Rect& region, traj::Timestamp tq,
                           double alpha) const;
 
-  /// Decodes trajectory `traj_idx` in full into the shared cacheable
-  /// handle: ref_insts[w] is instance w in original order, nref_insts is
-  /// empty (the baseline has no referential split).
-  traj::DecodedTraj DecodeTraj(size_t traj_idx) const;
-
-  /// Cached variants mirroring the core processor: identical results with
-  /// the decode step served from a handle / provider instead of the
-  /// bitstreams. A handle whose shape disagrees with the trajectory's meta
-  /// falls back to inline decoding.
-  std::vector<traj::WhereHit> Where(size_t traj_idx, traj::Timestamp t,
-                                    double alpha,
-                                    const traj::DecodedTraj& dt) const;
-  std::vector<traj::WhenHit> When(size_t traj_idx, network::EdgeId edge,
-                                  double rd, double alpha,
-                                  const traj::DecodedTraj& dt) const;
-  traj::RangeResult Range(const network::Rect& region, traj::Timestamp tq,
-                          double alpha,
-                          const traj::DecodedProvider& provider) const;
-
  private:
-  std::vector<traj::WhereHit> WhereImpl(size_t traj_idx, traj::Timestamp t,
-                                        double alpha,
-                                        const traj::DecodedTraj* dt) const;
-  std::vector<traj::WhenHit> WhenImpl(size_t traj_idx, network::EdgeId edge,
-                                      double rd, double alpha,
-                                      const traj::DecodedTraj* dt) const;
-  traj::RangeResult RangeImpl(const network::Rect& region, traj::Timestamp tq,
-                              double alpha,
-                              const traj::DecodedProvider* provider) const;
-
   const network::RoadNetwork& net_;
   TedCorpusView compressed_;
   const TedIndex& index_;

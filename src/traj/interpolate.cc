@@ -76,22 +76,13 @@ std::optional<NetworkPosition> PositionAtTime(
   if (times.empty() || t < times.front() || t > times.back()) {
     return std::nullopt;
   }
-  // Bracketing samples i, i+1 with times[i] <= t <= times[i+1].
-  const auto it = std::upper_bound(times.begin(), times.end(), t);
-  size_t i = static_cast<size_t>(it - times.begin());
-  i = i > 0 ? i - 1 : 0;
-  if (i + 1 >= times.size()) {
-    // t == times.back()
-    const MappedLocation& loc = inst.locations.back();
-    return NetworkPosition{inst.path[loc.path_index],
-                           loc.rd * net.edge(inst.path[loc.path_index]).length};
-  }
-  const double d0 = PathOffsetOfLocation(net, inst, i);
-  const double d1 = PathOffsetOfLocation(net, inst, i + 1);
-  const double span = static_cast<double>(times[i + 1] - times[i]);
-  const double f =
-      span > 0 ? static_cast<double>(t - times[i]) / span : 0.0;
-  return PositionAtPathOffset(net, inst, d0 + (d1 - d0) * f);
+  // The engines' bracket: the first i with t <= times[i + 1], so a sample
+  // time brackets at the previous entry and the position is bit for bit
+  // the one every other query path computes.
+  if (times.size() == 1) return PositionInBracket(net, inst, 0, t, t, t);
+  const size_t i = static_cast<size_t>(
+      std::lower_bound(times.begin() + 1, times.end(), t) - times.begin() - 1);
+  return PositionInBracket(net, inst, i, times[i], times[i + 1], t);
 }
 
 std::vector<Timestamp> TimesAtPosition(const RoadNetwork& net,

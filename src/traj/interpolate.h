@@ -55,7 +55,8 @@ std::vector<NetworkPosition> PositionsInBracket(
     Timestamp t0, Timestamp t1, Timestamp t);
 
 /// Network position of the instance at time `t`, or nullopt when t lies
-/// outside [times.front(), times.back()].
+/// outside [times.front(), times.back()]: PositionInBracket over the first
+/// bracket i with t <= times[i + 1].
 std::optional<NetworkPosition> PositionAtTime(
     const network::RoadNetwork& net, const TrajectoryInstance& inst,
     const std::vector<Timestamp>& times, Timestamp t);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/decoder.h"
+#include "core/encoder.h"
 #include "network/generator.h"
 #include "traj/generator.h"
+#include "verify/oracle.h"
 
 namespace utcq::verify {
 
@@ -184,6 +187,46 @@ void WorkloadGen::MakeQueries(Workload& w) {
                             ? span_x  // covers (almost) everything
                             : rng_.Uniform(span_x / 50.0, span_x / 3.0);
     q.region = {cx - half, cy - half, cx + half, cy + half};
+    w.queries.push_back(q);
+  }
+
+  // Zero-area rectangles through a point where the oracle places an
+  // instance of the decompressed corpus (what every engine reconstructs):
+  // the point itself, or a zero-width or zero-height line through it.
+  // Contains is exact there, so Range must compute the oracle's position
+  // bit for bit.
+  constexpr uint32_t kZeroAreaRangeQueries = 6;
+  const core::CompressedCorpus cc =
+      core::UtcqCompressor(w.net, w.params).Compress(w.corpus);
+  const traj::UncertainCorpus decoded =
+      core::UtcqDecoder(w.net, cc).DecompressAll();
+  const Oracle oracle(w.net, decoded, w.params.eta_d);
+  for (uint32_t i = 0; i < kZeroAreaRangeQueries; ++i) {
+    const auto j = static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(decoded.size()) - 1));
+    QueryCase q;
+    q.kind = QueryCase::Kind::kRange;
+    q.t = rng_.UniformInt(decoded[j].times.front(), decoded[j].times.back());
+    // Hits of positive probability only: alpha stays strictly positive.
+    const auto hits = oracle.Where(j, q.t, 1e-9);
+    if (hits.empty()) continue;
+    const traj::WhereHit& hit = hits[static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(hits.size()) - 1))];
+    q.alpha = hit.probability * rng_.Uniform(0.5, 1.0);
+    const network::Vertex xy =
+        w.net.PointOnEdge(hit.position.edge, hit.position.ndist);
+    const double reach = rng_.Uniform(0.0, (bbox.max_x - bbox.min_x) / 20.0);
+    switch (i % 3) {
+      case 0:
+        q.region = {xy.x, xy.y, xy.x, xy.y};
+        break;
+      case 1:
+        q.region = {xy.x, xy.y - reach, xy.x, xy.y + reach};
+        break;
+      default:
+        q.region = {xy.x - reach, xy.y, xy.x + reach, xy.y};
+        break;
+    }
     w.queries.push_back(q);
   }
 }

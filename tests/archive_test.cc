@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -42,6 +43,11 @@ struct ArchiveFixture {
     return ::testing::TempDir() + "/" + name;
   }
 
+  /// The v6 image of the corpus with its StIU parameters.
+  std::vector<uint8_t> Image() const {
+    return ArchiveWriter(sys->compressed(), sys->index().params()).Serialize();
+  }
+
   network::RoadNetwork net;
   traj::UncertainCorpus corpus;
   std::unique_ptr<network::GridIndex> grid;
@@ -50,7 +56,7 @@ struct ArchiveFixture {
 
 TEST(Archive, SaveLoadResaveIsBitExact) {
   ArchiveFixture fx;
-  const ArchiveWriter writer(fx.sys->compressed(), &fx.sys->index());
+  const ArchiveWriter writer(fx.sys->compressed(), fx.sys->index().params());
   const std::vector<uint8_t> first = writer.Serialize();
   // One allocation at the exact image size, StIU section included.
   EXPECT_EQ(first.capacity(), first.size());
@@ -74,7 +80,7 @@ TEST(Archive, FileRoundTripPreservesEveryStreamAndMeta) {
     ArchiveFixture fx(disable_referential);
     const std::string path = fx.TempPath("roundtrip.utcq");
     std::string error;
-    ASSERT_TRUE(ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
+    ASSERT_TRUE(ArchiveWriter(fx.sys->compressed(), fx.sys->index().params())
                     .Save(path, &error))
         << error;
 
@@ -106,8 +112,7 @@ TEST(Archive, FileRoundTripPreservesEveryStreamAndMeta) {
 TEST(Archive, LoadedCorpusDecodesIdenticallyToLiveCorpus) {
   ArchiveFixture fx;
   ArchiveReader reader;
-  ASSERT_TRUE(reader.OpenBytes(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ASSERT_TRUE(reader.OpenBytes(fx.Image()));
 
   const core::UtcqDecoder live(fx.net, fx.sys->compressed());
   const core::UtcqDecoder loaded(fx.net, reader.view());
@@ -131,7 +136,7 @@ TEST(Archive, LoadedQueriesMatchLiveQueries) {
   ArchiveFixture fx;
   const std::string path = fx.TempPath("queries.utcq");
   ASSERT_TRUE(
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Save(path));
+      ArchiveWriter(fx.sys->compressed(), fx.sys->index().params()).Save(path));
 
   // A fresh process: only the network (shared, corpus-independent state)
   // and the file. The live system's memory is not consulted.
@@ -195,8 +200,7 @@ TEST(Archive, ReloadedStiuTuplesMatch) {
   // The index derived on open is the compress-time index, array for array,
   // whether the opening walk derives it or LoadIndex walks again.
   ArchiveFixture fx;
-  const std::vector<uint8_t> image =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> image = fx.Image();
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(image));
   const network::GridIndex grid(fx.net, reader.index_cells_per_side());
@@ -217,17 +221,48 @@ TEST(Archive, ReloadedStiuTuplesMatch) {
   EXPECT_EQ(fused.metas(), reader.metas());
 }
 
-/// The section tags of a container image, in file order.
-std::vector<uint64_t> SectionTags(const std::vector<uint8_t>& image) {
+/// One section of a container image: its tag and body.
+struct Section {
+  uint64_t tag = 0;
+  std::vector<uint8_t> body;
+};
+
+/// The sections of a container image, in file order.
+std::vector<Section> Sections(const std::vector<uint8_t>& image) {
   common::ByteReader in(image.data(), image.size() - 4);
   in.Skip(sizeof(kMagic) + 4);
-  std::vector<uint64_t> tags(in.GetVarint());
-  for (uint64_t& tag : tags) {
-    tag = in.GetVarint();
-    in.Skip(in.GetVarint());
+  std::vector<Section> sections(in.GetVarint());
+  for (Section& section : sections) {
+    section.tag = in.GetVarint();
+    section.body.resize(in.GetVarint());
+    in.GetBytes(section.body.data(), section.body.size());
   }
   EXPECT_TRUE(in.ok());
+  return sections;
+}
+
+/// The section tags of a container image, in file order.
+std::vector<uint64_t> SectionTags(const std::vector<uint8_t>& image) {
+  std::vector<uint64_t> tags;
+  for (const Section& section : Sections(image)) tags.push_back(section.tag);
   return tags;
+}
+
+/// A container image of any version, written field by field: magic, u32
+/// version, the section table and the CRC-32 footer. It writes the images
+/// older writers produced, which EncodeArchive (v6 only) no longer does.
+std::vector<uint8_t> ContainerImage(uint32_t version,
+                                    const std::vector<Section>& sections) {
+  common::ByteWriter out;
+  out.PutBytes(kMagic, sizeof(kMagic));
+  out.PutU32(version);
+  out.PutVarint(sections.size());
+  for (const Section& section : sections) {
+    out.PutVarint(section.tag);
+    out.PutBlob(section.body.data(), section.body.size());
+  }
+  out.PutU32(common::Crc32(out.bytes().data(), out.size()));
+  return out.Release();
 }
 
 TEST(Archive, V6ImagesStoreOnlyTheStreamsAndParameters) {
@@ -236,20 +271,17 @@ TEST(Archive, V6ImagesStoreOnlyTheStreamsAndParameters) {
   // StIU section and a grid of the archived resolution, and derives the
   // same index every time it is called.
   ArchiveFixture fx;
-  const std::vector<uint8_t> image =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> image = fx.Image();
   EXPECT_EQ(image[8], 6u);
   EXPECT_EQ(SectionTags(image),
             (std::vector<uint64_t>{1, 2, 3, 4, 5, 11, 12}));
+  EXPECT_EQ(Sections(image)[5].body, (std::vector<uint8_t>{16, 0x88, 0x0E}));
   ArchiveReader reader;
   ASSERT_TRUE(reader.OpenBytes(image));
-  EXPECT_EQ(reader.payload().stiu_tag, SectionTag::kStiuParams);
-  EXPECT_EQ(reader.payload().stiu, (std::vector<uint8_t>{16, 0x88, 0x0E}));
   EXPECT_EQ(reader.index_cells_per_side(), 16u);
-  EXPECT_EQ(reader.payload().stiu_params.time_partition_s, 900);
+  ASSERT_TRUE(reader.payload().stiu.has_value());
+  EXPECT_EQ(reader.payload().stiu->time_partition_s, 900);
   EXPECT_EQ(reader.params().t_sync_interval, 32u);
-  EXPECT_TRUE(reader.payload().legacy_metas.empty());
-  EXPECT_TRUE(reader.payload().legacy_syncs.empty());
 
   std::string error;
   const network::GridIndex grid(fx.net, 16);
@@ -281,8 +313,7 @@ TEST(Archive, OpenRejectsInstancesThatDoNotReconstruct) {
   // not exist, and the open fails naming the trajectory. Without a grid
   // nothing is reconstructed and the same image opens.
   ArchiveFixture fx;
-  const std::vector<uint8_t> image =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> image = fx.Image();
   const network::RoadNetwork small =
       test::MakeSmallCity(traj::ChengduProfile(), 4);
   const network::GridIndex small_grid(small, 16);
@@ -326,8 +357,7 @@ TEST(Archive, ArchiveWithoutIndexStillDecodes) {
 
 TEST(Archive, RejectsTruncationBadMagicAndBitRot) {
   ArchiveFixture fx;
-  const std::vector<uint8_t> good =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> good = fx.Image();
   ArchiveReader reader;
   std::string error;
 
@@ -387,8 +417,7 @@ TEST(Archive, RejectsStreamsThatDoNotWalk) {
   ArchiveFixture fx;
   ArchivePayload base;
   std::string error;
-  const std::vector<uint8_t> image =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> image = fx.Image();
   ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &base, &error));
   const size_t last = fx.corpus.size() - 1;
   const auto grow = [](ArchivePayload::Stream* s, uint64_t bits) {
@@ -596,27 +625,53 @@ std::vector<uint8_t> LegacySyncsBody(uint32_t interval,
   return out.Release();
 }
 
-/// `cc`'s image as a v1-v5 writer stored it: version `version`, its metas
-/// in tag 6 and, when K > 0, its sync tables in tag 9.
-ArchivePayload LegacyPayload(const core::CompressedCorpus& cc,
-                             const core::StiuIndex* index, uint32_t version) {
-  ArchivePayload payload;
-  const std::vector<uint8_t> image = ArchiveWriter(cc, index).Serialize();
-  std::string error;
-  EXPECT_TRUE(DecodeArchive(image.data(), image.size(), &payload, &error))
-      << error;
-  payload.format_version = version;
-  payload.legacy_metas = LegacyMetasBody(cc.metas());
-  if (cc.params().t_sync_interval > 0) {
-    payload.legacy_syncs =
-        LegacySyncsBody(cc.params().t_sync_interval, cc.metas());
+/// An older writer's image of the corpus the v6 image `v6` holds, under
+/// version `version`: the params and streams, then `metas` (tag 6) when
+/// non-empty, the StIU section (`stiu` when set, else `v6`'s), and last
+/// `syncs` (tag 9) when non-empty, else `v6`'s tag 12 if it has one. This
+/// is the section order every writer before v6 used.
+std::vector<uint8_t> OlderImage(const std::vector<uint8_t>& v6,
+                                uint32_t version,
+                                const std::vector<uint8_t>& metas,
+                                const std::vector<uint8_t>& syncs,
+                                std::optional<Section> stiu = std::nullopt) {
+  const std::vector<Section> current = Sections(v6);
+  std::vector<Section> sections(current.begin(), current.begin() + 5);
+  const auto of_tag = [&](SectionTag tag) -> std::optional<Section> {
+    for (const Section& section : current) {
+      if (section.tag == static_cast<uint64_t>(tag)) return section;
+    }
+    return std::nullopt;
+  };
+  if (!metas.empty()) sections.push_back({6, metas});
+  if (!stiu.has_value()) stiu = of_tag(SectionTag::kStiuParams);
+  if (stiu.has_value()) sections.push_back(*stiu);
+  if (!syncs.empty()) {
+    sections.push_back({9, syncs});
+  } else if (const auto k = of_tag(SectionTag::kSyncInterval)) {
+    sections.push_back(*k);
   }
-  return payload;
+  return ContainerImage(version, sections);
+}
+
+/// `cc`'s image as a v1-v5 writer stored it: version `version`, its metas
+/// in tag 6, `stiu` as its StIU section (tag 11 of `params` when unset)
+/// and, when K > 0, its sync tables in tag 9.
+std::vector<uint8_t> LegacyImage(const core::CompressedCorpus& cc,
+                                 std::optional<core::StiuParams> params,
+                                 uint32_t version,
+                                 std::optional<Section> stiu = std::nullopt) {
+  const uint32_t k = cc.params().t_sync_interval;
+  return OlderImage(ArchiveWriter(cc, params).Serialize(), version,
+                    LegacyMetasBody(cc.metas()),
+                    k > 0 ? LegacySyncsBody(k, cc.metas())
+                          : std::vector<uint8_t>{},
+                    std::move(stiu));
 }
 
 /// The fixture's image as written by an older writer: version
 /// `version`, its StIU section `stiu` under `tag`, reopened with its index
-/// derived.
+/// derived. It re-encodes to the fixture's v6 image.
 struct Reopened {
   ArchiveReader reader;
   std::unique_ptr<core::StiuIndex> index;
@@ -626,15 +681,14 @@ struct Reopened {
 std::unique_ptr<Reopened> ReopenWithStiu(const ArchiveFixture& fx,
                                          uint32_t version, SectionTag tag,
                                          std::vector<uint8_t> stiu) {
-  ArchivePayload payload =
-      LegacyPayload(fx.sys->compressed(), &fx.sys->index(), version);
-  payload.stiu_tag = tag;
-  payload.stiu = std::move(stiu);
-  const std::vector<uint8_t> image = EncodeArchive(payload);
+  const std::vector<uint8_t> image = LegacyImage(
+      fx.sys->compressed(), fx.sys->index().params(), version,
+      Section{static_cast<uint64_t>(tag), std::move(stiu)});
   auto r = std::make_unique<Reopened>();
   std::string error;
+  EXPECT_EQ(image[8], version);
   EXPECT_TRUE(r->reader.OpenBytes(image, &error)) << error;
-  EXPECT_EQ(EncodeArchive(r->reader.payload()), image);
+  EXPECT_EQ(EncodeArchive(r->reader.payload()), fx.Image());
   EXPECT_EQ(SectionTags(image),
             (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, uint64_t(tag), 9}));
   EXPECT_EQ(r->reader.metas(), fx.sys->compressed().metas());
@@ -721,18 +775,13 @@ uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
   return h;
 }
 
-/// A payload built field by field: every section kind, multi-byte and
-/// negative varints, sync tables and a StIU section, as a v3 image with a
-/// crafted tag-7 tuple section, a v4 image with the same tuples as tag 10,
-/// or a v5 image with tag 11's parameters alone, each with the metas and
-/// sync tables older writers stored in tags 6 and 9; or as a v6 image,
-/// which holds tag 11 and K (tag 12) instead. Every float is a literal (no
-/// floating-point arithmetic), so the image is the same under any
-/// compiler. The streams are not a corpus: DecodeArchive does not walk
-/// them.
-ArchivePayload GoldenPayload(uint32_t version) {
+/// A v6 payload built field by field: every section kind, multi-byte and
+/// negative varints, K (tag 12) and the StIU parameters (tag 11). Every
+/// float is a literal (no floating-point arithmetic), so the image is the
+/// same under any compiler. The streams are not a corpus: DecodeArchive
+/// does not walk them.
+ArchivePayload GoldenPayload() {
   ArchivePayload p;
-  p.format_version = version;
   p.params.eta_d = 0.0078125;
   p.params.eta_p = 0.001953125;
   p.params.num_pivots = 2;
@@ -750,7 +799,15 @@ ArchivePayload GoldenPayload(uint32_t version) {
   fill(&p.ref, 200, 0);
   fill(&p.nref, 150, 7);
   fill(&p.structure, 17, 1);
+  p.stiu = core::StiuParams{2, 43200};
+  return p;
+}
 
+/// The golden payload as an older writer stored it: a v3 image with a
+/// crafted tag-7 tuple section, a v4 image with the same tuples as tag 10,
+/// or a v5 image with tag 11's parameters alone, each with crafted metas
+/// and sync tables in tags 6 and 9.
+std::vector<uint8_t> GoldenOlderImage(uint32_t version) {
   core::TrajMeta a;
   a.t_pos = 0;
   a.n_points = 40;
@@ -775,10 +832,6 @@ ArchivePayload GoldenPayload(uint32_t version) {
              {1, 0, 1193, 2, 0.1875f},
              {2, 0, 77, 0, 0.0f}};
   c.t_syncs = {{128, 1000, 2000}};
-  if (version < 6) {
-    p.legacy_metas = LegacyMetasBody({a, b, c});
-    p.legacy_syncs = LegacySyncsBody(p.params.t_sync_interval, {a, b, c});
-  }
 
   test::StiuSection stiu;
   stiu.cells_per_side = 2;
@@ -815,92 +868,74 @@ ArchivePayload GoldenPayload(uint32_t version) {
   n0.ma_pos = uint64_t{1} << 33;
   stiu.refs = {{r0}, {}, {r0, r1}, {}};
   stiu.nrefs = {{}, {n0}, {}, {n0, n0}};
-  common::ByteWriter params;
-  params.PutVarint(stiu.cells_per_side);
-  params.PutSignedVarint(stiu.time_partition_s);
-  p.stiu = version == 3   ? stiu.WriteLegacy()
-           : version == 4 ? stiu.Write()
-                          : params.Release();
-  p.stiu_tag = version == 3   ? SectionTag::kStiu
-               : version == 4 ? SectionTag::kStiuV4
-                              : SectionTag::kStiuParams;
-  p.stiu_params = {2, 43200};
-  return p;
+  std::optional<Section> tuples;  // v5: the v6 image's tag 11
+  if (version == 3) tuples = Section{7, stiu.WriteLegacy()};
+  if (version == 4) tuples = Section{10, stiu.Write()};
+  return OlderImage(EncodeArchive(GoldenPayload()), version,
+                    LegacyMetasBody({a, b, c}), LegacySyncsBody(4, {a, b, c}),
+                    tuples);
 }
 
-// Byte-exact pin of the container writer, recorded before the writer was
-// rewritten around exact-size images: any change to these bytes is a
-// format change. The image is v3 with a tag-7 StIU section.
-TEST(Archive, GoldenImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(3));
+/// Decodes a golden image of any version and checks it re-encodes to the
+/// pinned v6 image, allocated once at its exact size.
+void ExpectReencodesToGoldenV6(const std::vector<uint8_t>& image) {
   ArchivePayload loaded;
   std::string error;
   ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
       << error;
-  const std::vector<uint8_t> again = EncodeArchive(loaded);
-  EXPECT_EQ(again, image);
-  EXPECT_EQ(again.size(), 1015u);
-  EXPECT_EQ(Fnv1a64(again), 0x8474EBCE1718ED52ull);
-  // The image is allocated once, at its exact size.
-  EXPECT_EQ(again.capacity(), again.size());
+  EXPECT_EQ(loaded.params.t_sync_interval, 4u);
+  ASSERT_TRUE(loaded.stiu.has_value());
+  EXPECT_EQ(loaded.stiu->cells_per_side, 2u);
+  EXPECT_EQ(loaded.stiu->time_partition_s, 43200);
+  const std::vector<uint8_t> v6 = EncodeArchive(loaded);
+  EXPECT_EQ(v6, EncodeArchive(GoldenPayload()));
+  EXPECT_EQ(v6[8], 6u);
+  EXPECT_EQ(v6.size(), 748u);
+  EXPECT_EQ(Fnv1a64(v6), 0x4A5196822807C090ull);
+  EXPECT_EQ(v6.capacity(), v6.size());
 }
 
-// The same payload as a v4 image: a tag-10 StIU section, recorded when
+// Byte-exact pin of an older writer's image, recorded before the writer
+// was rewritten around exact-size images; the test-local container writer
+// must keep producing it. The image is v3 with a tag-7 StIU section.
+TEST(Archive, GoldenImageBytesArePinned) {
+  const std::vector<uint8_t> image = GoldenOlderImage(3);
+  EXPECT_EQ(SectionTags(image),
+            (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, 7, 9}));
+  EXPECT_EQ(image[8], 3u);
+  EXPECT_EQ(image.size(), 1015u);
+  EXPECT_EQ(Fnv1a64(image), 0x8474EBCE1718ED52ull);
+  ExpectReencodesToGoldenV6(image);
+}
+
+// The same corpus as a v4 image: a tag-10 StIU section, recorded when
 // tag 10 was added.
 TEST(Archive, GoldenV4ImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(4));
-  ArchivePayload loaded;
-  std::string error;
-  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
-      << error;
-  EXPECT_EQ(loaded.stiu_tag, SectionTag::kStiuV4);
-  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
-  EXPECT_EQ(loaded.stiu_params.time_partition_s, 43200);
-  const std::vector<uint8_t> again = EncodeArchive(loaded);
-  EXPECT_EQ(again, image);
-  EXPECT_EQ(again[8], 4u);
-  EXPECT_EQ(again.size(), 947u);
-  EXPECT_EQ(Fnv1a64(again), 0xA08079A96D4434F7ull);
-  EXPECT_EQ(again.capacity(), again.size());
+  const std::vector<uint8_t> image = GoldenOlderImage(4);
+  EXPECT_EQ(image[8], 4u);
+  EXPECT_EQ(image.size(), 947u);
+  EXPECT_EQ(Fnv1a64(image), 0xA08079A96D4434F7ull);
+  ExpectReencodesToGoldenV6(image);
 }
 
-// The same payload as a v5 image: a tag-11 section holding only the index
+// The same corpus as a v5 image: a tag-11 section holding only the index
 // parameters, recorded when tag 11 was added.
 TEST(Archive, GoldenV5ImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(5));
-  ArchivePayload loaded;
-  std::string error;
-  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
-      << error;
-  EXPECT_EQ(loaded.stiu_tag, SectionTag::kStiuParams);
-  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
-  EXPECT_EQ(loaded.stiu_params.time_partition_s, 43200);
-  const std::vector<uint8_t> again = EncodeArchive(loaded);
-  EXPECT_EQ(again, image);
-  EXPECT_EQ(again[8], 5u);
-  EXPECT_EQ(again.size(), 872u);
-  EXPECT_EQ(Fnv1a64(again), 0xE70E34E111315A84ull);
-  EXPECT_EQ(again.capacity(), again.size());
+  const std::vector<uint8_t> image = GoldenOlderImage(5);
+  EXPECT_EQ(image[8], 5u);
+  EXPECT_EQ(image.size(), 872u);
+  EXPECT_EQ(Fnv1a64(image), 0xE70E34E111315A84ull);
+  ExpectReencodesToGoldenV6(image);
 }
 
-// The same payload as a v6 image: no tag 6 or 9, and tag 12 holding K,
-// recorded when tag 12 was added.
+// The same corpus as a v6 image, what EncodeArchive writes: no tag 6 or
+// 9, and tag 12 holding K, recorded when tag 12 was added. It re-encodes
+// byte for byte.
 TEST(Archive, GoldenV6ImageBytesArePinned) {
-  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload(6));
-  ArchivePayload loaded;
-  std::string error;
-  ASSERT_TRUE(DecodeArchive(image.data(), image.size(), &loaded, &error))
-      << error;
+  const std::vector<uint8_t> image = EncodeArchive(GoldenPayload());
   EXPECT_EQ(SectionTags(image),
             (std::vector<uint64_t>{1, 2, 3, 4, 5, 11, 12}));
-  EXPECT_EQ(loaded.params.t_sync_interval, 4u);
-  EXPECT_EQ(loaded.stiu_params.cells_per_side, 2u);
-  const std::vector<uint8_t> again = EncodeArchive(loaded);
-  EXPECT_EQ(again, image);
-  EXPECT_EQ(again[8], 6u);
-  EXPECT_EQ(again.size(), 748u);
-  EXPECT_EQ(Fnv1a64(again), 0x4A5196822807C090ull);
-  EXPECT_EQ(again.capacity(), again.size());
+  ExpectReencodesToGoldenV6(image);
 }
 
 TEST(Archive, OpenMissingFileFails) {
@@ -939,9 +974,9 @@ std::vector<uint8_t> WithExtraSection(std::vector<uint8_t> image, uint64_t tag,
 TEST(Archive, OlderWritersImagesOpenAndAnswerLikeTheOracle) {
   // v3 and v4 images of a generated corpus, their StIU tuples in the tag-7
   // shape v1-v3 writers stored (the dropped fields filled with values no
-  // query may read) or in v4's tag-10 shape, open, re-encode byte for byte,
-  // derive the compress-time index and answer every query like the live
-  // index and the oracle.
+  // query may read) or in v4's tag-10 shape, open, re-encode to the v6
+  // image, derive the compress-time index and answer every query like the
+  // live index and the oracle.
   ArchiveFixture fx;
   test::StiuSection section = test::StiuSection::Of(fx.sys->index());
   for (auto& list : section.refs) {
@@ -966,7 +1001,6 @@ TEST(Archive, OlderWritersImagesOpenAndAnswerLikeTheOracle) {
     SCOPED_TRACE("version " + std::to_string(version));
     const auto reopened = ReopenWithStiu(fx, version, tag, blob);
     ASSERT_NE(reopened, nullptr);
-    EXPECT_EQ(reopened->reader.payload().format_version, version);
     test::ExpectSameIndex(*reopened->index, fx.sys->index());
     ExpectSameAnswers(fx, *reopened->queries);
   }
@@ -982,17 +1016,13 @@ TEST(Archive, RejectsImagesCarryingTwoStiuSections) {
     body.PutBytes(bytes.data(), bytes.size());
     return body;
   };
-  const std::vector<uint8_t> v6 =
-      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize();
+  const std::vector<uint8_t> v6 = fx.Image();
   ArchiveReader reader;
   std::string error;
   ASSERT_TRUE(reader.OpenBytes(v6, &error)) << error;
-  const std::vector<uint8_t> params = reader.payload().stiu;
-  ArchivePayload legacy = reader.payload();
-  legacy.format_version = 3;
-  legacy.stiu = section.WriteLegacy();
-  legacy.stiu_tag = SectionTag::kStiu;
-  const std::vector<uint8_t> v3 = EncodeArchive(legacy);
+  const std::vector<uint8_t> params = Sections(v6)[5].body;
+  const std::vector<uint8_t> v3 =
+      OlderImage(v6, 3, {}, {}, Section{7, section.WriteLegacy()});
   ASSERT_TRUE(reader.OpenBytes(v3, &error)) << error;
 
   for (const auto& [name, image] :
@@ -1022,13 +1052,12 @@ TEST(Archive, SyncTablesAreDerivedByTheEncodersRule) {
                               core::StiuParams{16, 900});
   const core::CompressedCorpus& cc = sys2.compressed();
   const std::vector<uint8_t> bytes =
-      ArchiveWriter(cc, &sys2.index()).Serialize();
+      ArchiveWriter(cc, sys2.index().params()).Serialize();
   EXPECT_EQ(bytes[8], 6u);
 
   ArchiveReader reader;
   std::string error;
   ASSERT_TRUE(reader.OpenBytes(bytes, &error)) << error;
-  EXPECT_EQ(reader.payload().format_version, kFormatVersion);
   EXPECT_EQ(reader.params().t_sync_interval, 4u);
   EXPECT_EQ(reader.metas(), cc.metas());
   size_t total_syncs = 0;
@@ -1037,21 +1066,20 @@ TEST(Archive, SyncTablesAreDerivedByTheEncodersRule) {
   EXPECT_EQ(EncodeArchive(reader.payload()), bytes);
 
   // A v5 image of the same corpus stored the tables in tag 9 and the metas
-  // in tag 6: it opens to the same metas and re-encodes byte for byte.
-  const std::vector<uint8_t> v5 =
-      EncodeArchive(LegacyPayload(cc, &sys2.index(), 5));
+  // in tag 6: it opens to the same metas and re-encodes to the v6 image.
+  const std::vector<uint8_t> v5 = LegacyImage(cc, sys2.index().params(), 5);
   ArchiveReader legacy;
   ASSERT_TRUE(legacy.OpenBytes(v5, &error)) << error;
   EXPECT_EQ(legacy.params().t_sync_interval, 4u);
   EXPECT_EQ(legacy.metas(), cc.metas());
-  EXPECT_EQ(EncodeArchive(legacy.payload()), v5);
+  EXPECT_EQ(EncodeArchive(legacy.payload()), bytes);
 }
 
 TEST(Archive, SyncFreeCorpusWritesNoIntervalSection) {
   // With sync emission disabled the image carries no tag 12 (nor tag 9),
   // the reader derives no tables, and brackets come out as with them (the
   // seek path simply never upgrades its scan start). A v2 image, which had
-  // tag 6 but no tag 9, opens the same way and re-encodes as v2.
+  // tag 6 but no tag 9, opens the same way and re-encodes to the v6 image.
   ArchiveFixture fx;
   core::UtcqParams params;
   params.default_interval_s = traj::ChengduProfile().default_interval_s;
@@ -1064,16 +1092,15 @@ TEST(Archive, SyncFreeCorpusWritesNoIntervalSection) {
   EXPECT_EQ(SectionTags(bytes), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
 
   const std::vector<uint8_t> v2 =
-      EncodeArchive(LegacyPayload(sys2.compressed(), nullptr, 2));
+      LegacyImage(sys2.compressed(), std::nullopt, 2);
   EXPECT_EQ(SectionTags(v2), (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
   for (const auto& image : {bytes, v2}) {
     ArchiveReader reader;
     std::string error;
     ASSERT_TRUE(reader.OpenBytes(image, &error)) << error;
-    EXPECT_EQ(reader.payload().format_version, image[8]);
     EXPECT_EQ(reader.params().t_sync_interval, 0u);
     EXPECT_EQ(reader.metas(), sys2.compressed().metas());
-    EXPECT_EQ(EncodeArchive(reader.payload()), image);
+    EXPECT_EQ(EncodeArchive(reader.payload()), bytes);
 
     const core::UtcqDecoder plain(fx.net, reader.view());
     const core::UtcqDecoder synced(fx.net, fx.sys->compressed());
@@ -1108,7 +1135,9 @@ TEST(Archive, LegacySyncTablesAreNeverRead) {
   const core::UtcqSystem sys2(fx.net, *fx.grid, fx.corpus, params,
                               core::StiuParams{16, 900});
   const core::CompressedCorpus& cc = sys2.compressed();
-  const ArchivePayload base = LegacyPayload(cc, &sys2.index(), 5);
+  const std::vector<uint8_t> v6 =
+      ArchiveWriter(cc, sys2.index().params()).Serialize();
+  const std::vector<uint8_t> metas = LegacyMetasBody(cc.metas());
   std::vector<core::TrajMeta> lying = cc.metas();
   for (core::TrajMeta& m : lying) {
     for (core::TSync& sync : m.t_syncs) {
@@ -1117,28 +1146,29 @@ TEST(Archive, LegacySyncTablesAreNeverRead) {
     }
   }
   lying.resize(3);
-  ArchivePayload payload = base;
-  payload.legacy_syncs = LegacySyncsBody(2, lying);
   ArchiveReader reader;
   std::string error;
-  ASSERT_TRUE(reader.OpenBytes(EncodeArchive(payload), &error)) << error;
+  ASSERT_TRUE(
+      reader.OpenBytes(OlderImage(v6, 5, metas, LegacySyncsBody(2, lying)),
+                       &error))
+      << error;
   EXPECT_EQ(reader.metas(), cc.metas());
-  EXPECT_EQ(EncodeArchive(reader.payload()), EncodeArchive(payload));
+  EXPECT_EQ(EncodeArchive(reader.payload()), v6);
 
   const auto body_of = [](std::initializer_list<uint64_t> varints) {
     common::ByteWriter body;
     for (const uint64_t v : varints) body.PutVarint(v);
     return body;
   };
-  payload.legacy_syncs = LegacySyncsBody(0, cc.metas());
-  const std::vector<uint8_t> v6 =
-      ArchiveWriter(cc, &sys2.index()).Serialize();
-  ArchivePayload sync_free = base;
-  sync_free.legacy_syncs.clear();
+  // A v5 image with neither tag 9 nor tag 12.
+  ArchivePayload sync_free;
+  ASSERT_TRUE(DecodeArchive(v6.data(), v6.size(), &sync_free, &error));
   sync_free.params.t_sync_interval = 0;
-  const std::vector<uint8_t> no_interval = EncodeArchive(sync_free);
+  const std::vector<uint8_t> no_interval =
+      OlderImage(EncodeArchive(sync_free), 5, metas, {});
   for (const auto& [name, image] :
-       {std::pair{"tag 9 with K = 0", EncodeArchive(payload)},
+       {std::pair{"tag 9 with K = 0",
+                  OlderImage(v6, 5, metas, LegacySyncsBody(0, cc.metas()))},
         std::pair{"tag 12 with K = 0",
                   WithExtraSection(no_interval, 12, body_of({0}))},
         std::pair{"tag 12 with a trailing byte",

@@ -343,13 +343,12 @@ void RunWorkload(uint64_t seed) {
 
     traj::UncertainCorpus ted_decoded(w.corpus.size());
     for (size_t j = 0; j < w.corpus.size(); ++j) {
-      const traj::DecodedTraj dt = tq.DecodeTraj(j);
       ted_decoded[j].id = j;
-      ted_decoded[j].times = dt.times;
-      ted_decoded[j].instances.resize(dt.ref_insts.size());
-      for (size_t wi = 0; wi < dt.ref_insts.size(); ++wi) {
-        if (dt.ref_insts[wi].has_value()) {
-          ted_decoded[j].instances[wi] = *dt.ref_insts[wi];
+      ted_decoded[j].times = tc.DecodeTimes(j);
+      ted_decoded[j].instances.resize(tc.meta(j).instances.size());
+      for (size_t wi = 0; wi < ted_decoded[j].instances.size(); ++wi) {
+        if (auto inst = tc.DecodeInstance(w.net, j, wi)) {
+          ted_decoded[j].instances[wi] = std::move(*inst);
         }
       }
     }
@@ -498,7 +497,8 @@ void RunWorkload(uint64_t seed) {
     archive::ArchiveReader reader;
     std::string error;
     ASSERT_TRUE(reader.OpenBytes(
-        archive::ArchiveWriter(sys.compressed(), &built).Serialize(), &error))
+        archive::ArchiveWriter(sys.compressed(), built.params()).Serialize(),
+        &error))
         << error;
     const auto derived = reader.LoadIndex(grid, &error);
     ASSERT_NE(derived, nullptr) << error;
@@ -514,7 +514,8 @@ void RunWorkload(uint64_t seed) {
     params.t_sync_interval = k;
     const core::UtcqSystem ksys(w.net, grid, w.corpus, params, index_params);
     const std::vector<uint8_t> image =
-        archive::ArchiveWriter(ksys.compressed(), &ksys.index()).Serialize();
+        archive::ArchiveWriter(ksys.compressed(), ksys.index().params())
+            .Serialize();
     archive::ArchivePayload payload;
     std::string error;
     ASSERT_TRUE(archive::DecodeArchive(image.data(), image.size(), &payload,

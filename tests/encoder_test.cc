@@ -345,63 +345,6 @@ TEST(Encoder, SyncSeekBracketsMatchFullScanEverywhere) {
   EXPECT_GT(seeks, 0u) << "the sweep never took the seek upgrade";
 }
 
-TEST(Encoder, DecodeRangeIntoMatchesFullDecode) {
-  common::Rng net_rng(100);
-  const auto profile = traj::ChengduProfile();
-  network::CityParams small = profile.city;
-  small.rows = 16;
-  small.cols = 16;
-  const auto net = network::GenerateCity(net_rng, small);
-  traj::UncertainTrajectoryGenerator gen(net, profile, 77);
-  const auto corpus = gen.GenerateCorpus(20);
-
-  UtcqParams params;
-  params.default_interval_s = profile.default_interval_s;
-  params.t_sync_interval = 2;
-  UtcqCompressor compressor(net, params);
-  const CompressedCorpus cc = compressor.Compress(corpus);
-  UtcqDecoder decoder(net, cc);
-
-  std::vector<traj::Timestamp> window;
-  uint64_t tail_seeks = 0;
-  for (size_t j = 0; j < cc.num_trajectories(); ++j) {
-    std::vector<traj::Timestamp> full;
-    const uint64_t full_bits = decoder.DecodeTimesInto(j, &full);
-    ASSERT_GT(full_bits, 0u);
-    const uint32_t n = static_cast<uint32_t>(full.size());
-
-    // Every window shape: full span, singletons at both ends, interior.
-    const std::pair<uint32_t, uint32_t> windows[] = {
-        {0, n - 1}, {0, 0}, {n - 1, n - 1}, {n / 2, n - 1}, {n / 3, n / 2}};
-    for (const auto& [first, last] : windows) {
-      if (first > last) continue;
-      UtcqDecoder::SeekStats seek;
-      const uint64_t bits = decoder.DecodeRangeInto(j, first, last, &window,
-                                                    &seek);
-      ASSERT_EQ(window.size(), size_t{last - first + 1})
-          << "traj " << j << " [" << first << "," << last << "]";
-      for (uint32_t i = first; i <= last; ++i) {
-        ASSERT_EQ(window[i - first], full[i]) << "traj " << j << " i=" << i;
-      }
-      EXPECT_LE(bits, full_bits);
-      // A tail window past the first sync point must skip the prefix.
-      if (first >= 2 && n > 4) {
-        EXPECT_LT(bits, full_bits) << "traj " << j << " first=" << first;
-        tail_seeks += seek.sync_seeks;
-      }
-    }
-
-    // Clamping and degenerate inputs.
-    EXPECT_EQ(decoder.DecodeRangeInto(j, n, n + 5, &window), 0u);
-    EXPECT_TRUE(window.empty());
-    const uint64_t clamped = decoder.DecodeRangeInto(j, 0, n + 100, &window);
-    EXPECT_GT(clamped, 0u);
-    EXPECT_EQ(window.size(), full.size());
-    EXPECT_EQ(window, full);
-  }
-  EXPECT_GT(tail_seeks, 0u) << "tail windows never started from a sync";
-}
-
 TEST(Encoder, SyncTablesMatchStreamPositions) {
   // Each recorded sync must restate exactly what a scan from the block
   // start knows when it has expanded `entry` entries: the accumulated

@@ -305,7 +305,7 @@ TEST(StreamingService, StreamThenFlushEqualsBatchBitExactly) {
                                      &flushed_bytes, &error))
       << error;
   const std::vector<uint8_t> batch_bytes =
-      archive::ArchiveWriter(batch->cc, batch->index.get()).Serialize();
+      archive::ArchiveWriter(batch->cc, batch->index->params()).Serialize();
   EXPECT_EQ(flushed_bytes, batch_bytes)
       << "stream-then-flush must equal batch compression bit for bit";
 
@@ -385,7 +385,8 @@ TEST(StreamingService, CrashBetweenArchiveWriteAndManifestSwapIsNeverTorn) {
   const size_t live_count = svc.num_live();
 
   // Kill the flush between archive write and manifest swap.
-  svc.set_flush_hook([] { return false; });
+  svc.set_flush_crash_hook(
+      [](FlushStep step) { return step != FlushStep::kAfterArchiveWrite; });
   EXPECT_FALSE(svc.Flush(&error));
   EXPECT_NE(error.find("after-archive-write"), std::string::npos) << error;
 
@@ -404,7 +405,7 @@ TEST(StreamingService, CrashBetweenArchiveWriteAndManifestSwapIsNeverTorn) {
   }
 
   // Retry after the "crash": the flush completes and publishes everything.
-  svc.set_flush_hook(nullptr);
+  svc.set_flush_crash_hook(nullptr);
   ASSERT_TRUE(svc.Flush(&error)) << error;
   EXPECT_EQ(svc.num_generations(), 2u);
   EXPECT_EQ(svc.num_sealed(), gen0_count + live_count);

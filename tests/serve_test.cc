@@ -23,9 +23,6 @@
 #include "serve/query_engine.h"
 #include "serve/tier.h"
 #include "shard/sharded.h"
-#include "ted/ted_compress.h"
-#include "ted/ted_index.h"
-#include "ted/ted_query.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
@@ -621,42 +618,6 @@ TEST(QueryEngine, ShardedBackendMatchesAndSharesCache) {
   const auto batched = batch_engine.ExecuteBatch(reqs);
   for (size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_TRUE(ServeFixture::SameResult(batched[i], f.Uncached(reqs[i])));
-  }
-}
-
-TEST(TedDecodedHandle, MatchesUncachedQueries) {
-  ServeFixture& f = Fixture();
-  ted::TedParams tparams;
-  const ted::TedCompressed cc =
-      ted::TedCompressor(f.net, tparams).Compress(f.corpus);
-  const ted::TedIndex index(f.net, *f.grid, cc, 900);
-  const ted::TedQueryProcessor queries(f.net, cc, index);
-
-  common::Rng rng(606);
-  const auto bbox = f.net.bounding_box();
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto j =
-        static_cast<uint32_t>(rng.UniformInt(0, f.corpus.size() - 1));
-    const auto& tu = f.corpus[j];
-    const traj::DecodedTraj dt = queries.DecodeTraj(j);
-    const auto t = rng.UniformInt(tu.times.front(), tu.times.back());
-    const double alpha = rng.Uniform(0.1, 0.6);
-    EXPECT_EQ(queries.Where(j, t, alpha, dt), queries.Where(j, t, alpha));
-    const auto& path = tu.instances.front().path;
-    const network::EdgeId edge = path[rng.UniformInt(0, path.size() - 1)];
-    EXPECT_EQ(queries.When(j, edge, 0.5, alpha, dt),
-              queries.When(j, edge, 0.5, alpha));
-
-    const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
-    const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
-    const network::Rect re{cx - 500, cy - 500, cx + 500, cy + 500};
-    // Provider-backed Range: decode every candidate through a one-shot map.
-    const traj::DecodedProvider provider = [&](uint32_t cand) {
-      return std::make_shared<const traj::DecodedTraj>(
-          queries.DecodeTraj(cand));
-    };
-    EXPECT_EQ(queries.Range(re, t, alpha, provider),
-              queries.Range(re, t, alpha));
   }
 }
 

@@ -343,11 +343,10 @@ TEST(Sharded, CompressByReferenceMatchesCopiedSubCorpora) {
     for (const uint32_t j : build.plan.members[s]) sub.push_back(fx.corpus[j]);
     const core::UtcqCompressor one(fx.net, fx.params);
     const core::CompressedCorpus cc = one.Compress(sub);
-    const core::StiuIndex index(*fx.grid, sub, cc, index_params);
     EXPECT_EQ(archive::ArchiveWriter(build.shards[s]->corpus,
-                                     build.shards[s]->index.get())
+                                     build.shards[s]->index->params())
                   .Serialize(),
-              archive::ArchiveWriter(cc, &index).Serialize())
+              archive::ArchiveWriter(cc, index_params).Serialize())
         << "shard " << s;
   }
 }
@@ -396,7 +395,7 @@ TEST(Sharded, CompressedBytesArePinned) {
     for (uint32_t s = 0; s < 4; ++s) {
       const std::vector<uint8_t> bytes =
           archive::ArchiveWriter(build.shards[s]->corpus,
-                                 build.shards[s]->index.get())
+                                 build.shards[s]->index->params())
               .Serialize();
       // An image ends in the CRC-32 of everything before it, so a CRC over
       // the whole image is a constant residue: digest the body.
@@ -424,7 +423,7 @@ TEST(Sharded, SavedFilesEqualEachShardsSerialize) {
     std::vector<uint8_t> bytes;
     ASSERT_TRUE(archive::ReadFileBytes(files.back(), &bytes, &error)) << error;
     EXPECT_EQ(bytes, archive::ArchiveWriter(build.shards[s]->corpus,
-                                            build.shards[s]->index.get())
+                                            build.shards[s]->index->params())
                          .Serialize())
         << "shard " << s;
   }
@@ -499,16 +498,18 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
   const auto rewrite = [&](uint32_t s, const std::vector<uint8_t>& bytes) {
     ASSERT_TRUE(archive::SaveBytesAtomic(bytes, files[s + 1], &error)) << error;
   };
-  const auto image = [&](uint32_t s, const core::StiuIndex* index) {
-    return archive::ArchiveWriter(build.shards[s]->corpus, index).Serialize();
+  const auto image = [&](uint32_t s) {
+    return archive::ArchiveWriter(build.shards[s]->corpus,
+                                  build.shards[s]->index->params())
+        .Serialize();
   };
   const auto bad_magic = [&](uint32_t s) {
-    std::vector<uint8_t> bytes = image(s, build.shards[s]->index.get());
+    std::vector<uint8_t> bytes = image(s);
     bytes[0] ^= 0xFF;
     return bytes;
   };
   const auto bad_crc = [&](uint32_t s) {
-    std::vector<uint8_t> bytes = image(s, build.shards[s]->index.get());
+    std::vector<uint8_t> bytes = image(s);
     bytes[bytes.size() / 2] ^= 0x01;
     return bytes;
   };
@@ -529,20 +530,20 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
 
   // Valid archives without an index fail the cross-shard checks, which
   // name the shard.
-  rewrite(1, image(1, nullptr));
-  rewrite(3, image(3, nullptr));
+  rewrite(1, archive::ArchiveWriter(build.shards[1]->corpus).Serialize());
+  rewrite(3, archive::ArchiveWriter(build.shards[3]->corpus).Serialize());
   EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
   EXPECT_EQ(error, "shard set_open.utcq.shard-001 carries no StIU index");
   EXPECT_FALSE(sharded.is_open());
 
-  rewrite(1, image(1, build.shards[1]->index.get()));
-  rewrite(3, image(3, build.shards[3]->index.get()));
+  rewrite(1, image(1));
+  rewrite(3, image(3));
   EXPECT_TRUE(sharded.Open(fx.net, manifest, &error)) << error;
 
   // A shard whose streams do not walk fails the open, which names the
   // shard and the trajectory.
   archive::ArchivePayload cut;
-  const std::vector<uint8_t> good = image(2, build.shards[2]->index.get());
+  const std::vector<uint8_t> good = image(2);
   ASSERT_TRUE(archive::DecodeArchive(good.data(), good.size(), &cut, &error))
       << error;
   cut.t.size_bits -= 3;
@@ -555,7 +556,7 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
   // A shard whose derived trajectory count is not its manifest's: shard
   // 3's archive under shard 2's name.
   ASSERT_NE(build.plan.members[2].size(), build.plan.members[3].size());
-  rewrite(2, image(3, build.shards[3]->index.get()));
+  rewrite(2, image(3));
   EXPECT_FALSE(sharded.Open(fx.net, manifest, &error));
   EXPECT_EQ(error, "shard set_open.utcq.shard-002: derived " +
                        std::to_string(build.plan.members[3].size()) +

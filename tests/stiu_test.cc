@@ -64,16 +64,23 @@ TEST(StiuIndex, TemporalTuplesCoverEveryPartitionOfTheSpan) {
 
 TEST(StiuIndex, BracketFromAnyTupleMatchesBracketFromStart) {
   // The t_pos bit offsets must let a partial decode starting at *any*
-  // temporal tuple agree with a decode from the beginning of the stream.
+  // temporal tuple agree with a decode from the beginning of the stream,
+  // also at each tuple's own start time, which the scan brackets at the
+  // previous entry.
   StiuFixture fx;
   const auto decoder = fx.sys->decoder();
   for (size_t j = 0; j < fx.corpus.size(); ++j) {
     const auto& tu = fx.corpus[j];
     const auto& tuples = fx.sys->index().TemporalOf(j);
     const auto& first = tuples.front();
+    std::vector<traj::Timestamp> probes;
     for (traj::Timestamp t = tu.times.front(); t <= tu.times.back();
          t += std::max<traj::Timestamp>(
              (tu.times.back() - tu.times.front()) / 7, 1)) {
+      probes.push_back(t);
+    }
+    for (const auto& tuple : tuples) probes.push_back(tuple.t_start);
+    for (const traj::Timestamp t : probes) {
       const auto via_index = fx.sys->index().TemporalTupleFor(j, t);
       const auto a = decoder.BracketTime(j, t, via_index.t_no,
                                          via_index.t_start, via_index.t_pos);
@@ -254,7 +261,7 @@ TEST_P(StiuLayout, DerivedOnOpenEqualsTheBuiltIndex) {
   archive::ArchiveReader reader;
   std::string error;
   ASSERT_TRUE(reader.OpenBytes(
-      archive::ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
+      archive::ArchiveWriter(fx.sys->compressed(), fx.sys->index().params())
           .Serialize(),
       &error))
       << error;
@@ -470,7 +477,8 @@ TEST(StiuWindows, EveryOraclePlacementIsReadWithAWindowHoldingTq) {
   // samples, between them, on repeated samples, at the first and last
   // sample and outside the span; trajectories 0-4 have one location, and
   // five more a repeated timestamp. Every fourth rectangle is a point,
-  // which may fall in a cell the edge only clips at a corner.
+  // which may fall in a cell the edge only clips at a corner, and Range
+  // must answer each of those like the oracle.
   const uint64_t base = test::BaseSeed(4242);
   for (uint64_t seed = base; seed < base + 2; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -523,8 +531,10 @@ TEST(StiuWindows, EveryOraclePlacementIsReadWithAWindowHoldingTq) {
             const network::Vertex xy =
                 net.PointOnEdge(hit.position.edge, hit.position.ndist);
             // Every fourth rectangle is the point itself; Range is checked
-            // against the oracle on some of the others.
-            const double reach = placed % 4 == 1 ? 0.0 : 300.0;
+            // against the oracle on each of those and on some of the
+            // others.
+            const bool point = placed % 4 == 1;
+            const double reach = point ? 0.0 : 300.0;
             const network::Rect rect{xy.x - rng.Uniform(0.0, reach),
                                      xy.y - rng.Uniform(0.0, reach),
                                      xy.x + rng.Uniform(0.0, reach),
@@ -535,12 +545,13 @@ TEST(StiuWindows, EveryOraclePlacementIsReadWithAWindowHoldingTq) {
                                               hit.instance, rect, tq))
                 << "trajectory " << j << " instance " << hit.instance
                 << " tq " << tq;
-            if (placed++ % 64 == 0) {
+            if (point || placed % 64 == 0) {
               const double alpha = rng.Uniform(0.05, 0.9);
               EXPECT_EQ(sys.queries().Range(rect, tq, alpha),
                         oracle.Range(rect, tq, alpha))
                   << "tq " << tq;
             }
+            ++placed;
           }
         }
       }
