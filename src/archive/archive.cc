@@ -547,38 +547,15 @@ const char* IndexMismatch(const ArchivePayload& payload,
 }
 
 /// The one walk over an archive's streams (DESIGN.md §6): derives `*metas`
-/// and, with a non-null `index`, reconstructs each trajectory's instances
-/// over the index grid's network and appends it, then finishes the index.
+/// and, with a non-null `index`, the index too.
 bool WalkStreams(const ArchivePayload& p, std::vector<core::TrajMeta>* metas,
                  core::StiuIndex* index, std::string* error) {
   const core::CorpusView streams(p.params, p.entry_bits, p.t.span(),
                                  p.ref.span(), p.nref.span(),
                                  p.structure.span(), nullptr, 0);
-  if (index == nullptr) return core::DeriveMetas(streams, metas, error);
-  const core::UtcqDecoder decoder(index->grid().network(), streams);
-  // One reused trajectory: reconstruction refills its instances in place.
-  traj::UncertainTrajectory tu;
-  std::vector<uint8_t> flags;
-  const auto append = [&](std::vector<traj::Timestamp>& times,
-                          std::span<const core::DecodedInstance> instances) {
-    tu.times.swap(times);
-    tu.instances.resize(instances.size());
-    for (size_t w = 0; w < instances.size(); ++w) {
-      if (!decoder.ToInstanceInto(instances[w], &tu.instances[w], &flags)) {
-        if (error != nullptr) {
-          *error = "trajectory " + std::to_string(metas->size() - 1) +
-                   ": instance " + std::to_string(w) +
-                   " does not reconstruct";
-        }
-        return false;
-      }
-    }
-    index->Append(tu, streams.WithMetas(metas->data(), metas->size()));
-    return true;
-  };
-  if (!core::DeriveMetas(streams, metas, error, append)) return false;
-  index->Finish();
-  return true;
+  return index == nullptr
+             ? core::DeriveMetas(streams, metas, error)
+             : core::DeriveMetasAndIndex(streams, metas, index, error);
 }
 
 }  // namespace

@@ -14,15 +14,22 @@ namespace {
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 
+/// std::thread::hardware_concurrency(), read once: glibc reads sysfs on
+/// every call, which every ParallelFor would otherwise pay.
+unsigned HardwareThreads() {
+  static const unsigned hw = std::thread::hardware_concurrency();
+  return hw;
+}
+
 }  // namespace
 
 unsigned DefaultThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = HardwareThreads();
   return hw == 0 ? 1 : hw;
 }
 
 unsigned EffectiveThreads(size_t n, unsigned threads) {
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = HardwareThreads();
   if (threads == 0) threads = hw == 0 ? 1 : hw;
   // Clamp explicit requests only when the hardware width is known: 0 means
   // "indeterminable", and flattening an explicit 8 to 1 there would

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 namespace utcq::core {
 
@@ -56,32 +57,50 @@ struct FlatCom {
   }
 };
 
-/// Fjd() over flattened factors, bit-for-bit: the same sums in the same
-/// factor order. Eq. 2's rule (largest overlap, then smallest L_w) is the
-/// maximum of the key (overlap << 32) | (UINT32_MAX - L_w), which the inner
-/// loop takes without a branch.
-double FlatFjd(const FlatCom& w, const FlatCom& v) {
-  if (w.total == 0 || v.total == 0) return 0.0;
+/// Eq. 2's term of one target factor of length `l_target` whose best
+/// source factor has key `best`: its overlap over max{L, L'}, or nothing
+/// when no source factor overlaps it.
+void AddTerm(uint64_t best, uint32_t l_target, double* sum) {
+  const auto overlap = static_cast<uint32_t>(best >> 32);
+  if (overlap > 0) {
+    const uint32_t l_source = UINT32_MAX - static_cast<uint32_t>(best);
+    *sum += static_cast<double>(overlap) /
+            static_cast<double>(std::max(l_source, l_target));
+  }
+}
+
+/// FJD(w -> v) and FJD(v -> w) against one pivot, each bit-for-bit Fjd():
+/// one pass over the factor pairs computes each overlap once. Eq. 2's rule
+/// (largest overlap, then smallest source L) is the maximum of the key
+/// (overlap << 32) | (UINT32_MAX - L), taken without a branch: with L_w for
+/// each factor of v (row maxima, w -> v) and with L_v for each factor of w
+/// (column maxima in `*col_best`, v -> w). Each direction then sums over
+/// its target's factors in order, as Fjd() does.
+std::pair<double, double> FjdBothWays(const FlatCom& w, const FlatCom& v,
+                                      std::vector<uint64_t>* col_best) {
+  if (w.total == 0 || v.total == 0) return {0.0, 0.0};
   const size_t n_w = w.len.size();
-  double sum = 0.0;
+  col_best->assign(n_w, 0);
+  uint64_t* const col = col_best->data();
+  double sum_wv = 0.0;
   for (size_t b = 0; b < v.len.size(); ++b) {
     const uint32_t s_v = v.start[b];
     const uint32_t e_v = v.end[b];
-    uint64_t best = 0;
+    const uint32_t key_v = UINT32_MAX - v.len[b];
+    uint64_t row = 0;
     for (size_t a = 0; a < n_w; ++a) {
       const uint32_t lo = std::max(w.start[a], s_v);
       const uint32_t hi = std::min(w.end[a], e_v);
-      const uint64_t overlap = hi > lo ? hi - lo : 0;
-      best = std::max(best, (overlap << 32) | (UINT32_MAX - w.len[a]));
+      const uint64_t high = uint64_t{hi > lo ? hi - lo : 0u} << 32;
+      row = std::max(row, high | (UINT32_MAX - w.len[a]));
+      col[a] = std::max(col[a], high | key_v);
     }
-    const auto overlap = static_cast<uint32_t>(best >> 32);
-    if (overlap > 0) {
-      const uint32_t l_w = UINT32_MAX - static_cast<uint32_t>(best);
-      sum += static_cast<double>(overlap) /
-             static_cast<double>(std::max(l_w, v.len[b]));
-    }
+    AddTerm(row, v.len[b], &sum_wv);
   }
-  return sum / static_cast<double>(std::max(w.total, v.total));
+  double sum_vw = 0.0;
+  for (size_t a = 0; a < n_w; ++a) AddTerm(col[a], w.len[a], &sum_vw);
+  const auto h = static_cast<double>(std::max(w.total, v.total));
+  return {sum_wv / h, sum_vw / h};
 }
 
 }  // namespace
@@ -95,7 +114,8 @@ std::vector<std::vector<double>> BuildScoreMatrix(
 
   // Representation classes: instances whose representations agree against
   // every pivot have equal FJDs to and from everyone, so max_i FJD is
-  // computed once per ordered pair of classes.
+  // computed once per pair of classes, both directions in one kernel call.
+  // The start vertex gate is symmetric, so the reverse cell is always read.
   auto same_class = [&](uint32_t a, uint32_t b) {
     for (const auto& reprs : pivot_reprs) {
       if (!(reprs[a] == reprs[b])) return false;
@@ -121,19 +141,26 @@ std::vector<std::vector<double>> BuildScoreMatrix(
 
   constexpr double kUnset = -1.0;  // FJD is never negative
   std::vector<double> memo(classes * classes, kUnset);
+  std::vector<uint64_t> col_best;
   for (size_t w = 0; w < n; ++w) {
     for (size_t v = 0; v < n; ++v) {
       if (w == v) continue;  // SF(w, w) = 0
       if (start_vertices[w] != start_vertices[v]) continue;
-      double& best = memo[class_of[w] * classes + class_of[v]];
-      if (best == kUnset) {
-        best = 0.0;
+      const uint32_t cw = class_of[w];
+      const uint32_t cv = class_of[v];
+      if (memo[cw * classes + cv] == kUnset) {
+        double best_wv = 0.0;
+        double best_vw = 0.0;
         for (size_t i = 0; i < pivot_reprs.size(); ++i) {
-          best = std::max(best, FlatFjd(flat[i * classes + class_of[w]],
-                                        flat[i * classes + class_of[v]]));
+          const auto [wv, vw] = FjdBothWays(
+              flat[i * classes + cw], flat[i * classes + cv], &col_best);
+          best_wv = std::max(best_wv, wv);
+          best_vw = std::max(best_vw, vw);
         }
+        memo[cv * classes + cw] = best_vw;
+        memo[cw * classes + cv] = best_wv;
       }
-      sm[w][v] = probabilities[w] * best;
+      sm[w][v] = probabilities[w] * memo[cw * classes + cv];
     }
   }
   return sm;

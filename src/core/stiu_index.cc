@@ -8,6 +8,7 @@
 
 #include "common/exp_golomb.h"
 #include "common/varint.h"
+#include "core/decoder.h"
 #include "core/improved_ted.h"
 
 namespace utcq::core {
@@ -61,13 +62,18 @@ void EdgeWindows(const std::vector<traj::Timestamp>& times, bool in_day,
 
 }  // namespace
 
+StiuParams StiuIndex::RecordedParams(const network::GridIndex& grid,
+                                     StiuParams params) {
+  params.cells_per_side = grid.cells_per_side();
+  params.time_partition_s = std::max<int64_t>(params.time_partition_s, 1);
+  return params;
+}
+
 StiuIndex::StiuIndex(const network::GridIndex& grid, StiuParams params)
     : grid_(grid),
-      params_(params),
+      params_(RecordedParams(grid, params)),
       region_refs_(grid.num_regions()),
       region_nrefs_(grid.num_regions()) {
-  params_.cells_per_side = grid.cells_per_side();
-  params_.time_partition_s = std::max<int64_t>(params_.time_partition_s, 1);
   partition_trajs_.resize(static_cast<size_t>(
       (traj::kSecondsPerDay - 1) / params_.time_partition_s + 1));
 }
@@ -405,6 +411,34 @@ size_t StiuIndex::spatial_size_bytes() const {
 
 size_t StiuIndex::SizeBytes() const {
   return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes();
+}
+
+bool DeriveMetasAndIndex(const CorpusView& cc, std::vector<TrajMeta>* metas,
+                         StiuIndex* index, std::string* error) {
+  const UtcqDecoder decoder(index->grid().network(), cc);
+  // One reused trajectory: reconstruction refills its instances in place.
+  traj::UncertainTrajectory tu;
+  std::vector<uint8_t> flags;
+  const auto append = [&](std::vector<traj::Timestamp>& times,
+                          std::span<const DecodedInstance> instances) {
+    tu.times.swap(times);
+    tu.instances.resize(instances.size());
+    for (size_t w = 0; w < instances.size(); ++w) {
+      if (!decoder.ToInstanceInto(instances[w], &tu.instances[w], &flags)) {
+        if (error != nullptr) {
+          *error = "trajectory " + std::to_string(metas->size() - 1) +
+                   ": instance " + std::to_string(w) +
+                   " does not reconstruct";
+        }
+        return false;
+      }
+    }
+    index->Append(tu, cc.WithMetas(metas->data(), metas->size()));
+    return true;
+  };
+  if (!DeriveMetas(cc, metas, error, append)) return false;
+  index->Finish();
+  return true;
 }
 
 }  // namespace utcq::core

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/corpus_view.h"
@@ -102,8 +103,8 @@ class StiuIndex {
     bool operator==(const NrefTuple&) const = default;
   };
 
-  /// An empty index over `grid` (whose cells_per_side it records): Append
-  /// every trajectory, then Finish before any query.
+  /// An empty index over `grid`, recording RecordedParams(grid, params):
+  /// Append every trajectory, then Finish before any query.
   StiuIndex(const network::GridIndex& grid, StiuParams params);
   /// Appends every trajectory of `corpus` in order, then Finishes.
   StiuIndex(const network::GridIndex& grid,
@@ -128,6 +129,11 @@ class StiuIndex {
   /// Array-for-array equality: parameters, temporal tuples, partition
   /// lists, levels, home slots, cells and both tuple arrays.
   bool operator==(const StiuIndex& other) const;
+
+  /// The parameters an index over `grid` built with `params` records: the
+  /// grid's cells_per_side and a time partition of at least 1 s.
+  static StiuParams RecordedParams(const network::GridIndex& grid,
+                                   StiuParams params);
 
   const network::GridIndex& grid() const { return grid_; }
   const StiuParams& params() const { return params_; }
@@ -256,6 +262,16 @@ class StiuIndex {
   std::vector<RefTuple> refs_;
   std::vector<NrefTuple> nrefs_;
 };
+
+/// The open walk (DESIGN.md §6), the one way an index is derived from
+/// streams: DeriveMetas over the streams `cc` views (its own metas are not
+/// read), reconstructing each trajectory's instances over
+/// index->grid().network() into one reused trajectory and appending it to
+/// `*index`, which must be empty; then Finish. Fails as DeriveMetas does,
+/// or naming the first instance that does not reconstruct; `*index` is then
+/// unfinished.
+bool DeriveMetasAndIndex(const CorpusView& cc, std::vector<TrajMeta>* metas,
+                         StiuIndex* index, std::string* error);
 
 }  // namespace utcq::core
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -111,7 +112,7 @@ bool ShardedBuild::Save(const std::string& manifest_path,
   std::vector<uint8_t> saved(shards.size(), 0);
   common::ParallelFor(shards.size(), 0, [&](size_t s) {
     const archive::ArchiveWriter writer(shards[s]->corpus,
-                                        shards[s]->index->params());
+                                        shards[s]->index_params);
     saved[s] = writer.Save(dir + manifest.shards[s].file, &errors[s]);
   });
   for (size_t s = 0; s < shards.size(); ++s) {
@@ -135,8 +136,23 @@ ShardedCompressor::ShardedCompressor(const network::RoadNetwork& net,
       grid_(grid),
       params_(params),
       index_params_(index_params),
-      opts_(opts) {
-  index_params_.cells_per_side = grid.cells_per_side();
+      opts_(opts) {}
+
+const core::StiuIndex& LazyStiuIndex::operator*() const {
+  common::MutexLock lock(mu_);
+  if (index_ == nullptr) {
+    auto index = std::make_unique<core::StiuIndex>(grid_, params_);
+    std::vector<core::TrajMeta> metas;
+    std::string error;
+    if (!core::DeriveMetasAndIndex(corpus_.view(), &metas, index.get(),
+                                   &error)) {
+      // The compressor's own streams always walk.
+      std::fprintf(stderr, "LazyStiuIndex: %s\n", error.c_str());
+      std::abort();
+    }
+    index_ = std::move(index);
+  }
+  return *index_;
 }
 
 ShardedBuild ShardedCompressor::Compress(
@@ -154,18 +170,12 @@ ShardedBuild ShardedCompressor::Compress(
   // so repeated builds pay no thread start-up.
   common::ParallelFor(n, opts_.num_threads, [&](size_t s) {
     const core::UtcqCompressor compressor(net_, params_);
-    auto shard = std::make_unique<CompressedShard>();
-    shard->corpus = compressor.Begin();
+    core::CompressedCorpus cc = compressor.Begin();
     for (const uint32_t j : build.plan.members[s]) {
-      compressor.AppendTrajectory(corpus[j], &shard->corpus);
+      compressor.AppendTrajectory(corpus[j], &cc);
     }
-    shard->index = std::make_unique<core::StiuIndex>(grid_, index_params_);
-    const core::CorpusView cc = shard->corpus.view();
-    for (const uint32_t j : build.plan.members[s]) {
-      shard->index->Append(corpus[j], cc);
-    }
-    shard->index->Finish();
-    build.shards[s] = std::move(shard);
+    build.shards[s] =
+        std::make_unique<CompressedShard>(std::move(cc), grid_, index_params_);
   });
   return build;
 }

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/archive.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "core/encoder.h"
 #include "core/query.h"
 #include "core/stiu_index.h"
@@ -73,11 +76,48 @@ ShardPlan MakeShardPlan(const traj::UncertainCorpus& corpus,
 std::string ShardArchivePath(const std::string& manifest_path,
                              uint32_t shard);
 
-/// One compressed shard: an independent CompressedCorpus plus its StIU
-/// index, both built over the shard's sub-corpus only.
+/// A compressed shard's StIU index, derived from the shard's streams on
+/// first dereference by the walk ArchiveReader opens an archive with
+/// (core::DeriveMetasAndIndex, DESIGN.md §6, §8), once: dereferences racing
+/// the first wait for its derivation and get the same object. `grid` and
+/// `corpus` must outlive it.
+class LazyStiuIndex {
+ public:
+  LazyStiuIndex(const network::GridIndex& grid, core::StiuParams params,
+                const core::CompressedCorpus& corpus)
+      : grid_(grid), params_(params), corpus_(corpus) {}
+  LazyStiuIndex(const LazyStiuIndex&) = delete;
+  LazyStiuIndex& operator=(const LazyStiuIndex&) = delete;
+
+  const core::StiuIndex& operator*() const;
+  const core::StiuIndex* operator->() const { return &**this; }
+
+ private:
+  const network::GridIndex& grid_;
+  const core::StiuParams params_;
+  const core::CompressedCorpus& corpus_;
+  mutable common::Mutex mu_;
+  mutable std::unique_ptr<core::StiuIndex> index_ UTCQ_GUARDED_BY(mu_);
+};
+
+/// One compressed shard: an independent CompressedCorpus over the shard's
+/// sub-corpus, the parameters its archive records, and its StIU index,
+/// which nothing derives until a caller dereferences it: the writer needs
+/// only the parameters.
 struct CompressedShard {
-  core::CompressedCorpus corpus;
-  std::unique_ptr<core::StiuIndex> index;
+  /// Records `index_params_in` as an index over `grid` does
+  /// (core::StiuIndex::RecordedParams), so Save writes what the index
+  /// holds.
+  CompressedShard(core::CompressedCorpus corpus_in,
+                  const network::GridIndex& grid,
+                  core::StiuParams index_params_in)
+      : corpus(std::move(corpus_in)),
+        index_params(core::StiuIndex::RecordedParams(grid, index_params_in)),
+        index(grid, index_params, corpus) {}
+
+  const core::CompressedCorpus corpus;
+  const core::StiuParams index_params;
+  const LazyStiuIndex index;
 };
 
 /// Write-side product of a sharded compression run: the plan plus one
@@ -104,9 +144,10 @@ struct ShardedBuild {
 
 /// Parallel compression pipeline: partitions a corpus by the shard policy
 /// and compresses the shards concurrently. Each shard runs the
-/// single-threaded UtcqCompressor + StIU build over its members, read in
-/// place from the caller's corpus — shards share only immutable inputs
-/// (network, grid, corpus), so no locking is involved.
+/// single-threaded UtcqCompressor over its members, read in place from the
+/// caller's corpus — shards share only immutable inputs (network, grid,
+/// corpus), so no locking is involved. No StIU index is built here: each
+/// shard's is derived on first use (LazyStiuIndex).
 class ShardedCompressor {
  public:
   /// `net` and `grid` must outlive the compressor and every build it

@@ -173,6 +173,31 @@ TEST(Fjd, ScoreMatrixEqualsPairwiseFjd) {
   }
 }
 
+TEST(Fjd, ScoreMatrixScoresAnAsymmetricPairBothWays) {
+  // Both cells of one class pair come from one pass over the factor pairs,
+  // so the pair is asymmetric: different factor counts, H above the factor
+  // count on one side, and an overlap tie broken by L in one direction only.
+  // w: [0,4) L 4, [0,6) L 6.  v: [0,2) L 2, [4,5) L 1, H = 3.
+  PivotCom w;
+  w.factors = {{0, 4}, {0, 6}};
+  w.total_factors = 2;
+  PivotCom v;
+  v.factors = {{0, 2}, {4, 1}};
+  v.total_factors = 3;
+  // w -> v: v's [0,2) overlaps both of w's factors by 2, and the smaller
+  // L_w = 4 wins (2/4); [4,5) meets only [0,6) (1/6).
+  const double want_wv = (0.5 + 1.0 / 6.0) / 3.0;
+  // v -> w: [0,4) is best met by [0,2) (2/4), [0,6) by [0,2) (2/6); no
+  // ties. A kernel that broke the w -> v tie by L_v, or swapped the two
+  // directions' maxima, reads other values.
+  const double want_vw = (0.5 + 1.0 / 3.0) / 3.0;
+  ASSERT_TRUE(Fjd(w, v) == want_wv);
+  ASSERT_TRUE(Fjd(v, w) == want_vw);
+  const auto sm = BuildScoreMatrix({{w, v}}, {1.0, 1.0}, {7, 7});
+  EXPECT_TRUE(sm[0][1] == want_wv) << sm[0][1] << " vs " << want_wv;
+  EXPECT_TRUE(sm[1][0] == want_vw) << sm[1][0] << " vs " << want_vw;
+}
+
 TEST(Fjd, PaperScoreMatrixPrefersHighProbabilityReference) {
   const auto ex = test::MakePaperExample();
   const auto seqs = PaperEntrySequences();

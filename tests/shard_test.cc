@@ -11,11 +11,13 @@
 #include "archive/archive.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "common/thread_pool.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "shard/sharded.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
+#include "stiu_sections.h"
 #include "test_fixtures.h"
 
 namespace utcq::shard {
@@ -344,10 +346,64 @@ TEST(Sharded, CompressByReferenceMatchesCopiedSubCorpora) {
     const core::UtcqCompressor one(fx.net, fx.params);
     const core::CompressedCorpus cc = one.Compress(sub);
     EXPECT_EQ(archive::ArchiveWriter(build.shards[s]->corpus,
-                                     build.shards[s]->index->params())
+                                     build.shards[s]->index_params)
                   .Serialize(),
               archive::ArchiveWriter(cc, index_params).Serialize())
         << "shard " << s;
+  }
+}
+
+TEST(Sharded, LazyIndexEqualsTheIndexOfTheOriginalTrajectories) {
+  // No shard is indexed at compress time: the first dereference derives
+  // the index from the shard's streams. It must equal, array for array, the
+  // index appended from the trajectories the shard was compressed from.
+  ShardFixture fx;
+  ShardOptions opts;
+  opts.num_shards = 4;
+  opts.num_threads = 2;
+  for (const int64_t partition_s : {900, 60}) {
+    const core::StiuParams index_params{16, partition_s};
+    const ShardedBuild build =
+        ShardedCompressor(fx.net, *fx.grid, fx.params, index_params, opts)
+            .Compress(fx.corpus);
+    for (uint32_t s = 0; s < build.plan.num_shards(); ++s) {
+      SCOPED_TRACE("partition " + std::to_string(partition_s) + " s, shard " +
+                   std::to_string(s));
+      traj::UncertainCorpus sub;
+      for (const uint32_t j : build.plan.members[s]) {
+        sub.push_back(fx.corpus[j]);
+      }
+      const core::StiuIndex want(*fx.grid, sub, build.shards[s]->corpus.view(),
+                                 index_params);
+      const core::StiuIndex& got = *build.shards[s]->index;
+      EXPECT_EQ(got.params().cells_per_side,
+                build.shards[s]->index_params.cells_per_side);
+      EXPECT_EQ(got.params().time_partition_s,
+                build.shards[s]->index_params.time_partition_s);
+      test::ExpectSameIndex(got, want);
+    }
+  }
+}
+
+TEST(Sharded, ConcurrentFirstDereferencesShareOneIndex) {
+  // Pool tasks that dereference a shard's underived index at once wait for
+  // one derivation and all get its object.
+  ShardFixture fx;
+  ShardOptions opts;
+  opts.num_shards = 2;
+  const ShardedBuild build = ShardedCompressor(fx.net, *fx.grid, fx.params,
+                                               core::StiuParams{16, 900}, opts)
+                                 .Compress(fx.corpus);
+  constexpr size_t kTasks = 32;
+  std::vector<const core::StiuIndex*> got(kTasks, nullptr);
+  common::ParallelFor(kTasks, 0, [&](size_t t) {
+    got[t] = &*build.shards[t % 2]->index;
+  });
+  for (size_t t = 0; t < kTasks; ++t) EXPECT_EQ(got[t], got[t % 2]) << t;
+  EXPECT_NE(got[0], got[1]);
+  for (uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(&*build.shards[s]->index, got[s]);
+    EXPECT_EQ(got[s]->num_trajectories(), build.plan.members[s].size());
   }
 }
 
@@ -359,7 +415,8 @@ TEST(Sharded, CompressedBytesArePinned) {
   // changes the archive bytes. Algorithm 1 pops a std::priority_queue whose
   // equal-score tie order is libstdc++'s heap algorithm, so the digests
   // hold for that standard library; another one may legitimately pick
-  // different (equally scored) references and fail this test.
+  // different (equally scored) references and fail this test. No index is
+  // dereferenced here: saving a build derives none.
   const auto profile = traj::HangzhouProfile();
   const network::RoadNetwork net = test::MakeSmallCity(profile, 14);
   const traj::UncertainCorpus corpus =
@@ -395,7 +452,7 @@ TEST(Sharded, CompressedBytesArePinned) {
     for (uint32_t s = 0; s < 4; ++s) {
       const std::vector<uint8_t> bytes =
           archive::ArchiveWriter(build.shards[s]->corpus,
-                                 build.shards[s]->index->params())
+                                 build.shards[s]->index_params)
               .Serialize();
       // An image ends in the CRC-32 of everything before it, so a CRC over
       // the whole image is a constant residue: digest the body.
@@ -423,7 +480,7 @@ TEST(Sharded, SavedFilesEqualEachShardsSerialize) {
     std::vector<uint8_t> bytes;
     ASSERT_TRUE(archive::ReadFileBytes(files.back(), &bytes, &error)) << error;
     EXPECT_EQ(bytes, archive::ArchiveWriter(build.shards[s]->corpus,
-                                            build.shards[s]->index->params())
+                                            build.shards[s]->index_params)
                          .Serialize())
         << "shard " << s;
   }
@@ -500,7 +557,7 @@ TEST(Sharded, OpenReportsTheFirstBadShardInShardOrder) {
   };
   const auto image = [&](uint32_t s) {
     return archive::ArchiveWriter(build.shards[s]->corpus,
-                                  build.shards[s]->index->params())
+                                  build.shards[s]->index_params)
         .Serialize();
   };
   const auto bad_magic = [&](uint32_t s) {
